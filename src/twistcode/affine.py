@@ -14,31 +14,17 @@ points answers every (u, i) at once.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import (
-    Code,
-    EnumeratedGroup,
-    IndexedDomain,
-    Representation,
-    build_twisted_code,
-    check_code_size,
-    check_distance_invariance,
-    letter_counts_constant,
-    min_distance_by_support,
-    min_distance_pairwise,
-    repetition_lower_bound,
-)
+from .codes import EnumeratedGroup, IndexedDomain, Representation, finish_build, support_scan
 from .fields import PrimeField
 from .linalg import Matrix
-from .report import VerificationReport
+from .report import stage
 
 GROUP_GUARD = 1 << 21  # max |G| = p^(k+1) for enumeration
 SCAN_GUARD = 1 << 26  # max p^(k+2) twist-scan work
-CODE_BYTES_GUARD = 1 << 28  # max |C| * length for materialised codewords
 
 
 @dataclass(frozen=True)
@@ -301,47 +287,6 @@ def twisted_family(group: AffineGroup):
     return [twisted_representation(group, r) for r in range(group.params.p)]
 
 
-class AffineBuild:
-    """Result of the affine construction: report plus lazily materialised
-    representations and code (unpacks as (code, report)).  fix_table holds
-    the honest per-element, per-twist fixed-point counts used by the scan."""
-
-    def __init__(self, group, report, fix_table=None):
-        self.group = group
-        self.report = report
-        self.fix_table = fix_table
-        self._reps = None
-        self._code = None
-
-    @property
-    def params(self):
-        return self.group.params
-
-    @property
-    def representations(self):
-        if self._reps is None:
-            _guard_code_bytes(self.params)
-            self._reps = twisted_family(self.group)
-        return self._reps
-
-    @property
-    def code(self) -> Code:
-        if self._code is None:
-            self._code = build_twisted_code(self.group, self.representations)
-        return self._code
-
-    def __iter__(self):
-        return iter((self.code, self.report))
-
-
-def _guard_code_bytes(params):
-    nbytes = params.group_order * params.group_order
-    if nbytes > CODE_BYTES_GUARD:
-        raise ValueError(
-            f"materialising this code needs {nbytes} symbols, over the guard {CODE_BYTES_GUARD}"
-        )
-
-
 def _check_closed_forms(params, checks):
     """B^i and Omega(k,i) closed forms against iterated multiplication and
     the literal geometric sum, plus the mod-p periodicity facts."""
@@ -450,9 +395,8 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
     checks: dict[str, bool] = {}
     times: dict[str, float] = {}
 
-    t0 = time.monotonic()
-    group = enumerate_group(params)
-    times["enumerate"] = time.monotonic() - t0
+    with stage(times, "enumerate"):
+        group = enumerate_group(params)
 
     m = params.num_points
     n = params.group_order
@@ -462,58 +406,19 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
         and (group.elements[:, 0, 0] == 1).all()
     )
 
-    t0 = time.monotonic()
-    _check_closed_forms(params, checks)
-    times["closed_forms"] = time.monotonic() - t0
+    with stage(times, "closed_forms"):
+        _check_closed_forms(params, checks)
 
-    t0 = time.monotonic()
-    fix = group.fixed_count_table()
-    _check_fixed_points(group, fix, checks)
+    with stage(times, "support_scan"):
+        fix = group.fixed_count_table()
+        _check_fixed_points(group, fix, checks)
+        expected = (p ** (k + 1) - p, p ** (k + 1) - p * p)
+        _, delta_tw, delta_rep = support_scan(fix, m, expected, checks)
 
-    supports = m - fix
-    delta_tw = int(supports[1:].sum(axis=1).min())
-    # min over the p representations of p * (minimal degree of that rep)
-    delta_rep = p * int(supports[1:].min(axis=0).min())
-    times["support_scan"] = time.monotonic() - t0
+    with stage(times, "automorphism"):
+        _check_twist_automorphism(group, checks, rng)
 
-    checks["delta_tw_formula"] = delta_tw == p ** (k + 1) - p
-    checks["delta_rep_formula"] = delta_rep == p ** (k + 1) - p * p
-    gap = delta_tw - delta_rep
-    checks["gap_formula"] = gap == p * p - p
-
-    t0 = time.monotonic()
-    _check_twist_automorphism(group, checks, rng)
-    times["automorphism"] = time.monotonic() - t0
-
-    report = VerificationReport(
-        family="affine",
-        params={"p": p, "k": k},
-        reps=p,
-        alphabet=m,
-        length=p * m,
-        code_size=n,
-        delta_tw=delta_tw,
-        delta_rep=delta_rep,
-        checks=checks,
-        times=times,
+    return finish_build(
+        group, fix, lambda: twisted_family(group), family="affine", params={"p": p, "k": k},
+        m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, check=check, rng=rng,
     )
-    build = AffineBuild(group, report, fix_table=fix)
-
-    if check == "all":
-        t0 = time.monotonic()
-        reps = build.representations
-        code = build.code
-        times["materialise"] = time.monotonic() - t0
-        report.code_size = code.size
-        checks["code_size_faithful"] = check_code_size(group, reps, code) and code.size == n
-        checks["fpa_letter_counts"] = letter_counts_constant(code, p)
-        t0 = time.monotonic()
-        checks["pairwise_delta_agrees"] = min_distance_pairwise(code) == delta_tw
-        times["pairwise"] = time.monotonic() - t0
-        checks["support_scan_agrees"] = min_distance_by_support(group, reps) == delta_tw
-        checks["repetition_bound_agrees"] = repetition_lower_bound(group, reps) == delta_rep
-        t0 = time.monotonic()
-        checks["distance_invariant"] = check_distance_invariance(code)
-        times["invariance"] = time.monotonic() - t0
-
-    return build

@@ -7,6 +7,10 @@ computed two independent ways: a support-sum scan over group elements
 (valid whenever the joint kernel is trivial) and a brute-force pairwise
 scan over codewords, kept as the oracle.
 
+Both families run one pipeline: support_scan turns their (N, r)
+fixed-point table into delta_tw and delta_rep, and finish_build wraps the
+report in a TwistedBuild and runs the check="all" oracles.
+
 Permutations are 0-based numpy index arrays internally; codeword symbols
 are 1-based, matching the codeword file format.
 """
@@ -16,8 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import Matrix
+from .report import VerificationReport, stage
 
 FORMAT_MAGIC = "# twistcode v1"
+BIJECTION_CHUNK = 1 << 22  # table entries sorted at a time by the bijection check
+CODE_BYTES_GUARD = 1 << 28  # max |C| * length for materialised codewords
+EXHAUSTIVE_ORACLE_LIMIT = 20_000  # max |C| for the pairwise and invariance sweeps
+INVARIANCE_ANCHORS = 8  # anchor codewords of the sampled invariance check
 
 
 class NontrivialKernelError(ValueError):
@@ -61,11 +70,6 @@ def support_size(perm) -> int:
     """Number of moved points of a permutation (0-based image array)."""
     perm = np.asarray(perm)
     return int((perm != np.arange(len(perm))).sum())
-
-
-def compose(a, b):
-    """Permutation 'a then b': composed[j] = b[a[j]]."""
-    return np.asarray(b)[np.asarray(a)]
 
 
 class EnumeratedGroup:
@@ -140,19 +144,22 @@ class Representation:
     """Permutation representation of an enumerated group: one image array
     per element index, over a fixed point domain."""
 
-    def __init__(self, group, perms, domain=None):
+    def __init__(self, group, perms):
         perms = np.ascontiguousarray(perms)
         if perms.ndim != 2 or perms.shape[0] != len(group):
             raise ValueError("need one permutation per group element")
         q = perms.shape[1]
-        if not (perms[0] == np.arange(q)).all():
+        ident = np.arange(q)
+        if not (perms[0] == ident).all():
             raise ValueError("identity element must act as the identity permutation")
-        if perms.size <= 1 << 22 and not (np.sort(perms, axis=1) == np.arange(q)).all():
-            raise ValueError("some image array is not a bijection")
+        rows = max(1, BIJECTION_CHUNK // q)
+        for i0 in range(0, perms.shape[0], rows):
+            # "stable" selects radix sort on 8- and 16-bit tables
+            if not (np.sort(perms[i0 : i0 + rows], axis=1, kind="stable") == ident).all():
+                raise ValueError("some image array is not a bijection")
         perms.setflags(write=False)
         self.group = group
         self.perms = perms
-        self.domain = domain
 
     @property
     def q(self):
@@ -308,6 +315,94 @@ def letter_counts_constant(code: Code, r) -> bool:
         if not (np.bincount(row, minlength=code.q + 1)[1:] == r).all():
             return False
     return True
+
+
+class TwistedBuild:
+    """Result of a twisted-code construction: the report, the (N, r)
+    fixed-point table it was scanned from (column j counts the points each
+    element fixes under representation j), and the lazily materialised
+    representations and code (unpacks as (code, report))."""
+
+    def __init__(self, group, report, fix, make_reps):
+        self.group = group
+        self.report = report
+        self.fix = fix
+        self._make_reps = make_reps
+        self._reps = None
+        self._code = None
+
+    @property
+    def representations(self):
+        if self._reps is None:
+            nbytes = len(self.group) * self.report.length
+            if nbytes > CODE_BYTES_GUARD:
+                raise ValueError(
+                    f"materialising this code needs {nbytes} symbols, over the guard {CODE_BYTES_GUARD}"
+                )
+            self._reps = self._make_reps()
+        return self._reps
+
+    @property
+    def code(self) -> Code:
+        if self._code is None:
+            self._code = build_twisted_code(self.group, self.representations)
+        return self._code
+
+    def __iter__(self):
+        return iter((self.code, self.report))
+
+
+def support_scan(fix, m, expected, checks):
+    """Support scan over an (N, r) fixed-point table on m points, identity
+    in row 0: delta_tw is the least summed support of a non-identity
+    element, delta_rep is r times the least single support.  Checks both
+    and their gap against expected = (delta_tw, delta_rep) closed forms;
+    returns (sums, delta_tw, delta_rep), sums[t - 1] belonging to element t."""
+    supports = m - fix[1:].astype(np.int64)
+    sums = supports.sum(axis=1)
+    delta_tw = int(sums.min())
+    delta_rep = fix.shape[1] * int(supports.min())
+    checks["delta_tw_formula"] = delta_tw == expected[0]
+    checks["delta_rep_formula"] = delta_rep == expected[1]
+    checks["gap_formula"] = delta_tw - delta_rep == expected[0] - expected[1]
+    return sums, delta_tw, delta_rep
+
+
+def finish_build(group, fix, make_reps, *, family, params, m, deltas, checks, times, check, rng):
+    """Assemble the report and the build.  check="all" then materialises
+    the code and certifies the scan independently: pairwise distance,
+    distance invariance and letter counts, exhaustive up to
+    EXHAUSTIVE_ORACLE_LIMIT codewords and sampled above."""
+    delta_tw, delta_rep = deltas
+    n, r = len(group), fix.shape[1]
+    report = VerificationReport(
+        family, params, reps=r, alphabet=m, length=r * m, code_size=n,
+        delta_tw=delta_tw, delta_rep=delta_rep, checks=checks, times=times,
+    )
+    build = TwistedBuild(group, report, fix, make_reps)
+    if check != "all":
+        return build
+
+    with stage(times, "materialise"):
+        reps = build.representations
+        code = build.code
+    report.code_size = code.size
+    checks["code_size_faithful"] = check_code_size(group, reps, code) and code.size == n
+    if n <= EXHAUSTIVE_ORACLE_LIMIT:
+        suffix, letters, anchors = "", code, None
+    else:
+        sample = rng.integers(0, n, size=100)
+        anchors = [int(i) for i in rng.integers(1, n, size=INVARIANCE_ANCHORS)]
+        suffix, letters = "_sampled", Code(code.words[sample], code.q)
+    checks[f"fpa_letter_counts{suffix}"] = letter_counts_constant(letters, r)
+    if anchors is None:
+        with stage(times, "pairwise"):
+            checks["pairwise_delta_agrees"] = min_distance_pairwise(code) == delta_tw
+        checks["support_scan_agrees"] = min_distance_by_support(group, reps) == delta_tw
+        checks["repetition_bound_agrees"] = repetition_lower_bound(group, reps) == delta_rep
+    with stage(times, "invariance"):
+        checks[f"distance_invariant{suffix}"] = check_distance_invariance(code, anchors=anchors)
+    return build
 
 
 def write_code(path, code: Code, family, params, r=1):

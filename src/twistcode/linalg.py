@@ -167,23 +167,6 @@ def _eliminate(field, A, reduce=False, limit_cols=None):
     return A, r
 
 
-def solve_right(field, A, b):
-    """One solution x of x . A = b for row vectors, or None if inconsistent."""
-    # Transposed system: A^T x^T = b^T, eliminate on the augmented matrix.
-    At = np.concatenate([A.T.copy(), np.asarray(b, dtype=np.uint8).reshape(-1, 1)], axis=1)
-    red, rk = _eliminate(field, At, reduce=True, limit_cols=A.shape[0])
-    n = A.shape[0]
-    x = np.zeros(n, dtype=np.uint8)
-    row = 0
-    for c in range(n):
-        if row < red.shape[0] and red[row, c]:
-            x[c] = red[row, -1]
-            row += 1
-    if not (field.matmul(x.reshape(1, -1), A) == np.asarray(b, dtype=np.uint8)).all():
-        return None
-    return x
-
-
 def null_space(field, A):
     """Rows form a basis of {x : x . A = 0}; deterministic echelon basis."""
     At, rk = _eliminate(field, A.T.copy(), reduce=True)
@@ -201,16 +184,6 @@ def null_space(field, A):
         for r, pc in enumerate(pivots):
             basis[idx, pc] = field.neg(int(At[r, c]))
     return basis
-
-
-def wedge_coords(field, u, v):
-    """Coordinates of u ^ v on the WEDGE_PAIRS basis of the exterior square."""
-    u = np.asarray(u, dtype=np.uint8).ravel()
-    v = np.asarray(v, dtype=np.uint8).ravel()
-    out = np.zeros(len(WEDGE_PAIRS), dtype=np.uint8)
-    for a, (i, j) in enumerate(WEDGE_PAIRS):
-        out[a] = field.sub(field.mul(int(u[i]), int(v[j])), field.mul(int(u[j]), int(v[i])))
-    return out
 
 
 def exterior_square(g: Matrix) -> Matrix:

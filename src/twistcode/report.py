@@ -1,14 +1,24 @@
 """Verification report: one table row's worth of recomputed values plus
 named check outcomes, rendered as machine-diffable key=value lines.
 
-Wall-clock timings are emitted as '# time.*' comment lines so that the
-non-comment content of a report file is deterministic for fixed
-parameters.
+Wall-clock timings, recorded per build stage by `stage`, are emitted as
+'# time.*' comment lines so that the non-comment content of a report
+file is deterministic for fixed parameters.
 """
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+
+@contextmanager
+def stage(times, name):
+    """Record the wall time of the with-block as times[name]."""
+    t0 = time.monotonic()
+    yield
+    times[name] = time.monotonic() - t0
 
 
 @dataclass

@@ -14,33 +14,21 @@ time and the builder raises naming the failed step otherwise.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from . import _packed
 from ._packed import PackedOps, batch_matmul, batch_matmul_left, batch_exterior_square
-from .codes import (
-    EnumeratedGroup,
-    IndexedDomain,
-    Representation,
-    build_twisted_code,
-    check_code_size,
-    check_distance_invariance,
-    letter_counts_constant,
-    min_distance_by_support,
-    min_distance_pairwise,
-    repetition_lower_bound,
-)
+from .codes import EnumeratedGroup, IndexedDomain, Representation, finish_build, support_scan
 from .fields import BinaryField
 from .linalg import Matrix, WEDGE_PAIRS, null_space
-from .report import VerificationReport
+from .report import stage
 
 GRAM = np.array(
     [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.uint8
 )  # basis order (e1, f1, e2, f2); hyperbolic pairs (e1,f1) and (e2,f2)
 
 ENUMERATION_GUARD = 2  # largest n enumerated without an explicit override
+HOM_SAMPLES = 100_000  # sampled pairs of the tau-homomorphism check above q = 2
 _CHUNK = 1 << 17
 
 
@@ -146,7 +134,7 @@ class SymplecticGroup(EnumeratedGroup):
 
     def natural_representation(self) -> Representation:
         perms = _packed.perm_tables(self.space.ops, self.rows, self.point_codes)
-        return Representation(self, perms, domain=projective_points(self.space))
+        return Representation(self, perms)
 
 
 def transvection_flags(space, rows):
@@ -382,37 +370,6 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
     return tau
 
 
-class SymplecticBuild:
-    """Result of the symplectic construction: report plus lazily
-    materialised representations and code (unpacks as (code, report))."""
-
-    def __init__(self, space, group, tau, report, fix_nat=None, fix_tau=None, flags_tau=None):
-        self.space = space
-        self.group = group
-        self.tau = tau
-        self.report = report
-        self.fix_nat = fix_nat
-        self.fix_tau = fix_tau
-        self.flags_tau = flags_tau
-        self._reps = None
-        self._code = None
-
-    @property
-    def representations(self):
-        if self._reps is None:
-            self._reps = [self.group.natural_representation(), self.tau.representation()]
-        return self._reps
-
-    @property
-    def code(self):
-        if self._code is None:
-            self._code = build_twisted_code(self.group, self.representations)
-        return self._code
-
-    def __iter__(self):
-        return iter((self.code, self.report))
-
-
 def _check_tau_homomorphism(space, group, tau, rng, samples):
     """tau(gh) = tau(g) tau(h): exhaustive over all pairs at q = 2, on
     `samples` uniform pairs for larger groups."""
@@ -455,14 +412,7 @@ def _check_products_sampled(space, group, rng, samples=10_000):
     return bool(_packed.isin_sorted(keys, sorted_keys).all())
 
 
-def build_symplectic_twisted(
-    space,
-    check="fast",
-    allow_large=False,
-    rng_seed=1,
-    hom_samples=100_000,
-    invariance_anchors=8,
-):
+def build_symplectic_twisted(space, check="fast", allow_large=False, rng_seed=1):
     """Construct the (identity, outer) twisted code for Sp(4, q) and its
     verification report.
 
@@ -480,19 +430,17 @@ def build_symplectic_twisted(
     checks: dict[str, bool] = {}
     times: dict[str, float] = {}
 
-    t0 = time.monotonic()
-    group = generate_group(space, allow_large=allow_large)
-    times["enumerate"] = time.monotonic() - t0
+    with stage(times, "enumerate"):
+        group = generate_group(space, allow_large=allow_large)
     n = len(group)
     checks["group_order"] = n == sp4_order(q)
     checks["form_preserved"] = True  # asserted element-wise inside generate_group
     checks["inverses_sampled"] = _check_inverses_sampled(space, group, rng)
     checks["products_sampled"] = _check_products_sampled(space, group, rng)
 
-    t0 = time.monotonic()
-    flags = group.transvection_mask()
-    fix_nat = group.fixed_count_array()
-    times["classify"] = time.monotonic() - t0
+    with stage(times, "classify"):
+        flags = group.transvection_mask()
+        fix_nat = group.fixed_count_array()
     checks["identity_fixes_all"] = int(fix_nat[0]) == m
     checks["transvection_count"] = int(flags.sum()) == m * (q - 1)
     trans_fix = q * q + q + 1
@@ -502,30 +450,22 @@ def build_symplectic_twisted(
     )
     checks["faithful"] = int(fix_nat[1:].max()) < m
 
-    t0 = time.monotonic()
-    tau = build_outer_automorphism(space, group)
-    times["outer_automorphism"] = time.monotonic() - t0
+    with stage(times, "outer_automorphism"):
+        tau = build_outer_automorphism(space, group)
     for step in ("a", "b", "c", "d"):
         checks[f"tau_step_{step}"] = True  # build_outer_automorphism raises otherwise
 
-    t0 = time.monotonic()
-    fix_tau = _packed.fixed_counts(space.ops, tau.image_rows, group.point_codes)
-    flags_tau = transvection_flags(space, tau.image_rows)
-    times["tau_scan"] = time.monotonic() - t0
+    with stage(times, "tau_scan"):
+        fix_tau = _packed.fixed_counts(space.ops, tau.image_rows, group.point_codes)
+        flags_tau = transvection_flags(space, tau.image_rows)
 
-    t0 = time.monotonic()
-    checks["tau_homomorphism_pairs"] = _check_tau_homomorphism(space, group, tau, rng, hom_samples)
-    times["tau_homomorphism"] = time.monotonic() - t0
+    with stage(times, "tau_homomorphism"):
+        checks["tau_homomorphism_pairs"] = _check_tau_homomorphism(space, group, tau, rng, HOM_SAMPLES)
 
-    t0 = time.monotonic()
-    sums = (2 * m - fix_nat.astype(np.int64) - fix_tau.astype(np.int64))[1:]
-    delta_tw = int(sums.min())
-    delta_rep = 2 * int(m - max(int(fix_nat[1:].max()), int(fix_tau[1:].max())))
-    times["support_scan"] = time.monotonic() - t0
+    with stage(times, "support_scan"):
+        fix = np.stack([fix_nat, fix_tau], axis=1)
+        sums, delta_tw, delta_rep = support_scan(fix, m, (2 * q**3 + q**2, 2 * q**3), checks)
 
-    checks["delta_tw_formula"] = delta_tw == 2 * q**3 + q**2
-    checks["delta_rep_formula"] = delta_rep == 2 * q**3
-    checks["gap_formula"] = delta_tw - delta_rep == q * q
     attained = np.flatnonzero(sums == delta_tw) + 1
     checks["min_at_transvection_related"] = bool((flags[attained] | flags_tau[attained]).all())
     neither = ~(flags[1:] | flags_tau[1:])
@@ -534,45 +474,12 @@ def build_symplectic_twisted(
         q == 2 or bool((sums[neither] > 2 * q**3 + q**2).all())
     )
 
-    report = VerificationReport(
-        family="symplectic",
-        params={"n": space.n, "poly": space.field.poly},
-        reps=2,
-        alphabet=m,
-        length=2 * m,
-        code_size=n,
-        delta_tw=delta_tw,
-        delta_rep=delta_rep,
-        checks=checks,
-        times=times,
+    build = finish_build(
+        group, fix, lambda: [group.natural_representation(), tau.representation()],
+        family="symplectic", params={"n": space.n, "poly": space.field.poly},
+        m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, check=check, rng=rng,
     )
-    build = SymplecticBuild(
-        space, group, tau, report, fix_nat=fix_nat, fix_tau=fix_tau, flags_tau=flags_tau
-    )
-
-    if check == "all":
-        t0 = time.monotonic()
-        reps = build.representations
-        code = build.code
-        times["materialise"] = time.monotonic() - t0
-        report.code_size = code.size
-        checks["code_size_faithful"] = check_code_size(group, reps, code) and code.size == n
-        pairwise_feasible = n <= 20_000
-        t0 = time.monotonic()
-        if pairwise_feasible:
-            checks["fpa_letter_counts"] = letter_counts_constant(code, 2)
-            checks["pairwise_delta_agrees"] = min_distance_pairwise(code) == delta_tw
-            checks["support_scan_agrees"] = min_distance_by_support(group, reps) == delta_tw
-            checks["repetition_bound_agrees"] = repetition_lower_bound(group, reps) == delta_rep
-            checks["distance_invariant"] = check_distance_invariance(code)
-        else:
-            sample = rng.integers(0, n, size=min(100, n))
-            sub = type(code)(code.words[sample], code.q)
-            checks["fpa_letter_counts_sampled"] = letter_counts_constant(sub, 2)
-            anchors = [int(i) for i in rng.integers(1, n, size=invariance_anchors)]
-            checks["distance_invariant_sampled"] = check_distance_invariance(code, anchors=anchors)
-        times["oracle"] = time.monotonic() - t0
-
+    build.tau = tau
     return build
 
 

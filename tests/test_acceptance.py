@@ -5,6 +5,7 @@ stated wall-clock budgets.  Heavy builds are shared through module-scoped
 fixtures; each criterion prints one PASS/FAIL line.
 """
 
+import hashlib
 import time
 from contextlib import contextmanager
 
@@ -112,7 +113,7 @@ def test_criterion_4_affine_fixed_points(affine_builds):
     with criterion("4 affine fixed-point rule and twist supports"):
         for p, k in [(3, 2), (5, 2), (5, 3)]:
             build, _ = affine_builds[(p, k)]
-            group, fix = build.group, build.fix_table
+            group, fix = build.group, build.fix
             m = p**k
             i_vals = group.i_vals[1:]
             u_last = group.u_vecs[1:, -1].astype(np.int64)
@@ -136,9 +137,9 @@ def test_criterion_4_affine_fixed_points(affine_builds):
 def test_criterion_5_symplectic_fixed_space_rule(sp1, sp2):
     with criterion("5 symplectic fixed-space trichotomy (q = 2, 4)"):
         for build, _ in (sp1, sp2):
-            q = build.space.q
+            q = build.group.space.q
             group = build.group
-            counts = build.fix_nat
+            counts = build.fix[:, 0]
             mask = group.transvection_mask()
             assert ((counts[1:] == q * q + q + 1) == mask[1:]).all()
             assert (counts[1:][~mask[1:]] <= 2 * q + 2).all()
@@ -148,7 +149,7 @@ def test_criterion_5_symplectic_fixed_space_rule(sp1, sp2):
 def test_criterion_6_outer_automorphism(sp1, sp2):
     with criterion("6 outer automorphism construction and verification"):
         for build, _ in (sp1, sp2):
-            q = build.space.q
+            q = build.group.space.q
             r = build.report
             for step in ("a", "b", "c", "d"):
                 assert r.checks[f"tau_step_{step}"]
@@ -157,9 +158,9 @@ def test_criterion_6_outer_automorphism(sp1, sp2):
                 assert len(build.group) ** 2 <= 1 << 20  # the q=2 path really is exhaustive
             tmask = build.group.transvection_mask()
             timg = build.tau.image_rows[tmask]
-            fixed = _packed.fixed_counts(build.space.ops, timg, build.group.point_codes)
+            fixed = _packed.fixed_counts(build.group.space.ops, timg, build.group.point_codes)
             assert (fixed == q + 1).all()
-            assert not transvection_flags(build.space, timg).any()
+            assert not transvection_flags(build.group.space, timg).any()
             assert len(np.unique(build.tau.image_keys)) == len(build.group)
 
 
@@ -197,3 +198,22 @@ def test_criterion_8_dist_oracle_on_exports(tmp_path, capsys, affine_builds, sp1
             out = capsys.readouterr().out
             assert status == 0
             assert out.strip() == f"delta={expected}", path.name
+
+
+# SHA-256 of report.render(include_times=False) for the default seed
+REPORT_DIGESTS = {
+    ("affine", 3, 2): "9a9c48176da64dab7a188ff4275527add31e2bd5bb066f92820d4de84500d310",
+    ("affine", 5, 3): "19590d236171bd828d23df1b7e4b75264c9f0bfde469d4d80fb425e80f29cb4c",
+    ("symplectic", 1): "e08c87a094897c404790586f5f0b19cb73baeb6814f99b01a32d6896cdaf8951",
+}
+
+
+def test_report_content_pinned(affine_builds, sp1):
+    builds = {
+        ("affine", 3, 2): affine_builds[(3, 2)][0],
+        ("affine", 5, 3): affine_builds[(5, 3)][0],
+        ("symplectic", 1): sp1[0],
+    }
+    for key, build in builds.items():
+        text = build.report.render(include_times=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[key], (key, text)

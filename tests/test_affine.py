@@ -204,6 +204,16 @@ def test_scan_guard_rejects_oversized():
         build_affine_twisted(AffineParams(11, 7))
 
 
+def test_code_size_guard_rejects_oversized():
+    # (13, 3) passes the scan guard, but its code has 28,561^2 symbols > 2^28
+    build = build_affine_twisted(AffineParams(13, 3))
+    assert build.report.all_pass()
+    with pytest.raises(ValueError, match="815730721 symbols, over the guard"):
+        build.representations
+    with pytest.raises(ValueError, match="over the guard"):
+        build_affine_twisted(AffineParams(13, 3), check="all")
+
+
 def test_bad_check_level():
     with pytest.raises(ValueError):
         build_affine_twisted(AffineParams(3, 2), check="exhaustive")

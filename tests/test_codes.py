@@ -266,3 +266,19 @@ def test_code_dedup_stable():
     words = np.array([[2, 1], [1, 2], [2, 1], [1, 1]])
     code = Code(words, 2)
     assert code.words.tolist() == [[2, 1], [1, 2], [1, 1]]
+
+
+def test_bijection_checked_above_2_22_entries():
+    q = 64
+    n = (1 << 22) // q + 2  # one row past 2^22 entries
+
+    class StubGroup:
+        def __len__(self):
+            return n
+
+    perms = np.tile(np.arange(q, dtype=np.uint8), (n, 1))
+    assert perms.size > 1 << 22
+    Representation(StubGroup(), perms.copy())
+    perms[-1, 0] = perms[-1, 1]  # the last row repeats a point
+    with pytest.raises(ValueError, match="not a bijection"):
+        Representation(StubGroup(), perms)
