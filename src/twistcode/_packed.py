@@ -20,6 +20,19 @@ def chunks(n, size):
         yield slice(i, min(i + size, n))
 
 
+def unique_sorted(keys):
+    """Ascending distinct values of an integer array, flattened, as np.unique
+    returns them: a sort plus a neighbour mask.  For integers numpy 2.x
+    np.unique takes a hash path that is many times slower on large arrays."""
+    keys = np.sort(keys, axis=None)
+    if keys.size == 0:
+        return keys
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 def isin_sorted(values, sorted_arr):
     """Membership mask of values in an ascending-sorted array."""
     pos = np.searchsorted(sorted_arr, values)
@@ -157,37 +170,45 @@ def batch_exterior_square(mul, mats, pairs):
 def closure(ops: PackedOps, gen_mats, limit, max_batch_rows=1 << 16):
     """Worklist closure of the generated matrix group.
 
-    gen_mats is (G, 4, 4) uint8.  Expands pending elements in chunks,
-    right-multiplying by every generator through packed row tables, and
-    deduplicates with sorted-key set algebra.  Returns (rows, keys) in
-    discovery order, identity first; raises if the group grows past limit.
+    gen_mats is (G, 4, 4) uint8.  The worklist holds element keys.  Each
+    step pops up to max_batch_rows keys and forms all G products of each
+    key straight from it: every packed-row field of the key is looked up
+    in the generators' row tables, pre-shifted into place, and the four
+    results are ORed.  Candidates are deduplicated with unique_sorted; the
+    fresh ones, ascending, are inserted into the sorted `seen` array and
+    pushed as one worklist entry.  Returns (rows, keys) in discovery order,
+    identity first; raises once more than `limit` elements are found.
     """
 
-    gen_tables = [ops.rmul_table(B) for B in np.asarray(gen_mats, dtype=np.uint8)]
-    ident = ops.pack(np.eye(4, dtype=np.uint8)).reshape(1, 4)
-    id_key = ops.pack_keys(ident)
-    seen = id_key.copy()
-    order = [id_key.copy()]
+    kd = ops.key_dtype
+    tables = np.stack([ops.rmul_table(B) for B in np.asarray(gen_mats, dtype=np.uint8)]).T.astype(kd)
+    shifts = [kd(ops.row_bits * (3 - i)) for i in range(4)]
+    # (ncodes, G) per key field: row code -> product row, already shifted into place
+    field_tables = [tables << sh for sh in shifts]
+    field_mask = kd(ops.ncodes - 1)
+    id_key = ops.pack_keys(ops.pack(np.eye(4, dtype=np.uint8)).reshape(1, 4))
+    seen = id_key
+    order = [id_key]
     total = 1
-    pending = [ident]
+    pending = [id_key]
     while pending:
-        rows = pending.pop()
-        if rows.shape[0] > max_batch_rows:
-            pending.append(rows[max_batch_rows:])
-            rows = rows[:max_batch_rows]
-        produced = np.concatenate(
-            [ops.pack_keys(np.stack([t[rows[:, i]] for i in range(4)], axis=1)) for t in gen_tables]
-        )
-        cand = np.unique(produced)
+        keys = pending.pop()
+        if keys.size > max_batch_rows:
+            pending.append(keys[max_batch_rows:])
+            keys = keys[:max_batch_rows]
+        out = field_tables[0][keys >> shifts[0]]  # the top field needs no mask
+        for t, sh in zip(field_tables[1:], shifts[1:]):
+            out |= t[(keys >> sh) & field_mask]
+        cand = unique_sorted(out)
         fresh = cand[~isin_sorted(cand, seen)]
         if fresh.size == 0:
             continue
         total += fresh.size
         if total > limit:
             raise RuntimeError(f"closure exceeded the limit {limit}")
-        seen = np.union1d(seen, fresh)
+        seen = np.insert(seen, np.searchsorted(seen, fresh), fresh)
         order.append(fresh)
-        pending.append(ops.unpack_keys(fresh))
+        pending.append(fresh)
     keys = np.concatenate(order)
     return ops.unpack_keys(keys), keys
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._packed import unique_sorted
 from .codes import EnumeratedGroup, IndexedDomain, Representation, finish_build, support_scan
 from .fields import PrimeField
 from .linalg import Matrix
@@ -400,7 +401,7 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
 
     m = params.num_points
     n = params.group_order
-    checks["group_order"] = n == p ** (k + 1) and len(np.unique(group.keys)) == n
+    checks["group_order"] = n == p ** (k + 1) and len(unique_sorted(group.keys)) == n
     checks["block_structure"] = bool(
         (group.elements[:, 1:, 0] == 0).all()
         and (group.elements[:, 0, 0] == 1).all()

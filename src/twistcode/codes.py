@@ -96,13 +96,21 @@ class EnumeratedGroup:
     def matrix(self, i) -> Matrix:
         return Matrix(self.field, self.elements[i])
 
-    def index_of_key(self, key):
+    def _key_index(self):
         if self.keys is None:
             raise ValueError("group was built without content keys")
         if self._sorted is None:
             order = np.argsort(self.keys, kind="stable")
             self._sorted = (self.keys[order], order)
-        skeys, order = self._sorted
+        return self._sorted
+
+    @property
+    def sorted_keys(self):
+        """The content keys in ascending order (computed once, cached)."""
+        return self._key_index()[0]
+
+    def index_of_key(self, key):
+        skeys, order = self._key_index()
         pos = int(np.searchsorted(skeys, key))
         if pos == len(skeys) or skeys[pos] != key:
             raise KeyError(key)

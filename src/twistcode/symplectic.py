@@ -351,14 +351,13 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
     rhs = batch_matmul(mul, tg[gi], tg[gj])
     if (lhs != rhs).any():
         raise TauConstructionError("step (d): not a homomorphism on generator pairs")
-    if len(np.unique(tau.image_keys)) != len(group):
+    if len(_packed.unique_sorted(tau.image_keys)) != len(group):
         raise TauConstructionError("step (d): image table has duplicates")
     for sl in _packed.chunks(len(group), _CHUNK):
         mats = ops.unpack(image_rows[sl])
         if not _preserves_form(space, mats).all():
             raise TauConstructionError("step (d): an image is not symplectic")
-    sorted_keys = np.sort(group.keys)
-    if not _packed.isin_sorted(tau.image_keys, sorted_keys).all():
+    if not _packed.isin_sorted(tau.image_keys, group.sorted_keys).all():
         raise TauConstructionError("step (d): an image falls outside the group")
     tmask = group.transvection_mask()
     timg_rows = image_rows[tmask]
@@ -392,11 +391,10 @@ def _check_tau_homomorphism(space, group, tau, rng, samples):
 
 
 def _check_inverses_sampled(space, group, rng, samples=100):
-    sorted_keys = np.sort(group.keys)
     for i in rng.integers(0, len(group), size=samples):
         inv = group.matrix(int(i)).inverse()
         key = space.ops.pack_keys(space.ops.pack(inv.A)[None, :])
-        if not _packed.isin_sorted(key, sorted_keys)[0]:
+        if not _packed.isin_sorted(key, group.sorted_keys)[0]:
             return False
     return True
 
@@ -404,12 +402,11 @@ def _check_inverses_sampled(space, group, rng, samples=100):
 def _check_products_sampled(space, group, rng, samples=10_000):
     """Sampled closure certificate: products of random element pairs stay
     inside the enumerated set."""
-    sorted_keys = np.sort(group.keys)
     a = rng.integers(0, len(group), size=samples)
     b = rng.integers(0, len(group), size=samples)
     prod = batch_matmul(space.field.mul_table, group.elements[a], group.elements[b])
     keys = space.ops.pack_keys(space.ops.pack(prod))
-    return bool(_packed.isin_sorted(keys, sorted_keys).all())
+    return bool(_packed.isin_sorted(keys, group.sorted_keys).all())
 
 
 def build_symplectic_twisted(space, check="fast", allow_large=False, rng_seed=1):

@@ -217,3 +217,13 @@ def test_report_content_pinned(affine_builds, sp1):
     for key, build in builds.items():
         text = build.report.render(include_times=False)
         assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[key], (key, text)
+
+
+# SHA-256 of the Sp(4,4) closure's key array, i.e. of its discovery order
+CLOSURE_Q4_DIGEST = "26e8a41fa6711543ffeeaad72db9fab5c06c066f238c3d5c88e852f224f017bb"
+
+
+def test_closure_order_pinned_q4(sp2):
+    keys = sp2[0].group.keys
+    assert len(keys) == 979_200
+    assert hashlib.sha256(keys.tobytes()).hexdigest() == CLOSURE_Q4_DIGEST

@@ -1,0 +1,87 @@
+"""The packed closure and its integer dedup primitive: unique_sorted against
+np.unique, the closure's pinned discovery order, and its independence of
+the batch size."""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from twistcode import _packed
+from twistcode.symplectic import SymplecticSpace, all_transvections, sp4_order
+
+# SHA-256 of the closure's key array (discovery order) for Sp(4, 2), by
+# max_batch_rows; batches of 7 split the worklist, which pins its LIFO order
+CLOSURE_Q2_DIGESTS = {
+    1 << 16: "47de8821c274e4d128dbdefa01092b7c3e5c581e0d173eed653067d0e343c111",
+    7: "91b5b7dac006954f00c4fabb4232ea24c3bcb2807282f27eaac7e70ed0e2bdf0",
+}
+
+
+def assert_matches_unique(keys):
+    got = _packed.unique_sorted(keys)
+    want = np.unique(keys)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.array([], dtype=np.uint32),
+        np.array([7], dtype=np.uint64),
+        np.full(50, 3, dtype=np.uint16),
+        np.arange(100, dtype=np.uint32),
+        np.array([[5, 1], [5, 2]], dtype=np.uint32),
+    ],
+    ids=["empty", "single", "all-equal", "sorted", "2d"],
+)
+def test_unique_sorted_edge_cases(keys):
+    assert_matches_unique(keys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([np.uint16, np.uint32, np.uint64]).flatmap(
+        lambda dt: hnp.arrays(
+            dt,
+            st.integers(0, 300),
+            # a small pool of values forces many duplicates
+            elements=st.sampled_from([0, 1, 2, 255, 1 << 15, np.iinfo(dt).max]) | st.integers(0, 40),
+        )
+    )
+)
+def test_unique_sorted_equals_np_unique(keys):
+    assert_matches_unique(keys)
+
+
+@pytest.fixture(scope="module")
+def sp42():
+    space = SymplecticSpace.create(1)
+    return space, all_transvections(space)
+
+
+@pytest.mark.parametrize("batch", sorted(CLOSURE_Q2_DIGESTS))
+def test_closure_discovery_order_pinned(sp42, batch):
+    space, gens = sp42
+    rows, keys = _packed.closure(space.ops, gens, limit=720, max_batch_rows=batch)
+    assert len(keys) == 720
+    assert hashlib.sha256(keys.tobytes()).hexdigest() == CLOSURE_Q2_DIGESTS[batch]
+    assert np.array_equal(space.ops.pack_keys(rows), keys)
+
+
+def test_closure_independent_of_batch_size(sp42):
+    space, gens = sp42
+    _, keys = _packed.closure(space.ops, gens, limit=720)
+    _, small = _packed.closure(space.ops, gens, limit=720, max_batch_rows=7)
+    assert small[0] == keys[0]  # identity first
+    assert np.array_equal(np.sort(small), np.sort(keys))
+
+
+def test_closure_limit_guard(sp42):
+    space, gens = sp42
+    with pytest.raises(RuntimeError, match="limit 719"):
+        _packed.closure(space.ops, gens, limit=sp4_order(2) - 1)
