@@ -15,6 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 
+WEDGE_TABLE_LIMIT = 1 << 24  # entries of wedge_table: q^8 for 4-rows over GF(q)
+
+
 def chunks(n, size):
     for i in range(0, n, size):
         yield slice(i, min(i + size, n))
@@ -134,6 +137,52 @@ class PackedOps:
         for i in range(nrows):
             rows[:, i] = (keys >> (self.row_bits * (nrows - 1 - i))) & mask
         return rows
+
+
+def rows_matmul(ops: PackedOps, A, B):
+    """Row-wise product of two packed (N, L) batches: row i of A @ B is the
+    XOR over k of entry (i, k) of A times row k of B, one smul lookup each."""
+    smul = ops.smul.ravel()
+    out = np.empty(A.shape, dtype=np.uint32)
+    for i in range(ops.length):
+        acc = np.zeros(A.shape[0], dtype=np.uint32)
+        for k, sh in enumerate(ops.shifts):
+            acc ^= smul[(((A[:, i] >> sh) & ops.mask) << ops.row_bits) | B[:, k]]
+        out[:, i] = acc
+    return out
+
+
+def wedge_table(ops: PackedOps, ops6: PackedOps, coords, pairs):
+    """(ncodes**2,) table from packed u||v (u in the high bits) to the packed
+    6-row (u^v) . coords, u^v on the wedge-pair basis.  Refused before
+    anything is allocated when it would exceed WEDGE_TABLE_LIMIT entries."""
+    size = ops.ncodes**2
+    if size > WEDGE_TABLE_LIMIT:
+        raise ValueError(f"wedge table of {size} entries exceeds {WEDGE_TABLE_LIMIT}")
+    mul = ops.field.mul_table
+    uv = np.arange(size, dtype=np.uint32)
+    u = ops.unpack(uv >> ops.row_bits)
+    v = ops.unpack(uv & (ops.ncodes - 1))
+    coord_rows = ops6.pack(coords)
+    out = np.zeros(size, dtype=np.uint32)
+    for b, (k, l) in enumerate(pairs):
+        out ^= ops6.smul[mul[u[:, k], v[:, l]] ^ mul[u[:, l], v[:, k]], coord_rows[b]]
+    return out
+
+
+def wedge_rows(ops: PackedOps, ops6: PackedOps, table, rows, lift, pairs):
+    """Packed 6-rows of lift . L(g) . coords for a packed (N, 4) batch g, where
+    L(g) is the exterior square and table = wedge_table(ops, ops6, coords,
+    pairs).  Row a = (i, j) of L(g) is g_i ^ g_j, so row r of the result is
+    the XOR over a of lift[r, a] times table[g_i || g_j]."""
+    smul = ops6.smul
+    wedges = [table[(rows[:, i] << ops.row_bits) | rows[:, j]] for i, j in pairs]
+    out = np.zeros((rows.shape[0], len(lift)), dtype=np.uint32)
+    for r, lift_row in enumerate(lift):
+        for c, w in zip(lift_row, wedges):
+            if c:
+                out[:, r] ^= smul[c][w]
+    return out
 
 
 def batch_matmul(mul, A, B):

@@ -1,9 +1,10 @@
 """Verification report: one table row's worth of recomputed values plus
 named check outcomes, rendered as machine-diffable key=value lines.
 
-Wall-clock timings, recorded per build stage by `stage`, are emitted as
-'# time.*' comment lines so that the non-comment content of a report
-file is deterministic for fixed parameters.
+Wall-clock timings, recorded per build stage by `stage`, and what each
+check covered ('exhaustive', or k of N cases) are emitted as '# time.*'
+and '# coverage.*' comment lines, so that the non-comment content of a
+report file is deterministic for fixed parameters.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ class VerificationReport:
     delta_rep: int
     checks: dict = field(default_factory=dict)
     times: dict = field(default_factory=dict)
+    coverage: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.delta_tw < self.delta_rep:
@@ -65,6 +67,7 @@ class VerificationReport:
         out += [f"check.{name}={'PASS' if ok else 'FAIL'}" for name, ok in self.checks.items()]
         if include_times:
             out += [f"# time.{name}={dt:.3f}" for name, dt in self.times.items()]
+            out += [f"# coverage.{name}={cov}" for name, cov in self.coverage.items()]
         return out
 
     def render(self, include_times=True):

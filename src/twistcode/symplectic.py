@@ -141,14 +141,10 @@ def transvection_flags(space, rows):
     """Vectorised transvection test for a (N, 4) packed batch: difference
     from the identity has rank 1 and squares to zero."""
     ops = space.ops
-    mul = space.field.mul_table
     diff = rows ^ ops.pack(np.eye(4, dtype=np.uint8))[None, :]
     flags = _packed.rank_one_flags(ops, diff)
-    for sl in _packed.chunks(rows.shape[0], _CHUNK):
-        if flags[sl].any():
-            d = ops.unpack(diff[sl])
-            sq = batch_matmul(mul, d, d)
-            flags[sl] &= ~sq.any(axis=(1, 2))
+    d = diff[flags]
+    flags[flags] = ~_packed.rows_matmul(ops, d, d).any(axis=1)
     return flags
 
 
@@ -162,16 +158,33 @@ def all_transvections(space):
     return np.stack(mats)
 
 
-def _preserves_form(space, mats):
+def _preserves_form(space, rows):
+    """Per-element g . Gram . g^T == Gram for a packed (N, 4) batch.
+
+    Indexed by a packed 4-row (u0, u1, v0, v1), H holds u0 v1 + u1 v0, the
+    form on one hyperbolic plane, so B(g_i, g_j) is H[hi_i || hi_j] ^
+    H[lo_i || lo_j] over the row halves.  Only i < j is compared: g . Gram
+    . g^T is alternating (characteristic 2), so its diagonal is zero and it
+    is symmetric."""
+    ops = space.ops
+    half = 2 * space.n
+    lo = (1 << half) - 1
+    e = ops.unpack(np.arange(ops.ncodes, dtype=np.uint32))
     mul = space.field.mul_table
-    left = batch_matmul(mul, mats, GRAM)
-    prod = batch_matmul(mul, left, mats.transpose(0, 2, 1))
-    return (prod == GRAM[None, :, :]).all(axis=(1, 2))
+    H = mul[e[:, 0], e[:, 3]] ^ mul[e[:, 1], e[:, 2]]
+    ok = np.ones(rows.shape[0], dtype=bool)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            ri, rj = rows[:, i], rows[:, j]
+            form = H[(ri & ~np.uint32(lo)) | (rj >> half)] ^ H[((ri & lo) << half) | (rj & lo)]
+            ok &= form == GRAM[i, j]
+    return ok
 
 
 def generate_group(space, allow_large=False) -> SymplecticGroup:
     """Closure of the full transvection set; refuses n > 2 without an
-    explicit override, checks the order formula and form preservation."""
+    explicit override and checks the order formula.  Form preservation is
+    checked by build_symplectic_twisted (check.form_preserved)."""
     if space.n > ENUMERATION_GUARD and not allow_large:
         raise ValueError(
             f"|Sp(4,2^{space.n})| = {sp4_order(space.q)}: enumeration refused without allow_large"
@@ -181,11 +194,7 @@ def generate_group(space, allow_large=False) -> SymplecticGroup:
     rows, keys = _packed.closure(space.ops, gens, limit=expected)
     if len(keys) != expected:
         raise RuntimeError(f"closure produced {len(keys)} elements, expected {expected}")
-    group = SymplecticGroup(space, rows, keys)
-    for sl in _packed.chunks(len(group), _CHUNK):
-        if not _preserves_form(space, group.elements[sl]).all():
-            raise RuntimeError("closure produced a non-symplectic element")
-    return group
+    return SymplecticGroup(space, rows, keys)
 
 
 def fixed_projective_count(space, g: Matrix) -> int:
@@ -225,6 +234,21 @@ class OuterAutomorphism:
     def representation(self) -> Representation:
         perms = _packed.perm_tables(self.space.ops, self.image_rows, self.group.point_codes)
         return Representation(self.group, perms)
+
+
+def _tau_rows(space, basis_lift, coords, rows):
+    """_tau_apply on packed (N, 4) rows, through the q^8-entry wedge table:
+    the same step (b) check on the complement coordinate (entry 5), then
+    the top four entries are the image rows."""
+    ops6 = PackedOps(space.field, 6)
+    table = _packed.wedge_table(space.ops, ops6, coords, WEDGE_PAIRS)
+    image_rows = np.empty((len(rows), 4), dtype=np.uint32)
+    for sl in _packed.chunks(len(rows), _CHUNK):
+        y = _packed.wedge_rows(space.ops, ops6, table, rows[sl], basis_lift, WEDGE_PAIRS)
+        if (y & ops6.mask).any():
+            raise TauConstructionError("step (b): exterior action leaves the invariant 5-space")
+        image_rows[sl] = y >> (2 * space.n)
+    return image_rows
 
 
 def _tau_apply(field, basis_lift, coords, mats):
@@ -337,9 +361,7 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
     M = Matrix(field, np.concatenate([C, w.reshape(1, 6), u6.reshape(1, 6)]))
     coords = M.inverse().A
 
-    image_rows = np.zeros((len(group), 4), dtype=np.uint32)
-    for sl in _packed.chunks(len(group), _CHUNK):
-        image_rows[sl] = ops.pack(_tau_apply(field, C, coords, group.elements[sl]))
+    image_rows = _tau_rows(space, C, coords, group.rows)
     tau = OuterAutomorphism(space, group, image_rows, C, coords)
 
     # step (d)
@@ -353,10 +375,8 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
         raise TauConstructionError("step (d): not a homomorphism on generator pairs")
     if len(_packed.unique_sorted(tau.image_keys)) != len(group):
         raise TauConstructionError("step (d): image table has duplicates")
-    for sl in _packed.chunks(len(group), _CHUNK):
-        mats = ops.unpack(image_rows[sl])
-        if not _preserves_form(space, mats).all():
-            raise TauConstructionError("step (d): an image is not symplectic")
+    if not _preserves_form(space, image_rows).all():
+        raise TauConstructionError("step (d): an image is not symplectic")
     if not _packed.isin_sorted(tau.image_keys, group.sorted_keys).all():
         raise TauConstructionError("step (d): an image falls outside the group")
     tmask = group.transvection_mask()
@@ -369,44 +389,54 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
     return tau
 
 
+def _coverage(k, total):
+    """A check's coverage line value: 'exhaustive', or k of total cases."""
+    return "exhaustive" if k >= total else f"{k}/{total}"
+
+
 def _check_tau_homomorphism(space, group, tau, rng, samples):
     """tau(gh) = tau(g) tau(h): exhaustive over all pairs at q = 2, on
-    `samples` uniform pairs for larger groups."""
+    `samples` uniform pairs for larger groups.  tau(gh) is recomputed
+    through the dense exterior square, tau(g) tau(h) from the table.
+    Returns (ok, coverage)."""
     n = len(group)
     mul = space.field.mul_table
+    ops = space.ops
     if n * n <= 1 << 20:
         a = np.repeat(np.arange(n), n)
         b = np.tile(np.arange(n), n)
     else:
         a = rng.integers(0, n, size=samples)
         b = rng.integers(0, n, size=samples)
-    tau_mats = space.ops.unpack(tau.image_rows)
     ok = True
     for sl in _packed.chunks(len(a), 1 << 16):
         prod = batch_matmul(mul, group.elements[a[sl]], group.elements[b[sl]])
-        lhs = tau.map_entries(prod)
-        rhs = batch_matmul(mul, tau_mats[a[sl]], tau_mats[b[sl]])
+        lhs = ops.pack(tau.map_entries(prod))
+        rhs = _packed.rows_matmul(ops, tau.image_rows[a[sl]], tau.image_rows[b[sl]])
         ok &= bool((lhs == rhs).all())
-    return ok
+    return ok, _coverage(len(a), n * n)
 
 
 def _check_inverses_sampled(space, group, rng, samples=100):
+    """Sampled inverse closure; returns (ok, coverage)."""
+    ok = True
     for i in rng.integers(0, len(group), size=samples):
         inv = group.matrix(int(i)).inverse()
         key = space.ops.pack_keys(space.ops.pack(inv.A)[None, :])
         if not _packed.isin_sorted(key, group.sorted_keys)[0]:
-            return False
-    return True
+            ok = False
+            break
+    return ok, _coverage(samples, len(group))
 
 
 def _check_products_sampled(space, group, rng, samples=10_000):
     """Sampled closure certificate: products of random element pairs stay
-    inside the enumerated set."""
-    a = rng.integers(0, len(group), size=samples)
-    b = rng.integers(0, len(group), size=samples)
-    prod = batch_matmul(space.field.mul_table, group.elements[a], group.elements[b])
-    keys = space.ops.pack_keys(space.ops.pack(prod))
-    return bool(_packed.isin_sorted(keys, group.sorted_keys).all())
+    inside the enumerated set.  Returns (ok, coverage)."""
+    n = len(group)
+    a = rng.integers(0, n, size=samples)
+    b = rng.integers(0, n, size=samples)
+    keys = space.ops.pack_keys(_packed.rows_matmul(space.ops, group.rows[a], group.rows[b]))
+    return bool(_packed.isin_sorted(keys, group.sorted_keys).all()), _coverage(samples, n * n)
 
 
 def build_symplectic_twisted(space, check="fast", allow_large=False, rng_seed=1):
@@ -426,14 +456,17 @@ def build_symplectic_twisted(space, check="fast", allow_large=False, rng_seed=1)
     m = space.num_points
     checks: dict[str, bool] = {}
     times: dict[str, float] = {}
+    coverage: dict[str, str] = {}
 
     with stage(times, "enumerate"):
         group = generate_group(space, allow_large=allow_large)
+        form_ok = _preserves_form(space, group.rows)
     n = len(group)
     checks["group_order"] = n == sp4_order(q)
-    checks["form_preserved"] = True  # asserted element-wise inside generate_group
-    checks["inverses_sampled"] = _check_inverses_sampled(space, group, rng)
-    checks["products_sampled"] = _check_products_sampled(space, group, rng)
+    checks["form_preserved"] = bool(form_ok.all())
+    coverage["form_preserved"] = _coverage(len(form_ok), n)
+    checks["inverses_sampled"], coverage["inverses_sampled"] = _check_inverses_sampled(space, group, rng)
+    checks["products_sampled"], coverage["products_sampled"] = _check_products_sampled(space, group, rng)
 
     with stage(times, "classify"):
         flags = group.transvection_mask()
@@ -457,7 +490,9 @@ def build_symplectic_twisted(space, check="fast", allow_large=False, rng_seed=1)
         flags_tau = transvection_flags(space, tau.image_rows)
 
     with stage(times, "tau_homomorphism"):
-        checks["tau_homomorphism_pairs"] = _check_tau_homomorphism(space, group, tau, rng, HOM_SAMPLES)
+        checks["tau_homomorphism_pairs"], coverage["tau_homomorphism_pairs"] = _check_tau_homomorphism(
+            space, group, tau, rng, HOM_SAMPLES
+        )
 
     with stage(times, "support_scan"):
         fix = np.stack([fix_nat, fix_tau], axis=1)
@@ -476,6 +511,7 @@ def build_symplectic_twisted(space, check="fast", allow_large=False, rng_seed=1)
         family="symplectic", params={"n": space.n, "poly": space.field.poly},
         m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, check=check, rng=rng,
     )
+    build.report.coverage = coverage
     build.tau = tau
     return build
 

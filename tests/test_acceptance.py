@@ -227,3 +227,28 @@ def test_closure_order_pinned_q4(sp2):
     keys = sp2[0].group.keys
     assert len(keys) == 979_200
     assert hashlib.sha256(keys.tobytes()).hexdigest() == CLOSURE_Q4_DIGEST
+
+
+# SHA-256 of the Sp(4,4) tau table, tau.image_rows.tobytes() (uint32)
+TAU_IMAGE_Q4_DIGEST = "42e5584ac3c6cf3d3f77bd0153c579f5334eaa021824694ae92f1d91b7211ad2"
+
+
+def test_tau_image_rows_pinned_q4(sp2):
+    rows = sp2[0].tau.image_rows
+    assert rows.dtype == np.uint32
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == TAU_IMAGE_Q4_DIGEST
+
+
+def test_symplectic_coverage_lines(sp1, sp2):
+    expected = {
+        2: ["exhaustive", "100/720", "10000/518400", "exhaustive"],
+        4: ["exhaustive", "100/979200", "10000/958832640000", "100000/958832640000"],
+    }
+    names = ["form_preserved", "inverses_sampled", "products_sampled", "tau_homomorphism_pairs"]
+    for build, _ in (sp1, sp2):
+        report = build.report
+        lines = report.lines()
+        got = [line for line in lines if line.startswith("# coverage.")]
+        want = [f"# coverage.{k}={v}" for k, v in zip(names, expected[build.group.space.q])]
+        assert got == want
+        assert not any(line.startswith("#") for line in report.lines(include_times=False))

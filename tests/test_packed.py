@@ -1,8 +1,9 @@
-"""The packed closure and its integer dedup primitive: unique_sorted against
-np.unique, the closure's pinned discovery order, and its independence of
-the batch size."""
+"""The packed kernels: unique_sorted against np.unique, the closure's pinned
+discovery order and its independence of the batch size, rows_matmul
+against the dense batch_matmul, and the wedge table's size guard."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from twistcode import _packed
+from twistcode.fields import BinaryField
+from twistcode.linalg import WEDGE_PAIRS
 from twistcode.symplectic import SymplecticSpace, all_transvections, sp4_order
 
 # SHA-256 of the closure's key array (discovery order) for Sp(4, 2), by
@@ -85,3 +88,31 @@ def test_closure_limit_guard(sp42):
     space, gens = sp42
     with pytest.raises(RuntimeError, match="limit 719"):
         _packed.closure(space.ops, gens, limit=sp4_order(2) - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_rows_matmul_equals_batch_matmul(n, size, seed):
+    field = BinaryField(n)
+    ops = _packed.PackedOps(field, 4)
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, field.order, size=(size, 4, 4), dtype=np.uint8)
+    B = rng.integers(0, field.order, size=(size, 4, 4), dtype=np.uint8)
+    got = _packed.rows_matmul(ops, ops.pack(A), ops.pack(B))
+    assert got.shape == (size, 4)
+    assert np.array_equal(got, ops.pack(_packed.batch_matmul(field.mul_table, A, B)))
+
+
+def test_wedge_table_size_guard():
+    # q = 16: a q^8 = 2^32-entry table is refused before anything is built
+    field = BinaryField(4)
+    ops = _packed.PackedOps(field, 4)
+    coords = np.eye(6, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds"):
+            _packed.wedge_table(ops, None, coords, WEDGE_PAIRS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -1,9 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from twistcode import symplectic
+from twistcode._packed import batch_matmul
+from twistcode.cli import main as cli_main
 from twistcode.codes import mulclose
 from twistcode.linalg import Matrix
 from twistcode.symplectic import (
+    GRAM,
     SymplecticSpace,
     TauConstructionError,
     all_transvections,
@@ -148,6 +154,63 @@ def test_outer_automorphism_q2(sp2, tau2):
         assert fixed_projective_count(space, img) == 3
         assert not is_transvection(space, img)
     assert len(np.unique(tau.image_keys)) == len(group)
+
+
+# SHA-256 of tau.image_rows.tobytes() (uint32) for Sp(4, 2)
+TAU_IMAGE_Q2_DIGEST = "ae8663dcfe8847ab89a5a16876e31e030c6e9f00e91691e276f35639d0e4ca03"
+
+
+def test_tau_rows_equal_dense_tau_apply(sp2, tau2):
+    space, group = sp2
+    dense = symplectic._tau_apply(space.field, tau2.basis_lift, tau2.coords, group.elements)
+    packed = symplectic._tau_rows(space, tau2.basis_lift, tau2.coords, group.rows)
+    assert np.array_equal(packed, space.ops.pack(dense))
+    assert np.array_equal(tau2.image_rows, packed)
+    assert hashlib.sha256(tau2.image_rows.tobytes()).hexdigest() == TAU_IMAGE_Q2_DIGEST
+
+
+def _dense_preserves_form(space, mats):
+    """g . Gram . g^T == Gram through the dense batch_matmul kernel."""
+    mul = space.field.mul_table
+    left = batch_matmul(mul, mats, GRAM)
+    prod = batch_matmul(mul, left, mats.transpose(0, 2, 1))
+    return (prod == GRAM[None, :, :]).all(axis=(1, 2))
+
+
+def test_preserves_form_equals_dense_oracle(sp2):
+    space, group = sp2
+    ops = space.ops
+    assert symplectic._preserves_form(space, group.rows).all()
+    assert _dense_preserves_form(space, group.elements).all()
+    # every element with each one of its 16 entries flipped
+    flipped = np.repeat(group.elements, 16, axis=0)
+    pos = np.tile(np.arange(16), len(group))
+    flipped.reshape(-1, 16)[np.arange(len(flipped)), pos] ^= 1
+    packed = symplectic._preserves_form(space, ops.pack(flipped))
+    assert np.array_equal(packed, _dense_preserves_form(space, flipped))
+    # a flip stays symplectic exactly when it lands on another group element
+    member = np.isin(ops.pack_keys(ops.pack(flipped)), group.keys)
+    assert np.array_equal(packed, member)
+    assert 0 < packed.sum() < len(flipped)
+
+
+def test_form_check_failure_is_reported(monkeypatch, capsys):
+    calls = []
+    packed_ok = symplectic._preserves_form
+
+    def reject_one(space, rows):
+        ok = packed_ok(space, rows)
+        if not calls:  # the group's own check; tau images pass
+            ok[1] = False
+        calls.append(len(rows))
+        return ok
+
+    monkeypatch.setattr(symplectic, "_preserves_form", reject_one)
+    status = cli_main(["symplectic", "--n", "1"])
+    out = capsys.readouterr().out
+    assert calls == [720, 720]
+    assert "check.form_preserved=FAIL" in out.splitlines()
+    assert status == 1
 
 
 def test_outer_automorphism_is_homomorphism_sampled(sp2, tau2):
