@@ -421,5 +421,5 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
 
     return finish_build(
         group, fix, lambda: twisted_family(group), family="affine", params={"p": p, "k": k},
-        m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, check=check, rng=rng,
+        m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, coverage={}, check=check, rng=rng,
     )

@@ -60,6 +60,8 @@ def cmd_symplectic(args):
         build = build_symplectic_twisted(space, check=args.check, allow_large=args.allow_large)
         return _finish(build, args, {"n": args.n, "poly": space.field.poly})
     except TauConstructionError as exc:
+        for name, ok in exc.checks.items():
+            print(f"check.{name}={'PASS' if ok else 'FAIL'}")
         print(f"outer automorphism construction failed: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

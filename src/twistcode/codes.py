@@ -3,9 +3,11 @@
 A group element t with permutation image rho(t) is encoded as the passive
 form (1^rho(t), ..., q^rho(t)); a twisted code concatenates the passive
 forms over an ordered list of representations.  Minimum distance is
-computed two independent ways: a support-sum scan over group elements
-(valid whenever the joint kernel is trivial) and a brute-force pairwise
-scan over codewords, kept as the oracle.
+computed three ways: a support-sum scan over group elements (valid
+whenever the joint kernel is trivial), an agreement-count kernel over
+codewords (distance_blocks, behind the check="all" oracles), and a plain
+symbol-compare pairwise scan, kept as the independent oracle of the
+`dist` subcommand.
 
 Both families run one pipeline: support_scan turns their (N, r)
 fixed-point table into delta_tw and delta_rep, and finish_build wraps the
@@ -20,12 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import Matrix
-from .report import VerificationReport, stage
+from .report import VerificationReport, coverage_value, stage
 
 FORMAT_MAGIC = "# twistcode v1"
 BIJECTION_CHUNK = 1 << 22  # table entries sorted at a time by the bijection check
 CODE_BYTES_GUARD = 1 << 28  # max |C| * length for materialised codewords
 EXHAUSTIVE_ORACLE_LIMIT = 20_000  # max |C| for the pairwise and invariance sweeps
+AGREEMENT_CHUNK = 1 << 19  # agreements (and output entries) per block of distance_blocks
 INVARIANCE_ANCHORS = 8  # anchor codewords of the sampled invariance check
 
 
@@ -267,15 +270,89 @@ def distance_row(code: Code, i) -> np.ndarray:
     return (code.words != code.words[i]).sum(axis=1)
 
 
+def distance_blocks(code: Code):
+    """Yield (i0, d) over consecutive blocks of rows, d[r, j] the Hamming
+    distance from codeword i0 + r to codeword j, by counting agreements.
+
+    Two codewords agree in a column only where they hold the same symbol,
+    so the rows holding each (column, symbol) are listed once, and the
+    agreements of row i are the rows listed under its L cells: the work is
+    the sum over (column, symbol) of count^2, N^2 L / q for a transitive
+    group code, against N^2 L symbol compares.  A block is cut on the
+    running agreement count of its (row, column) cells and on its N-wide
+    output, so it holds about AGREEMENT_CHUNK entries (at least one cell)
+    whatever the symbol counts; a constant column costs N per cell."""
+    W = code.words
+    n, L = W.shape
+    q1 = code.q + 1
+    budget = AGREEMENT_CHUNK
+    # listed[start[c, s] : start[c, s] + count[c, s]] are the rows holding s in column c
+    listed = np.empty((L, n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    count = np.empty((L, q1), dtype=np.int64)
+    cols = max(1, budget // max(n, 1))
+    for c0 in range(0, L, cols):
+        blk = W[:, c0 : c0 + cols].T
+        # "stable" selects radix sort on 8- and 16-bit symbols
+        listed[c0 : c0 + cols] = np.argsort(blk, axis=1, kind="stable")
+        cells = blk + q1 * np.arange(len(blk))[:, None]
+        count[c0 : c0 + cols] = np.bincount(cells.ravel(), minlength=len(blk) * q1).reshape(-1, q1)
+    listed = listed.ravel()
+    count = count.ravel()
+    start = np.cumsum(count) - count
+    col_key = q1 * np.arange(L)
+
+    rows = max(1, budget // max(n, L))
+    for i0 in range(0, n, rows):
+        keys = (W[i0 : i0 + rows] + col_key).ravel()
+        lens = count[keys]
+        ends = np.cumsum(lens)
+        cuts = np.searchsorted(ends, np.arange(budget, ends[-1], budget), side="right")
+        bounds = np.unique(np.concatenate(([0], cuts, [len(keys)]))).tolist()
+        nr = len(keys) // L
+        agree = np.zeros(nr * n, dtype=np.int64)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            seg = lens[a:b]
+            first = ends[a:b] - seg
+            # positions in `listed` of every agreement of cells a..b, cell by cell
+            pos = np.repeat(start[keys[a:b]] - (first - first[0]), seg) + np.arange(ends[b - 1] - first[0])
+            owner = np.repeat(n * (np.arange(a, b) // L), seg)
+            agree += np.bincount(owner + listed[pos], minlength=nr * n)
+        yield i0, L - agree.reshape(nr, n)
+
+
+def min_distance_by_agreement(code: Code) -> int:
+    """min_distance_pairwise through distance_blocks; 0 if |C| <= 1."""
+    if code.size <= 1:
+        return 0
+    best = code.length
+    for i0, d in distance_blocks(code):
+        r = np.arange(len(d))
+        d[r, i0 + r] = code.length  # a row's distance to itself
+        best = min(best, int(d.min()))
+    return best
+
+
 def check_distance_invariance(code: Code, anchors=None) -> bool:
     """True iff the distance distribution from a codeword is independent of
-    the codeword.  anchors=None compares every codeword against the first;
-    a list of indices checks just those (for codes too large to sweep)."""
+    the codeword.  anchors=None compares every codeword against the first,
+    through distance_blocks; a list of indices checks just those (for codes
+    too large to sweep)."""
     if code.size <= 1:
         return True
+    if anchors is None:
+        ref = None
+        bins = code.length + 1
+        for _, d in distance_blocks(code):
+            # one distance histogram per row of the block
+            keys = d + bins * np.arange(len(d))[:, None]
+            hist = np.bincount(keys.ravel(), minlength=len(d) * bins).reshape(len(d), bins)
+            if ref is None:
+                ref = hist[0]
+            if not (hist == ref).all():
+                return False
+        return True
     ref = np.bincount(distance_row(code, 0), minlength=code.length + 1)
-    idx = range(1, code.size) if anchors is None else anchors
-    for i in idx:
+    for i in anchors:
         dist = np.bincount(distance_row(code, i), minlength=code.length + 1)
         if not (dist == ref).all():
             return False
@@ -376,16 +453,17 @@ def support_scan(fix, m, expected, checks):
     return sums, delta_tw, delta_rep
 
 
-def finish_build(group, fix, make_reps, *, family, params, m, deltas, checks, times, check, rng):
+def finish_build(group, fix, make_reps, *, family, params, m, deltas, checks, times, coverage, check, rng):
     """Assemble the report and the build.  check="all" then materialises
     the code and certifies the scan independently: pairwise distance,
     distance invariance and letter counts, exhaustive up to
-    EXHAUSTIVE_ORACLE_LIMIT codewords and sampled above."""
+    EXHAUSTIVE_ORACLE_LIMIT codewords and sampled above, adding what each
+    covered to `coverage`."""
     delta_tw, delta_rep = deltas
     n, r = len(group), fix.shape[1]
     report = VerificationReport(
         family, params, reps=r, alphabet=m, length=r * m, code_size=n,
-        delta_tw=delta_tw, delta_rep=delta_rep, checks=checks, times=times,
+        delta_tw=delta_tw, delta_rep=delta_rep, checks=checks, times=times, coverage=coverage,
     )
     build = TwistedBuild(group, report, fix, make_reps)
     if check != "all":
@@ -398,14 +476,18 @@ def finish_build(group, fix, make_reps, *, family, params, m, deltas, checks, ti
     checks["code_size_faithful"] = check_code_size(group, reps, code) and code.size == n
     if n <= EXHAUSTIVE_ORACLE_LIMIT:
         suffix, letters, anchors = "", code, None
+        for name in ("fpa_letter_counts", "pairwise_delta_agrees", "distance_invariant"):
+            coverage[name] = "exhaustive"
     else:
         sample = rng.integers(0, n, size=100)
         anchors = [int(i) for i in rng.integers(1, n, size=INVARIANCE_ANCHORS)]
         suffix, letters = "_sampled", Code(code.words[sample], code.q)
+        coverage["fpa_letter_counts_sampled"] = coverage_value(len(sample), n)
+        coverage["distance_invariant_sampled"] = coverage_value(len(anchors), n)
     checks[f"fpa_letter_counts{suffix}"] = letter_counts_constant(letters, r)
     if anchors is None:
         with stage(times, "pairwise"):
-            checks["pairwise_delta_agrees"] = min_distance_pairwise(code) == delta_tw
+            checks["pairwise_delta_agrees"] = min_distance_by_agreement(code) == delta_tw
         checks["support_scan_agrees"] = min_distance_by_support(group, reps) == delta_tw
         checks["repetition_bound_agrees"] = repetition_lower_bound(group, reps) == delta_rep
     with stage(times, "invariance"):
@@ -423,8 +505,9 @@ def write_code(path, code: Code, family, params, r=1):
             f"# family={family} {param_str} r={r} "
             f"q={code.q} length={code.length} size={code.size}\n"
         )
-        for row in code.words:
-            fh.write(" ".join(str(int(x)) for x in row) + "\n")
+        strs = [str(i) for i in range(code.q + 1)]
+        for row in code.words.tolist():
+            fh.write(" ".join([strs[x] for x in row]) + "\n")
 
 
 def read_code(path):

@@ -14,6 +14,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
+def coverage_value(k, total):
+    """A check's coverage line value: 'exhaustive', or k of total cases."""
+    return "exhaustive" if k >= total else f"{k}/{total}"
+
+
 @contextmanager
 def stage(times, name):
     """Record the wall time of the with-block as times[name]."""

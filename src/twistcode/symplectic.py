@@ -21,7 +21,7 @@ from ._packed import PackedOps, batch_matmul, batch_matmul_left, batch_exterior_
 from .codes import EnumeratedGroup, IndexedDomain, Representation, finish_build, support_scan
 from .fields import BinaryField
 from .linalg import Matrix, WEDGE_PAIRS, null_space
-from .report import stage
+from .report import coverage_value, stage
 
 GRAM = np.array(
     [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.uint8
@@ -30,10 +30,18 @@ GRAM = np.array(
 ENUMERATION_GUARD = 2  # largest n enumerated without an explicit override
 HOM_SAMPLES = 100_000  # sampled pairs of the tau-homomorphism check above q = 2
 _CHUNK = 1 << 17
+TAU_STEPS = ("a", "b", "c", "d")  # the verification steps of build_outer_automorphism
 
 
 class TauConstructionError(RuntimeError):
-    """A verification step of the outer-automorphism construction failed."""
+    """A verification step of the outer-automorphism construction failed;
+    `step` names it (one of TAU_STEPS).  build_symplectic_twisted attaches
+    `checks`: the steps before it as True, the failed step as False."""
+
+    def __init__(self, step, message):
+        super().__init__(f"step ({step}): {message}")
+        self.step = step
+        self.checks = {}
 
 
 def sp4_order(q):
@@ -246,7 +254,7 @@ def _tau_rows(space, basis_lift, coords, rows):
     for sl in _packed.chunks(len(rows), _CHUNK):
         y = _packed.wedge_rows(space.ops, ops6, table, rows[sl], basis_lift, WEDGE_PAIRS)
         if (y & ops6.mask).any():
-            raise TauConstructionError("step (b): exterior action leaves the invariant 5-space")
+            raise TauConstructionError("b", "exterior action leaves the invariant 5-space")
         image_rows[sl] = y >> (2 * space.n)
     return image_rows
 
@@ -260,7 +268,7 @@ def _tau_apply(field, basis_lift, coords, mats):
     x = batch_matmul_left(mul, basis_lift, lam)
     y = batch_matmul(mul, x, coords)
     if y[:, :, 5].any():
-        raise TauConstructionError("step (b): exterior action leaves the invariant 5-space")
+        raise TauConstructionError("b", "exterior action leaves the invariant 5-space")
     return np.ascontiguousarray(y[:, :, :4])
 
 
@@ -297,7 +305,7 @@ def _symplectic_basis_of(field, F):
                 w = mul[field.inv(val), vecs[idx]]
                 break
         if w_idx is None:
-            raise TauConstructionError("step (c): quotient form is degenerate")
+            raise TauConstructionError("c", "quotient form is degenerate")
         # project everything else into the perp of the hyperbolic plane <u, w>
         rest = [x for i, x in enumerate(vecs) if i not in (0, w_idx)]
         vecs = [x ^ mul[pair_val(x, w), u] ^ mul[pair_val(x, u), w] for x in rest]
@@ -330,32 +338,32 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
     w[WEDGE_PAIRS.index((2, 3))] = 1
     ww = field.matmul(field.matmul(w.reshape(1, 6), G2), w.reshape(6, 1))
     if ww[0, 0] != 0:
-        raise TauConstructionError("step (a): form vector is not isotropic")
+        raise TauConstructionError("a", "form vector is not isotropic")
     gens = all_transvections(space)
     lam_gens = batch_exterior_square(mul, gens, WEDGE_PAIRS)
     if (batch_matmul(mul, w[None, None, :].repeat(len(gens), 0), lam_gens) != w).any():
-        raise TauConstructionError("step (a): a generator moves the form vector")
+        raise TauConstructionError("a", "a generator moves the form vector")
     pair_pres = batch_matmul(mul, batch_matmul(mul, lam_gens, G2), lam_gens.transpose(0, 2, 1))
     if (pair_pres != G2[None, :, :]).any():
-        raise TauConstructionError("step (a): a generator breaks the induced pairing")
+        raise TauConstructionError("a", "a generator breaks the induced pairing")
 
     # step (b)
     functional = field.matmul(G2, w.reshape(6, 1)).astype(np.uint8)
     Wbasis = null_space(field, functional)  # rows x with x . functional = 0
     if Wbasis.shape[0] != 5:
-        raise TauConstructionError("step (b): w-perp does not have dimension 5")
+        raise TauConstructionError("b", "w-perp does not have dimension 5")
     lift = _complete_past(field, w, Wbasis)
     F = field.matmul(field.matmul(lift, G2), lift.T).astype(np.uint8)
     if np.diag(F).any() or (F != F.T).any() or Matrix(field, F).rank() != 4:
-        raise TauConstructionError("step (b): quotient form is not alternating nondegenerate")
+        raise TauConstructionError("b", "quotient form is not alternating nondegenerate")
     if field.matmul(w.reshape(1, 6), field.matmul(G2, lift.T)).any():
-        raise TauConstructionError("step (b): quotient form is not well defined")
+        raise TauConstructionError("b", "quotient form is not well defined")
 
     # step (c)
     Q = _symplectic_basis_of(field, F)
     check = field.matmul(field.matmul(Q, F), Q.T)
     if (check != GRAM).any():
-        raise TauConstructionError("step (c): extracted basis does not standardise the form")
+        raise TauConstructionError("c", "extracted basis does not standardise the form")
     C = field.matmul(Q, lift).astype(np.uint8)  # lifted symplectic quotient basis
     u6 = _completing_vector(field, np.concatenate([C, w.reshape(1, 6)]))
     M = Matrix(field, np.concatenate([C, w.reshape(1, 6), u6.reshape(1, 6)]))
@@ -372,26 +380,21 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
     lhs = tau.map_entries(prod)
     rhs = batch_matmul(mul, tg[gi], tg[gj])
     if (lhs != rhs).any():
-        raise TauConstructionError("step (d): not a homomorphism on generator pairs")
+        raise TauConstructionError("d", "not a homomorphism on generator pairs")
     if len(_packed.unique_sorted(tau.image_keys)) != len(group):
-        raise TauConstructionError("step (d): image table has duplicates")
+        raise TauConstructionError("d", "image table has duplicates")
     if not _preserves_form(space, image_rows).all():
-        raise TauConstructionError("step (d): an image is not symplectic")
+        raise TauConstructionError("d", "an image is not symplectic")
     if not _packed.isin_sorted(tau.image_keys, group.sorted_keys).all():
-        raise TauConstructionError("step (d): an image falls outside the group")
+        raise TauConstructionError("d", "an image falls outside the group")
     tmask = group.transvection_mask()
     timg_rows = image_rows[tmask]
     timg_fixed = _packed.fixed_counts(ops, timg_rows, group.point_codes)
     if not (timg_fixed == space.q + 1).all():
-        raise TauConstructionError("step (d): a transvection image has wrong fixed count")
+        raise TauConstructionError("d", "a transvection image has wrong fixed count")
     if transvection_flags(space, timg_rows).any():
-        raise TauConstructionError("step (d): a transvection image is a transvection")
+        raise TauConstructionError("d", "a transvection image is a transvection")
     return tau
-
-
-def _coverage(k, total):
-    """A check's coverage line value: 'exhaustive', or k of total cases."""
-    return "exhaustive" if k >= total else f"{k}/{total}"
 
 
 def _check_tau_homomorphism(space, group, tau, rng, samples):
@@ -414,7 +417,7 @@ def _check_tau_homomorphism(space, group, tau, rng, samples):
         lhs = ops.pack(tau.map_entries(prod))
         rhs = _packed.rows_matmul(ops, tau.image_rows[a[sl]], tau.image_rows[b[sl]])
         ok &= bool((lhs == rhs).all())
-    return ok, _coverage(len(a), n * n)
+    return ok, coverage_value(len(a), n * n)
 
 
 def _check_inverses_sampled(space, group, rng, samples=100):
@@ -426,7 +429,7 @@ def _check_inverses_sampled(space, group, rng, samples=100):
         if not _packed.isin_sorted(key, group.sorted_keys)[0]:
             ok = False
             break
-    return ok, _coverage(samples, len(group))
+    return ok, coverage_value(samples, len(group))
 
 
 def _check_products_sampled(space, group, rng, samples=10_000):
@@ -436,7 +439,7 @@ def _check_products_sampled(space, group, rng, samples=10_000):
     a = rng.integers(0, n, size=samples)
     b = rng.integers(0, n, size=samples)
     keys = space.ops.pack_keys(_packed.rows_matmul(space.ops, group.rows[a], group.rows[b]))
-    return bool(_packed.isin_sorted(keys, group.sorted_keys).all()), _coverage(samples, n * n)
+    return bool(_packed.isin_sorted(keys, group.sorted_keys).all()), coverage_value(samples, n * n)
 
 
 def build_symplectic_twisted(space, check="fast", allow_large=False, rng_seed=1):
@@ -464,7 +467,7 @@ def build_symplectic_twisted(space, check="fast", allow_large=False, rng_seed=1)
     n = len(group)
     checks["group_order"] = n == sp4_order(q)
     checks["form_preserved"] = bool(form_ok.all())
-    coverage["form_preserved"] = _coverage(len(form_ok), n)
+    coverage["form_preserved"] = coverage_value(len(form_ok), n)
     checks["inverses_sampled"], coverage["inverses_sampled"] = _check_inverses_sampled(space, group, rng)
     checks["products_sampled"], coverage["products_sampled"] = _check_products_sampled(space, group, rng)
 
@@ -481,9 +484,13 @@ def build_symplectic_twisted(space, check="fast", allow_large=False, rng_seed=1)
     checks["faithful"] = int(fix_nat[1:].max()) < m
 
     with stage(times, "outer_automorphism"):
-        tau = build_outer_automorphism(space, group)
-    for step in ("a", "b", "c", "d"):
-        checks[f"tau_step_{step}"] = True  # build_outer_automorphism raises otherwise
+        try:
+            tau = build_outer_automorphism(space, group)
+        except TauConstructionError as exc:
+            done = TAU_STEPS[: TAU_STEPS.index(exc.step) + 1]
+            exc.checks = {f"tau_step_{s}": s != exc.step for s in done}
+            raise
+    checks.update((f"tau_step_{s}", True) for s in TAU_STEPS)
 
     with stage(times, "tau_scan"):
         fix_tau = _packed.fixed_counts(space.ops, tau.image_rows, group.point_codes)
@@ -509,9 +516,9 @@ def build_symplectic_twisted(space, check="fast", allow_large=False, rng_seed=1)
     build = finish_build(
         group, fix, lambda: [group.natural_representation(), tau.representation()],
         family="symplectic", params={"n": space.n, "poly": space.field.poly},
-        m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, check=check, rng=rng,
+        m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, coverage=coverage,
+        check=check, rng=rng,
     )
-    build.report.coverage = coverage
     build.tau = tau
     return build
 
@@ -527,7 +534,7 @@ def _complete_past(field, w, basis):
         if len(picked) == 5:
             break
     if len(picked) != 5:
-        raise TauConstructionError("step (b): could not complete the form vector to a basis")
+        raise TauConstructionError("b", "could not complete the form vector to a basis")
     return np.stack(picked[1:])
 
 
@@ -539,4 +546,4 @@ def _completing_vector(field, rows):
         e[i] = 1
         if Matrix(field, np.concatenate([rows, e.reshape(1, 6)])).rank() == r + 1:
             return e
-    raise TauConstructionError("step (c): rows already span the space")
+    raise TauConstructionError("c", "rows already span the space")

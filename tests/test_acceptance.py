@@ -240,15 +240,18 @@ def test_tau_image_rows_pinned_q4(sp2):
 
 
 def test_symplectic_coverage_lines(sp1, sp2):
-    expected = {
-        2: ["exhaustive", "100/720", "10000/518400", "exhaustive"],
-        4: ["exhaustive", "100/979200", "10000/958832640000", "100000/958832640000"],
-    }
+    # sp1 is check="all": its exhaustive oracles follow the builder's own checks
     names = ["form_preserved", "inverses_sampled", "products_sampled", "tau_homomorphism_pairs"]
+    oracles = ["fpa_letter_counts", "pairwise_delta_agrees", "distance_invariant"]
+    expected = {
+        2: list(zip(names, ["exhaustive", "100/720", "10000/518400", "exhaustive"]))
+        + [(name, "exhaustive") for name in oracles],
+        4: list(zip(names, ["exhaustive", "100/979200", "10000/958832640000", "100000/958832640000"])),
+    }
     for build, _ in (sp1, sp2):
         report = build.report
         lines = report.lines()
         got = [line for line in lines if line.startswith("# coverage.")]
-        want = [f"# coverage.{k}={v}" for k, v in zip(names, expected[build.group.space.q])]
+        want = [f"# coverage.{k}={v}" for k, v in expected[build.group.space.q]]
         assert got == want
         assert not any(line.startswith("#") for line in report.lines(include_times=False))

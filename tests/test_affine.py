@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twistcode import codes
 from twistcode.affine import (
     AffineParams,
     act_on_point,
@@ -190,6 +191,15 @@ def test_build_affine_twisted_values():
     code, report = build
     assert (code.size, code.length, code.q) == (27, 27, 9)
     assert report is r
+    oracles = ("fpa_letter_counts", "pairwise_delta_agrees", "distance_invariant")
+    assert report.coverage == dict.fromkeys(oracles, "exhaustive")
+
+
+def test_sampled_oracle_coverage(monkeypatch):
+    monkeypatch.setattr(codes, "EXHAUSTIVE_ORACLE_LIMIT", 100)
+    report = build_affine_twisted(AffineParams(5, 2), check="all").report
+    assert report.all_pass()
+    assert report.coverage == {"fpa_letter_counts_sampled": "100/125", "distance_invariant_sampled": "8/125"}
 
 
 def test_support_sum_dichotomy(g32):

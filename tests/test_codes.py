@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from twistcode import codes
 from twistcode.affine import AffineParams, enumerate_group, twisted_family, twisted_representation
 from twistcode.codes import (
     Code,
@@ -14,8 +18,12 @@ from twistcode.codes import (
     check_code_size,
     check_distance_invariance,
     codeword_from_element,
+    distance_blocks,
+    distance_row,
+    finish_build,
     hamming_distance,
     letter_counts_constant,
+    min_distance_by_agreement,
     min_distance_by_support,
     min_distance_pairwise,
     mulclose,
@@ -199,8 +207,49 @@ def test_nontrivial_joint_kernel_reported():
 def test_distance_invariance_small_cases(affine32):
     assert check_distance_invariance(Code(np.array([[1, 2, 3]]), 3))
     assert check_distance_invariance(Code(np.array([[1, 2], [1, 3]]), 3))
+    # distances {0, 2, 2} from the first row, {0, 2, 3} from the second
+    assert not check_distance_invariance(Code(np.array([[1, 2, 3], [2, 1, 3], [3, 2, 1]]), 3))
     group, reps = affine32
     assert check_distance_invariance(build_twisted_code(group, reps))
+
+
+def invariant_by_rows(code):
+    """The plain invariance oracle: one distance_row histogram per codeword."""
+    hists = [np.bincount(distance_row(code, i), minlength=code.length + 1) for i in range(code.size)]
+    return all((h == hists[0]).all() for h in hists)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_distance_blocks_equal_plain_oracle(data):
+    n, length, q = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 30)), data.draw(st.integers(1, 6))
+    words = data.draw(hnp.arrays(np.uint8, (n, length), elements=st.integers(1, q)))
+    constant = data.draw(st.lists(st.integers(0, length - 1), max_size=length))
+    words[:, constant] = words[0, constant]
+    code = Code(words, q)
+    want = np.stack([distance_row(code, i) for i in range(code.size)])
+    # the default budget, then one (row, column) cell per block
+    for budget in (codes.AGREEMENT_CHUNK, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codes, "AGREEMENT_CHUNK", budget)
+            got = np.full_like(want, -1)
+            for i0, d in distance_blocks(code):
+                got[i0 : i0 + len(d)] = d
+            assert np.array_equal(got, want)
+            assert min_distance_by_agreement(code) == min_distance_pairwise(code)
+            assert check_distance_invariance(code) == invariant_by_rows(code)
+
+
+def test_finish_build_reports_wrong_delta(affine32):
+    group, reps = affine32
+    checks = {}
+    build = finish_build(
+        group, group.fixed_count_table(), lambda: reps, family="affine", params={"p": 3, "k": 2},
+        m=9, deltas=(25, 18), checks=checks, times={}, coverage={}, check="all",
+        rng=np.random.default_rng(1),
+    )
+    assert "check.pairwise_delta_agrees=FAIL" in build.report.lines()
+    assert checks["distance_invariant"] and checks["fpa_letter_counts"]
 
 
 def test_check_code_size(affine32):

@@ -213,6 +213,19 @@ def test_form_check_failure_is_reported(monkeypatch, capsys):
     assert status == 1
 
 
+def test_tau_step_failure_is_reported(monkeypatch, capsys):
+    # a basis that cannot standardise the quotient form fails step (c)
+    monkeypatch.setattr(symplectic, "_symplectic_basis_of", lambda field, F: np.zeros((4, 4), np.uint8))
+    with pytest.raises(TauConstructionError) as err:
+        build_symplectic_twisted(SymplecticSpace.create(1))
+    assert err.value.step == "c"
+    assert err.value.checks == {"tau_step_a": True, "tau_step_b": True, "tau_step_c": False}
+    status = cli_main(["symplectic", "--n", "1"])
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["check.tau_step_a=PASS", "check.tau_step_b=PASS", "check.tau_step_c=FAIL"]
+    assert status == 1
+
+
 def test_outer_automorphism_is_homomorphism_sampled(sp2, tau2):
     space, group = sp2
     rng = np.random.default_rng(8)
