@@ -35,7 +35,6 @@ from .codes import (
     letter_counts_constant,
     min_distance_by_support,
     min_distance_pairwise,
-    mulclose,
     read_code,
     repetition_lower_bound,
     support_size,
@@ -95,7 +94,6 @@ __all__ = [
     "matrix_B",
     "min_distance_by_support",
     "min_distance_pairwise",
-    "mulclose",
     "omega_sum",
     "projective_points",
     "read_code",

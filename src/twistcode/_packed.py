@@ -225,8 +225,10 @@ def closure(ops: PackedOps, gen_mats, limit, max_batch_rows=1 << 16):
     in the generators' row tables, pre-shifted into place, and the four
     results are ORed.  Candidates are deduplicated with unique_sorted; the
     fresh ones, ascending, are inserted into the sorted `seen` array and
-    pushed as one worklist entry.  Returns (rows, keys) in discovery order,
-    identity first; raises once more than `limit` elements are found.
+    pushed as one worklist entry.  Returns (rows, keys) in canonical
+    order: the identity first, then ascending key, whatever the
+    generators, the batch size or the worklist order.  Raises once more
+    than `limit` elements are found.
     """
 
     kd = ops.key_dtype
@@ -237,8 +239,6 @@ def closure(ops: PackedOps, gen_mats, limit, max_batch_rows=1 << 16):
     field_mask = kd(ops.ncodes - 1)
     id_key = ops.pack_keys(ops.pack(np.eye(4, dtype=np.uint8)).reshape(1, 4))
     seen = id_key
-    order = [id_key]
-    total = 1
     pending = [id_key]
     while pending:
         keys = pending.pop()
@@ -252,13 +252,12 @@ def closure(ops: PackedOps, gen_mats, limit, max_batch_rows=1 << 16):
         fresh = cand[~isin_sorted(cand, seen)]
         if fresh.size == 0:
             continue
-        total += fresh.size
-        if total > limit:
+        if seen.size + fresh.size > limit:
             raise RuntimeError(f"closure exceeded the limit {limit}")
         seen = np.insert(seen, np.searchsorted(seen, fresh), fresh)
-        order.append(fresh)
         pending.append(fresh)
-    keys = np.concatenate(order)
+    at = int(np.searchsorted(seen, id_key[0]))
+    keys = np.concatenate([id_key, seen[:at], seen[at + 1 :]])
     return ops.unpack_keys(keys), keys
 
 

@@ -12,7 +12,7 @@ import sys
 
 from .affine import AffineParams, build_affine_twisted
 from .codes import CodewordFileError, min_distance_pairwise, read_code, write_code
-from .symplectic import SymplecticSpace, TauConstructionError, build_symplectic_twisted, sp4_order
+from .symplectic import SymplecticSpace, TauConstructionError, build_symplectic_twisted
 
 
 def _finish(build, args, family_params):
@@ -49,15 +49,8 @@ def cmd_symplectic(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if space.n > 2 and not args.allow_large:
-        print(
-            f"error: |Sp(4,2^{args.n})| = {sp4_order(space.q)} is over the size guard; "
-            "pass --allow-large to force",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        build = build_symplectic_twisted(space, check=args.check, allow_large=args.allow_large)
+        build = build_symplectic_twisted(space, check=args.check)
         return _finish(build, args, {"n": args.n, "poly": space.field.poly})
     except TauConstructionError as exc:
         for name, ok in exc.checks.items():
@@ -105,11 +98,11 @@ def cmd_table1(args):
             rows.append((f"affine(p={p},k={k})", r.reps, r.alphabet, r.delta_tw, r.gap, ok))
             status |= 0 if ok else 1
     for n in range(1, args.max_n + 1):
-        space = SymplecticSpace.create(n)
-        if n > 2:
-            print(f"# skipping symplectic n={n}: over the size guard", file=sys.stderr)
+        try:
+            build = build_symplectic_twisted(SymplecticSpace.create(n), check="fast")
+        except ValueError as exc:
+            print(f"# skipping symplectic n={n}: {exc}", file=sys.stderr)
             continue
-        build = build_symplectic_twisted(space, check="fast")
         r = build.report
         expected_gap = 1 << (2 * n)
         ok = r.all_pass() and r.gap == expected_gap
@@ -142,7 +135,6 @@ def main(argv=None) -> int:
     ps.add_argument("--out", help="write the codeword file here")
     ps.add_argument("--report", help="write the key=value report here")
     ps.add_argument("--check", choices=("fast", "all"), default="fast")
-    ps.add_argument("--allow-large", action="store_true", help="lift the n <= 2 size guard")
     ps.set_defaults(func=cmd_symplectic)
 
     pd = sub.add_parser("dist", help="pairwise minimum distance of a codeword file")

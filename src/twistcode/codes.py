@@ -29,6 +29,7 @@ BIJECTION_CHUNK = 1 << 22  # table entries sorted at a time by the bijection che
 CODE_BYTES_GUARD = 1 << 28  # max |C| * length for materialised codewords
 EXHAUSTIVE_ORACLE_LIMIT = 20_000  # max |C| for the pairwise and invariance sweeps
 AGREEMENT_CHUNK = 1 << 19  # agreements (and output entries) per block of distance_blocks
+PAIRWISE_CHUNK = 1 << 22  # symbol compares per block of min_distance_pairwise
 INVARIANCE_ANCHORS = 8  # anchor codewords of the sampled invariance check
 
 
@@ -77,7 +78,9 @@ def support_size(perm) -> int:
 
 class EnumeratedGroup:
     """Explicit deduplicated element list of a matrix group, identity at
-    index 0; elements are stored as one (N, d, d) uint8 array."""
+    index 0; elements are stored as one (N, d, d) uint8 array.  Content
+    keys, when given, are in canonical order: the identity's first, then
+    strictly ascending (so they are distinct)."""
 
     def __init__(self, field, elements, keys=None):
         elements = np.ascontiguousarray(elements, dtype=np.uint8)
@@ -91,7 +94,12 @@ class EnumeratedGroup:
         self.elements = elements
         self.dim = d
         self.keys = keys
-        self._sorted = None
+        self.sorted_keys = None  # the keys ascending: the identity's moved into place
+        if keys is not None:
+            rest = keys[1:]
+            self.sorted_keys = np.insert(rest, np.searchsorted(rest, keys[0]), keys[0])
+            if (self.sorted_keys[1:] <= self.sorted_keys[:-1]).any():
+                raise ValueError("keys must be the identity's, then strictly ascending")
 
     def __len__(self):
         return self.elements.shape[0]
@@ -99,56 +107,15 @@ class EnumeratedGroup:
     def matrix(self, i) -> Matrix:
         return Matrix(self.field, self.elements[i])
 
-    def _key_index(self):
+    def index_of_key(self, key):
         if self.keys is None:
             raise ValueError("group was built without content keys")
-        if self._sorted is None:
-            order = np.argsort(self.keys, kind="stable")
-            self._sorted = (self.keys[order], order)
-        return self._sorted
-
-    @property
-    def sorted_keys(self):
-        """The content keys in ascending order (computed once, cached)."""
-        return self._key_index()[0]
-
-    def index_of_key(self, key):
-        skeys, order = self._key_index()
-        pos = int(np.searchsorted(skeys, key))
-        if pos == len(skeys) or skeys[pos] != key:
+        if key == self.keys[0]:
+            return 0
+        pos = 1 + int(np.searchsorted(self.keys[1:], key))
+        if pos == len(self.keys) or self.keys[pos] != key:
             raise KeyError(key)
-        return int(order[pos])
-
-
-def mulclose(generators, limit=None):
-    """Closure of a list of Matrix generators under multiplication.
-
-    Plain dict-based breadth-first closure; intended as the independent
-    order oracle for small groups.  Returns matrices in discovery order
-    with the identity first.
-    """
-
-    if not generators:
-        raise ValueError("need at least one generator")
-    field = generators[0].field
-    n = generators[0].rows
-    ident = Matrix.identity(field, n)
-    seen = {ident: 0}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        new = []
-        for g in frontier:
-            for s in generators:
-                h = g * s
-                if h not in seen:
-                    seen[h] = len(order)
-                    order.append(h)
-                    new.append(h)
-                    if limit is not None and len(order) > limit:
-                        raise RuntimeError(f"closure exceeded limit {limit}")
-        frontier = new
-    return order
+        return pos
 
 
 class Representation:
@@ -249,13 +216,15 @@ def build_twisted_code(group, reps) -> Code:
     return Code(words, q)
 
 
-def min_distance_pairwise(code: Code, chunk=64) -> int:
-    """Exact minimum over all unordered codeword pairs; 0 if |C| <= 1."""
+def min_distance_pairwise(code: Code) -> int:
+    """Exact minimum over all unordered codeword pairs; 0 if |C| <= 1.
+    Each block compares about PAIRWISE_CHUNK symbols (at least one row)."""
     W = code.words
     n = code.size
     if n <= 1:
         return 0
     best = code.length + 1
+    chunk = max(1, PAIRWISE_CHUNK // max(n * code.length, 1))
     for i0 in range(0, n, chunk):
         blk = W[i0 : i0 + chunk]
         # distances to all later codewords, plus the in-block upper triangle

@@ -14,6 +14,8 @@ time and the builder raises naming the failed step otherwise.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from . import _packed
@@ -27,7 +29,14 @@ GRAM = np.array(
     [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.uint8
 )  # basis order (e1, f1, e2, f2); hyperbolic pairs (e1,f1) and (e2,f2)
 
-ENUMERATION_GUARD = 2  # largest n enumerated without an explicit override
+# Per n, two words in all_transvections(space), multiplied left to right,
+# whose products generate Sp(4, 2^n).  Fixed here, not drawn at run time, so
+# the generators do not depend on the numpy version.  Odd lengths: words
+# of even length lie in the index-2 subgroup A6 of Sp(4, 2) = S6.
+GENERATOR_WORDS = {
+    1: ((6, 1, 3, 10, 8, 14, 10), (7, 12, 6, 2, 8, 10, 9)),
+    2: ((202, 128, 115, 56, 77, 196, 239), (246, 110, 41, 15, 33, 22, 163)),
+}
 HOM_SAMPLES = 100_000  # sampled pairs of the tau-homomorphism check above q = 2
 _CHUNK = 1 << 17
 TAU_STEPS = ("a", "b", "c", "d")  # the verification steps of build_outer_automorphism
@@ -189,16 +198,28 @@ def _preserves_form(space, rows):
     return ok
 
 
-def generate_group(space, allow_large=False) -> SymplecticGroup:
-    """Closure of the full transvection set; refuses n > 2 without an
-    explicit override and checks the order formula.  Form preservation is
-    checked by build_symplectic_twisted (check.form_preserved)."""
-    if space.n > ENUMERATION_GUARD and not allow_large:
+def generators(space):
+    """(2, 4, 4) matrices of the recorded generator pair (GENERATOR_WORDS);
+    refuses an n without one."""
+    words = GENERATOR_WORDS.get(space.n)
+    if words is None:
         raise ValueError(
-            f"|Sp(4,2^{space.n})| = {sp4_order(space.q)}: enumeration refused without allow_large"
+            f"|Sp(4,2^{space.n})| = {sp4_order(space.q)}: no recorded generator pair "
+            f"for n={space.n} (enumerated: n in {sorted(GENERATOR_WORDS)})"
         )
+    trans = all_transvections(space)
+    return np.stack([reduce(space.field.matmul, trans[list(word)]) for word in words])
+
+
+def generate_group(space) -> SymplecticGroup:
+    """Closure of the recorded generator pair, in canonical key order
+    (identity first, then ascending key); refuses an n without a recorded
+    pair before anything is enumerated and raises unless the closure has
+    sp4_order(q) elements.  Form preservation is checked by
+    build_symplectic_twisted (check.form_preserved); with the distinct keys
+    and the order it proves that the closure is Sp(4, q)."""
+    gens = generators(space)
     expected = sp4_order(space.q)
-    gens = all_transvections(space)
     rows, keys = _packed.closure(space.ops, gens, limit=expected)
     if len(keys) != expected:
         raise RuntimeError(f"closure produced {len(keys)} elements, expected {expected}")
@@ -442,7 +463,7 @@ def _check_products_sampled(space, group, rng, samples=10_000):
     return bool(_packed.isin_sorted(keys, group.sorted_keys).all()), coverage_value(samples, n * n)
 
 
-def build_symplectic_twisted(space, check="fast", allow_large=False, rng_seed=1):
+def build_symplectic_twisted(space, check="fast", rng_seed=1):
     """Construct the (identity, outer) twisted code for Sp(4, q) and its
     verification report.
 
@@ -462,7 +483,7 @@ def build_symplectic_twisted(space, check="fast", allow_large=False, rng_seed=1)
     coverage: dict[str, str] = {}
 
     with stage(times, "enumerate"):
-        group = generate_group(space, allow_large=allow_large)
+        group = generate_group(space)
         form_ok = _preserves_form(space, group.rows)
     n = len(group)
     checks["group_order"] = n == sp4_order(q)

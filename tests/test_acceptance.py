@@ -219,8 +219,11 @@ def test_report_content_pinned(affine_builds, sp1):
         assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[key], (key, text)
 
 
-# SHA-256 of the Sp(4,4) closure's key array, i.e. of its discovery order
-CLOSURE_Q4_DIGEST = "26e8a41fa6711543ffeeaad72db9fab5c06c066f238c3d5c88e852f224f017bb"
+# SHA-256 of the Sp(4,4) closure's key array, i.e. of its canonical order
+CLOSURE_Q4_DIGEST = "19a7b0ac1fa9fe3d58b21aeb757dcbc1449341cb6e2130a43afd41a43f07bd19"
+# SHA-256 of the ascending key set, np.sort(keys): the same for any element
+# order, so it holds across changes of the generators or of the order
+SORTED_KEYS_Q4_DIGEST = "67ec9921b5fbbcb324da9176a20ac34dbf649cd412fc63c3f67c555963490ccb"
 
 
 def test_closure_order_pinned_q4(sp2):
@@ -229,8 +232,13 @@ def test_closure_order_pinned_q4(sp2):
     assert hashlib.sha256(keys.tobytes()).hexdigest() == CLOSURE_Q4_DIGEST
 
 
+def test_key_set_pinned_q4(sp2):
+    keys = sp2[0].group.keys
+    assert hashlib.sha256(np.sort(keys).tobytes()).hexdigest() == SORTED_KEYS_Q4_DIGEST
+
+
 # SHA-256 of the Sp(4,4) tau table, tau.image_rows.tobytes() (uint32)
-TAU_IMAGE_Q4_DIGEST = "42e5584ac3c6cf3d3f77bd0153c579f5334eaa021824694ae92f1d91b7211ad2"
+TAU_IMAGE_Q4_DIGEST = "ea2c95c702f76895d9967d38cd5c105935a44b6c7425de5e1b49651d7bfb34d1"
 
 
 def test_tau_image_rows_pinned_q4(sp2):

@@ -61,7 +61,7 @@ def test_symplectic_n1(capsys):
 
 def test_symplectic_size_guard(capsys):
     status, _, err = run(capsys, "symplectic", "--n", "3")
-    assert status == 2 and "allow-large" in err
+    assert status == 2 and "no recorded generator pair" in err
 
 
 def test_symplectic_bad_poly(capsys):

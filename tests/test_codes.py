@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,6 @@ from twistcode.codes import (
     min_distance_by_agreement,
     min_distance_by_support,
     min_distance_pairwise,
-    mulclose,
     read_code,
     repetition_lower_bound,
     support_size,
@@ -35,6 +36,8 @@ from twistcode.codes import (
 from twistcode.fields import BinaryField, PrimeField
 from twistcode.linalg import Matrix
 from twistcode.symplectic import SymplecticSpace, generate_group
+
+from oracles import mulclose
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +88,18 @@ def test_passive_form(cyclic3):
     group, rep = cyclic3
     assert codeword_from_element(rep, 0).tolist() == [1, 2, 3]
     assert codeword_from_element(rep, 1).tolist() == [2, 3, 1]
+
+
+def test_enumerated_group_key_order(cyclic3):
+    group, _ = cyclic3
+    keyed = EnumeratedGroup(group.field, group.elements, keys=np.array([5, 1, 9]))
+    assert keyed.sorted_keys.tolist() == [1, 5, 9]
+    assert [keyed.index_of_key(k) for k in (5, 1, 9)] == [0, 1, 2]
+    with pytest.raises(KeyError):
+        keyed.index_of_key(4)
+    for keys in ([5, 9, 1], [5, 1, 1], [5, 5, 9]):  # a descent, a repeat, the identity's repeated
+        with pytest.raises(ValueError, match="strictly ascending"):
+            EnumeratedGroup(group.field, group.elements, keys=np.array(keys))
 
 
 def test_trivial_group_code():
@@ -154,6 +169,31 @@ def test_min_distance_oracle_equivalence(affine32, sp2):
     spcode = build_code(spgroup, sprep)
     assert min_distance_pairwise(spcode) == min_distance_by_support(spgroup, [sprep]) == 8
     assert repetition_lower_bound(spgroup, [sprep]) == 8
+
+
+def test_pairwise_oracle_one_row_blocks(monkeypatch, affine32, sp2):
+    group, reps = affine32
+    _, spgroup, sprep = sp2
+    monkeypatch.setattr(codes, "PAIRWISE_CHUNK", 1)
+    assert min_distance_pairwise(build_twisted_code(group, reps)) == 24
+    assert min_distance_pairwise(build_twisted_code(group, [reps[0], reps[0]])) == 12
+    assert min_distance_pairwise(build_code(spgroup, sprep)) == 8
+
+
+def test_pairwise_oracle_memory_bound():
+    # 1000 x 200 symbols: a 64-row block against every row would be a
+    # 12.8 MB temporary; the budget holds each block to about 4 MiB
+    words = np.random.default_rng(3).integers(1, 5, size=(1000, 200), dtype=np.uint8)
+    code = Code(words, 4)
+    assert code.size == 1000
+    tracemalloc.start()
+    try:
+        delta = min_distance_pairwise(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert delta == min_distance_by_agreement(code)
+    assert peak < 8 << 20
 
 
 def test_repetition_bound_degenerate_single_rep(affine32, sp2):
@@ -232,6 +272,7 @@ def test_distance_blocks_equal_plain_oracle(data):
     for budget in (codes.AGREEMENT_CHUNK, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(codes, "AGREEMENT_CHUNK", budget)
+            mp.setattr(codes, "PAIRWISE_CHUNK", budget)
             got = np.full_like(want, -1)
             for i0, d in distance_blocks(code):
                 got[i0 : i0 + len(d)] = d

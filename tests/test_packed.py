@@ -1,6 +1,7 @@
 """The packed kernels: unique_sorted against np.unique, the closure's pinned
-discovery order and its independence of the batch size, rows_matmul
-against the dense batch_matmul, and the wedge table's size guard."""
+canonical order and its independence of the batch size and the generators,
+rows_matmul against the dense batch_matmul, and the wedge table's size
+guard."""
 
 import hashlib
 import tracemalloc
@@ -14,14 +15,11 @@ from hypothesis.extra import numpy as hnp
 from twistcode import _packed
 from twistcode.fields import BinaryField
 from twistcode.linalg import WEDGE_PAIRS
-from twistcode.symplectic import SymplecticSpace, all_transvections, sp4_order
+from twistcode.symplectic import SymplecticSpace, all_transvections, generators, sp4_order
 
-# SHA-256 of the closure's key array (discovery order) for Sp(4, 2), by
-# max_batch_rows; batches of 7 split the worklist, which pins its LIFO order
-CLOSURE_Q2_DIGESTS = {
-    1 << 16: "47de8821c274e4d128dbdefa01092b7c3e5c581e0d173eed653067d0e343c111",
-    7: "91b5b7dac006954f00c4fabb4232ea24c3bcb2807282f27eaac7e70ed0e2bdf0",
-}
+# SHA-256 of the closure's key array for Sp(4, 2): canonical order, so the
+# same for every generating set and batch size
+CLOSURE_Q2_DIGEST = "1ad708613e6a328609a6096560f0ce4cbd65ef23ad3b6c320a9ae84f296a5edf"
 
 
 def assert_matches_unique(keys):
@@ -67,12 +65,12 @@ def sp42():
     return space, all_transvections(space)
 
 
-@pytest.mark.parametrize("batch", sorted(CLOSURE_Q2_DIGESTS))
+@pytest.mark.parametrize("batch", [7, 1 << 16])
 def test_closure_discovery_order_pinned(sp42, batch):
     space, gens = sp42
     rows, keys = _packed.closure(space.ops, gens, limit=720, max_batch_rows=batch)
     assert len(keys) == 720
-    assert hashlib.sha256(keys.tobytes()).hexdigest() == CLOSURE_Q2_DIGESTS[batch]
+    assert hashlib.sha256(keys.tobytes()).hexdigest() == CLOSURE_Q2_DIGEST
     assert np.array_equal(space.ops.pack_keys(rows), keys)
 
 
@@ -80,8 +78,11 @@ def test_closure_independent_of_batch_size(sp42):
     space, gens = sp42
     _, keys = _packed.closure(space.ops, gens, limit=720)
     _, small = _packed.closure(space.ops, gens, limit=720, max_batch_rows=7)
-    assert small[0] == keys[0]  # identity first
-    assert np.array_equal(np.sort(small), np.sort(keys))
+    _, pair = _packed.closure(space.ops, generators(space), limit=720)
+    assert np.array_equal(small, keys)
+    assert np.array_equal(pair, keys)  # nor on the generating set
+    assert keys[0] == space.ops.pack_keys(space.ops.pack(np.eye(4, dtype=np.uint8))[None, :])[0]
+    assert (keys[2:] > keys[1:-1]).all()
 
 
 def test_closure_limit_guard(sp42):

@@ -1,12 +1,12 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from twistcode import symplectic
+from twistcode import _packed, symplectic
 from twistcode._packed import batch_matmul
 from twistcode.cli import main as cli_main
-from twistcode.codes import mulclose
 from twistcode.linalg import Matrix
 from twistcode.symplectic import (
     GRAM,
@@ -17,6 +17,7 @@ from twistcode.symplectic import (
     build_symplectic_twisted,
     fixed_projective_count,
     generate_group,
+    generators,
     is_transvection,
     projective_points,
     sp4_order,
@@ -24,6 +25,8 @@ from twistcode.symplectic import (
     transvection,
     transvection_flags,
 )
+
+from oracles import mulclose
 
 
 @pytest.fixture(scope="module")
@@ -109,19 +112,54 @@ def test_projective_point_counts_and_canonical_form():
         assert (ops.canon[scaled] == ops.canon[codes]).all()
 
 
+# SHA-256 of np.sort(group.keys) for Sp(4, 2): the element set, whatever its order
+SORTED_KEYS_Q2_DIGEST = "1ddb0d95483a5adaabc5fc1755740a68400a7ed0447220020f96ae2c82c268f4"
+
+
 def test_generate_group_order_and_oracle(sp2):
     space, group = sp2
     assert len(group) == sp4_order(2) == 720
     assert group.matrix(0).is_identity()
+    assert hashlib.sha256(np.sort(group.keys).tobytes()).hexdigest() == SORTED_KEYS_Q2_DIGEST
     # independent dict-based closure over Matrix objects
     gens = [Matrix(space.field, t) for t in all_transvections(space)]
     assert len(gens) == 15
     assert len(mulclose(gens)) == 720
+    assert len(mulclose([Matrix(space.field, g) for g in generators(space)])) == 720
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_generator_order_by_schreier_sims(n):
+    # sympy's Schreier-Sims on the pair's point permutations, sharing no
+    # code with the closure
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    space = SymplecticSpace.create(n)
+    codes = symplectic._point_codes(space)
+    perms = _packed.perm_tables(space.ops, space.ops.pack(generators(space)), codes)
+    assert PermutationGroup([Permutation(p.tolist()) for p in perms]).order() == sp4_order(space.q)
 
 
 def test_generate_group_guard():
-    with pytest.raises(ValueError):
-        generate_group(SymplecticSpace.create(3))
+    space = SymplecticSpace.create(3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="no recorded generator pair"):
+            generate_group(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before anything is enumerated
+
+
+def test_group_order_check_can_fail(monkeypatch, capsys):
+    # words of even length generate a proper subgroup of Sp(4, 2) = S6
+    even = ((6, 1, 3, 10, 8, 14), (7, 12, 6, 2, 8, 10))
+    monkeypatch.setitem(symplectic.GENERATOR_WORDS, 1, even)
+    with pytest.raises(RuntimeError, match="expected 720"):
+        generate_group(SymplecticSpace.create(1))
+    assert cli_main(["symplectic", "--n", "1"]) == 1
+    assert "internal consistency error" in capsys.readouterr().err
 
 
 def test_fixed_counts(sp2):
@@ -157,7 +195,7 @@ def test_outer_automorphism_q2(sp2, tau2):
 
 
 # SHA-256 of tau.image_rows.tobytes() (uint32) for Sp(4, 2)
-TAU_IMAGE_Q2_DIGEST = "ae8663dcfe8847ab89a5a16876e31e030c6e9f00e91691e276f35639d0e4ca03"
+TAU_IMAGE_Q2_DIGEST = "9fd4322a2ceec697861cc9b7495adc11fd4a4c955727d82e2c38cceb4c501023"
 
 
 def test_tau_rows_equal_dense_tau_apply(sp2, tau2):
@@ -277,8 +315,6 @@ def test_packed_kernels_against_python_at_q4():
     # (expensive) full enumeration
     space = SymplecticSpace.create(2)
     rng = np.random.default_rng(14)
-    from twistcode import _packed
-
     mats = []
     for _ in range(12):
         g = Matrix.identity(space.field, 4)
