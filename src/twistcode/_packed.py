@@ -12,6 +12,8 @@ combine results with min/sum reductions.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 
@@ -57,8 +59,6 @@ class PackedOps:
         self.mask = (1 << n) - 1
         self.shifts = [n * (length - 1 - j) for j in range(length)]
         self.key_dtype = np.uint32 if 4 * self.row_bits <= 32 else np.uint64
-        self._smul = None
-        self._canon = None
 
     def pack(self, vecs):
         vecs = np.asarray(vecs, dtype=np.uint32)
@@ -74,41 +74,57 @@ class PackedOps:
             out[..., j] = (codes >> sh) & self.mask
         return out
 
-    @property
+    @cached_property
     def smul(self):
         """(q, ncodes) table: scalar times packed row."""
-        if self._smul is None:
-            q = self.field.order
-            mul = self.field.mul_table
-            codes = np.arange(self.ncodes, dtype=np.uint32)
-            entries = [(codes >> sh) & self.mask for sh in self.shifts]
-            out = np.zeros((q, self.ncodes), dtype=np.uint32)
-            for s in range(q):
-                acc = np.zeros(self.ncodes, dtype=np.uint32)
-                for sh, e in zip(self.shifts, entries):
-                    acc ^= mul[s, e].astype(np.uint32) << sh
-                out[s] = acc
-            out.setflags(write=False)
-            self._smul = out
-        return self._smul
+        q = self.field.order
+        mul = self.field.mul_table
+        codes = np.arange(self.ncodes, dtype=np.uint32)
+        entries = [(codes >> sh) & self.mask for sh in self.shifts]
+        out = np.zeros((q, self.ncodes), dtype=np.uint32)
+        for s in range(q):
+            acc = np.zeros(self.ncodes, dtype=np.uint32)
+            for sh, e in zip(self.shifts, entries):
+                acc ^= mul[s, e].astype(np.uint32) << sh
+            out[s] = acc
+        out.setflags(write=False)
+        return out
 
-    @property
+    @cached_property
     def canon(self):
         """Projective canonicalisation: scale so the leftmost nonzero entry
         is 1; zero maps to zero."""
-        if self._canon is None:
-            codes = np.arange(self.ncodes, dtype=np.uint32)
-            entries = self.unpack(codes)
-            first = np.zeros(self.ncodes, dtype=np.uint8)
-            for j in range(self.length):
-                sel = (first == 0) & (entries[:, j] != 0)
-                first[sel] = entries[sel, j]
-            inv = np.zeros(self.field.order, dtype=np.uint8)
-            inv[1:] = self.field.inv_table[1:]
-            out = self.smul[inv[first], codes]
-            out.setflags(write=False)
-            self._canon = out
-        return self._canon
+        codes = np.arange(self.ncodes, dtype=np.uint32)
+        entries = self.unpack(codes)
+        first = np.zeros(self.ncodes, dtype=np.uint8)
+        for j in range(self.length):
+            sel = (first == 0) & (entries[:, j] != 0)
+            first[sel] = entries[sel, j]
+        inv = np.zeros(self.field.order, dtype=np.uint8)
+        inv[1:] = self.field.inv_table[1:]
+        out = self.smul[inv[first], codes]
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def point_codes(self):
+        """The projective points: ascending canonical nonzero codes, which is
+        lexicographic order on their coordinate tuples."""
+        codes = np.arange(1, self.ncodes, dtype=np.uint32)
+        codes = codes[self.canon[codes] == codes]
+        codes.setflags(write=False)
+        return codes
+
+    @cached_property
+    def point_index(self):
+        """(ncodes,) table from a nonzero code to the index of its point in
+        point_codes; zero maps to the sentinel m = len(point_codes)."""
+        m = len(self.point_codes)
+        rank = np.full(self.ncodes, m, dtype=np.min_scalar_type(m))
+        rank[self.point_codes] = np.arange(m)
+        out = rank[self.canon]
+        out.setflags(write=False)
+        return out
 
     def rmul_table(self, B):
         """(ncodes,) table mapping packed row v to packed v @ B."""
@@ -216,19 +232,17 @@ def batch_exterior_square(mul, mats, pairs):
     return out
 
 
-def closure(ops: PackedOps, gen_mats, limit, max_batch_rows=1 << 16):
-    """Worklist closure of the generated matrix group.
+def closure(ops: PackedOps, gen_mats, limit):
+    """Level-order closure of the generated matrix group.
 
-    gen_mats is (G, 4, 4) uint8.  The worklist holds element keys.  Each
-    step pops up to max_batch_rows keys and forms all G products of each
-    key straight from it: every packed-row field of the key is looked up
-    in the generators' row tables, pre-shifted into place, and the four
-    results are ORed.  Candidates are deduplicated with unique_sorted; the
-    fresh ones, ascending, are inserted into the sorted `seen` array and
-    pushed as one worklist entry.  Returns (rows, keys) in canonical
-    order: the identity first, then ascending key, whatever the
-    generators, the batch size or the worklist order.  Raises once more
-    than `limit` elements are found.
+    gen_mats is (G, 4, 4) uint8.  Each level forms all G products of every
+    key on the frontier straight from the key: every packed-row field of
+    the key is looked up in the generators' row tables, pre-shifted into
+    place, and the four results are ORed.  Candidates are deduplicated with
+    unique_sorted; the fresh ones, ascending, are inserted into the sorted
+    `seen` array and form the next frontier.  Returns (rows, keys) in
+    canonical order: the identity first, then ascending key, whatever the
+    generators.  Raises once more than `limit` elements are found.
     """
 
     kd = ops.key_dtype
@@ -238,71 +252,51 @@ def closure(ops: PackedOps, gen_mats, limit, max_batch_rows=1 << 16):
     field_tables = [tables << sh for sh in shifts]
     field_mask = kd(ops.ncodes - 1)
     id_key = ops.pack_keys(ops.pack(np.eye(4, dtype=np.uint8)).reshape(1, 4))
-    seen = id_key
-    pending = [id_key]
-    while pending:
-        keys = pending.pop()
-        if keys.size > max_batch_rows:
-            pending.append(keys[max_batch_rows:])
-            keys = keys[:max_batch_rows]
-        out = field_tables[0][keys >> shifts[0]]  # the top field needs no mask
+    seen = frontier = id_key
+    while frontier.size:
+        out = field_tables[0][frontier >> shifts[0]]  # the top field needs no mask
         for t, sh in zip(field_tables[1:], shifts[1:]):
-            out |= t[(keys >> sh) & field_mask]
+            out |= t[(frontier >> sh) & field_mask]
         cand = unique_sorted(out)
-        fresh = cand[~isin_sorted(cand, seen)]
-        if fresh.size == 0:
-            continue
-        if seen.size + fresh.size > limit:
+        frontier = cand[~isin_sorted(cand, seen)]
+        if seen.size + frontier.size > limit:
             raise RuntimeError(f"closure exceeded the limit {limit}")
-        seen = np.insert(seen, np.searchsorted(seen, fresh), fresh)
-        pending.append(fresh)
+        seen = np.insert(seen, np.searchsorted(seen, frontier), frontier)
     at = int(np.searchsorted(seen, id_key[0]))
     keys = np.concatenate([id_key, seen[:at], seen[at + 1 :]])
     return ops.unpack_keys(keys), keys
 
 
-def fixed_counts(ops: PackedOps, rows, point_codes):
-    """Per-element count of canonical projective points fixed setwise.
-
-    rows is (N, 4) packed; point_codes the (m,) canonical codes.  For each
-    point <v>, the image code of v . g is assembled from scalar-multiple
-    tables of g's rows and canonicalised; a point is fixed iff the
-    canonical image equals the point itself.
-    """
-
+def _point_images(ops: PackedOps, rows):
+    """Yield (j, img) for each projective point j = <v>: img holds, per row
+    of the packed (N, 4) batch g, the point index of v . g, assembled from
+    scalar-multiple tables of g's rows and looked up in ops.point_index."""
     smul = ops.smul
-    canon = ops.canon
-    pts = ops.unpack(point_codes)
-    counts = np.zeros(rows.shape[0], dtype=np.int16)
-    for code, v in zip(point_codes, pts):
+    index = ops.point_index
+    for j, v in enumerate(ops.unpack(ops.point_codes)):
         img = None
-        for k in range(4):
-            if v[k] == 0:
-                continue
+        for k in np.flatnonzero(v):
             term = smul[v[k]][rows[:, k]]
             img = term if img is None else img ^ term
-        counts += canon[img] == code
+        yield j, index[img]
+
+
+def fixed_counts(ops: PackedOps, rows):
+    """Per-element count of projective points fixed setwise by the packed
+    (N, 4) batch rows."""
+    counts = np.zeros(rows.shape[0], dtype=np.int16)
+    for j, img in _point_images(ops, rows):
+        counts += img == j
     return counts
 
 
-def perm_tables(ops: PackedOps, rows, point_codes, out=None):
-    """(N, m) permutation images (point indices) of the projective action."""
-    smul = ops.smul
-    canon = ops.canon
-    pts = ops.unpack(point_codes)
-    rank = np.full(ops.ncodes, -1, dtype=np.int32)
-    rank[point_codes] = np.arange(len(point_codes))
-    if out is None:
-        out = np.zeros((rows.shape[0], len(point_codes)), dtype=np.min_scalar_type(len(point_codes) - 1))
-    for j, v in enumerate(pts):
-        img = None
-        for k in range(4):
-            if v[k] == 0:
-                continue
-            term = smul[v[k]][rows[:, k]]
-            img = term if img is None else img ^ term
-        out[:, j] = rank[canon[img]]
-    return out
+def perm_tables(ops: PackedOps, rows):
+    """(N, m) permutation images (point indices) of the projective action,
+    written point-major and returned as the transposed view."""
+    out = np.empty((len(ops.point_codes), rows.shape[0]), dtype=ops.point_index.dtype)
+    for j, img in _point_images(ops, rows):
+        out[j] = img
+    return out.T
 
 
 def rank_one_flags(ops: PackedOps, diff_rows):

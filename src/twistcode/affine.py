@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._packed import unique_sorted
-from .codes import EnumeratedGroup, IndexedDomain, Representation, finish_build, support_scan
+from .codes import EnumeratedGroup, IndexedDomain, Representation, finish_build, sample_pairs, support_scan
 from .fields import PrimeField
 from .linalg import Matrix
-from .report import stage
+from .report import coverage_value, stage
 
 GROUP_GUARD = 1 << 21  # max |G| = p^(k+1) for enumeration
 SCAN_GUARD = 1 << 26  # max p^(k+2) twist-scan work
@@ -315,17 +315,13 @@ def _check_closed_forms(params, checks):
     checks["omega_recurrence"] = ok_rec
 
 
-def _check_twist_automorphism(group, checks, rng):
+def _check_twist_automorphism(group, checks, coverage, rng):
     """tau_r is an automorphism: twist(a) twist(b) = twist(ab) for every r,
-    exhaustively when the pair count is small, otherwise on 10^4 samples."""
+    exhaustively when the pair count is small, otherwise on 10^4 samples;
+    tau_0 is the identity on up to 64 drawn elements."""
     p = group.params.p
     n = len(group)
-    if n * n <= 1 << 20:
-        a = np.repeat(np.arange(n), n)
-        b = np.tile(np.arange(n), n)
-    else:
-        a = rng.integers(0, n, size=10_000)
-        b = rng.integers(0, n, size=10_000)
+    a, b, coverage["twist_automorphism"] = sample_pairs(n, rng, 10_000)
     ia, ib = group.i_vals[a], group.i_vals[b]
     i3 = (ia + ib - 1) % p + 1
     bp = np.stack(group.b_pows[1:])  # B^1 .. B^p
@@ -342,10 +338,9 @@ def _check_twist_automorphism(group, checks, rng):
         rhs = (plain + w3) % p
         ok &= bool((lhs == rhs).all())
     checks["twist_automorphism"] = ok
-    checks["twist_identity_r0"] = all(
-        tau_twist(group, 0, group.element(i)) == group.element(i)
-        for i in rng.integers(0, n, size=min(64, n))
-    )
+    drawn = rng.integers(0, n, size=min(64, n))
+    checks["twist_identity_r0"] = all(tau_twist(group, 0, group.element(i)) == group.element(i) for i in drawn)
+    coverage["twist_identity_r0"] = coverage_value(len(unique_sorted(drawn)), n)  # drawn with replacement
 
 
 def _check_fixed_points(group, fix, checks):
@@ -395,6 +390,7 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
     rng = np.random.default_rng(rng_seed)
     checks: dict[str, bool] = {}
     times: dict[str, float] = {}
+    coverage: dict[str, str] = {}
 
     with stage(times, "enumerate"):
         group = enumerate_group(params)
@@ -417,9 +413,9 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
         _, delta_tw, delta_rep = support_scan(fix, m, expected, checks)
 
     with stage(times, "automorphism"):
-        _check_twist_automorphism(group, checks, rng)
+        _check_twist_automorphism(group, checks, coverage, rng)
 
     return finish_build(
         group, fix, lambda: twisted_family(group), family="affine", params={"p": p, "k": k},
-        m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, coverage={}, check=check, rng=rng,
+        m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, coverage=coverage, check=check, rng=rng,
     )

@@ -31,6 +31,20 @@ EXHAUSTIVE_ORACLE_LIMIT = 20_000  # max |C| for the pairwise and invariance swee
 AGREEMENT_CHUNK = 1 << 19  # agreements (and output entries) per block of distance_blocks
 PAIRWISE_CHUNK = 1 << 22  # symbol compares per block of min_distance_pairwise
 INVARIANCE_ANCHORS = 8  # anchor codewords of the sampled invariance check
+EXHAUSTIVE_PAIR_LIMIT = 1 << 20  # max n^2 for the exhaustive element-pair checks
+
+
+def sample_pairs(n, rng, samples):
+    """Element index pairs (a, b) for a check over the n^2 ordered pairs:
+    all of them when n^2 <= EXHAUSTIVE_PAIR_LIMIT, otherwise `samples`
+    uniform draws (a, then b).  Returns (a, b, coverage)."""
+    if n * n <= EXHAUSTIVE_PAIR_LIMIT:
+        a = np.repeat(np.arange(n), n)
+        b = np.tile(np.arange(n), n)
+    else:
+        a = rng.integers(0, n, size=samples)
+        b = rng.integers(0, n, size=samples)
+    return a, b, coverage_value(len(a), n * n)
 
 
 class NontrivialKernelError(ValueError):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _packed
 from ._packed import PackedOps, batch_matmul, batch_matmul_left, batch_exterior_square
-from .codes import EnumeratedGroup, IndexedDomain, Representation, finish_build, support_scan
+from .codes import EnumeratedGroup, IndexedDomain, Representation, finish_build, sample_pairs, support_scan
 from .fields import BinaryField
 from .linalg import Matrix, WEDGE_PAIRS, null_space
 from .report import coverage_value, stage
@@ -111,18 +111,9 @@ def transvection(space, v, lam) -> Matrix:
     return Matrix(space.field, _transvection_entries(space, v, lam))
 
 
-def _point_codes(space):
-    """Packed canonical representatives of the projective points, ascending
-    (equals lexicographic order on coordinate tuples)."""
-    ops = space.ops
-    codes = np.arange(1, ops.ncodes, dtype=np.uint32)
-    codes = codes[ops.canon[codes] == codes]
-    return codes
-
-
 def projective_points(space) -> IndexedDomain:
     """Canonical 1-space representatives: leftmost nonzero coordinate 1."""
-    pts = space.ops.unpack(_point_codes(space))
+    pts = space.ops.unpack(space.ops.point_codes)
     return IndexedDomain([tuple(int(x) for x in v) for v in pts])
 
 
@@ -133,14 +124,13 @@ class SymplecticGroup(EnumeratedGroup):
     def __init__(self, space, rows, keys):
         self.space = space
         self.rows = rows  # (N, 4) packed row codes; unpacks to the entries
-        self.point_codes = _point_codes(space)
         self._fixed = None
         self._trans = None
         super().__init__(space.field, space.ops.unpack(rows), keys=keys)
 
     def fixed_count_array(self):
         if self._fixed is None:
-            self._fixed = _packed.fixed_counts(self.space.ops, self.rows, self.point_codes)
+            self._fixed = _packed.fixed_counts(self.space.ops, self.rows)
         return self._fixed
 
     def transvection_mask(self):
@@ -150,7 +140,7 @@ class SymplecticGroup(EnumeratedGroup):
         return self._trans
 
     def natural_representation(self) -> Representation:
-        perms = _packed.perm_tables(self.space.ops, self.rows, self.point_codes)
+        perms = _packed.perm_tables(self.space.ops, self.rows)
         return Representation(self, perms)
 
 
@@ -168,7 +158,7 @@ def transvection_flags(space, rows):
 def all_transvections(space):
     """(T, 4, 4) matrices of every transvection: canonical directions times
     nonzero scalars, in (direction, scalar) lexicographic order."""
-    dirs = space.ops.unpack(_point_codes(space))
+    dirs = space.ops.unpack(space.ops.point_codes)
     mats = [
         _transvection_entries(space, v, lam) for v in dirs for lam in range(1, space.q)
     ]
@@ -229,7 +219,7 @@ def generate_group(space) -> SymplecticGroup:
 def fixed_projective_count(space, g: Matrix) -> int:
     """Number of projective 1-spaces fixed setwise by g, by enumeration."""
     rows = space.ops.pack(np.asarray(g.A, dtype=np.uint8)).reshape(1, 4)
-    return int(_packed.fixed_counts(space.ops, rows, _point_codes(space))[0])
+    return int(_packed.fixed_counts(space.ops, rows)[0])
 
 
 def is_transvection(space, g: Matrix) -> bool:
@@ -261,7 +251,7 @@ class OuterAutomorphism:
         return Matrix(self.space.field, self.map_entries(g.A[None, :, :])[0])
 
     def representation(self) -> Representation:
-        perms = _packed.perm_tables(self.space.ops, self.image_rows, self.group.point_codes)
+        perms = _packed.perm_tables(self.space.ops, self.image_rows)
         return Representation(self.group, perms)
 
 
@@ -410,7 +400,7 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
         raise TauConstructionError("d", "an image falls outside the group")
     tmask = group.transvection_mask()
     timg_rows = image_rows[tmask]
-    timg_fixed = _packed.fixed_counts(ops, timg_rows, group.point_codes)
+    timg_fixed = _packed.fixed_counts(ops, timg_rows)
     if not (timg_fixed == space.q + 1).all():
         raise TauConstructionError("d", "a transvection image has wrong fixed count")
     if transvection_flags(space, timg_rows).any():
@@ -423,22 +413,16 @@ def _check_tau_homomorphism(space, group, tau, rng, samples):
     `samples` uniform pairs for larger groups.  tau(gh) is recomputed
     through the dense exterior square, tau(g) tau(h) from the table.
     Returns (ok, coverage)."""
-    n = len(group)
     mul = space.field.mul_table
     ops = space.ops
-    if n * n <= 1 << 20:
-        a = np.repeat(np.arange(n), n)
-        b = np.tile(np.arange(n), n)
-    else:
-        a = rng.integers(0, n, size=samples)
-        b = rng.integers(0, n, size=samples)
+    a, b, cov = sample_pairs(len(group), rng, samples)
     ok = True
     for sl in _packed.chunks(len(a), 1 << 16):
         prod = batch_matmul(mul, group.elements[a[sl]], group.elements[b[sl]])
         lhs = ops.pack(tau.map_entries(prod))
         rhs = _packed.rows_matmul(ops, tau.image_rows[a[sl]], tau.image_rows[b[sl]])
         ok &= bool((lhs == rhs).all())
-    return ok, coverage_value(len(a), n * n)
+    return ok, cov
 
 
 def _check_inverses_sampled(space, group, rng, samples=100):
@@ -514,7 +498,7 @@ def build_symplectic_twisted(space, check="fast", rng_seed=1):
     checks.update((f"tau_step_{s}", True) for s in TAU_STEPS)
 
     with stage(times, "tau_scan"):
-        fix_tau = _packed.fixed_counts(space.ops, tau.image_rows, group.point_codes)
+        fix_tau = _packed.fixed_counts(space.ops, tau.image_rows)
         flags_tau = transvection_flags(space, tau.image_rows)
 
     with stage(times, "tau_homomorphism"):

@@ -158,7 +158,7 @@ def test_criterion_6_outer_automorphism(sp1, sp2):
                 assert len(build.group) ** 2 <= 1 << 20  # the q=2 path really is exhaustive
             tmask = build.group.transvection_mask()
             timg = build.tau.image_rows[tmask]
-            fixed = _packed.fixed_counts(build.group.space.ops, timg, build.group.point_codes)
+            fixed = _packed.fixed_counts(build.group.space.ops, timg)
             assert (fixed == q + 1).all()
             assert not transvection_flags(build.group.space, timg).any()
             assert len(np.unique(build.tau.image_keys)) == len(build.group)

@@ -192,14 +192,21 @@ def test_build_affine_twisted_values():
     assert (code.size, code.length, code.q) == (27, 27, 9)
     assert report is r
     oracles = ("fpa_letter_counts", "pairwise_delta_agrees", "distance_invariant")
-    assert report.coverage == dict.fromkeys(oracles, "exhaustive")
+    # 27 draws with replacement hit 15 distinct elements
+    assert report.coverage == {"twist_automorphism": "exhaustive", "twist_identity_r0": "15/27",
+                               **dict.fromkeys(oracles, "exhaustive")}
 
 
 def test_sampled_oracle_coverage(monkeypatch):
     monkeypatch.setattr(codes, "EXHAUSTIVE_ORACLE_LIMIT", 100)
     report = build_affine_twisted(AffineParams(5, 2), check="all").report
     assert report.all_pass()
-    assert report.coverage == {"fpa_letter_counts_sampled": "100/125", "distance_invariant_sampled": "8/125"}
+    assert report.coverage == {
+        "twist_automorphism": "exhaustive",
+        "twist_identity_r0": "48/125",
+        "fpa_letter_counts_sampled": "100/125",
+        "distance_invariant_sampled": "8/125",
+    }
 
 
 def test_support_sum_dichotomy(g32):

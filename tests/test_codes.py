@@ -30,12 +30,13 @@ from twistcode.codes import (
     min_distance_pairwise,
     read_code,
     repetition_lower_bound,
+    sample_pairs,
     support_size,
     write_code,
 )
 from twistcode.fields import BinaryField, PrimeField
 from twistcode.linalg import Matrix
-from twistcode.symplectic import SymplecticSpace, generate_group
+from twistcode.symplectic import SymplecticSpace, build_outer_automorphism, generate_group
 
 from oracles import mulclose
 
@@ -372,3 +373,27 @@ def test_bijection_checked_above_2_22_entries():
     perms[-1, 0] = perms[-1, 1]  # the last row repeats a point
     with pytest.raises(ValueError, match="not a bijection"):
         Representation(StubGroup(), perms)
+
+
+def test_bijection_check_independent_of_chunk(monkeypatch, sp2):
+    space, group, natural = sp2
+    tau = build_outer_automorphism(space, group).representation()
+    monkeypatch.setattr(codes, "BIJECTION_CHUNK", space.num_points)  # one row per block
+    for rep in (natural, tau):
+        Representation(group, rep.perms)
+    bad = natural.perms.copy()
+    bad[361, 0] = bad[361, 1]
+    with pytest.raises(ValueError, match="not a bijection"):
+        Representation(group, bad)
+
+
+def test_sample_pairs_rule():
+    a, b, cov = sample_pairs(3, None, 10)
+    assert cov == "exhaustive"
+    assert list(zip(a.tolist(), b.tolist())) == [(i, j) for i in range(3) for j in range(3)]
+    assert sample_pairs(1024, None, 10)[2] == "exhaustive"  # n^2 == EXHAUSTIVE_PAIR_LIMIT
+    a, b, cov = sample_pairs(1025, np.random.default_rng(5), 10)
+    ref = np.random.default_rng(5)
+    assert cov == "10/1050625"
+    assert np.array_equal(a, ref.integers(0, 1025, size=10))  # a drawn first, then b
+    assert np.array_equal(b, ref.integers(0, 1025, size=10))

@@ -1,8 +1,9 @@
 """The packed kernels: unique_sorted against np.unique, the closure's pinned
-canonical order and its independence of the batch size and the generators,
-rows_matmul against the dense batch_matmul, and the wedge table's size
-guard."""
+canonical order and its independence of the generators, the point-image
+kernels against a scalar count, rows_matmul against the dense
+batch_matmul, and the wedge table's size guard."""
 
+import functools
 import hashlib
 import tracemalloc
 
@@ -14,11 +15,18 @@ from hypothesis.extra import numpy as hnp
 
 from twistcode import _packed
 from twistcode.fields import BinaryField
-from twistcode.linalg import WEDGE_PAIRS
-from twistcode.symplectic import SymplecticSpace, all_transvections, generators, sp4_order
+from twistcode.linalg import WEDGE_PAIRS, Matrix
+from twistcode.symplectic import (
+    SymplecticSpace,
+    all_transvections,
+    generators,
+    projective_points,
+    sp4_order,
+    transvection,
+)
 
 # SHA-256 of the closure's key array for Sp(4, 2): canonical order, so the
-# same for every generating set and batch size
+# same for every generating set
 CLOSURE_Q2_DIGEST = "1ad708613e6a328609a6096560f0ce4cbd65ef23ad3b6c320a9ae84f296a5edf"
 
 
@@ -65,22 +73,21 @@ def sp42():
     return space, all_transvections(space)
 
 
-@pytest.mark.parametrize("batch", [7, 1 << 16])
-def test_closure_discovery_order_pinned(sp42, batch):
+def test_closure_discovery_order_pinned(sp42):
     space, gens = sp42
-    rows, keys = _packed.closure(space.ops, gens, limit=720, max_batch_rows=batch)
+    rows, keys = _packed.closure(space.ops, gens, limit=720)
     assert len(keys) == 720
     assert hashlib.sha256(keys.tobytes()).hexdigest() == CLOSURE_Q2_DIGEST
     assert np.array_equal(space.ops.pack_keys(rows), keys)
 
 
-def test_closure_independent_of_batch_size(sp42):
+def test_closure_independent_of_generators(sp42):
     space, gens = sp42
     _, keys = _packed.closure(space.ops, gens, limit=720)
-    _, small = _packed.closure(space.ops, gens, limit=720, max_batch_rows=7)
+    _, reversed_gens = _packed.closure(space.ops, gens[::-1], limit=720)
     _, pair = _packed.closure(space.ops, generators(space), limit=720)
-    assert np.array_equal(small, keys)
-    assert np.array_equal(pair, keys)  # nor on the generating set
+    assert np.array_equal(reversed_gens, keys)  # a different level order
+    assert np.array_equal(pair, keys)
     assert keys[0] == space.ops.pack_keys(space.ops.pack(np.eye(4, dtype=np.uint8))[None, :])[0]
     assert (keys[2:] > keys[1:-1]).all()
 
@@ -89,6 +96,50 @@ def test_closure_limit_guard(sp42):
     space, gens = sp42
     with pytest.raises(RuntimeError, match="limit 719"):
         _packed.closure(space.ops, gens, limit=sp4_order(2) - 1)
+
+
+@functools.cache
+def space_of(n):
+    space = SymplecticSpace.create(n)
+    return space, projective_points(space)
+
+
+def scalar_image(space, points, pt, g):
+    """Index of the point <pt . g>, through field.matmul and a scalar
+    canonicalisation: scale by the inverse of the leading coefficient."""
+    field = space.field
+    img = field.matmul(np.array(pt, dtype=np.uint8).reshape(1, 4), g.A)[0]
+    lead = next(int(c) for c in img if c)
+    return points.index(tuple(field.mul(field.inv(lead), int(c)) for c in img))
+
+
+@st.composite
+def transvection_products(draw):
+    """(n, matrices): 1-3 products of 1-4 transvections over GF(2^n)."""
+    n = draw(st.integers(1, 3))
+    q = 1 << n
+    space, _ = space_of(n)
+    vec = st.lists(st.integers(0, q - 1), min_size=4, max_size=4).filter(any)
+    factor = st.tuples(vec, st.integers(1, q - 1))
+    words = draw(st.lists(st.lists(factor, min_size=1, max_size=4), min_size=1, max_size=3))
+    return n, [functools.reduce(Matrix.__mul__, [transvection(space, *f) for f in word]) for word in words]
+
+
+@settings(max_examples=30, deadline=None)
+@given(transvection_products())
+def test_point_image_kernels_against_scalar_count(case):
+    n, mats = case
+    space, points = space_of(n)
+    m = len(points)
+    rows = space.ops.pack(np.stack([g.A for g in mats]))
+    counts = _packed.fixed_counts(space.ops, rows)
+    perms = _packed.perm_tables(space.ops, rows)
+    assert perms.shape == (len(mats), m)
+    for g, count, perm in zip(mats, counts, perms):
+        want = [scalar_image(space, points, pt, g) for pt in points]
+        assert perm.tolist() == want
+        assert count == sum(j == img for j, img in enumerate(want))
+    assert np.array_equal((perms == np.arange(m)).sum(axis=1), counts)
 
 
 @settings(max_examples=60, deadline=None)

@@ -135,8 +135,7 @@ def test_generator_order_by_schreier_sims(n):
     from sympy.combinatorics import Permutation, PermutationGroup
 
     space = SymplecticSpace.create(n)
-    codes = symplectic._point_codes(space)
-    perms = _packed.perm_tables(space.ops, space.ops.pack(generators(space)), codes)
+    perms = _packed.perm_tables(space.ops, space.ops.pack(generators(space)))
     assert PermutationGroup([Permutation(p.tolist()) for p in perms]).order() == sp4_order(space.q)
 
 
@@ -205,6 +204,14 @@ def test_tau_rows_equal_dense_tau_apply(sp2, tau2):
     assert np.array_equal(packed, space.ops.pack(dense))
     assert np.array_equal(tau2.image_rows, packed)
     assert hashlib.sha256(tau2.image_rows.tobytes()).hexdigest() == TAU_IMAGE_Q2_DIGEST
+
+
+def test_tau_rows_independent_of_chunk(monkeypatch, sp2):
+    # 720 rows in blocks of 7: the last block is short
+    space, group = sp2
+    monkeypatch.setattr(symplectic, "_CHUNK", 7)
+    tau = build_outer_automorphism(space, group)
+    assert hashlib.sha256(tau.image_rows.tobytes()).hexdigest() == TAU_IMAGE_Q2_DIGEST
 
 
 def _dense_preserves_form(space, mats):
@@ -325,8 +332,8 @@ def test_packed_kernels_against_python_at_q4():
             g = g * transvection(space, v, int(rng.integers(1, 4)))
         mats.append(g)
     rows = space.ops.pack(np.stack([g.A for g in mats]))
-    counts = _packed.fixed_counts(space.ops, rows, _point_codes_of(space))
-    perms = _packed.perm_tables(space.ops, rows, _point_codes_of(space))
+    counts = _packed.fixed_counts(space.ops, rows)
+    perms = _packed.perm_tables(space.ops, rows)
     dom = projective_points(space)
     for idx, g in enumerate(mats):
         assert counts[idx] == _python_fixed_count(space, g)
@@ -335,9 +342,3 @@ def test_packed_kernels_against_python_at_q4():
             lead = next(int(c) for c in img if c)
             canon = tuple(space.field.mul(space.field.inv(lead), int(c)) for c in img)
             assert dom[int(perms[idx, j])] == canon
-
-
-def _point_codes_of(space):
-    from twistcode.symplectic import _point_codes
-
-    return _point_codes(space)
