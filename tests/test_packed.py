@@ -73,9 +73,13 @@ def sp42():
     return space, all_transvections(space)
 
 
-def test_closure_discovery_order_pinned(sp42):
+# seeds for shuffling the generator list; the values are the case ids this
+# test has always had
+@pytest.mark.parametrize("seed", [7, 1 << 16])
+def test_closure_discovery_order_pinned(sp42, seed):
     space, gens = sp42
-    rows, keys = _packed.closure(space.ops, gens, limit=720)
+    shuffled = gens[np.random.default_rng(seed).permutation(len(gens))]
+    rows, keys = _packed.closure(space.ops, shuffled, limit=720)
     assert len(keys) == 720
     assert hashlib.sha256(keys.tobytes()).hexdigest() == CLOSURE_Q2_DIGEST
     assert np.array_equal(space.ops.pack_keys(rows), keys)
