@@ -94,7 +94,8 @@ class EnumeratedGroup:
     """Explicit deduplicated element list of a matrix group, identity at
     index 0; elements are stored as one (N, d, d) uint8 array.  Content
     keys, when given, are in canonical order: the identity's first, then
-    strictly ascending (so they are distinct)."""
+    strictly ascending and without the identity's (so they are distinct),
+    which is what lets indices_of_keys look keys up without a sort."""
 
     def __init__(self, field, elements, keys=None):
         elements = np.ascontiguousarray(elements, dtype=np.uint8)
@@ -108,11 +109,9 @@ class EnumeratedGroup:
         self.elements = elements
         self.dim = d
         self.keys = keys
-        self.sorted_keys = None  # the keys ascending: the identity's moved into place
         if keys is not None:
             rest = keys[1:]
-            self.sorted_keys = np.insert(rest, np.searchsorted(rest, keys[0]), keys[0])
-            if (self.sorted_keys[1:] <= self.sorted_keys[:-1]).any():
+            if (rest[1:] <= rest[:-1]).any() or keys[0] in rest:
                 raise ValueError("keys must be the identity's, then strictly ascending")
 
     def __len__(self):
@@ -121,14 +120,18 @@ class EnumeratedGroup:
     def matrix(self, i) -> Matrix:
         return Matrix(self.field, self.elements[i])
 
-    def index_of_key(self, key):
-        if self.keys is None:
-            raise ValueError("group was built without content keys")
-        if key == self.keys[0]:
-            return 0
-        pos = 1 + int(np.searchsorted(self.keys[1:], key))
-        if pos == len(self.keys) or self.keys[pos] != key:
-            raise KeyError(key)
+    def indices_of_keys(self, keys):
+        """Element index of each key in an array, -1 where no element has
+        it: a searchsorted on the ascending keys[1:], the identity's key
+        answered as 0.  In place on the one index array, as at Sp(4, 4) size
+        every further N-long temporary shows in the peak memory."""
+        rest = self.keys[1:]
+        pos = np.searchsorted(rest, keys)
+        np.minimum(pos, len(rest) - 1, out=pos)
+        miss = rest[pos] != keys
+        pos += 1
+        pos[miss] = -1
+        pos[keys == self.keys[0]] = 0
         return pos
 
 
@@ -326,11 +329,11 @@ def check_distance_invariance(code: Code, anchors=None) -> bool:
         ref = None
         bins = code.length + 1
         for _, d in distance_blocks(code):
-            # one distance histogram per row of the block
-            keys = d + bins * np.arange(len(d))[:, None]
-            hist = np.bincount(keys.ravel(), minlength=len(d) * bins).reshape(len(d), bins)
+            # one distance histogram per row of the block, keyed in place in d
+            d += bins * np.arange(len(d))[:, None]
+            hist = np.bincount(d.ravel(), minlength=len(d) * bins).reshape(len(d), bins)
             if ref is None:
-                ref = hist[0]
+                ref = hist[0].copy()  # a view would keep the whole first block's table alive
             if not (hist == ref).all():
                 return False
         return True

@@ -228,15 +228,17 @@ def is_transvection(space, g: Matrix) -> bool:
 
 
 class OuterAutomorphism:
-    """Lookup table g -> tau(g) over the enumerated group, plus the
-    change-of-basis data (quotient basis lift and coordinate matrix) used
-    to build it; tau of an arbitrary matrix can be recomputed freshly."""
+    """tau as a permutation of the enumerated group, tau(g_i) = g_index[i],
+    so a per-element table of tau(g) is the group's own one gathered
+    through index; kept with the packed image rows it was looked up from
+    and the change-of-basis data (quotient basis lift and coordinate
+    matrix) that built them, through which tau of any matrix is recomputed."""
 
     def __init__(self, space, group, image_rows, basis_lift, coords):
         self.space = space
         self.group = group
         self.image_rows = image_rows
-        self.image_keys = space.ops.pack_keys(image_rows)
+        self.index = group.indices_of_keys(space.ops.pack_keys(image_rows))
         self.basis_lift = basis_lift  # (4, 6): lifted quotient basis rows
         self.coords = coords  # (6, 6): inverse of [basis_lift; w; complement]
 
@@ -250,9 +252,9 @@ class OuterAutomorphism:
     def map_matrix(self, g: Matrix) -> Matrix:
         return Matrix(self.space.field, self.map_entries(g.A[None, :, :])[0])
 
-    def representation(self) -> Representation:
-        perms = _packed.perm_tables(self.space.ops, self.image_rows)
-        return Representation(self.group, perms)
+    def representation(self, natural: Representation) -> Representation:
+        """The natural action of tau(g), g = 0..N-1: natural's rows gathered."""
+        return Representation(self.group, natural.perms[self.index])
 
 
 def _tau_rows(space, basis_lift, coords, rows):
@@ -333,14 +335,14 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
         quotient is alternating and nondegenerate;
     (c) a deterministic hyperbolic-pair extraction maps the quotient form
         onto the standard Gram matrix;
-    (d) the resulting map is an injective homomorphism into the group that
-        sends every transvection to a non-transvection with exactly q+1
-        fixed 1-spaces.
+    (d) the resulting map is a homomorphism on generator pairs, each image
+        row is an element (so symplectic) and tau.index is a permutation;
+        it sends every transvection to a non-transvection (the group's own
+        mask, gathered) with exactly q+1 fixed 1-spaces (counted afresh).
     """
 
     field = space.field
     mul = field.mul_table
-    ops = space.ops
 
     # step (a)
     G2 = _wedge_pairing_gram(space)
@@ -392,18 +394,14 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
     rhs = batch_matmul(mul, tg[gi], tg[gj])
     if (lhs != rhs).any():
         raise TauConstructionError("d", "not a homomorphism on generator pairs")
-    if len(_packed.unique_sorted(tau.image_keys)) != len(group):
-        raise TauConstructionError("d", "image table has duplicates")
-    if not _preserves_form(space, image_rows).all():
-        raise TauConstructionError("d", "an image is not symplectic")
-    if not _packed.isin_sorted(tau.image_keys, group.sorted_keys).all():
+    if (tau.index < 0).any():
         raise TauConstructionError("d", "an image falls outside the group")
+    if np.bincount(tau.index).max() > 1:  # N indices in range: a permutation iff none repeats
+        raise TauConstructionError("d", "image table has duplicates")
     tmask = group.transvection_mask()
-    timg_rows = image_rows[tmask]
-    timg_fixed = _packed.fixed_counts(ops, timg_rows)
-    if not (timg_fixed == space.q + 1).all():
+    if not (_packed.fixed_counts(space.ops, image_rows[tmask]) == space.q + 1).all():
         raise TauConstructionError("d", "a transvection image has wrong fixed count")
-    if transvection_flags(space, timg_rows).any():
+    if tmask[tau.index[tmask]].any():
         raise TauConstructionError("d", "a transvection image is a transvection")
     return tau
 
@@ -427,14 +425,9 @@ def _check_tau_homomorphism(space, group, tau, rng, samples):
 
 def _check_inverses_sampled(space, group, rng, samples=100):
     """Sampled inverse closure; returns (ok, coverage)."""
-    ok = True
-    for i in rng.integers(0, len(group), size=samples):
-        inv = group.matrix(int(i)).inverse()
-        key = space.ops.pack_keys(space.ops.pack(inv.A)[None, :])
-        if not _packed.isin_sorted(key, group.sorted_keys)[0]:
-            ok = False
-            break
-    return ok, coverage_value(samples, len(group))
+    inv = np.stack([group.matrix(int(i)).inverse().A for i in rng.integers(0, len(group), size=samples)])
+    keys = space.ops.pack_keys(space.ops.pack(inv))
+    return bool((group.indices_of_keys(keys) >= 0).all()), coverage_value(samples, len(group))
 
 
 def _check_products_sampled(space, group, rng, samples=10_000):
@@ -444,7 +437,7 @@ def _check_products_sampled(space, group, rng, samples=10_000):
     a = rng.integers(0, n, size=samples)
     b = rng.integers(0, n, size=samples)
     keys = space.ops.pack_keys(_packed.rows_matmul(space.ops, group.rows[a], group.rows[b]))
-    return bool(_packed.isin_sorted(keys, group.sorted_keys).all()), coverage_value(samples, n * n)
+    return bool((group.indices_of_keys(keys) >= 0).all()), coverage_value(samples, n * n)
 
 
 def build_symplectic_twisted(space, check="fast", rng_seed=1):
@@ -498,8 +491,8 @@ def build_symplectic_twisted(space, check="fast", rng_seed=1):
     checks.update((f"tau_step_{s}", True) for s in TAU_STEPS)
 
     with stage(times, "tau_scan"):
-        fix_tau = _packed.fixed_counts(space.ops, tau.image_rows)
-        flags_tau = transvection_flags(space, tau.image_rows)
+        fix_tau = fix_nat[tau.index]
+        flags_tau = flags[tau.index]
 
     with stage(times, "tau_homomorphism"):
         checks["tau_homomorphism_pairs"], coverage["tau_homomorphism_pairs"] = _check_tau_homomorphism(
@@ -519,7 +512,7 @@ def build_symplectic_twisted(space, check="fast", rng_seed=1):
     )
 
     build = finish_build(
-        group, fix, lambda: [group.natural_representation(), tau.representation()],
+        group, fix, lambda: [natural := group.natural_representation(), tau.representation(natural)],
         family="symplectic", params={"n": space.n, "poly": space.field.poly},
         m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, coverage=coverage,
         check=check, rng=rng,

@@ -161,7 +161,7 @@ def test_criterion_6_outer_automorphism(sp1, sp2):
             fixed = _packed.fixed_counts(build.group.space.ops, timg)
             assert (fixed == q + 1).all()
             assert not transvection_flags(build.group.space, timg).any()
-            assert len(np.unique(build.tau.image_keys)) == len(build.group)
+            assert len(np.unique(build.group.space.ops.pack_keys(build.tau.image_rows))) == len(build.group)
 
 
 def test_criterion_7_code_properties(affine_builds, sp1, sp2):
@@ -245,6 +245,20 @@ def test_tau_image_rows_pinned_q4(sp2):
     rows = sp2[0].tau.image_rows
     assert rows.dtype == np.uint32
     assert hashlib.sha256(rows.tobytes()).hexdigest() == TAU_IMAGE_Q4_DIGEST
+
+
+def test_tau_tables_gathered_q4(sp2):
+    # the tau-side tables of Sp(4,4), gathered through tau.index, against the
+    # point-image kernels run on the image rows themselves: every 97th row
+    build = sp2[0]
+    group, tau = build.group, build.tau
+    ops = group.space.ops
+    sub = np.arange(0, len(group), 97)
+    rows = tau.image_rows[sub]
+    assert np.array_equal(_packed.fixed_counts(ops, rows), build.fix[sub, 1])
+    assert np.array_equal(transvection_flags(group.space, rows), group.transvection_mask()[tau.index[sub]])
+    # the natural representation's rows tau.index[sub], as natural_representation computes them
+    assert np.array_equal(_packed.perm_tables(ops, rows), _packed.perm_tables(ops, group.rows[tau.index[sub]]))
 
 
 def test_symplectic_coverage_lines(sp1, sp2):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twistcode import codes
+from twistcode import affine, codes
 from twistcode.affine import (
     AffineParams,
     act_on_point,
@@ -15,6 +15,7 @@ from twistcode.affine import (
     omega_sum,
     tau_twist,
 )
+from twistcode.cli import main as cli_main
 from twistcode.fields import PrimeField
 from twistcode.linalg import Matrix
 
@@ -192,9 +193,24 @@ def test_build_affine_twisted_values():
     assert (code.size, code.length, code.q) == (27, 27, 9)
     assert report is r
     oracles = ("fpa_letter_counts", "pairwise_delta_agrees", "distance_invariant")
-    # 27 draws with replacement hit 15 distinct elements
-    assert report.coverage == {"twist_automorphism": "exhaustive", "twist_identity_r0": "15/27",
+    assert report.coverage == {"twist_automorphism": "exhaustive", "twist_identity_r0": "exhaustive",
                                **dict.fromkeys(oracles, "exhaustive")}
+
+
+def test_group_order_check_can_fail(monkeypatch, capsys):
+    real = affine.enumerate_group
+
+    def duplicate_one(params):
+        group = real(params)
+        elements = group.elements.copy()
+        elements[5] = elements[4]
+        group.elements = elements
+        return group
+
+    monkeypatch.setattr(affine, "enumerate_group", duplicate_one)
+    status = cli_main(["affine", "--p", "3", "--k", "2"])
+    assert "check.group_order=FAIL" in capsys.readouterr().out.splitlines()
+    assert status == 1
 
 
 def test_sampled_oracle_coverage(monkeypatch):
@@ -203,7 +219,7 @@ def test_sampled_oracle_coverage(monkeypatch):
     assert report.all_pass()
     assert report.coverage == {
         "twist_automorphism": "exhaustive",
-        "twist_identity_r0": "48/125",
+        "twist_identity_r0": "exhaustive",
         "fpa_letter_counts_sampled": "100/125",
         "distance_invariant_sampled": "8/125",
     }

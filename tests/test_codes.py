@@ -94,10 +94,9 @@ def test_passive_form(cyclic3):
 def test_enumerated_group_key_order(cyclic3):
     group, _ = cyclic3
     keyed = EnumeratedGroup(group.field, group.elements, keys=np.array([5, 1, 9]))
-    assert keyed.sorted_keys.tolist() == [1, 5, 9]
-    assert [keyed.index_of_key(k) for k in (5, 1, 9)] == [0, 1, 2]
-    with pytest.raises(KeyError):
-        keyed.index_of_key(4)
+    # the identity's key answers 0; keys below, between and above the rest miss
+    got = keyed.indices_of_keys(np.array([5, 1, 9, 0, 4, 7, 10, 5]))
+    assert got.tolist() == [0, 1, 2, -1, -1, -1, -1, 0]
     for keys in ([5, 9, 1], [5, 1, 1], [5, 5, 9]):  # a descent, a repeat, the identity's repeated
         with pytest.raises(ValueError, match="strictly ascending"):
             EnumeratedGroup(group.field, group.elements, keys=np.array(keys))
@@ -229,7 +228,7 @@ def test_representation_homomorphism(affine32, sp2):
         a, b = (int(x) for x in rng.integers(0, len(spgroup), size=2))
         prod_mat = spgroup.matrix(a) * spgroup.matrix(b)
         key = space.ops.pack_keys(space.ops.pack(prod_mat.A)[None, :])[0]
-        prod = spgroup.index_of_key(key)
+        prod = int(spgroup.indices_of_keys(np.array([key]))[0])
         assert (sprep.perm(prod) == sprep.perm(b)[sprep.perm(a)]).all()
 
 
@@ -377,7 +376,7 @@ def test_bijection_checked_above_2_22_entries():
 
 def test_bijection_check_independent_of_chunk(monkeypatch, sp2):
     space, group, natural = sp2
-    tau = build_outer_automorphism(space, group).representation()
+    tau = build_outer_automorphism(space, group).representation(natural)
     monkeypatch.setattr(codes, "BIJECTION_CHUNK", space.num_points)  # one row per block
     for rep in (natural, tau):
         Representation(group, rep.perms)

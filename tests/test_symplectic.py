@@ -190,7 +190,8 @@ def test_outer_automorphism_q2(sp2, tau2):
         img = tau.matrix(int(idx))
         assert fixed_projective_count(space, img) == 3
         assert not is_transvection(space, img)
-    assert len(np.unique(tau.image_keys)) == len(group)
+    assert len(np.unique(space.ops.pack_keys(tau.image_rows))) == len(group)
+    assert np.array_equal(np.sort(tau.index), np.arange(len(group)))
 
 
 # SHA-256 of tau.image_rows.tobytes() (uint32) for Sp(4, 2)
@@ -245,15 +246,14 @@ def test_form_check_failure_is_reported(monkeypatch, capsys):
 
     def reject_one(space, rows):
         ok = packed_ok(space, rows)
-        if not calls:  # the group's own check; tau images pass
-            ok[1] = False
+        ok[1] = False
         calls.append(len(rows))
         return ok
 
     monkeypatch.setattr(symplectic, "_preserves_form", reject_one)
     status = cli_main(["symplectic", "--n", "1"])
     out = capsys.readouterr().out
-    assert calls == [720, 720]
+    assert calls == [720]  # the group's own check; tau's images are looked up in the group
     assert "check.form_preserved=FAIL" in out.splitlines()
     assert status == 1
 
@@ -269,6 +269,49 @@ def test_tau_step_failure_is_reported(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.splitlines() == ["check.tau_step_a=PASS", "check.tau_step_b=PASS", "check.tau_step_c=FAIL"]
     assert status == 1
+
+
+def _duplicate_row(rows):
+    rows[2] = rows[1]
+
+
+def _zero_row(rows):
+    rows[1] = 0  # the zero matrix is no group element
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_duplicate_row, "image table has duplicates"), (_zero_row, "an image falls outside the group")],
+    ids=["duplicate", "zero"],
+)
+def test_tau_step_d_failure_is_reported(monkeypatch, capsys, corrupt, message):
+    real = symplectic._tau_rows
+
+    def corrupted(*args):
+        rows = real(*args)
+        corrupt(rows)
+        return rows
+
+    monkeypatch.setattr(symplectic, "_tau_rows", corrupted)
+    with pytest.raises(TauConstructionError, match=message) as err:
+        build_symplectic_twisted(SymplecticSpace.create(1))
+    assert err.value.step == "d"
+    status = cli_main(["symplectic", "--n", "1"])
+    out = capsys.readouterr().out
+    assert out.splitlines() == [f"check.tau_step_{s}=PASS" for s in "abc"] + ["check.tau_step_d=FAIL"]
+    assert status == 1
+
+
+def test_tau_tables_gathered_equal_kernel_oracle(sp2, tau2):
+    # every tau-side table is the natural one gathered through tau.index;
+    # the point-image kernels run on the image rows are the oracle
+    space, group = sp2
+    ops = space.ops
+    rows = tau2.image_rows
+    assert np.array_equal(_packed.fixed_counts(ops, rows), group.fixed_count_array()[tau2.index])
+    assert np.array_equal(transvection_flags(space, rows), group.transvection_mask()[tau2.index])
+    natural = group.natural_representation()
+    assert np.array_equal(_packed.perm_tables(ops, rows), tau2.representation(natural).perms)
 
 
 def test_outer_automorphism_is_homomorphism_sampled(sp2, tau2):
