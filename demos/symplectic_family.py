@@ -50,5 +50,5 @@ print("every check:", "PASS" if report.all_pass() else "FAIL")
 
 # the headline numbers for q = 4 are delta_tw = 144 = 2*4^3 + 4^2 and
 # delta_rep = 128; rebuilding them enumerates all 979,200 elements and
-# takes about 6.5 s (2 cores, numpy 2.4.6):
+# takes about 2.5 s (2 cores, numpy 2.4.6):
 #   build_symplectic_twisted(SymplecticSpace.create(2))

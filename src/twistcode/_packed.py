@@ -107,6 +107,17 @@ class PackedOps:
         return out
 
     @cached_property
+    def lead_shift(self):
+        """(ncodes,) table: the shift of a code's leftmost nonzero entry;
+        zero maps to 0."""
+        codes = np.arange(self.ncodes, dtype=np.uint32)
+        out = np.zeros(self.ncodes, dtype=np.uint32)
+        for sh in reversed(self.shifts):  # leftmost entry written last
+            out[((codes >> sh) & self.mask) != 0] = sh
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def point_codes(self):
         """The projective points: ascending canonical nonzero codes, which is
         lexicographic order on their coordinate tuples."""
@@ -267,53 +278,59 @@ def closure(ops: PackedOps, gen_mats, limit):
     return ops.unpack_keys(keys), keys
 
 
-def _point_images(ops: PackedOps, rows):
-    """Yield (j, img) for each projective point j = <v>: img holds, per row
-    of the packed (N, 4) batch g, the point index of v . g, assembled from
-    scalar-multiple tables of g's rows and looked up in ops.point_index."""
+def _ranks(ops: PackedOps, rows):
+    """Per-row rank of a packed (N, 4) batch of 4 x 4 matrices, by forward
+    elimination on the four row columns.  Pivot row i is scaled to a leading
+    1 (canon) and cleared from every later row at its leading entry's shift
+    (lead_shift); a zero pivot clears nothing.  Later rows are then zero at
+    every earlier pivot's leading position, so the nonzero rows left are
+    independent and the rank is their count."""
+    smul = ops.smul.ravel()
+    r = [rows[:, i].copy() for i in range(4)]
+    for i in range(3):
+        p = ops.canon[r[i]]
+        s = ops.lead_shift[p]
+        for j in range(i + 1, 4):
+            r[j] ^= smul[(((r[j] >> s) & ops.mask) << ops.row_bits) | p]
+    rank = np.zeros(rows.shape[0], dtype=np.int8)
+    for row in r:
+        rank += row != 0
+    return rank
+
+
+def fixed_counts(ops: PackedOps, rows):
+    """Per-element count of projective points fixed setwise by the packed
+    (N, 4) batch rows, from eigenspace dimensions: <v> is fixed iff
+    v . g = lam v for exactly one lam != 0, and the eigenspace of lam holds
+    (q^(4 - rank(g + lam I)) - 1) / (q - 1) points (characteristic 2, so
+    g - lam I = g + lam I).  The kernel vectors of a singular g (lam = 0)
+    are not fixed points."""
+    q = ops.field.order
+    points_by_rank = np.array([(q ** (4 - k) - 1) // (q - 1) for k in range(5)], dtype=np.int16)
+    counts = np.zeros(rows.shape[0], dtype=np.int16)
+    for lam in range(1, q):
+        scalar = ops.pack(lam * np.eye(4, dtype=np.uint8))
+        counts += points_by_rank[_ranks(ops, rows ^ scalar)]
+    return counts
+
+
+def perm_tables(ops: PackedOps, rows):
+    """(N, m) permutation images (point indices) of the projective action.
+    Row j of the point-major (m, N) table is the point index of v . g for
+    the j-th point <v>, assembled from scalar-multiple tables of g's rows
+    and looked up in ops.point_index; the transposed view is returned."""
     smul = ops.smul
     index = ops.point_index
+    out = np.empty((len(ops.point_codes), rows.shape[0]), dtype=index.dtype)
     for j, v in enumerate(ops.unpack(ops.point_codes)):
         img = None
         for k in np.flatnonzero(v):
             term = smul[v[k]][rows[:, k]]
             img = term if img is None else img ^ term
-        yield j, index[img]
-
-
-def fixed_counts(ops: PackedOps, rows):
-    """Per-element count of projective points fixed setwise by the packed
-    (N, 4) batch rows."""
-    counts = np.zeros(rows.shape[0], dtype=np.int16)
-    for j, img in _point_images(ops, rows):
-        counts += img == j
-    return counts
-
-
-def perm_tables(ops: PackedOps, rows):
-    """(N, m) permutation images (point indices) of the projective action,
-    written point-major and returned as the transposed view."""
-    out = np.empty((len(ops.point_codes), rows.shape[0]), dtype=ops.point_index.dtype)
-    for j, img in _point_images(ops, rows):
-        out[j] = img
+        out[j] = index[img]
     return out.T
 
 
 def rank_one_flags(ops: PackedOps, diff_rows):
-    """True where the packed (N, 4) row sets span exactly one dimension:
-    some row nonzero and every row a scalar multiple of the first
-    nonzero one."""
-    smul = ops.smul
-    q = ops.field.order
-    nz = diff_rows != 0
-    any_nz = nz.any(axis=1)
-    first_idx = np.argmax(nz, axis=1)
-    lead = diff_rows[np.arange(diff_rows.shape[0]), first_idx]
-    ok = any_nz.copy()
-    for k in range(4):
-        row = diff_rows[:, k]
-        prop = row == 0
-        for s in range(1, q):
-            prop |= row == smul[s][lead]
-        ok &= prop
-    return ok
+    """True where the packed (N, 4) row sets span exactly one dimension."""
+    return _ranks(ops, diff_rows) == 1

@@ -343,9 +343,10 @@ def _check_twist_automorphism(group, checks, coverage, rng):
     coverage["twist_identity_r0"] = "exhaustive"
 
 
-def _check_fixed_points(group, fix, checks):
+def _check_fixed_points(group, fix, sums, checks):
     """Fixed-point dichotomy and the per-twist support pattern, from the
-    honest counts: column r of fix holds |fix| of the r-twist."""
+    honest counts: column r of fix holds |fix| of the r-twist, and sums
+    are support_scan's summed supports of the non-identity elements."""
     p, m = group.params.p, group.params.num_points
     i_vals = group.i_vals[1:]
     u_last = group.u_vecs[1:, -1].astype(np.int64)
@@ -366,7 +367,6 @@ def _check_fixed_points(group, fix, checks):
     ok &= bool((mv[np.arange(len(mv)), r_pred] == p).all())
     checks["twist_support_pattern"] = ok
 
-    sums = (m - rows).sum(axis=1)
     tw_min = p * m - p
     checks["support_sum_dichotomy"] = bool(np.isin(sums, (tw_min, p * m)).all())
     checks["faithful_natural_action"] = bool((fix[1:, 0] < m).all())
@@ -408,9 +408,11 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
 
     with stage(times, "support_scan"):
         fix = group.fixed_count_table()
-        _check_fixed_points(group, fix, checks)
         expected = (p ** (k + 1) - p, p ** (k + 1) - p * p)
-        _, delta_tw, delta_rep = support_scan(fix, m, expected, checks)
+        scan_checks = {}
+        sums, delta_tw, delta_rep = support_scan(fix, m, expected, scan_checks)
+        _check_fixed_points(group, fix, sums, checks)
+        checks.update(scan_checks)  # report order: the fixed-point checks first
 
     with stage(times, "automorphism"):
         _check_twist_automorphism(group, checks, coverage, rng)

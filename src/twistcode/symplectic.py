@@ -217,7 +217,7 @@ def generate_group(space) -> SymplecticGroup:
 
 
 def fixed_projective_count(space, g: Matrix) -> int:
-    """Number of projective 1-spaces fixed setwise by g, by enumeration."""
+    """Number of projective 1-spaces fixed setwise by g."""
     rows = space.ops.pack(np.asarray(g.A, dtype=np.uint8)).reshape(1, 4)
     return int(_packed.fixed_counts(space.ops, rows)[0])
 

@@ -205,6 +205,7 @@ REPORT_DIGESTS = {
     ("affine", 3, 2): "9a9c48176da64dab7a188ff4275527add31e2bd5bb066f92820d4de84500d310",
     ("affine", 5, 3): "19590d236171bd828d23df1b7e4b75264c9f0bfde469d4d80fb425e80f29cb4c",
     ("symplectic", 1): "e08c87a094897c404790586f5f0b19cb73baeb6814f99b01a32d6896cdaf8951",
+    ("symplectic", 2): "9f2182ed0a668c3ab52191ad6a82884a6a5dce6ed66218454402730037d3a695",
 }
 
 
@@ -217,6 +218,28 @@ def test_report_content_pinned(affine_builds, sp1):
     for key, build in builds.items():
         text = build.report.render(include_times=False)
         assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[key], (key, text)
+
+
+def test_report_content_pinned_q4(sp2):
+    # the Sp(4,4) check="fast" report, as `twistcode symplectic --n 2` prints it
+    text = sp2[0].report.render(include_times=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[("symplectic", 2)], text
+
+
+# SHA-256 of the (N, 2) int16 fixed-point table build.fix, columns rho and
+# rho . tau, for each fixture's q
+FIX_TABLE_DIGESTS = {
+    2: "05a11d1059e140e687059d954675d5802032e6fc8388e930d358654b2c4eca4e",
+    4: "890d6b446e90aadd00f37e30892cce945c20cf76e9296948243be41ff815f7ee",
+}
+
+
+def test_fix_tables_pinned(sp1, sp2):
+    for build, _ in (sp1, sp2):
+        fix = build.fix
+        assert fix.dtype == np.int16 and fix.shape == (len(build.group), 2)
+        digest = hashlib.sha256(np.ascontiguousarray(fix).tobytes()).hexdigest()
+        assert digest == FIX_TABLE_DIGESTS[build.group.space.q]
 
 
 # SHA-256 of the Sp(4,4) closure's key array, i.e. of its canonical order
@@ -249,7 +272,7 @@ def test_tau_image_rows_pinned_q4(sp2):
 
 def test_tau_tables_gathered_q4(sp2):
     # the tau-side tables of Sp(4,4), gathered through tau.index, against the
-    # point-image kernels run on the image rows themselves: every 97th row
+    # packed kernels run on the image rows themselves: every 97th row
     build = sp2[0]
     group, tau = build.group, build.tau
     ops = group.space.ops

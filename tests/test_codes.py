@@ -1,4 +1,6 @@
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,6 +352,55 @@ def test_code_file_malformed(tmp_path):
     with pytest.raises(CodewordFileError) as err:
         read_code(not_int)
     assert err.value.line == 3
+
+
+@st.composite
+def code_files(draw):
+    """(code, family, params, r): a deduplicated code of 1-20 words over
+    1..q, with header fields as the builders write them."""
+    q = draw(st.integers(1, 300))
+    length = draw(st.integers(1, 12))
+    words = draw(hnp.arrays(np.int64, (draw(st.integers(1, 20)), length), elements=st.integers(1, q)))
+    family = draw(st.sampled_from(["affine", "symplectic", "custom"]))
+    params = draw(st.dictionaries(st.sampled_from(["p", "k", "n", "poly"]), st.integers(0, 999), max_size=3))
+    return Code(words, q), family, params, draw(st.integers(1, 5))
+
+
+def corrupt_symbol(draw, tokens, q):
+    """One malformed body line from a well-formed one's tokens."""
+    kinds = ["non_integer", "extra_symbol", "zero", "above_q"] + (["missing_symbol"] if len(tokens) > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    at = draw(st.integers(0, len(tokens) - 1))
+    if kind == "extra_symbol":
+        return tokens + ["1"]
+    if kind == "missing_symbol":
+        return tokens[:at] + tokens[at + 1 :]
+    bad = {"non_integer": "x", "zero": "0", "above_q": str(q + 1)}[kind]
+    return tokens[:at] + [bad] + tokens[at + 1 :]
+
+
+@settings(max_examples=60, deadline=None)
+@given(code_files(), st.data())
+def test_code_file_roundtrip_property(case, data):
+    code, family, params, r = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "code.tw"
+        write_code(path, code, family, params, r=r)
+        loaded, meta = read_code(path)
+        assert np.array_equal(loaded.words, code.words)
+        assert (loaded.q, loaded.length, loaded.size) == (code.q, code.length, code.size)
+        want = {"family": family, **{k: str(v) for k, v in params.items()}, "r": str(r),
+                "q": str(code.q), "length": str(code.length), "size": str(code.size)}
+        assert meta == want
+
+        # one malformed body line: the error names its line (body starts at line 3)
+        lines = path.read_text().splitlines()
+        i = data.draw(st.integers(0, code.size - 1))
+        lines[2 + i] = " ".join(corrupt_symbol(data.draw, lines[2 + i].split(), code.q))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CodewordFileError) as err:
+            read_code(path)
+        assert err.value.line == 3 + i
 
 
 def test_code_dedup_stable():

@@ -1,7 +1,8 @@
 """The packed kernels: unique_sorted against np.unique, the closure's pinned
-canonical order and its independence of the generators, the point-image
-kernels against a scalar count, rows_matmul against the dense
-batch_matmul, and the wedge table's size guard."""
+canonical order and its independence of the generators, the fixed-point
+counts, permutation tables and rank-one flags against a scalar count and
+Matrix.rank, rows_matmul against the dense batch_matmul, and the wedge
+table's size guard."""
 
 import functools
 import hashlib
@@ -110,10 +111,13 @@ def space_of(n):
 
 def scalar_image(space, points, pt, g):
     """Index of the point <pt . g>, through field.matmul and a scalar
-    canonicalisation: scale by the inverse of the leading coefficient."""
+    canonicalisation: scale by the inverse of the leading coefficient.
+    None when pt . g = 0 (g singular)."""
     field = space.field
     img = field.matmul(np.array(pt, dtype=np.uint8).reshape(1, 4), g.A)[0]
-    lead = next(int(c) for c in img if c)
+    lead = next((int(c) for c in img if c), None)
+    if lead is None:
+        return None
     return points.index(tuple(field.mul(field.inv(lead), int(c)) for c in img))
 
 
@@ -144,6 +148,49 @@ def test_point_image_kernels_against_scalar_count(case):
         assert perm.tolist() == want
         assert count == sum(j == img for j, img in enumerate(want))
     assert np.array_equal((perms == np.arange(m)).sum(axis=1), counts)
+
+
+@st.composite
+def arbitrary_matrices(draw):
+    """(n, matrices): 1-4 arbitrary 4 x 4 matrices over GF(2^n), each either
+    unconstrained, with some rows zeroed, of rank at most k (a 4 x k times a
+    k x 4 product), or a scalar matrix lam I (lam = 0 included)."""
+    n = draw(st.integers(1, 3))
+    field = space_of(n)[0].field
+    entry = st.integers(0, field.order - 1)
+
+    def block(rows, cols):
+        return np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)), dtype=np.uint8).reshape(rows, cols)
+
+    mats = []
+    for kind in draw(st.lists(st.sampled_from(["any", "zero_rows", "low_rank", "scalar"]), min_size=1, max_size=4)):
+        if kind == "scalar":
+            A = draw(entry) * np.eye(4, dtype=np.uint8)
+        elif kind == "low_rank":
+            k = draw(st.integers(1, 3))
+            A = field.matmul(block(4, k), block(k, 4))
+        else:
+            A = block(4, 4)
+            if kind == "zero_rows":
+                A[draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))] = 0
+        mats.append(A.astype(np.uint8))
+    return n, mats
+
+
+@settings(max_examples=80, deadline=None)
+@given(arbitrary_matrices())
+def test_rank_kernels_on_arbitrary_matrices(case):
+    # fixed_counts from eigenspace ranks against point images, and the
+    # rank-one flags against exact elimination, singular matrices included
+    n, mats = case
+    space, points = space_of(n)
+    rows = space.ops.pack(np.stack(mats))
+    counts = _packed.fixed_counts(space.ops, rows)
+    flags = _packed.rank_one_flags(space.ops, rows)
+    for A, count, flag in zip(mats, counts, flags):
+        g = Matrix(space.field, A)
+        assert count == sum(j == scalar_image(space, points, pt, g) for j, pt in enumerate(points))
+        assert flag == (g.rank() == 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -304,7 +304,7 @@ def test_tau_step_d_failure_is_reported(monkeypatch, capsys, corrupt, message):
 
 def test_tau_tables_gathered_equal_kernel_oracle(sp2, tau2):
     # every tau-side table is the natural one gathered through tau.index;
-    # the point-image kernels run on the image rows are the oracle
+    # the packed kernels run on the image rows are the oracle
     space, group = sp2
     ops = space.ops
     rows = tau2.image_rows
