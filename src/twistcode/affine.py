@@ -89,13 +89,12 @@ def omega_sum(k, p, i) -> Matrix:
 
 @dataclass(frozen=True)
 class AffineElement:
-    """Group element with its cached (v, i) decomposition: the matrix is
-    [[1, v.B^i], [0, B^i]]; u is the realised top block v.B^i."""
+    """Group element with its cached (u, i) decomposition: the matrix is
+    [[1, u], [0, B^i]]."""
 
     matrix: Matrix
     i: int
     u: tuple
-    v: tuple
 
     def is_identity(self):
         return self.matrix.is_identity()
@@ -122,8 +121,8 @@ def _point_array(params):
 
 
 class AffineGroup(EnumeratedGroup):
-    """Enumerated affine group with the (u, i) decomposition arrays and the
-    precomputed B powers and partial-sum matrices."""
+    """Enumerated affine group with the (u, i) decomposition arrays, the
+    precomputed B powers and the last rows of the partial-sum matrices."""
 
     def __init__(self, params):
         if params.group_order > GROUP_GUARD:
@@ -136,9 +135,9 @@ class AffineGroup(EnumeratedGroup):
         self.points = _point_array(params)
         self.weights = np.array([p ** (k - 1 - j) for j in range(k)], dtype=np.int64)
         self.b_pows = [None] + [b_power(k, p, i).A for i in range(1, p + 1)]
-        self.omegas = [None] + [omega_sum(k, p, i).A for i in range(1, p + 1)]
         # w_r . Omega(k,i) = r * (last row of Omega(k,i))
-        self.omega_last = np.stack([np.zeros(k, np.uint8)] + [om[-1] for om in self.omegas[1:]])
+        last_rows = [omega_sum(k, p, i).A[-1] for i in range(1, p + 1)]
+        self.omega_last = np.stack([np.zeros(k, np.uint8)] + last_rows)
 
         # exponent blocks in order i = p, 1, 2, ..., p-1 so that the
         # identity (u = 0, B^p = I) lands at index 0
@@ -156,14 +155,7 @@ class AffineGroup(EnumeratedGroup):
             mats[sl, 1:, 1:] = self.b_pows[i]
         self.u_vecs = u_vecs
         self.i_vals = i_vals
-        inv_pows = [None] + [self.b_pows[(p - i) % p or p] for i in range(1, p + 1)]
-        v_vecs = np.zeros_like(u_vecs)
-        for s, i in enumerate(self.block_exponents):
-            sl = slice(s * m, (s + 1) * m)
-            v_vecs[sl] = (self.points.astype(np.int64) @ inv_pows[i]) % p
-        self.v_vecs = v_vecs
-        keys = self._index_of_ui_arrays(u_vecs, i_vals)
-        super().__init__(params.field, mats, keys=keys.astype(np.uint64))
+        super().__init__(params.field, mats)
 
     def _encode_points(self, vecs):
         return vecs.astype(np.int64) @ self.weights
@@ -183,7 +175,6 @@ class AffineGroup(EnumeratedGroup):
             matrix=self.matrix(idx),
             i=int(self.i_vals[idx]),
             u=tuple(int(x) for x in self.u_vecs[idx]),
-            v=tuple(int(x) for x in self.v_vecs[idx]),
         )
 
     def product_index(self, a, b) -> int:

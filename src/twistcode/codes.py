@@ -92,47 +92,23 @@ def support_size(perm) -> int:
 
 class EnumeratedGroup:
     """Explicit deduplicated element list of a matrix group, identity at
-    index 0; elements are stored as one (N, d, d) uint8 array.  Content
-    keys, when given, are in canonical order: the identity's first, then
-    strictly ascending and without the identity's (so they are distinct),
-    which is what lets indices_of_keys look keys up without a sort."""
+    index 0; elements are stored as one (N, d, d) uint8 array."""
 
-    def __init__(self, field, elements, keys=None):
+    def __init__(self, field, elements):
         elements = np.ascontiguousarray(elements, dtype=np.uint8)
         if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
             raise ValueError("elements must be an (N, d, d) array")
-        d = elements.shape[1]
-        if not (elements[0] == np.eye(d, dtype=np.uint8)).all():
+        if not (elements[0] == np.eye(elements.shape[1], dtype=np.uint8)).all():
             raise ValueError("identity must sit at index 0")
         elements.setflags(write=False)
         self.field = field
         self.elements = elements
-        self.dim = d
-        self.keys = keys
-        if keys is not None:
-            rest = keys[1:]
-            if (rest[1:] <= rest[:-1]).any() or keys[0] in rest:
-                raise ValueError("keys must be the identity's, then strictly ascending")
 
     def __len__(self):
         return self.elements.shape[0]
 
     def matrix(self, i) -> Matrix:
         return Matrix(self.field, self.elements[i])
-
-    def indices_of_keys(self, keys):
-        """Element index of each key in an array, -1 where no element has
-        it: a searchsorted on the ascending keys[1:], the identity's key
-        answered as 0.  In place on the one index array, as at Sp(4, 4) size
-        every further N-long temporary shows in the peak memory."""
-        rest = self.keys[1:]
-        pos = np.searchsorted(rest, keys)
-        np.minimum(pos, len(rest) - 1, out=pos)
-        miss = rest[pos] != keys
-        pos += 1
-        pos[miss] = -1
-        pos[keys == self.keys[0]] = 0
-        return pos
 
 
 class Representation:
@@ -218,8 +194,7 @@ def codeword_from_element(rep: Representation, i: int):
 
 
 def build_code(group, rep: Representation) -> Code:
-    dtype = np.min_scalar_type(rep.q)
-    return Code(rep.perms.astype(dtype) + 1, rep.q)
+    return build_twisted_code(group, [rep])
 
 
 def build_twisted_code(group, reps) -> Code:
@@ -429,7 +404,7 @@ def support_scan(fix, m, expected, checks):
     element, delta_rep is r times the least single support.  Checks both
     and their gap against expected = (delta_tw, delta_rep) closed forms;
     returns (sums, delta_tw, delta_rep), sums[t - 1] belonging to element t."""
-    supports = m - fix[1:].astype(np.int64)
+    supports = m - fix[1:]
     sums = supports.sum(axis=1)
     delta_tw = int(sums.min())
     delta_rep = fix.shape[1] * int(supports.min())

@@ -118,9 +118,6 @@ class PrimeField:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def binom(self, i: int, j: int) -> int:
         """Binomial coefficient C(i, j) reduced mod p (exact integer arithmetic)."""
         if j < 0 or j > i:
@@ -140,9 +137,6 @@ class PrimeField:
 
     def scale_array(self, c, A):
         return (c * A.astype(np.int64)) % self.p
-
-    def neg_array(self, A):
-        return (-A.astype(np.int64)) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -200,9 +194,6 @@ class BinaryField:
     def elements(self):
         return range(self.order)
 
-    def nonzero_elements(self):
-        return range(1, self.order)
-
     def add(self, a, b):
         return a ^ b
 
@@ -219,9 +210,6 @@ class BinaryField:
             raise ZeroDivisionError(f"0 has no inverse in GF(2^{self.n})")
         return int(self.inv_table[a])
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     # array helpers for the matrix layer
 
     def matmul(self, A, B):
@@ -235,9 +223,6 @@ class BinaryField:
 
     def scale_array(self, c, A):
         return self.mul_table[c, A]
-
-    def neg_array(self, A):
-        return A.copy()
 
     def __eq__(self, other):
         return isinstance(other, BinaryField) and (other.n, other.poly) == (self.n, self.poly)

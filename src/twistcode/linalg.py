@@ -57,9 +57,6 @@ class Matrix:
     def __getitem__(self, idx):
         return int(self.A[idx])
 
-    def row(self, i):
-        return tuple(int(x) for x in self.A[i])
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -79,9 +76,6 @@ class Matrix:
             raise ValueError("shape or field mismatch")
         return Matrix(self.field, self.field.sub_arrays(self.A, other.A))
 
-    def __neg__(self):
-        return Matrix(self.field, self.field.neg_array(self.A))
-
     def __pow__(self, e):
         if self.rows != self.cols or e < 0:
             raise ValueError("power needs a square matrix and e >= 0")
@@ -93,9 +87,6 @@ class Matrix:
             base = base * base
             e >>= 1
         return out
-
-    def transpose(self):
-        return Matrix(self.field, self.A.T.copy())
 
     def is_zero(self):
         return not self.A.any()

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _packed
 from ._packed import PackedOps, batch_matmul, batch_matmul_left, batch_exterior_square
-from .codes import EnumeratedGroup, IndexedDomain, Representation, finish_build, sample_pairs, support_scan
+from .codes import IndexedDomain, Representation, finish_build, sample_pairs, support_scan
 from .fields import BinaryField
 from .linalg import Matrix, WEDGE_PAIRS, null_space
 from .report import coverage_value, stage
@@ -117,21 +117,43 @@ def projective_points(space) -> IndexedDomain:
     return IndexedDomain([tuple(int(x) for x in v) for v in pts])
 
 
-class SymplecticGroup(EnumeratedGroup):
-    """Enumerated Sp(4, q) with packed row storage alongside the generic
-    element array; heavy per-element data is cached lazily."""
+class SymplecticGroup:
+    """Enumerated Sp(4, q), stored only as packed rows (identity at index 0)
+    and their content keys.  The keys are in canonical order: the
+    identity's first, then strictly ascending and without the identity's
+    (so they are distinct), which is what lets indices_of_keys look keys
+    up without a sort."""
 
     def __init__(self, space, rows, keys):
+        if not (rows[0] == space.ops.pack(np.eye(4, dtype=np.uint8))).all():
+            raise ValueError("identity must sit at index 0")
+        rest = keys[1:]
+        if (rest[1:] <= rest[:-1]).any() or keys[0] in rest:
+            raise ValueError("keys must be the identity's, then strictly ascending")
         self.space = space
         self.rows = rows  # (N, 4) packed row codes; unpacks to the entries
-        self._fixed = None
+        self.keys = keys
         self._trans = None
-        super().__init__(space.field, space.ops.unpack(rows), keys=keys)
 
-    def fixed_count_array(self):
-        if self._fixed is None:
-            self._fixed = _packed.fixed_counts(self.space.ops, self.rows)
-        return self._fixed
+    def __len__(self):
+        return self.rows.shape[0]
+
+    def matrix(self, i) -> Matrix:
+        return Matrix(self.space.field, self.space.ops.unpack(self.rows[i]))
+
+    def indices_of_keys(self, keys):
+        """Element index of each key in an array, -1 where no element has
+        it: a searchsorted on the ascending keys[1:], the identity's key
+        answered as 0.  In place on the one index array, as at Sp(4, 4) size
+        every further N-long temporary shows in the peak memory."""
+        rest = self.keys[1:]
+        pos = np.searchsorted(rest, keys)
+        np.minimum(pos, len(rest) - 1, out=pos)
+        miss = rest[pos] != keys
+        pos += 1
+        pos[miss] = -1
+        pos[keys == self.keys[0]] = 0
+        return pos
 
     def transvection_mask(self):
         """Per-element decision rule: g != I, rank(g - I) = 1, (g - I)^2 = 0."""
@@ -229,21 +251,20 @@ def is_transvection(space, g: Matrix) -> bool:
 
 class OuterAutomorphism:
     """tau as a permutation of the enumerated group, tau(g_i) = g_index[i],
-    so a per-element table of tau(g) is the group's own one gathered
-    through index; kept with the packed image rows it was looked up from
-    and the change-of-basis data (quotient basis lift and coordinate
-    matrix) that built them, through which tau of any matrix is recomputed."""
+    looked up from the packed image rows, so a per-element table of tau(g)
+    is the group's own one gathered through index; kept with the
+    change-of-basis data (quotient basis lift and coordinate matrix) that
+    built the image rows, through which tau of any matrix is recomputed."""
 
     def __init__(self, space, group, image_rows, basis_lift, coords):
         self.space = space
         self.group = group
-        self.image_rows = image_rows
         self.index = group.indices_of_keys(space.ops.pack_keys(image_rows))
         self.basis_lift = basis_lift  # (4, 6): lifted quotient basis rows
         self.coords = coords  # (6, 6): inverse of [basis_lift; w; complement]
 
     def matrix(self, i) -> Matrix:
-        return Matrix(self.space.field, self.space.ops.unpack(self.image_rows[i]))
+        return self.group.matrix(self.index[i])
 
     def map_entries(self, mats):
         """tau of a (N, 4, 4) batch, recomputed from the exterior square."""
@@ -382,8 +403,7 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
     M = Matrix(field, np.concatenate([C, w.reshape(1, 6), u6.reshape(1, 6)]))
     coords = M.inverse().A
 
-    image_rows = _tau_rows(space, C, coords, group.rows)
-    tau = OuterAutomorphism(space, group, image_rows, C, coords)
+    tau = OuterAutomorphism(space, group, _tau_rows(space, C, coords, group.rows), C, coords)
 
     # step (d)
     gi = np.repeat(np.arange(len(gens)), len(gens))
@@ -399,7 +419,7 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
     if np.bincount(tau.index).max() > 1:  # N indices in range: a permutation iff none repeats
         raise TauConstructionError("d", "image table has duplicates")
     tmask = group.transvection_mask()
-    if not (_packed.fixed_counts(space.ops, image_rows[tmask]) == space.q + 1).all():
+    if not (_packed.fixed_counts(space.ops, group.rows[tau.index[tmask]]) == space.q + 1).all():
         raise TauConstructionError("d", "a transvection image has wrong fixed count")
     if tmask[tau.index[tmask]].any():
         raise TauConstructionError("d", "a transvection image is a transvection")
@@ -409,16 +429,18 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
 def _check_tau_homomorphism(space, group, tau, rng, samples):
     """tau(gh) = tau(g) tau(h): exhaustive over all pairs at q = 2, on
     `samples` uniform pairs for larger groups.  tau(gh) is recomputed
-    through the dense exterior square, tau(g) tau(h) from the table.
+    through the dense exterior square, tau(g) tau(h) from the rows that
+    tau.index points at, the table every tau-side scan gathers through.
     Returns (ok, coverage)."""
     mul = space.field.mul_table
     ops = space.ops
+    rows = group.rows
     a, b, cov = sample_pairs(len(group), rng, samples)
     ok = True
     for sl in _packed.chunks(len(a), 1 << 16):
-        prod = batch_matmul(mul, group.elements[a[sl]], group.elements[b[sl]])
+        prod = batch_matmul(mul, ops.unpack(rows[a[sl]]), ops.unpack(rows[b[sl]]))
         lhs = ops.pack(tau.map_entries(prod))
-        rhs = _packed.rows_matmul(ops, tau.image_rows[a[sl]], tau.image_rows[b[sl]])
+        rhs = _packed.rows_matmul(ops, rows[tau.index[a[sl]]], rows[tau.index[b[sl]]])
         ok &= bool((lhs == rhs).all())
     return ok, cov
 
@@ -471,7 +493,7 @@ def build_symplectic_twisted(space, check="fast", rng_seed=1):
 
     with stage(times, "classify"):
         flags = group.transvection_mask()
-        fix_nat = group.fixed_count_array()
+        fix_nat = _packed.fixed_counts(space.ops, group.rows)
     checks["identity_fixes_all"] = int(fix_nat[0]) == m
     checks["transvection_count"] = int(flags.sum()) == m * (q - 1)
     trans_fix = q * q + q + 1

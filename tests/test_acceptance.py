@@ -7,6 +7,7 @@ fixtures; each criterion prints one PASS/FAIL line.
 
 import hashlib
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -18,7 +19,7 @@ from twistcode.codes import write_code
 from twistcode.linalg import Matrix
 from twistcode.fields import PrimeField
 from twistcode.symplectic import SymplecticSpace, build_symplectic_twisted, transvection_flags
-from twistcode import _packed
+from twistcode import _packed, symplectic
 
 AFFINE_CASES = {(3, 2): (24, 18), (5, 2): (120, 100), (7, 2): (336, 294), (5, 3): (620, 600)}
 
@@ -51,10 +52,23 @@ def sp1():
 
 
 @pytest.fixture(scope="module")
-def sp2():
-    t0 = time.monotonic()
-    build = build_symplectic_twisted(SymplecticSpace.create(2), check="fast")
-    return build, time.monotonic() - t0
+def sp2_traced():
+    # the Sp(4,4) build under tracemalloc, which numpy reports its buffers to:
+    # returns (build, wall, peak bytes, bytes still held once it returns)
+    tracemalloc.start()
+    try:
+        t0 = time.monotonic()
+        build = build_symplectic_twisted(SymplecticSpace.create(2), check="fast")
+        wall = time.monotonic() - t0
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return build, wall, peak, retained
+
+
+@pytest.fixture(scope="module")
+def sp2(sp2_traced):
+    return sp2_traced[:2]
 
 
 def test_criterion_1_affine_table_rows(affine_builds):
@@ -156,12 +170,15 @@ def test_criterion_6_outer_automorphism(sp1, sp2):
             assert r.checks["tau_homomorphism_pairs"]  # exhaustive at q=2, 1e5 pairs at q=4
             if q == 2:
                 assert len(build.group) ** 2 <= 1 << 20  # the q=2 path really is exhaustive
-            tmask = build.group.transvection_mask()
-            timg = build.tau.image_rows[tmask]
-            fixed = _packed.fixed_counts(build.group.space.ops, timg)
+            group, tau = build.group, build.tau
+            images = symplectic._tau_rows(group.space, tau.basis_lift, tau.coords, group.rows)
+            assert np.array_equal(images, group.rows[tau.index])  # the table tau.index points at
+            tmask = group.transvection_mask()
+            timg = images[tmask]
+            fixed = _packed.fixed_counts(group.space.ops, timg)
             assert (fixed == q + 1).all()
-            assert not transvection_flags(build.group.space, timg).any()
-            assert len(np.unique(build.group.space.ops.pack_keys(build.tau.image_rows))) == len(build.group)
+            assert not transvection_flags(group.space, timg).any()
+            assert len(np.unique(group.space.ops.pack_keys(images))) == len(group)
 
 
 def test_criterion_7_code_properties(affine_builds, sp1, sp2):
@@ -260,24 +277,35 @@ def test_key_set_pinned_q4(sp2):
     assert hashlib.sha256(np.sort(keys).tobytes()).hexdigest() == SORTED_KEYS_Q4_DIGEST
 
 
-# SHA-256 of the Sp(4,4) tau table, tau.image_rows.tobytes() (uint32)
+# SHA-256 of the Sp(4,4) tau table, group.rows[tau.index].tobytes() (uint32)
 TAU_IMAGE_Q4_DIGEST = "ea2c95c702f76895d9967d38cd5c105935a44b6c7425de5e1b49651d7bfb34d1"
 
 
 def test_tau_image_rows_pinned_q4(sp2):
-    rows = sp2[0].tau.image_rows
+    build = sp2[0]
+    rows = build.group.rows[build.tau.index]
     assert rows.dtype == np.uint32
     assert hashlib.sha256(rows.tobytes()).hexdigest() == TAU_IMAGE_Q4_DIGEST
 
 
+def test_sp2_build_memory(sp2_traced):
+    # tracemalloc figures of the Sp(4,4) check="fast" build (numpy 2.4.6):
+    # peak 96.9 MiB, 63.3 MiB still held, while the group also kept a dense
+    # (N, 4, 4) copy of its packed rows and tau its own (N, 4) image rows;
+    # peak 68.0 MiB, 31.6 MiB held with the packed rows and tau.index only
+    _, _, peak, retained = sp2_traced
+    assert peak < 82 * 2**20
+    assert retained < 48 * 2**20
+
+
 def test_tau_tables_gathered_q4(sp2):
     # the tau-side tables of Sp(4,4), gathered through tau.index, against the
-    # packed kernels run on the image rows themselves: every 97th row
+    # packed kernels run on the recomputed image rows: every 97th row
     build = sp2[0]
     group, tau = build.group, build.tau
     ops = group.space.ops
     sub = np.arange(0, len(group), 97)
-    rows = tau.image_rows[sub]
+    rows = symplectic._tau_rows(group.space, tau.basis_lift, tau.coords, group.rows[sub])
     assert np.array_equal(_packed.fixed_counts(ops, rows), build.fix[sub, 1])
     assert np.array_equal(transvection_flags(group.space, rows), group.transvection_mask()[tau.index[sub]])
     # the natural representation's rows tau.index[sub], as natural_representation computes them

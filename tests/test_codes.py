@@ -38,7 +38,7 @@ from twistcode.codes import (
 )
 from twistcode.fields import BinaryField, PrimeField
 from twistcode.linalg import Matrix
-from twistcode.symplectic import SymplecticSpace, build_outer_automorphism, generate_group
+from twistcode.symplectic import SymplecticGroup, SymplecticSpace, build_outer_automorphism, generate_group
 
 from oracles import mulclose
 
@@ -93,15 +93,21 @@ def test_passive_form(cyclic3):
     assert codeword_from_element(rep, 1).tolist() == [2, 3, 1]
 
 
-def test_enumerated_group_key_order(cyclic3):
-    group, _ = cyclic3
-    keyed = EnumeratedGroup(group.field, group.elements, keys=np.array([5, 1, 9]))
+def test_enumerated_group_key_order(sp2):
+    space, group, _ = sp2
+    # every key of Sp(4, 2) answers its own index, the identity's (not the least) 0
+    assert group.keys[0] > group.keys[1]
+    assert group.indices_of_keys(group.keys).tolist() == list(range(len(group)))
+    rows = group.rows[:3]  # the identity first; the keys below are made up
+    keyed = SymplecticGroup(space, rows, np.array([5, 1, 9]))
     # the identity's key answers 0; keys below, between and above the rest miss
     got = keyed.indices_of_keys(np.array([5, 1, 9, 0, 4, 7, 10, 5]))
     assert got.tolist() == [0, 1, 2, -1, -1, -1, -1, 0]
     for keys in ([5, 9, 1], [5, 1, 1], [5, 5, 9]):  # a descent, a repeat, the identity's repeated
         with pytest.raises(ValueError, match="strictly ascending"):
-            EnumeratedGroup(group.field, group.elements, keys=np.array(keys))
+            SymplecticGroup(space, rows, np.array(keys))
+    with pytest.raises(ValueError, match="identity must sit at index 0"):
+        SymplecticGroup(space, group.rows[1:4], np.array([5, 1, 9]))
 
 
 def test_trivial_group_code():

@@ -166,7 +166,7 @@ def test_fixed_counts(sp2):
     assert fixed_projective_count(space, group.matrix(0)) == 15
     t = transvection(space, space.f2, 1)
     assert fixed_projective_count(space, t) == 7
-    counts = group.fixed_count_array()
+    counts = _packed.fixed_counts(space.ops, group.rows)
     mask = group.transvection_mask()
     assert (counts[1:][mask[1:]] == 7).all()
     assert (counts[1:][~mask[1:]] <= 6).all()
@@ -190,21 +190,23 @@ def test_outer_automorphism_q2(sp2, tau2):
         img = tau.matrix(int(idx))
         assert fixed_projective_count(space, img) == 3
         assert not is_transvection(space, img)
-    assert len(np.unique(space.ops.pack_keys(tau.image_rows))) == len(group)
+    images = symplectic._tau_rows(space, tau.basis_lift, tau.coords, group.rows)
+    assert len(np.unique(space.ops.pack_keys(images))) == len(group)
     assert np.array_equal(np.sort(tau.index), np.arange(len(group)))
 
 
-# SHA-256 of tau.image_rows.tobytes() (uint32) for Sp(4, 2)
+# SHA-256 of the tau table group.rows[tau.index].tobytes() (uint32) for Sp(4, 2)
 TAU_IMAGE_Q2_DIGEST = "9fd4322a2ceec697861cc9b7495adc11fd4a4c955727d82e2c38cceb4c501023"
 
 
 def test_tau_rows_equal_dense_tau_apply(sp2, tau2):
     space, group = sp2
-    dense = symplectic._tau_apply(space.field, tau2.basis_lift, tau2.coords, group.elements)
+    dense = symplectic._tau_apply(space.field, tau2.basis_lift, tau2.coords, space.ops.unpack(group.rows))
     packed = symplectic._tau_rows(space, tau2.basis_lift, tau2.coords, group.rows)
     assert np.array_equal(packed, space.ops.pack(dense))
-    assert np.array_equal(tau2.image_rows, packed)
-    assert hashlib.sha256(tau2.image_rows.tobytes()).hexdigest() == TAU_IMAGE_Q2_DIGEST
+    table = group.rows[tau2.index]
+    assert np.array_equal(table, packed)
+    assert hashlib.sha256(table.tobytes()).hexdigest() == TAU_IMAGE_Q2_DIGEST
 
 
 def test_tau_rows_independent_of_chunk(monkeypatch, sp2):
@@ -212,7 +214,7 @@ def test_tau_rows_independent_of_chunk(monkeypatch, sp2):
     space, group = sp2
     monkeypatch.setattr(symplectic, "_CHUNK", 7)
     tau = build_outer_automorphism(space, group)
-    assert hashlib.sha256(tau.image_rows.tobytes()).hexdigest() == TAU_IMAGE_Q2_DIGEST
+    assert hashlib.sha256(group.rows[tau.index].tobytes()).hexdigest() == TAU_IMAGE_Q2_DIGEST
 
 
 def _dense_preserves_form(space, mats):
@@ -227,9 +229,10 @@ def test_preserves_form_equals_dense_oracle(sp2):
     space, group = sp2
     ops = space.ops
     assert symplectic._preserves_form(space, group.rows).all()
-    assert _dense_preserves_form(space, group.elements).all()
+    elements = ops.unpack(group.rows)
+    assert _dense_preserves_form(space, elements).all()
     # every element with each one of its 16 entries flipped
-    flipped = np.repeat(group.elements, 16, axis=0)
+    flipped = np.repeat(elements, 16, axis=0)
     pos = np.tile(np.arange(16), len(group))
     flipped.reshape(-1, 16)[np.arange(len(flipped)), pos] ^= 1
     packed = symplectic._preserves_form(space, ops.pack(flipped))
@@ -304,11 +307,11 @@ def test_tau_step_d_failure_is_reported(monkeypatch, capsys, corrupt, message):
 
 def test_tau_tables_gathered_equal_kernel_oracle(sp2, tau2):
     # every tau-side table is the natural one gathered through tau.index;
-    # the packed kernels run on the image rows are the oracle
+    # the packed kernels run on the recomputed image rows are the oracle
     space, group = sp2
     ops = space.ops
-    rows = tau2.image_rows
-    assert np.array_equal(_packed.fixed_counts(ops, rows), group.fixed_count_array()[tau2.index])
+    rows = symplectic._tau_rows(space, tau2.basis_lift, tau2.coords, group.rows)
+    assert np.array_equal(_packed.fixed_counts(ops, rows), _packed.fixed_counts(ops, group.rows)[tau2.index])
     assert np.array_equal(transvection_flags(space, rows), group.transvection_mask()[tau2.index])
     natural = group.natural_representation()
     assert np.array_equal(_packed.perm_tables(ops, rows), tau2.representation(natural).perms)
