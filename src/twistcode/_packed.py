@@ -18,6 +18,7 @@ import numpy as np
 
 
 WEDGE_TABLE_LIMIT = 1 << 24  # entries of wedge_table: q^8 for 4-rows over GF(q)
+RANK_CHUNK = 1 << 16  # rows per block of the rank kernel's callers (fixed_counts, rank_one_flags)
 
 
 def chunks(n, size):
@@ -308,9 +309,9 @@ def fixed_counts(ops: PackedOps, rows):
     q = ops.field.order
     points_by_rank = np.array([(q ** (4 - k) - 1) // (q - 1) for k in range(5)], dtype=np.int16)
     counts = np.zeros(rows.shape[0], dtype=np.int16)
-    for lam in range(1, q):
-        scalar = ops.pack(lam * np.eye(4, dtype=np.uint8))
-        counts += points_by_rank[_ranks(ops, rows ^ scalar)]
+    for sl in chunks(rows.shape[0], RANK_CHUNK):
+        for lam in range(1, q):
+            counts[sl] += points_by_rank[_ranks(ops, rows[sl] ^ ops.pack(lam * np.eye(4, dtype=np.uint8)))]
     return counts
 
 
@@ -333,4 +334,7 @@ def perm_tables(ops: PackedOps, rows):
 
 def rank_one_flags(ops: PackedOps, diff_rows):
     """True where the packed (N, 4) row sets span exactly one dimension."""
-    return _ranks(ops, diff_rows) == 1
+    flags = np.empty(diff_rows.shape[0], dtype=bool)
+    for sl in chunks(diff_rows.shape[0], RANK_CHUNK):
+        flags[sl] = _ranks(ops, diff_rows[sl]) == 1
+    return flags

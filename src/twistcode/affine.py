@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import EnumeratedGroup, IndexedDomain, Representation, finish_build, sample_pairs, support_scan
+from .codes import EnumeratedGroup, IndexedDomain, Representation, finish_build, row_keys, sample_pairs, support_scan
 from .fields import PrimeField
 from .linalg import Matrix
 from .report import stage
@@ -368,7 +368,8 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
 
     check="fast" runs the closed-form and support-scan suite; check="all"
     additionally materialises the code and runs the pairwise-distance
-    oracle, distance invariance, and the letter-count (FPA) property.
+    oracle, the distance-invariance certificate over the code rows of B and
+    the e_k translation, and the letter-count (FPA) property.
     """
 
     if check not in ("fast", "all"):
@@ -387,8 +388,8 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
         group = enumerate_group(params)
 
     m = params.num_points
-    flat = group.elements.reshape(len(group), -1)  # one byte string per matrix: distinct matrices counted
-    checks["group_order"] = len(np.unique(flat.view(f"V{flat.shape[1]}"))) == p ** (k + 1)
+    # one byte string per matrix: distinct matrices counted
+    checks["group_order"] = len(np.unique(row_keys(group.elements.reshape(len(group), -1)))) == p ** (k + 1)
     checks["block_structure"] = bool(
         (group.elements[:, 1:, 0] == 0).all()
         and (group.elements[:, 0, 0] == 1).all()
@@ -408,7 +409,10 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
     with stage(times, "automorphism"):
         _check_twist_automorphism(group, checks, coverage, rng)
 
+    e_k = np.eye(k, dtype=np.int64)[-1]  # B and the translation by e_k generate G_k
+    gen_rows = [group.element_index(0 * e_k, 1), group.element_index(e_k, p)] if check == "all" else None
     return finish_build(
         group, fix, lambda: twisted_family(group), family="affine", params={"p": p, "k": k},
-        m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, coverage=coverage, check=check, rng=rng,
+        m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, coverage=coverage, check=check,
+        generators=gen_rows,
     )

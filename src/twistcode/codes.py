@@ -4,10 +4,10 @@ A group element t with permutation image rho(t) is encoded as the passive
 form (1^rho(t), ..., q^rho(t)); a twisted code concatenates the passive
 forms over an ordered list of representations.  Minimum distance is
 computed three ways: a support-sum scan over group elements (valid
-whenever the joint kernel is trivial), an agreement-count kernel over
-codewords (distance_blocks, behind the check="all" oracles), and a plain
-symbol-compare pairwise scan, kept as the independent oracle of the
-`dist` subcommand.
+whenever the joint kernel is trivial), the least distance from codeword 0
+once check_distance_invariance has certified it (behind the check="all"
+oracles), and a plain symbol-compare pairwise scan, kept as the
+independent oracle of the `dist` subcommand.
 
 Both families run one pipeline: support_scan turns their (N, r)
 fixed-point table into delta_tw and delta_rep, and finish_build wraps the
@@ -21,16 +21,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._packed import chunks
 from .linalg import Matrix
 from .report import VerificationReport, coverage_value, stage
 
 FORMAT_MAGIC = "# twistcode v1"
 BIJECTION_CHUNK = 1 << 22  # table entries sorted at a time by the bijection check
 CODE_BYTES_GUARD = 1 << 28  # max |C| * length for materialised codewords
-EXHAUSTIVE_ORACLE_LIMIT = 20_000  # max |C| for the pairwise and invariance sweeps
-AGREEMENT_CHUNK = 1 << 19  # agreements (and output entries) per block of distance_blocks
-PAIRWISE_CHUNK = 1 << 22  # symbol compares per block of min_distance_pairwise
-INVARIANCE_ANCHORS = 8  # anchor codewords of the sampled invariance check
+PAIRWISE_CHUNK = 1 << 22  # symbols per block of the codeword scans (min_distance_pairwise and the oracles)
 EXHAUSTIVE_PAIR_LIMIT = 1 << 20  # max n^2 for the exhaustive element-pair checks
 
 
@@ -50,6 +48,29 @@ def sample_pairs(n, rng, samples):
 class NontrivialKernelError(ValueError):
     """The joint kernel of the representation list is nontrivial, so the
     support-sum formula does not compute the code's minimum distance."""
+
+
+def row_keys(words):
+    """One byte string per row of a 2-D array: a (N,) void view, so numpy
+    sorts, deduplicates and compares whole rows, exactly (two keys are
+    equal iff their rows are).  No hash, so no collision to resolve."""
+    words = np.ascontiguousarray(words)
+    return words.view(f"V{words.shape[1] * words.itemsize}").ravel()
+
+
+def _first_occurrences(keys):
+    """np.sort(np.unique(keys, return_index=True)[1]) from a stable argsort and
+    a neighbour mask: one sorted copy of the keys, where np.unique holds three."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    return np.sort(order[first])
+
+
+def _row_blocks(code):
+    """Slices of about PAIRWISE_CHUNK symbols of the code's rows (at least one row)."""
+    return chunks(code.size, max(1, PAIRWISE_CHUNK // max(code.length, 1)))
 
 
 class CodewordFileError(ValueError):
@@ -162,8 +183,7 @@ class Code:
             raise ValueError("words must be a 2-D array")
         if words.size and (words.min() < 1 or words.max() > q):
             raise ValueError("codeword symbol out of alphabet range")
-        _, first = np.unique(words, axis=0, return_index=True)
-        words = words[np.sort(first)]
+        words = words[_first_occurrences(row_keys(words))]
         words.setflags(write=False)
         self.words = words
         self.q = q
@@ -228,96 +248,56 @@ def min_distance_pairwise(code: Code) -> int:
 
 
 def distance_row(code: Code, i) -> np.ndarray:
-    return (code.words != code.words[i]).sum(axis=1)
+    """Hamming distance from codeword i to every codeword."""
+    out = np.empty(code.size, dtype=np.int64)
+    for sl in _row_blocks(code):
+        out[sl] = (code.words[sl] != code.words[i]).sum(axis=1)
+    return out
 
 
-def distance_blocks(code: Code):
-    """Yield (i0, d) over consecutive blocks of rows, d[r, j] the Hamming
-    distance from codeword i0 + r to codeword j, by counting agreements.
-
-    Two codewords agree in a column only where they hold the same symbol,
-    so the rows holding each (column, symbol) are listed once, and the
-    agreements of row i are the rows listed under its L cells: the work is
-    the sum over (column, symbol) of count^2, N^2 L / q for a transitive
-    group code, against N^2 L symbol compares.  A block is cut on the
-    running agreement count of its (row, column) cells and on its N-wide
-    output, so it holds about AGREEMENT_CHUNK entries (at least one cell)
-    whatever the symbol counts; a constant column costs N per cell."""
-    W = code.words
-    n, L = W.shape
-    q1 = code.q + 1
-    budget = AGREEMENT_CHUNK
-    # listed[start[c, s] : start[c, s] + count[c, s]] are the rows holding s in column c
-    listed = np.empty((L, n), dtype=np.min_scalar_type(max(n - 1, 0)))
-    count = np.empty((L, q1), dtype=np.int64)
-    cols = max(1, budget // max(n, 1))
-    for c0 in range(0, L, cols):
-        blk = W[:, c0 : c0 + cols].T
-        # "stable" selects radix sort on 8- and 16-bit symbols
-        listed[c0 : c0 + cols] = np.argsort(blk, axis=1, kind="stable")
-        cells = blk + q1 * np.arange(len(blk))[:, None]
-        count[c0 : c0 + cols] = np.bincount(cells.ravel(), minlength=len(blk) * q1).reshape(-1, q1)
-    listed = listed.ravel()
-    count = count.ravel()
-    start = np.cumsum(count) - count
-    col_key = q1 * np.arange(L)
-
-    rows = max(1, budget // max(n, L))
-    for i0 in range(0, n, rows):
-        keys = (W[i0 : i0 + rows] + col_key).ravel()
-        lens = count[keys]
-        ends = np.cumsum(lens)
-        cuts = np.searchsorted(ends, np.arange(budget, ends[-1], budget), side="right")
-        bounds = np.unique(np.concatenate(([0], cuts, [len(keys)]))).tolist()
-        nr = len(keys) // L
-        agree = np.zeros(nr * n, dtype=np.int64)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            seg = lens[a:b]
-            first = ends[a:b] - seg
-            # positions in `listed` of every agreement of cells a..b, cell by cell
-            pos = np.repeat(start[keys[a:b]] - (first - first[0]), seg) + np.arange(ends[b - 1] - first[0])
-            owner = np.repeat(n * (np.arange(a, b) // L), seg)
-            agree += np.bincount(owner + listed[pos], minlength=nr * n)
-        yield i0, L - agree.reshape(nr, n)
-
-
-def min_distance_by_agreement(code: Code) -> int:
-    """min_distance_pairwise through distance_blocks; 0 if |C| <= 1."""
-    if code.size <= 1:
-        return 0
-    best = code.length
-    for i0, d in distance_blocks(code):
-        r = np.arange(len(d))
-        d[r, i0 + r] = code.length  # a row's distance to itself
-        best = min(best, int(d.min()))
-    return best
-
-
-def check_distance_invariance(code: Code, anchors=None) -> bool:
-    """True iff the distance distribution from a codeword is independent of
-    the codeword.  anchors=None compares every codeword against the first,
-    through distance_blocks; a list of indices checks just those (for codes
-    too large to sweep)."""
+def check_distance_invariance(code: Code, *, generators) -> bool:
+    """Certificate, from the codewords alone, that every codeword has the
+    same distance distribution (Bailey, "Error-correcting codes from
+    permutation groups", Discrete Math. 309, 2009).  Each generator row c_s
+    must be blocks of permutations of 1..q, so sigma_s(b q + j) = b q +
+    c_s[b q + j] - 1 permutes the columns (a Hamming isometry), and the code
+    gathered through sigma_s must hold the code's rows (equal sorted
+    row_keys), so sigma_s also permutes the rows.  True iff all do, and they
+    reach every row from row 0: a group of isometries acts transitively, so
+    the minimum distance is row 0's least nonzero one.  Sufficient, not
+    necessary: a pass proves invariance whatever the rows given; an
+    invariant code fails when they are not permutation blocks or do not act
+    transitively.  In a group code sigma_s maps the codeword of x to that of
+    s x, so rows of generating elements pass."""
     if code.size <= 1:
         return True
-    if anchors is None:
-        ref = None
-        bins = code.length + 1
-        for _, d in distance_blocks(code):
-            # one distance histogram per row of the block, keyed in place in d
-            d += bins * np.arange(len(d))[:, None]
-            hist = np.bincount(d.ravel(), minlength=len(d) * bins).reshape(len(d), bins)
-            if ref is None:
-                ref = hist[0].copy()  # a view would keep the whole first block's table alive
-            if not (hist == ref).all():
-                return False
-        return True
-    ref = np.bincount(distance_row(code, 0), minlength=code.length + 1)
-    for i in anchors:
-        dist = np.bincount(distance_row(code, i), minlength=code.length + 1)
-        if not (dist == ref).all():
+    if code.length % code.q:
+        return False
+    q, keys = code.q, row_keys(code.words)
+    order = np.argsort(keys)
+    maps = []
+    for s in generators:
+        perm = code.words[s].reshape(-1, q).astype(np.intp) - 1
+        if not (np.sort(perm, axis=1) == np.arange(q)).all():
             return False
-    return True
+        # np.take, as W[:, sigma] gathers the columns several times slower
+        moved = row_keys(np.take(code.words, (q * np.arange(len(perm))[:, None] + perm).ravel(), axis=1))
+        moved_order = np.argsort(moved)
+        if not all((moved[moved_order[sl]] == keys[order[sl]]).all() for sl in _row_blocks(code)):
+            return False
+        maps.append(np.empty(code.size, dtype=np.intp))
+        maps[-1][moved_order] = order  # gathered row x is codeword maps[-1][x]
+        del moved  # one gathered copy of the code at a time
+    reached = np.zeros(code.size, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        step = np.zeros(code.size, dtype=bool)
+        for row_map in maps:
+            step[row_map[frontier]] = True
+        frontier = np.flatnonzero(step & ~reached)
+        reached[frontier] = True
+    return bool(reached.all())
 
 
 def joint_kernel_mask(reps):
@@ -354,11 +334,15 @@ def check_code_size(group, reps, code: Code) -> bool:
 
 def letter_counts_constant(code: Code, r) -> bool:
     """Frequency permutation array property: every letter occurs exactly r
-    times in every codeword."""
+    times in every codeword; one bincount per block of rows, each row's
+    symbols offset into its own q + 1 bins."""
     if code.length != r * code.q:
         return False
-    for row in code.words:
-        if not (np.bincount(row, minlength=code.q + 1)[1:] == r).all():
+    q1 = code.q + 1
+    for sl in _row_blocks(code):
+        rows = sl.stop - sl.start
+        cells = code.words[sl] + q1 * np.arange(rows)[:, None]
+        if not (np.bincount(cells.ravel(), minlength=rows * q1).reshape(rows, q1)[:, 1:] == r).all():
             return False
     return True
 
@@ -414,12 +398,12 @@ def support_scan(fix, m, expected, checks):
     return sums, delta_tw, delta_rep
 
 
-def finish_build(group, fix, make_reps, *, family, params, m, deltas, checks, times, coverage, check, rng):
+def finish_build(group, fix, make_reps, *, family, params, m, deltas, checks, times, coverage, check, generators):
     """Assemble the report and the build.  check="all" then materialises
-    the code and certifies the scan independently: pairwise distance,
-    distance invariance and letter counts, exhaustive up to
-    EXHAUSTIVE_ORACLE_LIMIT codewords and sampled above, adding what each
-    covered to `coverage`."""
+    the code and certifies the scan independently and exhaustively, adding
+    so to `coverage`: letter counts, distance invariance certified from the
+    code rows `generators` of generating elements, and the pairwise minimum
+    as row 0's, besides the support scan and the repetition bound."""
     delta_tw, delta_rep = deltas
     n, r = len(group), fix.shape[1]
     report = VerificationReport(
@@ -435,24 +419,17 @@ def finish_build(group, fix, make_reps, *, family, params, m, deltas, checks, ti
         code = build.code
     report.code_size = code.size
     checks["code_size_faithful"] = check_code_size(group, reps, code) and code.size == n
-    if n <= EXHAUSTIVE_ORACLE_LIMIT:
-        suffix, letters, anchors = "", code, None
-        for name in ("fpa_letter_counts", "pairwise_delta_agrees", "distance_invariant"):
-            coverage[name] = "exhaustive"
-    else:
-        sample = rng.integers(0, n, size=100)
-        anchors = [int(i) for i in rng.integers(1, n, size=INVARIANCE_ANCHORS)]
-        suffix, letters = "_sampled", Code(code.words[sample], code.q)
-        coverage["fpa_letter_counts_sampled"] = coverage_value(len(sample), n)
-        coverage["distance_invariant_sampled"] = coverage_value(len(anchors), n)
-    checks[f"fpa_letter_counts{suffix}"] = letter_counts_constant(letters, r)
-    if anchors is None:
-        with stage(times, "pairwise"):
-            checks["pairwise_delta_agrees"] = min_distance_by_agreement(code) == delta_tw
-        checks["support_scan_agrees"] = min_distance_by_support(group, reps) == delta_tw
-        checks["repetition_bound_agrees"] = repetition_lower_bound(group, reps) == delta_rep
+    for name in ("fpa_letter_counts", "pairwise_delta_agrees", "distance_invariant"):
+        coverage[name] = "exhaustive"
+    checks["fpa_letter_counts"] = letter_counts_constant(code, r)
     with stage(times, "invariance"):
-        checks[f"distance_invariant{suffix}"] = check_distance_invariance(code, anchors=anchors)
+        invariant = check_distance_invariance(code, generators=generators)
+    with stage(times, "pairwise"):
+        least = int(distance_row(code, 0)[1:].min(initial=code.length + 1))
+    checks["pairwise_delta_agrees"] = invariant and least == delta_tw
+    checks["support_scan_agrees"] = min_distance_by_support(group, reps) == delta_tw
+    checks["repetition_bound_agrees"] = repetition_lower_bound(group, reps) == delta_rep
+    checks["distance_invariant"] = invariant
     return build
 
 

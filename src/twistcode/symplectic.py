@@ -468,8 +468,9 @@ def build_symplectic_twisted(space, check="fast", rng_seed=1):
 
     check="fast" runs the closure, classification, outer-automorphism and
     support-scan suites; check="all" additionally materialises the code
-    and, when the pairwise scan is feasible, runs the pairwise oracle,
-    distance invariance and letter counts (sampled variants otherwise).
+    and runs the pairwise oracle, the distance-invariance certificate over
+    the code rows of the GENERATOR_WORDS elements and letter counts, all
+    exhaustive.
     """
 
     if check not in ("fast", "all"):
@@ -533,11 +534,13 @@ def build_symplectic_twisted(space, check="fast", rng_seed=1):
         q == 2 or bool((sums[neither] > 2 * q**3 + q**2).all())
     )
 
+    # the rows of the GENERATOR_WORDS elements, for the invariance certificate
+    gen_rows = group.indices_of_keys(space.ops.pack_keys(space.ops.pack(generators(space)))) if check == "all" else None
     build = finish_build(
         group, fix, lambda: [natural := group.natural_representation(), tau.representation(natural)],
         family="symplectic", params={"n": space.n, "poly": space.field.poly},
         m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, coverage=coverage,
-        check=check, rng=rng,
+        check=check, generators=gen_rows,
     )
     build.tau = tau
     return build

@@ -213,16 +213,16 @@ def test_group_order_check_can_fail(monkeypatch, capsys):
     assert status == 1
 
 
-def test_sampled_oracle_coverage(monkeypatch):
-    monkeypatch.setattr(codes, "EXHAUSTIVE_ORACLE_LIMIT", 100)
+def test_check_all_coverage_exhaustive(monkeypatch):
+    # every oracle is exhaustive at every size, in blocks of one row as well
+    monkeypatch.setattr(codes, "PAIRWISE_CHUNK", 1)
     report = build_affine_twisted(AffineParams(5, 2), check="all").report
     assert report.all_pass()
-    assert report.coverage == {
-        "twist_automorphism": "exhaustive",
-        "twist_identity_r0": "exhaustive",
-        "fpa_letter_counts_sampled": "100/125",
-        "distance_invariant_sampled": "8/125",
-    }
+    assert report.coverage == dict.fromkeys(
+        ["twist_automorphism", "twist_identity_r0", "fpa_letter_counts", "pairwise_delta_agrees", "distance_invariant"],
+        "exhaustive",
+    )
+    assert not [line for line in report.lines() if "_sampled" in line]
 
 
 def test_support_sum_dichotomy(g32):

@@ -1,3 +1,4 @@
+import itertools
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -22,12 +23,10 @@ from twistcode.codes import (
     check_code_size,
     check_distance_invariance,
     codeword_from_element,
-    distance_blocks,
     distance_row,
     finish_build,
     hamming_distance,
     letter_counts_constant,
-    min_distance_by_agreement,
     min_distance_by_support,
     min_distance_pairwise,
     read_code,
@@ -38,7 +37,7 @@ from twistcode.codes import (
 )
 from twistcode.fields import BinaryField, PrimeField
 from twistcode.linalg import Matrix
-from twistcode.symplectic import SymplecticGroup, SymplecticSpace, build_outer_automorphism, generate_group
+from twistcode.symplectic import SymplecticGroup, SymplecticSpace, build_outer_automorphism, generate_group, generators
 
 from oracles import mulclose
 
@@ -200,7 +199,7 @@ def test_pairwise_oracle_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert delta == min_distance_by_agreement(code)
+    assert delta == min(int(distance_row(code, i)[i + 1 :].min()) for i in range(code.size - 1))
     assert peak < 8 << 20
 
 
@@ -252,13 +251,28 @@ def test_nontrivial_joint_kernel_reported():
     assert not check_code_size(group, [trivial], Code(np.array([[1, 2, 3], [1, 3, 2]]), 3))
 
 
+def sp2_generator_rows(space, group):
+    """Code rows of the GENERATOR_WORDS elements of Sp(4, 2)."""
+    return group.indices_of_keys(space.ops.pack_keys(space.ops.pack(generators(space))))
+
+
+def affine_generator_rows(group):
+    """Code rows of B and of the translation by e_k."""
+    k = group.params.k
+    e_k = np.eye(k, dtype=np.int64)[-1]
+    return [group.element_index(0 * e_k, 1), group.element_index(e_k, group.params.p)]
+
+
 def test_distance_invariance_small_cases(affine32):
-    assert check_distance_invariance(Code(np.array([[1, 2, 3]]), 3))
-    assert check_distance_invariance(Code(np.array([[1, 2], [1, 3]]), 3))
+    assert check_distance_invariance(Code(np.array([[1, 2, 3]]), 3), generators=[])
+    # invariant, but its rows are not permutations of 1..q: not certified
+    assert not check_distance_invariance(Code(np.array([[1, 2], [1, 3]]), 3), generators=[0, 1])
+    # the column map [1, 0, 0] of the first row swaps the rows, but is no isometry
+    assert not check_distance_invariance(Code(np.array([[2, 1, 1], [1, 2, 2]]), 3), generators=[0])
     # distances {0, 2, 2} from the first row, {0, 2, 3} from the second
-    assert not check_distance_invariance(Code(np.array([[1, 2, 3], [2, 1, 3], [3, 2, 1]]), 3))
+    assert not check_distance_invariance(Code(np.array([[1, 2, 3], [2, 1, 3], [3, 2, 1]]), 3), generators=[0, 1, 2])
     group, reps = affine32
-    assert check_distance_invariance(build_twisted_code(group, reps))
+    assert check_distance_invariance(build_twisted_code(group, reps), generators=affine_generator_rows(group))
 
 
 def invariant_by_rows(code):
@@ -267,26 +281,119 @@ def invariant_by_rows(code):
     return all((h == hists[0]).all() for h in hists)
 
 
+def close_permutations(gens):
+    """Every product of the given permutation tuples, breadth first from the identity."""
+    ident = tuple(range(len(gens[0])))
+    seen, frontier = {ident: 0}, [ident]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for s in gens:
+                y = tuple(x[i] for i in s)
+                if y not in seen:
+                    seen[y] = len(seen)
+                    fresh.append(y)
+        frontier = fresh
+    return list(seen), seen
+
+
+@st.composite
+def certificate_codes(draw):
+    """Small codes of r blocks of q columns: a permutation group's passive
+    forms, repeated r times, as they are or with one row dropped or two
+    symbols of one row swapped; rows of r random permutations; or plain
+    random symbols."""
+    q, r = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["group", "permutations", "symbols"]))
+    if kind == "symbols":
+        return Code(draw(hnp.arrays(np.uint8, (draw(st.integers(1, 8)), q * r), elements=st.integers(1, q))), q)
+    perm = st.permutations(range(q))
+    if kind == "group":
+        elements, _ = close_permutations([tuple(draw(perm)) for _ in range(draw(st.integers(1, 2)))])
+        words = np.tile(np.array(elements), r) + 1
+        i, j, k = draw(st.integers(0, len(words) - 1)), draw(st.integers(0, q * r - 1)), draw(st.integers(0, q * r - 1))
+        mutation = draw(st.sampled_from(["none", "drop", "swap"]))
+        if mutation == "drop" and len(words) > 1:
+            words = np.delete(words, i, axis=0)
+        elif mutation == "swap":
+            words[i, [j, k]] = words[i, [k, j]]
+    else:
+        words = np.array([sum((draw(perm) for _ in range(r)), []) for _ in range(draw(st.integers(1, 12)))]) + 1
+    return Code(words.astype(np.uint8), q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(certificate_codes())
+def test_invariance_certificate_sound(code):
+    # a pass, with every row as a generator, proves invariance and delta from row 0
+    if check_distance_invariance(code, generators=range(code.size)):
+        assert invariant_by_rows(code)
+        assert code.size == 1 or int(distance_row(code, 0)[1:].min()) == min_distance_pairwise(code)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_distance_blocks_equal_plain_oracle(data):
-    n, length, q = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 30)), data.draw(st.integers(1, 6))
-    words = data.draw(hnp.arrays(np.uint8, (n, length), elements=st.integers(1, q)))
-    constant = data.draw(st.lists(st.integers(0, length - 1), max_size=length))
-    words[:, constant] = words[0, constant]
-    code = Code(words, q)
-    want = np.stack([distance_row(code, i) for i in range(code.size)])
-    # the default budget, then one (row, column) cell per block
-    for budget in (codes.AGREEMENT_CHUNK, 1):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(codes, "AGREEMENT_CHUNK", budget)
-            mp.setattr(codes, "PAIRWISE_CHUNK", budget)
-            got = np.full_like(want, -1)
-            for i0, d in distance_blocks(code):
-                got[i0 : i0 + len(d)] = d
-            assert np.array_equal(got, want)
-            assert min_distance_by_agreement(code) == min_distance_pairwise(code)
-            assert check_distance_invariance(code) == invariant_by_rows(code)
+@given(st.integers(1, 6).flatmap(
+    lambda d: st.tuples(st.lists(st.permutations(range(d)), min_size=1, max_size=3), st.permutations(range(d)))
+))
+def test_invariance_certificate_complete_on_permutation_groups(case):
+    # the group's passive forms, then twisted by conjugation with h: its generators certify it
+    gens, h = [tuple(g) for g in case[0]], np.array(case[1])
+    elements, index = close_permutations(gens)
+    nat = np.array(elements)
+    conj = np.argsort(h)[nat[:, h]]  # h^-1 x h, a second representation
+    code = Code(np.concatenate([nat, conj], axis=1) + 1, len(h))
+    assert code.size == len(elements)
+    assert check_distance_invariance(code, generators=[index[g] for g in gens])
+    if code.size > 1:
+        assert int(distance_row(code, 0)[1:].min()) == min_distance_pairwise(code)
+
+
+def test_invariance_certificate_complete_on_families(sp2):
+    for p, k in [(3, 2), (5, 2)]:
+        group = enumerate_group(AffineParams(p, k))
+        code = build_twisted_code(group, twisted_family(group))
+        assert check_distance_invariance(code, generators=affine_generator_rows(group))
+        assert int(distance_row(code, 0)[1:].min()) == min_distance_pairwise(code) == p ** (k + 1) - p
+    space, group, natural = sp2
+    tau = build_outer_automorphism(space, group).representation(natural)
+    code = build_twisted_code(group, [natural, tau])
+    assert check_distance_invariance(code, generators=sp2_generator_rows(space, group))
+    assert int(distance_row(code, 0)[1:].min()) == min_distance_pairwise(code) == 20
+
+
+def test_invariance_certificate_fails_on_mutations(affine32):
+    group, reps = affine32
+    code = build_twisted_code(group, reps)
+    gens = affine_generator_rows(group)
+    assert check_distance_invariance(code, generators=gens)
+    swapped = code.words.copy()
+    swapped[7, [0, 1]] = swapped[7, [1, 0]]  # two symbols of one codeword
+    assert not check_distance_invariance(Code(swapped, code.q), generators=gens)
+    dropped = Code(code.words[:-1], code.q)  # the last row; the generator rows stay put
+    assert max(gens) < dropped.size
+    assert not check_distance_invariance(dropped, generators=gens)
+    assert not check_distance_invariance(code, generators=[0])  # the identity alone
+    assert not check_distance_invariance(code, generators=gens[:1])  # B alone: cyclic of order p
+
+
+@settings(max_examples=60, deadline=None)
+@given(certificate_codes(), st.sampled_from([1, codes.PAIRWISE_CHUNK]))
+def test_row_scans_equal_row_loops(code, chunk):
+    # the block scans, with one-row blocks too, against one row at a time
+    r = code.length // code.q
+    letters = all((np.bincount(row, minlength=code.q + 1)[1:] == r).all() for row in code.words)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "PAIRWISE_CHUNK", chunk)
+        assert letter_counts_constant(code, r) == letters
+        assert distance_row(code, code.size - 1).tolist() == [hamming_distance(w, code.words[-1]) for w in code.words]
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(st.sampled_from([np.uint8, np.uint16]), st.tuples(st.integers(1, 30), st.integers(1, 4)),
+                  elements=st.integers(1, 3)))
+def test_code_dedup_matches_unique_axis0(words):
+    _, first = np.unique(words, axis=0, return_index=True)
+    assert np.array_equal(Code(words, 3).words, words[np.sort(first)])
 
 
 def test_finish_build_reports_wrong_delta(affine32):
@@ -295,7 +402,7 @@ def test_finish_build_reports_wrong_delta(affine32):
     build = finish_build(
         group, group.fixed_count_table(), lambda: reps, family="affine", params={"p": 3, "k": 2},
         m=9, deltas=(25, 18), checks=checks, times={}, coverage={}, check="all",
-        rng=np.random.default_rng(1),
+        generators=affine_generator_rows(group),
     )
     assert "check.pairwise_delta_agrees=FAIL" in build.report.lines()
     assert checks["distance_invariant"] and checks["fpa_letter_counts"]

@@ -7,6 +7,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
+from twistcode.codes import Code
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -48,7 +52,6 @@ ARGUMENT_READS = [
     ("symplectic", "_check_tau_homomorphism", 4, "samples"),
     ("codes", "min_distance_pairwise", 0, "code"),
     ("codes", "check_distance_invariance", 0, "code"),
-    ("codes", "check_distance_invariance", 1, "anchors"),
     ("codes", "write_code", 0, "path"),
     ("codes", "read_code", 0, "path"),
 ]
@@ -58,3 +61,11 @@ def test_tracer_argument_positions():
     for mod, attr, pos, name in ARGUMENT_READS:
         params = list(inspect.signature(lookup(mod, attr)).parameters)
         assert params[pos] == name, (mod, attr, params)
+
+
+def test_invariance_rows_counter_reads_code_size():
+    # the certificate reads every row; its generator rows are passed by keyword
+    tr = load_tracer()
+    code = Code(np.array([[1, 2], [2, 1]]), 2)
+    counts = tr._invariance_rows((code,), {"generators": [1]}, True)
+    assert counts == {"codes.check_distance_invariance.rows": code.size}
