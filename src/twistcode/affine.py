@@ -5,11 +5,17 @@ p-fold twisted permutation code they generate.
 
 Element bookkeeping: every element is stored with its decomposition
 (u, i) where u is the top-row translation block and i in {1..p} is the
-exponent of the lower block B^i (i = p encodes B^p = I).  Fixed-point
-counts are computed honestly from the point action, organised as one
-histogram per exponent class: an element (u, i) fixes (1, x) iff
+exponent of the lower block B^i (i = p encodes B^p = I).  Natural
+fixed-point counts are computed honestly from the point action, one
+histogram per exponent block: an element (u, i) fixes (1, x) iff
 u = x - x.B^i, so counting preimages of that difference map over all m
 points answers every (u, i) at once.
+
+The r-twist (u, i) -> (u + r w(i), i) is kept, as Sp(4, q)'s tau is, as a
+permutation of the enumerated group (AffineGroup.twist_index), so its
+fixed-count column and permutation table are the natural ones gathered
+through it; codes.twisted_representations builds the check="all"
+representations of both families that way.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import EnumeratedGroup, IndexedDomain, Representation, finish_build, row_keys, sample_pairs, support_scan
+from .codes import EnumeratedGroup, IndexedDomain, Representation, finish_build, row_keys, sample_pairs
+from .codes import support_scan, twisted_representations
 from .fields import PrimeField
 from .linalg import Matrix
 from .report import stage
@@ -100,11 +107,6 @@ class AffineElement:
         return self.matrix.is_identity()
 
 
-def _norm_exponent(p, i):
-    """Normalise an exponent into {1..p} (i = p stands for B^i = I)."""
-    return (i - 1) % p + 1
-
-
 def enumerate_points(params: AffineParams) -> IndexedDomain:
     """All (1, v) labels, v running lexicographically over GF(p)^k."""
     vecs = _point_array(params)
@@ -160,15 +162,10 @@ class AffineGroup(EnumeratedGroup):
     def _encode_points(self, vecs):
         return vecs.astype(np.int64) @ self.weights
 
-    def _index_of_ui_arrays(self, u_vecs, i_vals):
-        p, m = self.params.p, self.params.num_points
-        s = np.where(i_vals == p, 0, i_vals)
-        return s * m + self._encode_points(u_vecs)
-
     def element_index(self, u, i) -> int:
-        u = np.asarray(u, dtype=np.int64) % self.params.p
-        i = _norm_exponent(self.params.p, i)
-        return int(self._index_of_ui_arrays(u.reshape(1, -1), np.array([i]))[0])
+        """Index of (u, i): exponent block i mod p (block_exponents), then u's rank."""
+        p = self.params.p
+        return i % p * self.params.num_points + int(self._encode_points(np.asarray(u, dtype=np.int64) % p))
 
     def element(self, idx) -> AffineElement:
         return AffineElement(
@@ -184,39 +181,41 @@ class AffineGroup(EnumeratedGroup):
         u = (self.u_vecs[b].astype(np.int64) + self.u_vecs[a].astype(np.int64) @ self.b_pows[ib]) % p
         return self.element_index(u, ia + ib)
 
-    def twist_translations(self, r):
-        """Top-row blocks of the r-twisted elements: u + r * w(i)."""
-        p = self.params.p
-        w = self.omega_last[self.i_vals]
-        return (self.u_vecs.astype(np.int64) + r * w.astype(np.int64)) % p
-
-    def twisted_perm_table(self, r):
-        """Permutation images (N, m) of every element under the r-twist."""
+    def twist_index(self, r):
+        """tau_r as a permutation of the enumerated group, tau_r(g_j) =
+        g_index[j]: (u, i) goes to (u + r w(i), i), one exponent block at a
+        time, so the temporaries stay at m rows."""
         p, m = self.params.p, self.params.num_points
-        n = len(self)
-        t_all = self.twist_translations(r)
-        out = np.zeros((n, m), dtype=np.min_scalar_type(m - 1))
+        index = np.empty(len(self), dtype=np.intp)
         for s, i in enumerate(self.block_exponents):
-            sl = slice(s * m, (s + 1) * m)
+            moved = (self.points.astype(np.int64) + r * self.omega_last[i].astype(np.int64)) % p
+            index[s * m : (s + 1) * m] = s * m + self._encode_points(moved)
+        return index
+
+    def twisted_perm_table(self, r=0):
+        """Permutation images (N, m) of every element under the r-twist:
+        the natural table, gathered through twist_index(r) for r != 0."""
+        p, m = self.params.p, self.params.num_points
+        out = np.empty((len(self), m), dtype=np.min_scalar_type(m - 1))
+        for s, i in enumerate(self.block_exponents):
             pb = self.points.astype(np.int64) @ self.b_pows[i] % p
-            imgs = (pb[None, :, :] + t_all[sl][:, None, :]) % p
-            out[sl] = self._encode_points(imgs)
-        return out
+            imgs = (pb[None, :, :] + self.points[:, None, :]) % p
+            out[s * m : (s + 1) * m] = self._encode_points(imgs)
+        return out[self.twist_index(r)] if r else out
 
     def fixed_count_table(self):
         """Honest fixed-point counts (N, p): column r counts the points
-        fixed by the r-twist of each element, by enumerating the action."""
+        fixed by the r-twist of each element.  Column 0 enumerates the
+        action with one histogram per exponent block; column r is column 0
+        gathered through twist_index(r)."""
         p, m = self.params.p, self.params.num_points
-        counts = np.zeros((len(self), p), dtype=np.int64)
-        enc = self._encode_points
+        natural = np.empty(len(self), dtype=np.int64)  # contiguous, so each gather reads one block's window
         for s, i in enumerate(self.block_exponents):
-            sl = slice(s * m, (s + 1) * m)
             diff = (self.points.astype(np.int64) - self.points.astype(np.int64) @ self.b_pows[i]) % p
-            hist = np.bincount(enc(diff % p), minlength=m)
-            w = self.omega_last[i].astype(np.int64)
-            for r in range(p):
-                t = (self.points.astype(np.int64) + r * w) % p
-                counts[sl, r] = hist[enc(t)]
+            natural[s * m : (s + 1) * m] = np.bincount(self._encode_points(diff), minlength=m)
+        counts = np.empty((len(self), p), dtype=np.int64)
+        for r in range(p):
+            counts[:, r] = natural[self.twist_index(r)] if r else natural
         return counts
 
 
@@ -266,16 +265,6 @@ def fixed_point_count(params: AffineParams, g: AffineElement, by_enumeration=Fal
     if g.i != params.p and g.u[-1] == 0:
         return params.p
     return 0
-
-
-def twisted_representation(group: AffineGroup, r) -> Representation:
-    return Representation(group, group.twisted_perm_table(r))
-
-
-def twisted_family(group: AffineGroup):
-    """The ordered list (r = 0, 1, ..., p-1) of twisted representations;
-    r = 0 is the natural action."""
-    return [twisted_representation(group, r) for r in range(group.params.p)]
 
 
 def _check_closed_forms(params, checks):
@@ -329,8 +318,7 @@ def _check_twist_automorphism(group, checks, coverage, rng):
         rhs = (plain + w3) % p
         ok &= bool((lhs == rhs).all())
     checks["twist_automorphism"] = ok
-    tau0 = group._index_of_ui_arrays(group.twist_translations(0), group.i_vals)
-    checks["twist_identity_r0"] = bool((tau0 == np.arange(n)).all())
+    checks["twist_identity_r0"] = bool((group.twist_index(0) == np.arange(n)).all())
     coverage["twist_identity_r0"] = "exhaustive"
 
 
@@ -412,7 +400,9 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
     e_k = np.eye(k, dtype=np.int64)[-1]  # B and the translation by e_k generate G_k
     gen_rows = [group.element_index(0 * e_k, 1), group.element_index(e_k, p)] if check == "all" else None
     return finish_build(
-        group, fix, lambda: twisted_family(group), family="affine", params={"p": p, "k": k},
+        group, fix, lambda: twisted_representations(
+            Representation(group, group.twisted_perm_table()), map(group.twist_index, range(1, p))
+        ), family="affine", params={"p": p, "k": k},
         m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, coverage=coverage, check=check,
         generators=gen_rows,
     )

@@ -144,11 +144,12 @@ class Representation:
         ident = np.arange(q)
         if not (perms[0] == ident).all():
             raise ValueError("identity element must act as the identity permutation")
-        rows = max(1, BIJECTION_CHUNK // q)
-        for i0 in range(0, perms.shape[0], rows):
+        self.sizes = np.empty(perms.shape[0], dtype=np.intp)  # support size of each element's image
+        for sl in chunks(perms.shape[0], max(1, BIJECTION_CHUNK // q)):
             # "stable" selects radix sort on 8- and 16-bit tables
-            if not (np.sort(perms[i0 : i0 + rows], axis=1, kind="stable") == ident).all():
+            if not (np.sort(perms[sl], axis=1, kind="stable") == ident).all():
                 raise ValueError("some image array is not a bijection")
+            self.sizes[sl] = np.count_nonzero(perms[sl] != ident, axis=1)
         perms.setflags(write=False)
         self.group = group
         self.perms = perms
@@ -160,15 +161,11 @@ class Representation:
     def perm(self, i):
         return self.perms[i]
 
-    def support_sizes(self):
-        return (self.perms != np.arange(self.q)).sum(axis=1)
-
     def kernel_mask(self):
-        return (self.perms == np.arange(self.q)).all(axis=1)
+        return self.sizes == 0
 
     def minimal_degree(self):
-        sizes = self.support_sizes()
-        nontrivial = sizes[~self.kernel_mask()]
+        nontrivial = self.sizes[self.sizes > 0]
         if nontrivial.size == 0:
             raise NontrivialKernelError("representation is trivial")
         return int(nontrivial.min())
@@ -211,6 +208,13 @@ def hamming_distance(a, b) -> int:
 def codeword_from_element(rep: Representation, i: int):
     """Passive form of element i: symbol j is the 1-based image of point j."""
     return rep.perms[i].astype(np.min_scalar_type(rep.q)) + 1
+
+
+def twisted_representations(natural: Representation, automorphisms):
+    """The natural representation, then one per group automorphism tau,
+    given as an index permutation t (tau(g_j) = g_t[j]): the natural table's
+    rows gathered through t, the natural action of tau(g)."""
+    return [natural] + [Representation(natural.group, natural.perms[t]) for t in automorphisms]
 
 
 def build_code(group, rep: Representation) -> Code:
@@ -300,23 +304,20 @@ def check_distance_invariance(code: Code, *, generators) -> bool:
     return bool(reached.all())
 
 
-def joint_kernel_mask(reps):
-    mask = reps[0].kernel_mask()
-    for r in reps[1:]:
-        mask &= r.kernel_mask()
-    return mask
+def summed_supports(reps):
+    """Per element, the support sizes summed over the representations:
+    zero exactly on the joint kernel."""
+    return sum(r.sizes for r in reps)
 
 
 def min_distance_by_support(group, reps) -> int:
     """Identity-anchored scan: min over non-identity t of the summed
     support sizes.  Raises NontrivialKernelError when the formula does not
     apply (some non-identity element acts trivially in every entry)."""
-    kernel = joint_kernel_mask(reps)
-    if kernel.sum() != 1:
-        raise NontrivialKernelError(
-            f"joint kernel has {int(kernel.sum())} elements; support scan does not equal delta"
-        )
-    total = sum(r.support_sizes() for r in reps)
+    total = summed_supports(reps)
+    kernel = int((total == 0).sum())
+    if kernel != 1:
+        raise NontrivialKernelError(f"joint kernel has {kernel} elements; support scan does not equal delta")
     return int(total[1:].min()) if len(group) > 1 else 0
 
 
@@ -328,8 +329,7 @@ def repetition_lower_bound(group, reps) -> int:
 
 def check_code_size(group, reps, code: Code) -> bool:
     """|C| * |K| = |T| with K the joint kernel."""
-    k = int(joint_kernel_mask(reps).sum())
-    return code.size * k == len(group)
+    return code.size * int((summed_supports(reps) == 0).sum()) == len(group)
 
 
 def letter_counts_constant(code: Code, r) -> bool:
@@ -470,12 +470,15 @@ def read_code(path):
     try:
         q = int(meta["q"])
         length = int(meta["length"])
+        size = int(meta["size"]) if "size" in meta else None
     except (KeyError, ValueError) as exc:
         raise CodewordFileError(2, f"bad metadata header: {exc}") from exc
     rows = []
     for ln, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
+        if len(rows) == size:
+            raise CodewordFileError(ln, f"more codewords than the header's size={size}")
         try:
             row = [int(tok) for tok in line.split()]
         except ValueError:
@@ -487,5 +490,7 @@ def read_code(path):
         rows.append(row)
     if not rows:
         raise CodewordFileError(len(lines) + 1, "no codewords")
+    if size is not None and len(rows) != size:
+        raise CodewordFileError(len(lines) + 1, f"{len(rows)} codewords, the header's size={size}")
     words = np.asarray(rows, dtype=np.min_scalar_type(q))
     return Code(words, q), meta

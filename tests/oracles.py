@@ -1,6 +1,9 @@
 """Independent oracles shared by the tests; they share no code with the
-packed kernels they certify."""
+packed kernels and gathered tables they certify."""
 
+import numpy as np
+
+from twistcode.affine import matrix_B
 from twistcode.linalg import Matrix
 
 
@@ -28,3 +31,41 @@ def mulclose(generators):
                     new.append(h)
         frontier = new
     return order
+
+
+def affine_twisted_elements(group, r):
+    """(N, k+1, k+1) matrices of the r-twisted affine elements, straight
+    from the element matrices: [[1, u], [0, B^i]] gains r times the last
+    row of I + B + ... + B^(i-1) in its top block.  The exponent i is read
+    off the matrix (entry (2, 1) is i mod p) and the sum is taken term by
+    term."""
+    p, k = group.params.p, group.params.k
+    B = matrix_B(k, p)
+    power, acc, last_rows = Matrix.identity(B.field, k), Matrix.zeros(B.field, k), []
+    for _ in range(p):
+        acc = acc + power
+        power = power * B
+        last_rows.append(acc.A[-1].astype(np.int64))  # i = 1, ..., p
+    mats = group.elements.astype(np.int64)
+    i = mats[:, 2, 1].copy()
+    i[i == 0] = p
+    mats[:, 0, 1:] = (mats[:, 0, 1:] + r * np.stack(last_rows)[i - 1]) % p
+    return mats
+
+
+def affine_twisted_table(group, r):
+    """(N, m) image table of the r-twists, one element at a time: point
+    (1, v) goes to (1, v) M for the twisted matrix M, and points are
+    numbered by their lexicographic rank in GF(p)^k."""
+    p, k = group.params.p, group.params.k
+    rank = p ** np.arange(k - 1, -1, -1)
+    points = np.array(list(np.ndindex(*(p,) * k)), dtype=np.int64)
+    homog = np.concatenate([np.ones((len(points), 1), dtype=np.int64), points], axis=1)
+    return np.stack([(homog @ mat % p)[:, 1:] @ rank for mat in affine_twisted_elements(group, r)])
+
+
+def affine_twist_index(group, r):
+    """tau_r as an index permutation: the index of each twisted element
+    matrix among the group's element matrices."""
+    where = {mat.tobytes(): j for j, mat in enumerate(group.elements)}
+    return np.array([where[mat.astype(np.uint8).tobytes()] for mat in affine_twisted_elements(group, r)])

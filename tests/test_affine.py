@@ -19,6 +19,8 @@ from twistcode.cli import main as cli_main
 from twistcode.fields import PrimeField
 from twistcode.linalg import Matrix
 
+from oracles import affine_twist_index, affine_twisted_table
+
 
 @pytest.fixture(scope="module")
 def g32():
@@ -223,6 +225,38 @@ def test_check_all_coverage_exhaustive(monkeypatch):
         "exhaustive",
     )
     assert not [line for line in report.lines() if "_sampled" in line]
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (5, 3), (7, 3)])
+def test_twisted_tables_are_gathers(p, k):
+    # every twist's representation, table and fixed-count column, gathered
+    # through twist_index, against the direct per-r image computation
+    build = build_affine_twisted(AffineParams(p, k))
+    group, reps = build.group, build.representations
+    m = p**k
+    assert len(reps) == p
+    for r in range(p):
+        ref = affine_twisted_table(group, r)
+        assert np.array_equal(group.twist_index(r), affine_twist_index(group, r))
+        assert np.array_equal(reps[r].perms, ref)
+        assert np.array_equal(group.twisted_perm_table(r), ref)
+        assert np.array_equal(build.fix[:, r], (ref == np.arange(m)).sum(axis=1))
+        assert np.array_equal(reps[r].sizes, m - build.fix[:, r])
+
+
+def test_wrong_twist_index_fails_check_all(monkeypatch, capsys):
+    real = affine.AffineGroup.twist_index
+
+    def swapped(group, r):
+        index = real(group, r)
+        if r == 1:
+            index[[1, 10]] = index[[10, 1]]
+        return index
+
+    monkeypatch.setattr(affine.AffineGroup, "twist_index", swapped)
+    status = cli_main(["affine", "--p", "3", "--k", "2", "--check", "all"])
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.endswith("=FAIL")]
+    assert "check.distance_invariant=FAIL" in fails and status == 1
 
 
 def test_support_sum_dichotomy(g32):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from twistcode import codes
-from twistcode.affine import AffineParams, enumerate_group, twisted_family, twisted_representation
+from twistcode.affine import AffineParams, build_affine_twisted
 from twistcode.codes import (
     Code,
     CodewordFileError,
@@ -33,6 +33,7 @@ from twistcode.codes import (
     repetition_lower_bound,
     sample_pairs,
     support_size,
+    twisted_representations,
     write_code,
 )
 from twistcode.fields import BinaryField, PrimeField
@@ -55,8 +56,8 @@ def cyclic3():
 
 @pytest.fixture(scope="module")
 def affine32():
-    group = enumerate_group(AffineParams(3, 2))
-    return group, twisted_family(group)
+    build = build_affine_twisted(AffineParams(3, 2))
+    return build.group, build.representations
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,7 @@ def test_support_size_basics():
 def test_transvection_support_in_sp42(sp2):
     space, group, rep = sp2
     mask = group.transvection_mask()
-    sizes = rep.support_sizes()
+    sizes = rep.sizes
     # 15 points, q^2+q+1 = 7 fixed: support 8 for every transvection
     assert (sizes[mask] == 8).all()
 
@@ -350,12 +351,12 @@ def test_invariance_certificate_complete_on_permutation_groups(case):
 
 def test_invariance_certificate_complete_on_families(sp2):
     for p, k in [(3, 2), (5, 2)]:
-        group = enumerate_group(AffineParams(p, k))
-        code = build_twisted_code(group, twisted_family(group))
+        build = build_affine_twisted(AffineParams(p, k))
+        group, code = build.group, build.code
         assert check_distance_invariance(code, generators=affine_generator_rows(group))
         assert int(distance_row(code, 0)[1:].min()) == min_distance_pairwise(code) == p ** (k + 1) - p
     space, group, natural = sp2
-    tau = build_outer_automorphism(space, group).representation(natural)
+    tau = twisted_representations(natural, [build_outer_automorphism(space, group).index])[1]
     code = build_twisted_code(group, [natural, tau])
     assert check_distance_invariance(code, generators=sp2_generator_rows(space, group))
     assert int(distance_row(code, 0)[1:].min()) == min_distance_pairwise(code) == 20
@@ -467,6 +468,25 @@ def test_code_file_malformed(tmp_path):
     assert err.value.line == 3
 
 
+def test_code_file_size_header_checked(tmp_path):
+    # the header's size= must count the codeword lines: a dropped line or an extra one is named
+    path = tmp_path / "e.tw"
+    path.write_text("# twistcode v1\n# family=custom q=3 length=3 size=3\n1 2 3\n2 3 1\n")
+    with pytest.raises(CodewordFileError, match="2 codewords, the header's size=3") as err:
+        read_code(path)
+    assert err.value.line == 5
+    path.write_text("# twistcode v1\n# family=custom q=3 length=3 size=1\n1 2 3\n\n2 3 1\n")
+    with pytest.raises(CodewordFileError, match="more codewords than the header's size=1") as err:
+        read_code(path)
+    assert err.value.line == 5
+    path.write_text("# twistcode v1\n# family=custom q=3 length=3 size=x\n1 2 3\n")
+    with pytest.raises(CodewordFileError) as err:
+        read_code(path)
+    assert err.value.line == 2
+    path.write_text("# twistcode v1\n# family=custom q=3 length=3\n1 2 3\n2 3 1\n")  # no size=: not checked
+    assert read_code(path)[0].size == 2
+
+
 @st.composite
 def code_files(draw):
     """(code, family, params, r): a deduplicated code of 1-20 words over
@@ -540,7 +560,7 @@ def test_bijection_checked_above_2_22_entries():
 
 def test_bijection_check_independent_of_chunk(monkeypatch, sp2):
     space, group, natural = sp2
-    tau = build_outer_automorphism(space, group).representation(natural)
+    tau = twisted_representations(natural, [build_outer_automorphism(space, group).index])[1]
     monkeypatch.setattr(codes, "BIJECTION_CHUNK", space.num_points)  # one row per block
     for rep in (natural, tau):
         Representation(group, rep.perms)
