@@ -6,8 +6,8 @@ lexicographic order on coordinate tuples.  Addition of vectors is XOR of
 codes; row-times-matrix products and scalar multiples become single
 table lookups, which is what makes the million-element group scans cheap.
 
-All functions are pure; callers partition element ranges into chunks and
-combine results with min/sum reductions.
+All functions are pure.  fixed_counts and rank_one_flags run over blocks
+of ROW_CHUNK rows themselves; the other kernels take the batch they get.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 
 WEDGE_TABLE_LIMIT = 1 << 24  # entries of wedge_table: q^8 for 4-rows over GF(q)
-RANK_CHUNK = 1 << 16  # rows per block of the rank kernel's callers (fixed_counts, rank_one_flags)
+ROW_CHUNK = 1 << 16  # rows per block of the per-element row kernels (rank, tau rows, tau pairs)
 
 
 def chunks(n, size):
@@ -26,24 +26,22 @@ def chunks(n, size):
         yield slice(i, min(i + size, n))
 
 
-def unique_sorted(keys):
-    """Ascending distinct values of an integer array, flattened, as np.unique
-    returns them: a sort plus a neighbour mask.  For integers numpy 2.x
-    np.unique takes a hash path that is many times slower on large arrays."""
-    keys = np.sort(keys, axis=None)
-    if keys.size == 0:
-        return keys
-    first = np.empty(keys.size, dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
+def first_of_runs(ranked):
+    """True at the first element of each run of equal values in a sorted 1-D
+    array (void row keys too), so ranked[first_of_runs(ranked)] is what
+    np.unique returns, without its hash path, slow on large integer arrays."""
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    return first
 
 
-def isin_sorted(values, sorted_arr):
-    """Membership mask of values in an ascending-sorted array."""
-    pos = np.searchsorted(sorted_arr, values)
-    pos_c = np.minimum(pos, len(sorted_arr) - 1)
-    return (pos < len(sorted_arr)) & (sorted_arr[pos_c] == values)
+def lookup_sorted(ranked, values):
+    """Position of each value in the ascending, nonempty array ranked, -1
+    where it is absent; in place on its one index array."""
+    pos = np.searchsorted(ranked, values)
+    np.minimum(pos, len(ranked) - 1, out=pos)
+    pos[ranked[pos] != values] = -1
+    return pos
 
 
 class PackedOps:
@@ -250,9 +248,9 @@ def closure(ops: PackedOps, gen_mats, limit):
     gen_mats is (G, 4, 4) uint8.  Each level forms all G products of every
     key on the frontier straight from the key: every packed-row field of
     the key is looked up in the generators' row tables, pre-shifted into
-    place, and the four results are ORed.  Candidates are deduplicated with
-    unique_sorted; the fresh ones, ascending, are inserted into the sorted
-    `seen` array and form the next frontier.  Returns (rows, keys) in
+    place, and the four results are ORed.  Candidates are sorted and
+    deduplicated (first_of_runs); those lookup_sorted misses in the sorted
+    `seen` array go into it and form the next frontier.  Returns (rows, keys) in
     canonical order: the identity first, then ascending key, whatever the
     generators.  Raises once more than `limit` elements are found.
     """
@@ -269,8 +267,9 @@ def closure(ops: PackedOps, gen_mats, limit):
         out = field_tables[0][frontier >> shifts[0]]  # the top field needs no mask
         for t, sh in zip(field_tables[1:], shifts[1:]):
             out |= t[(frontier >> sh) & field_mask]
-        cand = unique_sorted(out)
-        frontier = cand[~isin_sorted(cand, seen)]
+        cand = np.sort(out, axis=None)
+        cand = cand[first_of_runs(cand)]
+        frontier = cand[lookup_sorted(seen, cand) < 0]
         if seen.size + frontier.size > limit:
             raise RuntimeError(f"closure exceeded the limit {limit}")
         seen = np.insert(seen, np.searchsorted(seen, frontier), frontier)
@@ -309,7 +308,7 @@ def fixed_counts(ops: PackedOps, rows):
     q = ops.field.order
     points_by_rank = np.array([(q ** (4 - k) - 1) // (q - 1) for k in range(5)], dtype=np.int16)
     counts = np.zeros(rows.shape[0], dtype=np.int16)
-    for sl in chunks(rows.shape[0], RANK_CHUNK):
+    for sl in chunks(rows.shape[0], ROW_CHUNK):
         for lam in range(1, q):
             counts[sl] += points_by_rank[_ranks(ops, rows[sl] ^ ops.pack(lam * np.eye(4, dtype=np.uint8)))]
     return counts
@@ -335,6 +334,6 @@ def perm_tables(ops: PackedOps, rows):
 def rank_one_flags(ops: PackedOps, diff_rows):
     """True where the packed (N, 4) row sets span exactly one dimension."""
     flags = np.empty(diff_rows.shape[0], dtype=bool)
-    for sl in chunks(diff_rows.shape[0], RANK_CHUNK):
+    for sl in chunks(diff_rows.shape[0], ROW_CHUNK):
         flags[sl] = _ranks(ops, diff_rows[sl]) == 1
     return flags

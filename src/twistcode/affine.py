@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._packed import chunks, first_of_runs
 from .codes import EnumeratedGroup, IndexedDomain, Representation, finish_build, row_keys, sample_pairs
 from .codes import support_scan, twisted_representations
 from .fields import PrimeField
@@ -133,7 +134,6 @@ class AffineGroup(EnumeratedGroup):
             )
         self.params = params
         p, k = params.p, params.k
-        m = params.num_points
         self.points = _point_array(params)
         self.weights = np.array([p ** (k - 1 - j) for j in range(k)], dtype=np.int64)
         self.b_pows = [None] + [b_power(k, p, i).A for i in range(1, p + 1)]
@@ -149,8 +149,7 @@ class AffineGroup(EnumeratedGroup):
         i_vals = np.zeros(n, dtype=np.int64)
         mats = np.zeros((n, k + 1, k + 1), dtype=np.uint8)
         mats[:, 0, 0] = 1
-        for s, i in enumerate(self.block_exponents):
-            sl = slice(s * m, (s + 1) * m)
+        for sl, i in self.exponent_blocks():
             u_vecs[sl] = self.points
             i_vals[sl] = i
             mats[sl, 0, 1:] = self.points
@@ -158,6 +157,10 @@ class AffineGroup(EnumeratedGroup):
         self.u_vecs = u_vecs
         self.i_vals = i_vals
         super().__init__(params.field, mats)
+
+    def exponent_blocks(self):
+        """(slice, i) per exponent block: the m elements with lower block B^i."""
+        return zip(chunks(self.params.group_order, self.params.num_points), self.block_exponents)
 
     def _encode_points(self, vecs):
         return vecs.astype(np.int64) @ self.weights
@@ -185,11 +188,11 @@ class AffineGroup(EnumeratedGroup):
         """tau_r as a permutation of the enumerated group, tau_r(g_j) =
         g_index[j]: (u, i) goes to (u + r w(i), i), one exponent block at a
         time, so the temporaries stay at m rows."""
-        p, m = self.params.p, self.params.num_points
+        p = self.params.p
         index = np.empty(len(self), dtype=np.intp)
-        for s, i in enumerate(self.block_exponents):
+        for sl, i in self.exponent_blocks():
             moved = (self.points.astype(np.int64) + r * self.omega_last[i].astype(np.int64)) % p
-            index[s * m : (s + 1) * m] = s * m + self._encode_points(moved)
+            index[sl] = sl.start + self._encode_points(moved)
         return index
 
     def twisted_perm_table(self, r=0):
@@ -197,10 +200,10 @@ class AffineGroup(EnumeratedGroup):
         the natural table, gathered through twist_index(r) for r != 0."""
         p, m = self.params.p, self.params.num_points
         out = np.empty((len(self), m), dtype=np.min_scalar_type(m - 1))
-        for s, i in enumerate(self.block_exponents):
+        for sl, i in self.exponent_blocks():
             pb = self.points.astype(np.int64) @ self.b_pows[i] % p
             imgs = (pb[None, :, :] + self.points[:, None, :]) % p
-            out[s * m : (s + 1) * m] = self._encode_points(imgs)
+            out[sl] = self._encode_points(imgs)
         return out[self.twist_index(r)] if r else out
 
     def fixed_count_table(self):
@@ -210,9 +213,9 @@ class AffineGroup(EnumeratedGroup):
         gathered through twist_index(r)."""
         p, m = self.params.p, self.params.num_points
         natural = np.empty(len(self), dtype=np.int64)  # contiguous, so each gather reads one block's window
-        for s, i in enumerate(self.block_exponents):
+        for sl, i in self.exponent_blocks():
             diff = (self.points.astype(np.int64) - self.points.astype(np.int64) @ self.b_pows[i]) % p
-            natural[s * m : (s + 1) * m] = np.bincount(self._encode_points(diff), minlength=m)
+            natural[sl] = np.bincount(self._encode_points(diff), minlength=m)
         counts = np.empty((len(self), p), dtype=np.int64)
         for r in range(p):
             counts[:, r] = natural[self.twist_index(r)] if r else natural
@@ -331,19 +334,21 @@ def _check_fixed_points(group, fix, sums, checks):
     u_last = group.u_vecs[1:, -1].astype(np.int64)
     nat = fix[1:, 0]
     checks["fixed_point_dichotomy"] = bool(np.isin(nat, (0, p)).all())
-    expect_p = (i_vals != p) & (u_last == 0)
-    checks["fixed_point_rule"] = bool(((nat == p) == expect_p).all())
+    moving = i_vals != p
+    checks["fixed_point_rule"] = bool(((nat == p) == (moving & (u_last == 0))).all())
 
     # exponent p means every twist is fixed-point-free; otherwise
-    # exactly one r (the solution of u_k + i r = 0) gives support m - p.
-    rows = fix[1:]
-    ip_mask = i_vals == p
-    ok = bool((rows[ip_mask] == 0).all())
-    mv = rows[~ip_mask]
-    ok &= bool(((mv == p).sum(axis=1) == 1).all()) and bool(np.isin(mv, (0, p)).all())
+    # exactly one r (the solution of u_k + i r = 0) gives support m - p;
+    # one column at a time, so no (N, p) copy of the table is made
+    ok, hits = True, np.zeros(len(nat), dtype=np.int8)  # hits: p entries per row
+    for r in range(p):
+        at_p = fix[1:, r] == p
+        ok &= bool((at_p | (fix[1:, r] == 0)).all())
+        hits += at_p
+    ok &= bool((hits == moving).all())
     i_inv = np.array([0] + [pow(int(i), p - 2, p) for i in range(1, p)], dtype=np.int64)
-    r_pred = (-u_last[~ip_mask] * i_inv[i_vals[~ip_mask] % p]) % p
-    ok &= bool((mv[np.arange(len(mv)), r_pred] == p).all())
+    r_pred = -u_last * i_inv[i_vals % p] % p
+    ok &= bool(((fix[1:][np.arange(len(r_pred)), r_pred] == p) | ~moving).all())
     checks["twist_support_pattern"] = ok
 
     tw_min = p * m - p
@@ -376,8 +381,9 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
         group = enumerate_group(params)
 
     m = params.num_points
-    # one byte string per matrix: distinct matrices counted
-    checks["group_order"] = len(np.unique(row_keys(group.elements.reshape(len(group), -1)))) == p ** (k + 1)
+    keys = np.sort(row_keys(group.elements.reshape(len(group), -1)))  # one byte string per matrix
+    checks["group_order"] = int(first_of_runs(keys).sum()) == p ** (k + 1)  # distinct matrices
+    del keys  # not held through the scans
     checks["block_structure"] = bool(
         (group.elements[:, 1:, 0] == 0).all()
         and (group.elements[:, 0, 0] == 1).all()

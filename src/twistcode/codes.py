@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._packed import chunks
+from ._packed import chunks, first_of_runs
 from .linalg import Matrix
 from .report import VerificationReport, coverage_value, stage
 
 FORMAT_MAGIC = "# twistcode v1"
-BIJECTION_CHUNK = 1 << 22  # table entries sorted at a time by the bijection check
+BLOCK_ENTRIES = 1 << 22  # entries per block of rows: bijection checks, codeword scans, pairwise oracle
 CODE_BYTES_GUARD = 1 << 28  # max |C| * length for materialised codewords
-PAIRWISE_CHUNK = 1 << 22  # symbols per block of the codeword scans (min_distance_pairwise and the oracles)
 EXHAUSTIVE_PAIR_LIMIT = 1 << 20  # max n^2 for the exhaustive element-pair checks
 
 
@@ -58,19 +57,15 @@ def row_keys(words):
     return words.view(f"V{words.shape[1] * words.itemsize}").ravel()
 
 
-def _first_occurrences(keys):
-    """np.sort(np.unique(keys, return_index=True)[1]) from a stable argsort and
-    a neighbour mask: one sorted copy of the keys, where np.unique holds three."""
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = ranked[1:] != ranked[:-1]
-    return np.sort(order[first])
+def _row_blocks(n, width):
+    """Slices of n rows of `width` entries, about BLOCK_ENTRIES per slice (at least one row)."""
+    return chunks(n, max(1, BLOCK_ENTRIES // max(width, 1)))
 
 
-def _row_blocks(code):
-    """Slices of about PAIRWISE_CHUNK symbols of the code's rows (at least one row)."""
-    return chunks(code.size, max(1, PAIRWISE_CHUNK // max(code.length, 1)))
+def _rows_are_permutations(rows):
+    """True iff every row of a 2-D integer array permutes 0..len(row)-1."""
+    # "stable" selects radix sort on 8- and 16-bit tables
+    return bool((np.sort(rows, axis=1, kind="stable") == np.arange(rows.shape[1])).all())
 
 
 class CodewordFileError(ValueError):
@@ -145,9 +140,8 @@ class Representation:
         if not (perms[0] == ident).all():
             raise ValueError("identity element must act as the identity permutation")
         self.sizes = np.empty(perms.shape[0], dtype=np.intp)  # support size of each element's image
-        for sl in chunks(perms.shape[0], max(1, BIJECTION_CHUNK // q)):
-            # "stable" selects radix sort on 8- and 16-bit tables
-            if not (np.sort(perms[sl], axis=1, kind="stable") == ident).all():
+        for sl in _row_blocks(perms.shape[0], q):
+            if not _rows_are_permutations(perms[sl]):
                 raise ValueError("some image array is not a bijection")
             self.sizes[sl] = np.count_nonzero(perms[sl] != ident, axis=1)
         perms.setflags(write=False)
@@ -161,9 +155,6 @@ class Representation:
     def perm(self, i):
         return self.perms[i]
 
-    def kernel_mask(self):
-        return self.sizes == 0
-
     def minimal_degree(self):
         nontrivial = self.sizes[self.sizes > 0]
         if nontrivial.size == 0:
@@ -172,7 +163,9 @@ class Representation:
 
 
 class Code:
-    """Deduplicated codeword list over alphabet {1..q}; rows are 1-based."""
+    """Deduplicated codeword list over alphabet {1..q}; rows are 1-based.
+    Each duplicate row keeps its first occurrence; `order` lists the row
+    indices by ascending row_keys, from the dedup's one argsort."""
 
     def __init__(self, words, q):
         words = np.ascontiguousarray(words)
@@ -180,9 +173,15 @@ class Code:
             raise ValueError("words must be a 2-D array")
         if words.size and (words.min() < 1 or words.max() > q):
             raise ValueError("codeword symbol out of alphabet range")
-        words = words[_first_occurrences(row_keys(words))]
+        keys = row_keys(words)
+        order = np.argsort(keys, kind="stable")
+        first = first_of_runs(keys[order])
+        if not first.all():
+            kept = np.sort(order[first])
+            words, order = words[kept], np.searchsorted(kept, order[first])
         words.setflags(write=False)
-        self.words = words
+        order.setflags(write=False)
+        self.words, self.order = words, order
         self.q = q
 
     @property
@@ -234,17 +233,16 @@ def build_twisted_code(group, reps) -> Code:
 
 def min_distance_pairwise(code: Code) -> int:
     """Exact minimum over all unordered codeword pairs; 0 if |C| <= 1.
-    Each block compares about PAIRWISE_CHUNK symbols (at least one row)."""
+    Each block compares about BLOCK_ENTRIES symbols (at least one row)."""
     W = code.words
     n = code.size
     if n <= 1:
         return 0
     best = code.length + 1
-    chunk = max(1, PAIRWISE_CHUNK // max(n * code.length, 1))
-    for i0 in range(0, n, chunk):
-        blk = W[i0 : i0 + chunk]
+    for sl in _row_blocks(n, n * code.length):
+        blk = W[sl]
         # distances to all later codewords, plus the in-block upper triangle
-        d = (blk[:, None, :] != W[None, i0:, :]).sum(axis=2)
+        d = (blk[:, None, :] != W[None, sl.start :, :]).sum(axis=2)
         ii, jj = np.triu_indices(blk.shape[0], k=1, m=d.shape[1])
         if ii.size:
             best = min(best, int(d[ii, jj].min()))
@@ -254,7 +252,7 @@ def min_distance_pairwise(code: Code) -> int:
 def distance_row(code: Code, i) -> np.ndarray:
     """Hamming distance from codeword i to every codeword."""
     out = np.empty(code.size, dtype=np.int64)
-    for sl in _row_blocks(code):
+    for sl in _row_blocks(code.size, code.length):
         out[sl] = (code.words[sl] != code.words[i]).sum(axis=1)
     return out
 
@@ -277,17 +275,16 @@ def check_distance_invariance(code: Code, *, generators) -> bool:
         return True
     if code.length % code.q:
         return False
-    q, keys = code.q, row_keys(code.words)
-    order = np.argsort(keys)
+    q, keys, order = code.q, row_keys(code.words), code.order
     maps = []
     for s in generators:
         perm = code.words[s].reshape(-1, q).astype(np.intp) - 1
-        if not (np.sort(perm, axis=1) == np.arange(q)).all():
+        if not _rows_are_permutations(perm):
             return False
         # np.take, as W[:, sigma] gathers the columns several times slower
         moved = row_keys(np.take(code.words, (q * np.arange(len(perm))[:, None] + perm).ravel(), axis=1))
         moved_order = np.argsort(moved)
-        if not all((moved[moved_order[sl]] == keys[order[sl]]).all() for sl in _row_blocks(code)):
+        if not all((moved[moved_order[sl]] == keys[order[sl]]).all() for sl in _row_blocks(code.size, code.length)):
             return False
         maps.append(np.empty(code.size, dtype=np.intp))
         maps[-1][moved_order] = order  # gathered row x is codeword maps[-1][x]
@@ -339,7 +336,7 @@ def letter_counts_constant(code: Code, r) -> bool:
     if code.length != r * code.q:
         return False
     q1 = code.q + 1
-    for sl in _row_blocks(code):
+    for sl in _row_blocks(code.size, code.length):
         rows = sl.stop - sl.start
         cells = code.words[sl] + q1 * np.arange(rows)[:, None]
         if not (np.bincount(cells.ravel(), minlength=rows * q1).reshape(rows, q1)[:, 1:] == r).all():
@@ -388,10 +385,10 @@ def support_scan(fix, m, expected, checks):
     element, delta_rep is r times the least single support.  Checks both
     and their gap against expected = (delta_tw, delta_rep) closed forms;
     returns (sums, delta_tw, delta_rep), sums[t - 1] belonging to element t."""
-    supports = m - fix[1:]
-    sums = supports.sum(axis=1)
+    sums = fix[1:].sum(axis=1)
+    np.subtract(fix.shape[1] * m, sums, out=sums)  # in place, and no (N, r) copy of the supports
     delta_tw = int(sums.min())
-    delta_rep = fix.shape[1] * int(supports.min())
+    delta_rep = fix.shape[1] * (m - int(fix[1:].max()))
     checks["delta_tw_formula"] = delta_tw == expected[0]
     checks["delta_rep_formula"] = delta_rep == expected[1]
     checks["gap_formula"] = delta_tw - delta_rep == expected[0] - expected[1]

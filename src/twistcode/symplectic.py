@@ -38,7 +38,6 @@ GENERATOR_WORDS = {
     2: ((202, 128, 115, 56, 77, 196, 239), (246, 110, 41, 15, 33, 22, 163)),
 }
 HOM_SAMPLES = 100_000  # sampled pairs of the tau-homomorphism check above q = 2
-_CHUNK = 1 << 17
 TAU_STEPS = ("a", "b", "c", "d")  # the verification steps of build_outer_automorphism
 
 
@@ -143,15 +142,11 @@ class SymplecticGroup:
 
     def indices_of_keys(self, keys):
         """Element index of each key in an array, -1 where no element has
-        it: a searchsorted on the ascending keys[1:], the identity's key
-        answered as 0.  In place on the one index array, as at Sp(4, 4) size
-        every further N-long temporary shows in the peak memory."""
-        rest = self.keys[1:]
-        pos = np.searchsorted(rest, keys)
-        np.minimum(pos, len(rest) - 1, out=pos)
-        miss = rest[pos] != keys
+        it: lookup_sorted on the ascending keys[1:], shifted by one, the
+        identity's key answered as 0.  In place on the one index array."""
+        pos = _packed.lookup_sorted(self.keys[1:], keys)
         pos += 1
-        pos[miss] = -1
+        pos[pos == 0] = -1
         pos[keys == self.keys[0]] = 0
         return pos
 
@@ -281,7 +276,7 @@ def _tau_rows(space, basis_lift, coords, rows):
     ops6 = PackedOps(space.field, 6)
     table = _packed.wedge_table(space.ops, ops6, coords, WEDGE_PAIRS)
     image_rows = np.empty((len(rows), 4), dtype=np.uint32)
-    for sl in _packed.chunks(len(rows), _CHUNK):
+    for sl in _packed.chunks(len(rows), _packed.ROW_CHUNK):
         y = _packed.wedge_rows(space.ops, ops6, table, rows[sl], basis_lift, WEDGE_PAIRS)
         if (y & ops6.mask).any():
             raise TauConstructionError("b", "exterior action leaves the invariant 5-space")
@@ -433,7 +428,7 @@ def _check_tau_homomorphism(space, group, tau, rng, samples):
     rows = group.rows
     a, b, cov = sample_pairs(len(group), rng, samples)
     ok = True
-    for sl in _packed.chunks(len(a), 1 << 16):
+    for sl in _packed.chunks(len(a), _packed.ROW_CHUNK):
         prod = batch_matmul(mul, ops.unpack(rows[a[sl]]), ops.unpack(rows[b[sl]]))
         lhs = ops.pack(tau.map_entries(prod))
         rhs = _packed.rows_matmul(ops, rows[tau.index[a[sl]]], rows[tau.index[b[sl]]])

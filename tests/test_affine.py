@@ -217,7 +217,7 @@ def test_group_order_check_can_fail(monkeypatch, capsys):
 
 def test_check_all_coverage_exhaustive(monkeypatch):
     # every oracle is exhaustive at every size, in blocks of one row as well
-    monkeypatch.setattr(codes, "PAIRWISE_CHUNK", 1)
+    monkeypatch.setattr(codes, "BLOCK_ENTRIES", 1)
     report = build_affine_twisted(AffineParams(5, 2), check="all").report
     assert report.all_pass()
     assert report.coverage == dict.fromkeys(
@@ -257,6 +257,68 @@ def test_wrong_twist_index_fails_check_all(monkeypatch, capsys):
     status = cli_main(["affine", "--p", "3", "--k", "2", "--check", "all"])
     fails = [line for line in capsys.readouterr().out.splitlines() if line.endswith("=FAIL")]
     assert "check.distance_invariant=FAIL" in fails and status == 1
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (5, 2)])
+def test_check_all_independent_of_block_size(monkeypatch, tmp_path, p, k):
+    # blocks of one row: the same deterministic report lines and codeword file
+    def run(name):
+        build = build_affine_twisted(AffineParams(p, k), check="all")
+        codes.write_code(tmp_path / name, build.code, "affine", {"p": p, "k": k}, r=p)
+        return [line for line in build.report.lines() if not line.startswith("#")], (tmp_path / name).read_bytes()
+
+    default = run("default.tw")
+    monkeypatch.setattr(codes, "BLOCK_ENTRIES", 1)
+    assert run("one-row.tw") == default
+
+
+def fixed_point_checks(group, fix):
+    """_check_fixed_points on a table, with the sums support_scan takes from it."""
+    sums, _, _ = codes.support_scan(fix, group.params.num_points, (0, 0), {})
+    checks = {}
+    affine._check_fixed_points(group, fix, sums, checks)
+    return checks
+
+
+def mutate_fixed_points(group, fix, case):
+    """Break one fact of the (5, 2) table.  Row a has i != p and u_k = 0
+    (p fixed points at r = 0), row b has i != p and u_k != 0 (natural
+    column 0, p at some r != 0), row c has i = p (no fixed point at all)."""
+    p, m = group.params.p, group.params.num_points
+    moving, u_last = group.i_vals != p, group.u_vecs[:, -1]
+    idx = np.arange(len(group))
+    a = idx[moving & (u_last == 0)][1]  # [0] is the identity
+    b = idx[moving & (u_last != 0)][0]
+    c = idx[~moving][1]
+    r_b = int(np.flatnonzero(fix[b] == p)[0])
+    if case == "entry_one":
+        fix[b, 0] = 1
+    elif case == "p_in_free_row":
+        fix[b, 0] = p
+    elif case in ("second_p", "sums"):
+        fix[a, 1] = p
+    elif case == "p_at_wrong_r":
+        fix[b, r_b], fix[b, r_b % (p - 1) + 1] = 0, p  # still one p per row, in a twist column
+    elif case == "nonzero_at_i_eq_p":
+        fix[c, 2] = p
+    elif case == "m_in_natural":
+        fix[c, 0] = m
+
+
+@pytest.mark.parametrize("case, name", [
+    ("entry_one", "fixed_point_dichotomy"),
+    ("p_in_free_row", "fixed_point_rule"),
+    ("second_p", "twist_support_pattern"),
+    ("p_at_wrong_r", "twist_support_pattern"),
+    ("nonzero_at_i_eq_p", "twist_support_pattern"),
+    ("sums", "support_sum_dichotomy"),
+    ("m_in_natural", "faithful_natural_action"),
+])
+def test_fixed_point_checks_can_fail(g52, case, name):
+    fix = g52.fixed_count_table()
+    assert all(fixed_point_checks(g52, fix).values())
+    mutate_fixed_points(g52, fix, case)
+    assert fixed_point_checks(g52, fix)[name] is False
 
 
 def test_support_sum_dichotomy(g32):

@@ -182,7 +182,7 @@ def test_min_distance_oracle_equivalence(affine32, sp2):
 def test_pairwise_oracle_one_row_blocks(monkeypatch, affine32, sp2):
     group, reps = affine32
     _, spgroup, sprep = sp2
-    monkeypatch.setattr(codes, "PAIRWISE_CHUNK", 1)
+    monkeypatch.setattr(codes, "BLOCK_ENTRIES", 1)
     assert min_distance_pairwise(build_twisted_code(group, reps)) == 24
     assert min_distance_pairwise(build_twisted_code(group, [reps[0], reps[0]])) == 12
     assert min_distance_pairwise(build_code(spgroup, sprep)) == 8
@@ -378,13 +378,13 @@ def test_invariance_certificate_fails_on_mutations(affine32):
 
 
 @settings(max_examples=60, deadline=None)
-@given(certificate_codes(), st.sampled_from([1, codes.PAIRWISE_CHUNK]))
+@given(certificate_codes(), st.sampled_from([1, codes.BLOCK_ENTRIES]))
 def test_row_scans_equal_row_loops(code, chunk):
     # the block scans, with one-row blocks too, against one row at a time
     r = code.length // code.q
     letters = all((np.bincount(row, minlength=code.q + 1)[1:] == r).all() for row in code.words)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(codes, "PAIRWISE_CHUNK", chunk)
+        mp.setattr(codes, "BLOCK_ENTRIES", chunk)
         assert letter_counts_constant(code, r) == letters
         assert distance_row(code, code.size - 1).tolist() == [hamming_distance(w, code.words[-1]) for w in code.words]
 
@@ -394,7 +394,18 @@ def test_row_scans_equal_row_loops(code, chunk):
                   elements=st.integers(1, 3)))
 def test_code_dedup_matches_unique_axis0(words):
     _, first = np.unique(words, axis=0, return_index=True)
-    assert np.array_equal(Code(words, 3).words, words[np.sort(first)])
+    code = Code(words, 3)
+    assert np.array_equal(code.words, words[np.sort(first)])
+    # the kept rows are distinct, so every argsort of their keys is code.order
+    assert np.array_equal(code.order, np.argsort(codes.row_keys(code.words)))
+
+
+def test_code_order_with_duplicate_rows():
+    words = np.array([[2, 1], [1, 2], [2, 1], [1, 1], [1, 2]], dtype=np.uint8)
+    code = Code(words, 2)
+    assert code.words.tolist() == [[2, 1], [1, 2], [1, 1]]  # first occurrences, in input order
+    assert code.order.tolist() == [2, 1, 0]  # rows by ascending key: [1, 1] < [1, 2] < [2, 1]
+    assert Code(code.words[::-1], 2).order.tolist() == [0, 1, 2]
 
 
 def test_finish_build_reports_wrong_delta(affine32):
@@ -561,7 +572,7 @@ def test_bijection_checked_above_2_22_entries():
 def test_bijection_check_independent_of_chunk(monkeypatch, sp2):
     space, group, natural = sp2
     tau = twisted_representations(natural, [build_outer_automorphism(space, group).index])[1]
-    monkeypatch.setattr(codes, "BIJECTION_CHUNK", space.num_points)  # one row per block
+    monkeypatch.setattr(codes, "BLOCK_ENTRIES", space.num_points)  # one row per block
     for rep in (natural, tau):
         Representation(group, rep.perms)
     bad = natural.perms.copy()

@@ -1,4 +1,5 @@
-"""The packed kernels: unique_sorted against np.unique, the closure's pinned
+"""The packed kernels: the sorted dedup (np.sort plus first_of_runs) against
+np.unique, lookup_sorted against a dict, the closure's pinned
 canonical order and its independence of the generators, the fixed-point
 counts, permutation tables and rank-one flags against a scalar count and
 Matrix.rank, rows_matmul against the dense batch_matmul, and the wedge
@@ -10,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -32,7 +33,8 @@ CLOSURE_Q2_DIGEST = "1ad708613e6a328609a6096560f0ce4cbd65ef23ad3b6c320a9ae84f296
 
 
 def assert_matches_unique(keys):
-    got = _packed.unique_sorted(keys)
+    ranked = np.sort(keys, axis=None)
+    got = ranked[_packed.first_of_runs(ranked)]
     want = np.unique(keys)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -66,6 +68,19 @@ def test_unique_sorted_edge_cases(keys):
 )
 def test_unique_sorted_equals_np_unique(keys):
     assert_matches_unique(keys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 60), min_size=1, max_size=30, unique=True),
+    st.lists(st.integers(-5, 70), max_size=40),
+)
+@example([3, 8, 20], [0, 3, 5, 8, 8, 20, 21, 3])  # below, present, between, repeated, above
+def test_lookup_sorted_against_dict(ranked, values):
+    ranked = np.array(sorted(ranked), dtype=np.uint32)
+    position = {int(v): i for i, v in enumerate(ranked)}
+    got = _packed.lookup_sorted(ranked, np.array(values, dtype=np.int64))
+    assert got.tolist() == [position.get(v, -1) for v in values]
 
 
 @pytest.fixture(scope="module")

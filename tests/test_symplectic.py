@@ -211,9 +211,15 @@ def test_tau_rows_equal_dense_tau_apply(sp2, tau2):
 
 
 def test_tau_rows_independent_of_chunk(monkeypatch, sp2):
-    # 720 rows in blocks of 7: the last block is short
+    # 720 rows in blocks of 7: the last block is short; the row kernels
+    # and the tau table equal their one-block results
     space, group = sp2
-    monkeypatch.setattr(symplectic, "_CHUNK", 7)
+    ops = space.ops
+    diff = group.rows ^ ops.pack(np.eye(4, dtype=np.uint8))[None, :]
+    counts, flags = _packed.fixed_counts(ops, group.rows), _packed.rank_one_flags(ops, diff)
+    monkeypatch.setattr(_packed, "ROW_CHUNK", 7)
+    assert np.array_equal(_packed.fixed_counts(ops, group.rows), counts)
+    assert np.array_equal(_packed.rank_one_flags(ops, diff), flags)
     tau = build_outer_automorphism(space, group)
     assert hashlib.sha256(group.rows[tau.index].tobytes()).hexdigest() == TAU_IMAGE_Q2_DIGEST
 
