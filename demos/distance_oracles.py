@@ -2,9 +2,10 @@
 """The two independent minimum-distance computations, and the codeword
 file format that connects them through the command line.
 
-The element scan walks the group once and sums per-representation support
-sizes; the pairwise oracle compares every pair of codewords and knows
-nothing about the group.  They must agree on every faithful instance."""
+The element scan walks the group once and sums the support sizes of the
+natural representation and of its twists (the natural sizes gathered
+through each automorphism's index permutation); the pairwise oracle
+compares every pair of codewords and knows nothing about the group.  They must agree on every faithful instance."""
 
 import subprocess
 import sys
@@ -22,9 +23,9 @@ from twistcode import (
 
 build = build_affine_twisted(AffineParams(5, 2), check="all")
 code = build.code
-reps = build.representations
+natural, automorphisms = build.twisting
 
-scan = min_distance_by_support(build.group, reps)
+scan = min_distance_by_support(natural, automorphisms)
 pairwise = min_distance_pairwise(code)
 print(f"support scan: {scan}   pairwise oracle: {pairwise}   agree: {scan == pairwise}")
 

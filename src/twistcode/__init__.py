@@ -26,7 +26,6 @@ from .codes import (
     IndexedDomain,
     NontrivialKernelError,
     Representation,
-    build_code,
     build_twisted_code,
     check_code_size,
     check_distance_invariance,
@@ -74,7 +73,6 @@ __all__ = [
     "VerificationReport",
     "b_power",
     "build_affine_twisted",
-    "build_code",
     "build_outer_automorphism",
     "build_symplectic_twisted",
     "build_twisted_code",

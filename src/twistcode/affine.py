@@ -14,8 +14,8 @@ points answers every (u, i) at once.
 The r-twist (u, i) -> (u + r w(i), i) is kept, as Sp(4, q)'s tau is, as a
 permutation of the enumerated group (AffineGroup.twist_index), so its
 fixed-count column and permutation table are the natural ones gathered
-through it; codes.twisted_representations builds the check="all"
-representations of both families that way.
+through it; codes.build_twisted_code writes the check="all" code of both
+families from the natural table gathered through such permutations.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._packed import chunks, first_of_runs
-from .codes import EnumeratedGroup, IndexedDomain, Representation, finish_build, row_keys, sample_pairs
-from .codes import support_scan, twisted_representations
+from .codes import EnumeratedGroup, IndexedDomain, Representation, finish_build, row_keys, sample_pairs, support_scan
 from .fields import PrimeField
 from .linalg import Matrix
 from .report import stage
@@ -212,11 +211,11 @@ class AffineGroup(EnumeratedGroup):
         action with one histogram per exponent block; column r is column 0
         gathered through twist_index(r)."""
         p, m = self.params.p, self.params.num_points
-        natural = np.empty(len(self), dtype=np.int64)  # contiguous, so each gather reads one block's window
+        natural = np.empty(len(self), dtype=np.int32)  # contiguous, so each gather reads one block's window
         for sl, i in self.exponent_blocks():
             diff = (self.points.astype(np.int64) - self.points.astype(np.int64) @ self.b_pows[i]) % p
             natural[sl] = np.bincount(self._encode_points(diff), minlength=m)
-        counts = np.empty((len(self), p), dtype=np.int64)
+        counts = np.empty((len(self), p), dtype=np.int32)  # every count is at most m
         for r in range(p):
             counts[:, r] = natural[self.twist_index(r)] if r else natural
         return counts
@@ -406,8 +405,8 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
     e_k = np.eye(k, dtype=np.int64)[-1]  # B and the translation by e_k generate G_k
     gen_rows = [group.element_index(0 * e_k, 1), group.element_index(e_k, p)] if check == "all" else None
     return finish_build(
-        group, fix, lambda: twisted_representations(
-            Representation(group, group.twisted_perm_table()), map(group.twist_index, range(1, p))
+        group, fix, lambda: (
+            Representation(group, group.twisted_perm_table()), [group.twist_index(r) for r in range(1, p)]
         ), family="affine", params={"p": p, "k": k},
         m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, coverage=coverage, check=check,
         generators=gen_rows,

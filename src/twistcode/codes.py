@@ -2,7 +2,8 @@
 
 A group element t with permutation image rho(t) is encoded as the passive
 form (1^rho(t), ..., q^rho(t)); a twisted code concatenates the passive
-forms over an ordered list of representations.  Minimum distance is
+forms of rho and of rho . tau for automorphisms tau, read from rho's one
+table through tau's index permutation of the group.  Minimum distance is
 computed three ways: a support-sum scan over group elements (valid
 whenever the joint kernel is trivial), the least distance from codeword 0
 once check_distance_invariance has certified it (behind the check="all"
@@ -45,8 +46,8 @@ def sample_pairs(n, rng, samples):
 
 
 class NontrivialKernelError(ValueError):
-    """The joint kernel of the representation list is nontrivial, so the
-    support-sum formula does not compute the code's minimum distance."""
+    """The joint kernel of the twisted representations is nontrivial, so
+    the support-sum formula does not compute the code's minimum distance."""
 
 
 def row_keys(words):
@@ -62,10 +63,15 @@ def _row_blocks(n, width):
     return chunks(n, max(1, BLOCK_ENTRIES // max(width, 1)))
 
 
+def _rows_sort_to(rows, target):
+    """True iff every row of a 2-D integer array sorts to the 1-D target."""
+    # "stable" selects radix sort on 8- and 16-bit tables
+    return bool((np.sort(rows, axis=1, kind="stable") == target).all())
+
+
 def _rows_are_permutations(rows):
     """True iff every row of a 2-D integer array permutes 0..len(row)-1."""
-    # "stable" selects radix sort on 8- and 16-bit tables
-    return bool((np.sort(rows, axis=1, kind="stable") == np.arange(rows.shape[1])).all())
+    return _rows_sort_to(rows, np.arange(rows.shape[1]))
 
 
 class CodewordFileError(ValueError):
@@ -145,7 +151,6 @@ class Representation:
                 raise ValueError("some image array is not a bijection")
             self.sizes[sl] = np.count_nonzero(perms[sl] != ident, axis=1)
         perms.setflags(write=False)
-        self.group = group
         self.perms = perms
 
     @property
@@ -154,12 +159,6 @@ class Representation:
 
     def perm(self, i):
         return self.perms[i]
-
-    def minimal_degree(self):
-        nontrivial = self.sizes[self.sizes > 0]
-        if nontrivial.size == 0:
-            raise NontrivialKernelError("representation is trivial")
-        return int(nontrivial.min())
 
 
 class Code:
@@ -175,7 +174,10 @@ class Code:
             raise ValueError("codeword symbol out of alphabet range")
         keys = row_keys(words)
         order = np.argsort(keys, kind="stable")
-        first = first_of_runs(keys[order])
+        first = np.empty(len(order), dtype=bool)
+        for sl in _row_blocks(len(order), words.shape[1]):  # a block of sorted keys at a time, no sorted copy
+            lo = max(sl.start - 1, 0)  # and the key before it
+            first[sl] = first_of_runs(keys[order[lo : sl.stop]])[sl.start - lo :]
         if not first.all():
             kept = np.sort(order[first])
             words, order = words[kept], np.searchsorted(kept, order[first])
@@ -209,25 +211,21 @@ def codeword_from_element(rep: Representation, i: int):
     return rep.perms[i].astype(np.min_scalar_type(rep.q)) + 1
 
 
-def twisted_representations(natural: Representation, automorphisms):
-    """The natural representation, then one per group automorphism tau,
-    given as an index permutation t (tau(g_j) = g_t[j]): the natural table's
-    rows gathered through t, the natural action of tau(g)."""
-    return [natural] + [Representation(natural.group, natural.perms[t]) for t in automorphisms]
-
-
-def build_code(group, rep: Representation) -> Code:
-    return build_twisted_code(group, [rep])
-
-
-def build_twisted_code(group, reps) -> Code:
-    if len(reps) < 1:
-        raise ValueError("need at least one representation")
-    q = reps[0].q
-    if any(r.q != q for r in reps):
-        raise ValueError("representations act on domains of different sizes")
-    dtype = np.min_scalar_type(q)
-    words = np.concatenate([r.perms.astype(dtype) + 1 for r in reps], axis=1)
+def build_twisted_code(rep: Representation, automorphisms=()) -> Code:
+    """The code of rep twisted by automorphisms, each an index permutation t
+    of the group (tau(g_j) = g_t[j]): block 0 of a codeword is rep's passive
+    form, block b that of rep . tau_b, written from rep's rows gathered
+    through t_b.  Rows of a checked table are bijections; t is checked."""
+    n, q = rep.perms.shape
+    for t in automorphisms:
+        if np.shape(t) != (n,):
+            raise ValueError(f"an automorphism index of shape {np.shape(t)} does not permute {n} elements")
+        if not (rep.perms[t[0]] == np.arange(q)).all():
+            raise ValueError("identity element must act as the identity permutation")
+    words = np.empty((n, q * (1 + len(automorphisms))), dtype=np.min_scalar_type(q))
+    for sl in _row_blocks(n, words.shape[1]):
+        for b, rows in enumerate([sl] + [t[sl] for t in automorphisms]):
+            np.add(rep.perms[rows], 1, out=words[sl, b * q : (b + 1) * q], casting="unsafe")
     return Code(words, q)
 
 
@@ -301,78 +299,83 @@ def check_distance_invariance(code: Code, *, generators) -> bool:
     return bool(reached.all())
 
 
-def summed_supports(reps):
-    """Per element, the support sizes summed over the representations:
-    zero exactly on the joint kernel."""
-    return sum(r.sizes for r in reps)
+def _block_sizes(rep, automorphisms):
+    """Support sizes per element in each block: rep's, then rep's gathered through each t."""
+    return [rep.sizes] + [rep.sizes[t] for t in automorphisms]
 
 
-def min_distance_by_support(group, reps) -> int:
+def summed_supports(rep, automorphisms=()):
+    """Per element, the support sizes summed over the blocks: zero exactly
+    on the joint kernel."""
+    return sum(_block_sizes(rep, automorphisms))
+
+
+def min_distance_by_support(rep, automorphisms=()) -> int:
     """Identity-anchored scan: min over non-identity t of the summed
     support sizes.  Raises NontrivialKernelError when the formula does not
-    apply (some non-identity element acts trivially in every entry)."""
-    total = summed_supports(reps)
+    apply (some non-identity element acts trivially in every block)."""
+    total = summed_supports(rep, automorphisms)
     kernel = int((total == 0).sum())
     if kernel != 1:
         raise NontrivialKernelError(f"joint kernel has {kernel} elements; support scan does not equal delta")
-    return int(total[1:].min()) if len(group) > 1 else 0
+    return int(total[1:].min()) if len(total) > 1 else 0
 
 
-def repetition_lower_bound(group, reps) -> int:
-    """min over rho of delta(Rep_r(C(T, rho))) = r * minimal degree of rho."""
-    r = len(reps)
-    return r * min(rep.minimal_degree() for rep in reps)
+def repetition_lower_bound(rep, automorphisms=()) -> int:
+    """min over the blocks' rho of delta(Rep_r(C(T, rho))) = r * minimal degree of rho."""
+    blocks = _block_sizes(rep, automorphisms)
+    if not all(sizes.any() for sizes in blocks):
+        raise NontrivialKernelError("representation is trivial")
+    return len(blocks) * min(int(sizes[sizes > 0].min()) for sizes in blocks)
 
 
-def check_code_size(group, reps, code: Code) -> bool:
+def check_code_size(rep, automorphisms, code: Code) -> bool:
     """|C| * |K| = |T| with K the joint kernel."""
-    return code.size * int((summed_supports(reps) == 0).sum()) == len(group)
+    return code.size * int((summed_supports(rep, automorphisms) == 0).sum()) == len(rep.sizes)
 
 
 def letter_counts_constant(code: Code, r) -> bool:
     """Frequency permutation array property: every letter occurs exactly r
-    times in every codeword; one bincount per block of rows, each row's
-    symbols offset into its own q + 1 bins."""
+    times in every codeword, i.e. every row sorts to 1..q each repeated r
+    times; one sort per block of rows."""
     if code.length != r * code.q:
         return False
-    q1 = code.q + 1
-    for sl in _row_blocks(code.size, code.length):
-        rows = sl.stop - sl.start
-        cells = code.words[sl] + q1 * np.arange(rows)[:, None]
-        if not (np.bincount(cells.ravel(), minlength=rows * q1).reshape(rows, q1)[:, 1:] == r).all():
-            return False
-    return True
+    # in the builders' symbol dtype, so the compare runs without a cast
+    letters = np.repeat(np.arange(1, code.q + 1, dtype=np.min_scalar_type(code.q)), r)
+    return all(_rows_sort_to(code.words[sl], letters) for sl in _row_blocks(code.size, code.length))
 
 
 class TwistedBuild:
     """Result of a twisted-code construction: the report, the (N, r)
     fixed-point table it was scanned from (column j counts the points each
-    element fixes under representation j), and the lazily materialised
-    representations and code (unpacks as (code, report))."""
+    element fixes under the j-th twist), and the lazily made twisting and
+    code (unpacks as (code, report))."""
 
-    def __init__(self, group, report, fix, make_reps):
+    def __init__(self, group, report, fix, make_twisting):
         self.group = group
         self.report = report
         self.fix = fix
-        self._make_reps = make_reps
-        self._reps = None
+        self._make_twisting = make_twisting
+        self._twisting = None
         self._code = None
 
     @property
-    def representations(self):
-        if self._reps is None:
+    def twisting(self):
+        """(natural, automorphisms): the natural Representation and the
+        index permutation t of each twisting automorphism, tau(g_j) = g_t[j]."""
+        if self._twisting is None:
             nbytes = len(self.group) * self.report.length
             if nbytes > CODE_BYTES_GUARD:
                 raise ValueError(
                     f"materialising this code needs {nbytes} symbols, over the guard {CODE_BYTES_GUARD}"
                 )
-            self._reps = self._make_reps()
-        return self._reps
+            self._twisting = self._make_twisting()
+        return self._twisting
 
     @property
     def code(self) -> Code:
         if self._code is None:
-            self._code = build_twisted_code(self.group, self.representations)
+            self._code = build_twisted_code(*self.twisting)
         return self._code
 
     def __iter__(self):
@@ -395,37 +398,39 @@ def support_scan(fix, m, expected, checks):
     return sums, delta_tw, delta_rep
 
 
-def finish_build(group, fix, make_reps, *, family, params, m, deltas, checks, times, coverage, check, generators):
-    """Assemble the report and the build.  check="all" then materialises
-    the code and certifies the scan independently and exhaustively, adding
-    so to `coverage`: letter counts, distance invariance certified from the
-    code rows `generators` of generating elements, and the pairwise minimum
-    as row 0's, besides the support scan and the repetition bound."""
+def finish_build(group, fix, make_twisting, *, family, params, m, deltas, checks, times, coverage, check, generators):
+    """Assemble the report and the build (make_twisting returns its
+    twisting).  check="all" then materialises the code and certifies the
+    scan independently and exhaustively, adding so to `coverage`: letter
+    counts, distance invariance certified from the code rows `generators`
+    of generating elements, and the pairwise minimum as row 0's, besides
+    the support scan and the repetition bound."""
     delta_tw, delta_rep = deltas
     n, r = len(group), fix.shape[1]
     report = VerificationReport(
         family, params, reps=r, alphabet=m, length=r * m, code_size=n,
         delta_tw=delta_tw, delta_rep=delta_rep, checks=checks, times=times, coverage=coverage,
     )
-    build = TwistedBuild(group, report, fix, make_reps)
+    build = TwistedBuild(group, report, fix, make_twisting)
     if check != "all":
         return build
 
     with stage(times, "materialise"):
-        reps = build.representations
+        rep, automorphisms = build.twisting
         code = build.code
     report.code_size = code.size
-    checks["code_size_faithful"] = check_code_size(group, reps, code) and code.size == n
+    checks["code_size_faithful"] = check_code_size(rep, automorphisms, code) and code.size == n
     for name in ("fpa_letter_counts", "pairwise_delta_agrees", "distance_invariant"):
         coverage[name] = "exhaustive"
-    checks["fpa_letter_counts"] = letter_counts_constant(code, r)
+    with stage(times, "letter_counts"):
+        checks["fpa_letter_counts"] = letter_counts_constant(code, r)
     with stage(times, "invariance"):
         invariant = check_distance_invariance(code, generators=generators)
     with stage(times, "pairwise"):
         least = int(distance_row(code, 0)[1:].min(initial=code.length + 1))
     checks["pairwise_delta_agrees"] = invariant and least == delta_tw
-    checks["support_scan_agrees"] = min_distance_by_support(group, reps) == delta_tw
-    checks["repetition_bound_agrees"] = repetition_lower_bound(group, reps) == delta_rep
+    checks["support_scan_agrees"] = min_distance_by_support(rep, automorphisms) == delta_tw
+    checks["repetition_bound_agrees"] = repetition_lower_bound(rep, automorphisms) == delta_rep
     checks["distance_invariant"] = invariant
     return build
 

@@ -82,8 +82,6 @@ def is_irreducible(poly: int) -> bool:
 class PrimeField:
     """GF(p) for an odd prime p; elements are residues in [0, p)."""
 
-    kind = "prime"
-
     def __init__(self, p: int):
         if not is_prime(p) or p == 2:
             raise ValueError(f"p={p} is not an odd prime")
@@ -91,7 +89,6 @@ class PrimeField:
             raise ValueError(f"p={p} exceeds the supported bound {_MAX_PRIME}")
         self.p = p
         self.order = p
-        self.char = p
 
     def validate(self, a: int) -> int:
         if not 0 <= a < self.p:
@@ -156,8 +153,6 @@ class BinaryField:
     built once at construction (n <= 8 keeps them small).
     """
 
-    kind = "binary"
-
     def __init__(self, n: int, poly: int | None = None):
         if not 1 <= n <= _MAX_BINARY_DEGREE:
             raise ValueError(f"n={n} out of supported range 1..{_MAX_BINARY_DEGREE}")
@@ -170,7 +165,6 @@ class BinaryField:
         self.n = n
         self.poly = poly
         self.order = 1 << n
-        self.char = 2
         q = self.order
         table = np.zeros((q, q), dtype=np.uint8)
         for a in range(q):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _packed
 from ._packed import PackedOps, batch_matmul, batch_matmul_left, batch_exterior_square
-from .codes import IndexedDomain, Representation, finish_build, sample_pairs, support_scan, twisted_representations
+from .codes import IndexedDomain, Representation, finish_build, sample_pairs, support_scan
 from .fields import BinaryField
 from .linalg import Matrix, WEDGE_PAIRS, null_space
 from .report import coverage_value, stage
@@ -528,7 +528,7 @@ def build_symplectic_twisted(space, check="fast", rng_seed=1):
     # the rows of the GENERATOR_WORDS elements, for the invariance certificate
     gen_rows = group.indices_of_keys(space.ops.pack_keys(space.ops.pack(generators(space)))) if check == "all" else None
     build = finish_build(
-        group, fix, lambda: twisted_representations(group.natural_representation(), [tau.index]),
+        group, fix, lambda: (group.natural_representation(), [tau.index]),
         family="symplectic", params={"n": space.n, "poly": space.field.poly},
         m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, coverage=coverage,
         check=check, generators=gen_rows,

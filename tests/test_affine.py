@@ -232,16 +232,18 @@ def test_twisted_tables_are_gathers(p, k):
     # every twist's representation, table and fixed-count column, gathered
     # through twist_index, against the direct per-r image computation
     build = build_affine_twisted(AffineParams(p, k))
-    group, reps = build.group, build.representations
+    group, (natural, automorphisms) = build.group, build.twisting
     m = p**k
-    assert len(reps) == p
+    assert len(automorphisms) == p - 1
     for r in range(p):
         ref = affine_twisted_table(group, r)
+        t = automorphisms[r - 1] if r else np.arange(len(group))
         assert np.array_equal(group.twist_index(r), affine_twist_index(group, r))
-        assert np.array_equal(reps[r].perms, ref)
+        assert np.array_equal(t, affine_twist_index(group, r))
+        assert np.array_equal(natural.perms[t], ref)
         assert np.array_equal(group.twisted_perm_table(r), ref)
         assert np.array_equal(build.fix[:, r], (ref == np.arange(m)).sum(axis=1))
-        assert np.array_equal(reps[r].sizes, m - build.fix[:, r])
+        assert np.array_equal(natural.sizes[t], m - build.fix[:, r])
 
 
 def test_wrong_twist_index_fails_check_all(monkeypatch, capsys):
@@ -338,7 +340,7 @@ def test_code_size_guard_rejects_oversized():
     build = build_affine_twisted(AffineParams(13, 3))
     assert build.report.all_pass()
     with pytest.raises(ValueError, match="815730721 symbols, over the guard"):
-        build.representations
+        build.twisting
     with pytest.raises(ValueError, match="over the guard"):
         build_affine_twisted(AffineParams(13, 3), check="all")
 

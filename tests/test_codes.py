@@ -18,7 +18,6 @@ from twistcode.codes import (
     IndexedDomain,
     NontrivialKernelError,
     Representation,
-    build_code,
     build_twisted_code,
     check_code_size,
     check_distance_invariance,
@@ -32,8 +31,8 @@ from twistcode.codes import (
     read_code,
     repetition_lower_bound,
     sample_pairs,
+    summed_supports,
     support_size,
-    twisted_representations,
     write_code,
 )
 from twistcode.fields import BinaryField, PrimeField
@@ -57,7 +56,8 @@ def cyclic3():
 @pytest.fixture(scope="module")
 def affine32():
     build = build_affine_twisted(AffineParams(3, 2))
-    return build.group, build.representations
+    natural, automorphisms = build.twisting
+    return build.group, natural, automorphisms
 
 
 @pytest.fixture(scope="module")
@@ -114,15 +114,14 @@ def test_trivial_group_code():
     gf2 = BinaryField(1)
     group = EnumeratedGroup(gf2, np.eye(2, dtype=np.uint8)[None, :, :])
     rep = Representation(group, np.arange(4)[None, :])
-    code = build_code(group, rep)
+    code = build_twisted_code(rep)
     assert code.size == 1
     assert min_distance_pairwise(code) == 0
 
 
 def test_distance_from_identity_equals_support_affine(affine32):
-    group, reps = affine32
-    rep = reps[0]
-    code = build_code(group, rep)
+    group, rep, _ = affine32
+    code = build_twisted_code(rep)
     base = code.words[0]
     for t in range(len(group)):
         assert hamming_distance(base, code.words[t]) == support_size(rep.perm(t))
@@ -130,62 +129,91 @@ def test_distance_from_identity_equals_support_affine(affine32):
 
 def test_distance_from_identity_equals_support_sp42(sp2):
     _, group, rep = sp2
-    code = build_code(group, rep)
+    code = build_twisted_code(rep)
     base = code.words[0]
     for t in range(len(group)):
         assert hamming_distance(base, code.words[t]) == support_size(rep.perm(t))
 
 
-def test_build_code_sizes(affine32, sp2):
-    group, reps = affine32
-    code = build_code(group, reps[0])
+def test_natural_code_sizes(affine32, sp2):
+    _, natural, _ = affine32
+    code = build_twisted_code(natural)
     assert (code.size, code.length, code.q) == (27, 9, 9)
-    _, spgroup, sprep = sp2
-    spcode = build_code(spgroup, sprep)
+    _, _, sprep = sp2
+    spcode = build_twisted_code(sprep)
     assert (spcode.size, spcode.length) == (720, 15)
 
 
 def test_twisted_code_degenerate_and_repetition(affine32):
-    group, reps = affine32
-    single = build_twisted_code(group, reps[:1])
-    assert (single.words == build_code(group, reps[0]).words).all()
-    doubled = build_twisted_code(group, [reps[0], reps[0]])
+    group, natural, _ = affine32
+    single = build_twisted_code(natural)
+    assert (single.words == natural.perms + 1).all()
+    doubled = build_twisted_code(natural, [np.arange(len(group))])  # twisted by the identity
     assert min_distance_pairwise(doubled) == 2 * min_distance_pairwise(single)
     assert letter_counts_constant(doubled, 2)
 
 
-def test_twisted_code_mixed_domains_rejected(affine32, cyclic3):
-    group, reps = affine32
-    _, c3rep = cyclic3
-    with pytest.raises(ValueError):
-        build_twisted_code(group, [reps[0], c3rep])
+def gathered_oracle(group, natural, automorphisms):
+    """The twisted code the plain way: one Representation per block, the
+    natural table's rows gathered through t, their passive forms
+    concatenated; with each block's support sizes."""
+    reps = [natural] + [Representation(group, natural.perms[t]) for t in automorphisms]
+    words = np.concatenate([r.perms.astype(np.min_scalar_type(natural.q)) + 1 for r in reps], axis=1)
+    return Code(words, natural.q), [r.sizes for r in reps]
+
+
+@pytest.mark.parametrize("block", [1, codes.BLOCK_ENTRIES])
+def test_twisted_code_equals_gathered_oracle(monkeypatch, affine32, sp2, block):
+    space, spgroup, sprep = sp2
+    cases = [affine32, (spgroup, sprep, [build_outer_automorphism(space, spgroup).index])]
+    monkeypatch.setattr(codes, "BLOCK_ENTRIES", block)
+    for group, natural, automorphisms in cases:
+        want, sizes = gathered_oracle(group, natural, automorphisms)
+        code = build_twisted_code(natural, automorphisms)
+        assert code.words.dtype == want.words.dtype
+        assert np.array_equal(code.words, want.words) and np.array_equal(code.order, want.order)
+        total = sum(sizes)
+        assert np.array_equal(summed_supports(natural, automorphisms), total)
+        assert min_distance_by_support(natural, automorphisms) == int(total[1:].min())
+        assert repetition_lower_bound(natural, automorphisms) == len(sizes) * min(int(s[s > 0].min()) for s in sizes)
+        assert check_code_size(natural, automorphisms, code) == (code.size * int((total == 0).sum()) == len(total))
+        assert not check_code_size(natural, automorphisms, Code(code.words[1:], code.q))
+
+
+def test_twisted_code_rejects_bad_automorphisms(affine32):
+    group, natural, automorphisms = affine32
+    with pytest.raises(ValueError, match="does not permute 27 elements"):
+        build_twisted_code(natural, [automorphisms[0][:-1]])
+    # t[0] != 0: the identity would act as element 1, which moves points (faithful)
+    with pytest.raises(ValueError, match="identity element must act as the identity permutation"):
+        build_twisted_code(natural, [automorphisms[0], np.roll(np.arange(len(group)), -1)])
 
 
 def test_affine_twisted_code_letter_counts(affine32):
-    group, reps = affine32
-    code = build_twisted_code(group, reps)
+    _, natural, automorphisms = affine32
+    code = build_twisted_code(natural, automorphisms)
     assert (code.size, code.length) == (27, 27)
     assert letter_counts_constant(code, 3)
 
 
 def test_min_distance_oracle_equivalence(affine32, sp2):
-    group, reps = affine32
-    code = build_twisted_code(group, reps)
-    assert min_distance_pairwise(code) == min_distance_by_support(group, reps) == 24
-    assert repetition_lower_bound(group, reps) == 18
-    _, spgroup, sprep = sp2
-    spcode = build_code(spgroup, sprep)
-    assert min_distance_pairwise(spcode) == min_distance_by_support(spgroup, [sprep]) == 8
-    assert repetition_lower_bound(spgroup, [sprep]) == 8
+    _, natural, automorphisms = affine32
+    code = build_twisted_code(natural, automorphisms)
+    assert min_distance_pairwise(code) == min_distance_by_support(natural, automorphisms) == 24
+    assert repetition_lower_bound(natural, automorphisms) == 18
+    _, _, sprep = sp2
+    spcode = build_twisted_code(sprep)
+    assert min_distance_pairwise(spcode) == min_distance_by_support(sprep) == 8
+    assert repetition_lower_bound(sprep) == 8
 
 
 def test_pairwise_oracle_one_row_blocks(monkeypatch, affine32, sp2):
-    group, reps = affine32
-    _, spgroup, sprep = sp2
+    group, natural, automorphisms = affine32
+    _, _, sprep = sp2
     monkeypatch.setattr(codes, "BLOCK_ENTRIES", 1)
-    assert min_distance_pairwise(build_twisted_code(group, reps)) == 24
-    assert min_distance_pairwise(build_twisted_code(group, [reps[0], reps[0]])) == 12
-    assert min_distance_pairwise(build_code(spgroup, sprep)) == 8
+    assert min_distance_pairwise(build_twisted_code(natural, automorphisms)) == 24
+    assert min_distance_pairwise(build_twisted_code(natural, [np.arange(len(group))])) == 12
+    assert min_distance_pairwise(build_twisted_code(sprep)) == 8
 
 
 def test_pairwise_oracle_memory_bound():
@@ -205,16 +233,16 @@ def test_pairwise_oracle_memory_bound():
 
 
 def test_repetition_bound_degenerate_single_rep(affine32, sp2):
-    group, reps = affine32
-    assert repetition_lower_bound(group, reps[:1]) == min_distance_by_support(group, reps[:1])
-    _, spgroup, sprep = sp2
-    assert repetition_lower_bound(spgroup, [sprep]) == min_distance_by_support(spgroup, [sprep])
+    _, natural, _ = affine32
+    assert repetition_lower_bound(natural) == min_distance_by_support(natural)
+    _, _, sprep = sp2
+    assert repetition_lower_bound(sprep) == min_distance_by_support(sprep)
 
 
 def test_pairwise_distance_equals_translated_support(sp2):
     # d(word_s, word_t) = |supp(s^-1 t)| for 100 random pairs
     _, group, rep = sp2
-    code = build_code(group, rep)
+    code = build_twisted_code(rep)
     rng = np.random.default_rng(12)
     for _ in range(100):
         s, t = rng.integers(0, len(group), size=2)
@@ -224,12 +252,12 @@ def test_pairwise_distance_equals_translated_support(sp2):
 
 
 def test_representation_homomorphism(affine32, sp2):
-    group, reps = affine32
-    rep = reps[1]
+    group, natural, automorphisms = affine32
+    perms = natural.perms[automorphisms[0]]  # the natural action of the 1-twist
     for a in range(len(group)):
         for b in range(len(group)):
             prod = group.product_index(a, b)
-            assert (rep.perm(prod) == rep.perm(b)[rep.perm(a)]).all()
+            assert (perms[prod] == perms[b][perms[a]]).all()
     space, spgroup, sprep = sp2
     rng = np.random.default_rng(13)
     for _ in range(500):
@@ -246,10 +274,10 @@ def test_nontrivial_joint_kernel_reported():
     group = EnumeratedGroup(gf3, np.stack([np.eye(2, dtype=np.uint8), swap]))
     trivial = Representation(group, np.tile(np.arange(3), (2, 1)))
     with pytest.raises(NontrivialKernelError):
-        min_distance_by_support(group, [trivial])
-    code = build_code(group, trivial)
+        min_distance_by_support(trivial)
+    code = build_twisted_code(trivial)
     assert code.size == 1  # both elements collapse to one codeword
-    assert not check_code_size(group, [trivial], Code(np.array([[1, 2, 3], [1, 3, 2]]), 3))
+    assert not check_code_size(trivial, (), Code(np.array([[1, 2, 3], [1, 3, 2]]), 3))
 
 
 def sp2_generator_rows(space, group):
@@ -272,8 +300,8 @@ def test_distance_invariance_small_cases(affine32):
     assert not check_distance_invariance(Code(np.array([[2, 1, 1], [1, 2, 2]]), 3), generators=[0])
     # distances {0, 2, 2} from the first row, {0, 2, 3} from the second
     assert not check_distance_invariance(Code(np.array([[1, 2, 3], [2, 1, 3], [3, 2, 1]]), 3), generators=[0, 1, 2])
-    group, reps = affine32
-    assert check_distance_invariance(build_twisted_code(group, reps), generators=affine_generator_rows(group))
+    group, natural, automorphisms = affine32
+    assert check_distance_invariance(build_twisted_code(natural, automorphisms), generators=affine_generator_rows(group))
 
 
 def invariant_by_rows(code):
@@ -356,15 +384,14 @@ def test_invariance_certificate_complete_on_families(sp2):
         assert check_distance_invariance(code, generators=affine_generator_rows(group))
         assert int(distance_row(code, 0)[1:].min()) == min_distance_pairwise(code) == p ** (k + 1) - p
     space, group, natural = sp2
-    tau = twisted_representations(natural, [build_outer_automorphism(space, group).index])[1]
-    code = build_twisted_code(group, [natural, tau])
+    code = build_twisted_code(natural, [build_outer_automorphism(space, group).index])
     assert check_distance_invariance(code, generators=sp2_generator_rows(space, group))
     assert int(distance_row(code, 0)[1:].min()) == min_distance_pairwise(code) == 20
 
 
 def test_invariance_certificate_fails_on_mutations(affine32):
-    group, reps = affine32
-    code = build_twisted_code(group, reps)
+    group, natural, automorphisms = affine32
+    code = build_twisted_code(natural, automorphisms)
     gens = affine_generator_rows(group)
     assert check_distance_invariance(code, generators=gens)
     swapped = code.words.copy()
@@ -391,10 +418,13 @@ def test_row_scans_equal_row_loops(code, chunk):
 
 @settings(max_examples=60, deadline=None)
 @given(hnp.arrays(st.sampled_from([np.uint8, np.uint16]), st.tuples(st.integers(1, 30), st.integers(1, 4)),
-                  elements=st.integers(1, 3)))
-def test_code_dedup_matches_unique_axis0(words):
+                  elements=st.integers(1, 3)), st.sampled_from([1, codes.BLOCK_ENTRIES]))
+def test_code_dedup_matches_unique_axis0(words, chunk):
+    # with one-row blocks too, so runs of equal keys cross block edges
     _, first = np.unique(words, axis=0, return_index=True)
-    code = Code(words, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "BLOCK_ENTRIES", chunk)
+        code = Code(words, 3)
     assert np.array_equal(code.words, words[np.sort(first)])
     # the kept rows are distinct, so every argsort of their keys is code.order
     assert np.array_equal(code.order, np.argsort(codes.row_keys(code.words)))
@@ -409,10 +439,10 @@ def test_code_order_with_duplicate_rows():
 
 
 def test_finish_build_reports_wrong_delta(affine32):
-    group, reps = affine32
+    group, natural, automorphisms = affine32
     checks = {}
     build = finish_build(
-        group, group.fixed_count_table(), lambda: reps, family="affine", params={"p": 3, "k": 2},
+        group, group.fixed_count_table(), lambda: (natural, automorphisms), family="affine", params={"p": 3, "k": 2},
         m=9, deltas=(25, 18), checks=checks, times={}, coverage={}, check="all",
         generators=affine_generator_rows(group),
     )
@@ -421,9 +451,9 @@ def test_finish_build_reports_wrong_delta(affine32):
 
 
 def test_check_code_size(affine32):
-    group, reps = affine32
-    code = build_twisted_code(group, reps)
-    assert check_code_size(group, reps, code)
+    _, natural, automorphisms = affine32
+    code = build_twisted_code(natural, automorphisms)
+    assert check_code_size(natural, automorphisms, code)
 
 
 def test_mulclose_oracle_affine_order():
@@ -444,8 +474,8 @@ def test_indexed_domain():
 
 
 def test_code_file_roundtrip(tmp_path, affine32):
-    group, reps = affine32
-    code = build_twisted_code(group, reps)
+    _, natural, automorphisms = affine32
+    code = build_twisted_code(natural, automorphisms)
     path = tmp_path / "aff.tw"
     write_code(path, code, "affine", {"p": 3, "k": 2}, r=3)
     loaded, meta = read_code(path)
@@ -571,10 +601,10 @@ def test_bijection_checked_above_2_22_entries():
 
 def test_bijection_check_independent_of_chunk(monkeypatch, sp2):
     space, group, natural = sp2
-    tau = twisted_representations(natural, [build_outer_automorphism(space, group).index])[1]
+    tau_perms = natural.perms[build_outer_automorphism(space, group).index]
     monkeypatch.setattr(codes, "BLOCK_ENTRIES", space.num_points)  # one row per block
-    for rep in (natural, tau):
-        Representation(group, rep.perms)
+    for perms in (natural.perms, tau_perms):
+        Representation(group, perms)
     bad = natural.perms.copy()
     bad[361, 0] = bad[361, 1]
     with pytest.raises(ValueError, match="not a bijection"):
