@@ -20,6 +20,8 @@ are 1-based, matching the codeword file format.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from ._packed import chunks, first_of_runs
@@ -61,6 +63,13 @@ def row_keys(words):
 def _row_blocks(n, width):
     """Slices of n rows of `width` entries, about BLOCK_ENTRIES per slice (at least one row)."""
     return chunks(n, max(1, BLOCK_ENTRIES // max(width, 1)))
+
+
+def _frozen(a):
+    """A read-only view of a; a itself, maybe the caller's array, stays writeable."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
 
 
 def _rows_sort_to(rows, target):
@@ -122,9 +131,8 @@ class EnumeratedGroup:
             raise ValueError("elements must be an (N, d, d) array")
         if not (elements[0] == np.eye(elements.shape[1], dtype=np.uint8)).all():
             raise ValueError("identity must sit at index 0")
-        elements.setflags(write=False)
         self.field = field
-        self.elements = elements
+        self.elements = _frozen(elements)
 
     def __len__(self):
         return self.elements.shape[0]
@@ -150,8 +158,7 @@ class Representation:
             if not _rows_are_permutations(perms[sl]):
                 raise ValueError("some image array is not a bijection")
             self.sizes[sl] = np.count_nonzero(perms[sl] != ident, axis=1)
-        perms.setflags(write=False)
-        self.perms = perms
+        self.perms = _frozen(perms)
 
     @property
     def q(self):
@@ -181,9 +188,7 @@ class Code:
         if not first.all():
             kept = np.sort(order[first])
             words, order = words[kept], np.searchsorted(kept, order[first])
-        words.setflags(write=False)
-        order.setflags(write=False)
-        self.words, self.order = words, order
+        self.words, self.order = _frozen(words), _frozen(order)
         self.q = q
 
     @property
@@ -231,7 +236,8 @@ def build_twisted_code(rep: Representation, automorphisms=()) -> Code:
 
 def min_distance_pairwise(code: Code) -> int:
     """Exact minimum over all unordered codeword pairs; 0 if |C| <= 1.
-    Each block compares about BLOCK_ENTRIES symbols (at least one row)."""
+    Each block compares about BLOCK_ENTRIES symbols (at least one row) and
+    counts the mismatches in the narrowest type that holds the length."""
     W = code.words
     n = code.size
     if n <= 1:
@@ -240,7 +246,8 @@ def min_distance_pairwise(code: Code) -> int:
     for sl in _row_blocks(n, n * code.length):
         blk = W[sl]
         # distances to all later codewords, plus the in-block upper triangle
-        d = (blk[:, None, :] != W[None, sl.start :, :]).sum(axis=2)
+        ne = blk[:, None, :] != W[None, sl.start :, :]
+        d = ne.view(np.uint8).sum(axis=2, dtype=np.min_scalar_type(code.length))
         ii, jj = np.triu_indices(blk.shape[0], k=1, m=d.shape[1])
         if ii.size:
             best = min(best, int(d[ii, jj].min()))
@@ -446,18 +453,27 @@ def write_code(path, code: Code, family, params, r=1):
             f"q={code.q} length={code.length} size={code.size}\n"
         )
         strs = [str(i) for i in range(code.q + 1)]
-        for row in code.words.tolist():
-            fh.write(" ".join([strs[x] for x in row]) + "\n")
+        for sl in _row_blocks(code.size, code.length):  # one block of rows as lists at a time
+            for row in code.words[sl].tolist():
+                fh.write(" ".join([strs[x] for x in row]) + "\n")
 
 
 def read_code(path):
     """Parse a v1 codeword file; returns (Code, header dict).
 
-    Malformed input raises CodewordFileError carrying the line number.
+    A file in the plain form write_code writes is parsed in numpy, about
+    BLOCK_ENTRIES // 4 bytes of whole lines at a time.  Any other goes to
+    the line parser, read again from the top: malformed input raises
+    CodewordFileError carrying the line number, and whatever the line
+    parser accepts reads the same.
     """
+    with open(path, "rb") as fh:
+        parsed = _read_plain(fh)
+    return parsed if parsed is not None else _read_code_lines(path)
 
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+
+def _parse_header(lines):
+    """(meta, q, length, size) from the first two lines of a v1 file."""
     if not lines or lines[0].strip() != FORMAT_MAGIC:
         raise CodewordFileError(1, f"missing magic header {FORMAT_MAGIC!r}")
     if len(lines) < 2 or not lines[1].startswith("# "):
@@ -475,6 +491,73 @@ def read_code(path):
         size = int(meta["size"]) if "size" in meta else None
     except (KeyError, ValueError) as exc:
         raise CodewordFileError(2, f"bad metadata header: {exc}") from exc
+    return meta, q, length, size
+
+
+def _read_plain(fh):
+    """read_code's result for the binary file fh, or None unless both header
+    lines are printable ASCII and parse, and every body chunk passes
+    _parse_rows, with as many rows as size= (when given) and at least one."""
+    head = [fh.readline(), fh.readline()]
+    if not all(line.endswith(b"\n") and line[:-1].isascii() and line[:-1].decode().isprintable() for line in head):
+        return None
+    try:
+        meta, q, length, size = _parse_header([line[:-1].decode() for line in head])
+    except CodewordFileError:
+        return None
+    # the int32 symbol sums hold 9 digits; every symbol takes at least one byte of the file
+    if not (1 <= q < 10**9 and length >= 1 and (size is None or 1 <= size * length <= os.fstat(fh.fileno()).st_size)):
+        return None
+    dtype = np.min_scalar_type(q)
+    words = [] if size is None else np.empty((size, length), dtype=dtype)
+    done = 0
+    while chunk := b"".join(fh.readlines(BLOCK_ENTRIES // 4)):  # whole lines, about 1 MiB
+        rows = _parse_rows(np.frombuffer(chunk, dtype=np.uint8), q, length)
+        if rows is None or (size is not None and done + len(rows) > size):
+            return None
+        if size is None:
+            words.append(rows.astype(dtype))
+        else:
+            words[done : done + len(rows)] = rows
+        done += len(rows)
+    if not done or (size is not None and done != size):
+        return None
+    return Code(np.concatenate(words) if size is None else words, q), meta
+
+
+def _parse_rows(buf, q, length):
+    """The int32 rows of whole body lines (bytes buf), or None unless every
+    byte is a digit, b" " or b"\\n", every line has 0 or `length` tokens,
+    and every token is at most len(str(q)) digits and lies in 1..q."""
+    digits = buf - np.uint8(ord("0"))  # bytes below "0" wrap above 9
+    is_digit = digits < 10
+    if not (is_digit | (buf == ord(" ")) | (buf == ord("\n"))).all():
+        return None
+    # token starts and ends at the digit/non-digit edges, in int32 to halve the chunk's largest arrays
+    bounds = np.flatnonzero(np.diff(is_digit, prepend=False, append=False)).astype(np.int32)
+    starts, ends = bounds[::2], bounds[1::2]
+    sizes = ends - starts
+    width = sizes.max(initial=0)
+    # tokens per line; the end of buf closes a last line that has no newline (an empty one if it has)
+    line_ends = np.append(np.flatnonzero(buf == ord("\n")), len(buf))
+    per_line = np.diff(np.searchsorted(starts, line_ends), prepend=0)
+    if not ((per_line == 0) | (per_line == length)).all() or width > len(str(q)):
+        return None
+    values = np.take(digits, ends - 1).astype(np.int32)  # units; every token has one
+    for k in range(1, width):  # then the 10^k digit of the tokens that have one
+        digit = np.take(digits, ends - 1 - k, mode="clip")
+        digit *= sizes > k
+        values += digit * np.int32(10**k)
+    if values.size and (values.min() < 1 or values.max() > q):
+        return None
+    return values.reshape(-1, length)
+
+
+def _read_code_lines(path):
+    """The line parser: read_code for any file, one line and symbol at a time."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    meta, q, length, size = _parse_header(lines)
     rows = []
     for ln, line in enumerate(lines[2:], start=3):
         if not line.strip():

@@ -554,14 +554,17 @@ def corrupt_symbol(draw, tokens, q):
 
 
 @settings(max_examples=60, deadline=None)
-@given(code_files(), st.data())
-def test_code_file_roundtrip_property(case, data):
+@given(code_files(), st.data(), st.sampled_from([4, codes.BLOCK_ENTRIES]))
+def test_code_file_roundtrip_property(case, data, block):
+    # block 4 reads one line per chunk (the reader takes BLOCK_ENTRIES // 4 bytes of whole lines)
     code, family, params, r = case
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "BLOCK_ENTRIES", block)
         path = Path(tmp) / "code.tw"
         write_code(path, code, family, params, r=r)
         loaded, meta = read_code(path)
         assert np.array_equal(loaded.words, code.words)
+        assert loaded.words.dtype == codes._read_code_lines(path)[0].words.dtype
         assert (loaded.q, loaded.length, loaded.size) == (code.q, code.length, code.size)
         want = {"family": family, **{k: str(v) for k, v in params.items()}, "r": str(r),
                 "q": str(code.q), "length": str(code.length), "size": str(code.size)}
@@ -575,6 +578,107 @@ def test_code_file_roundtrip_property(case, data):
         with pytest.raises(CodewordFileError) as err:
             read_code(path)
         assert err.value.line == 3 + i
+
+
+HEADER = "# twistcode v1\n# family=custom q=12 length=3 size=2\n"
+
+
+@pytest.mark.parametrize(
+    "text, plain",
+    [
+        (HEADER + "1 2 3\n12 11 10\n", True),
+        (HEADER + "1 2 3\r\n12 11 10\r\n", False),  # CRLF
+        (HEADER + "1\t2 3\n12 11\t10\n", False),  # tabs
+        (HEADER + "1 2 3\n   \n\n12 11 10\n", True),  # whitespace-only and empty lines
+        (HEADER + "  1  2 3 \n12 11 10", True),  # extra spaces, no trailing newline
+        (HEADER + "01 2 3\n12 11 10\n", True),  # more digits than q has, read as int() reads them
+        (HEADER + "001 2 3\n12 11 10\n", False),
+        (HEADER + "+1 2 3\n12 11 10\n", False),
+        (HEADER + "1 2 3\n12 -1 10\n", False),
+        (HEADER + "1 2 0\n12 11 10\n", False),
+        (HEADER + "1 2 3\n12 11 13\n", False),
+        (HEADER + "1 2 3\n12 11 10 9\n", False),
+        (HEADER + "1 2 3\n12 11\n", False),
+        (HEADER + "1 2 3\n12 11", False),  # short last line, no trailing newline
+        (HEADER + "1 2 3\n", False),  # one line too few
+        (HEADER + "1 2 3\n12 11 10\n2 3 1\n", False),  # one line too many
+        (HEADER + "1 2 3\n12 11 10\n1 x 3\n", False),  # too many, and malformed after
+        (HEADER + "\n \n", False),  # no codewords
+        (HEADER.replace(" size=2", "") + "1 2 3\n\n12 11 10\n2 3 1\n", True),  # no size=
+        (HEADER.replace(" size=2", " size=9999") + "1 2 3\n", False),
+        (HEADER.replace("q=12", "q=0") + "1 2 3\n", False),
+        (HEADER.replace("q=12", "q=1000000000") + "1 2 3\n", False),
+        (HEADER.replace("length=3", "length=0") + "1 2 3\n", False),
+        (HEADER.replace("family", "famille \u00e9") + "1 2 3\n12 11 10\n", False),
+        (HEADER.replace(" size=2", "\tsize=2") + "1 2 3\n12 11 10\n", False),
+        (HEADER.replace("q=12", "q=x") + "1 2 3\n12 11 10\n", False),
+        (HEADER.replace("twistcode v1", "twistcode v2") + "1 2 3\n12 11 10\n", False),
+        ("# twistcode v1\n", False),
+        ("", False),
+    ],
+)
+@pytest.mark.parametrize("block", [4, codes.BLOCK_ENTRIES])
+def test_read_code_hands_over_to_line_parser(monkeypatch, tmp_path, text, plain, block):
+    """read_code gives the line parser's words and meta, or its exact error;
+    only plain files are read without it."""
+    path = tmp_path / "f.tw"
+    path.write_bytes(text.encode())
+    try:
+        want = codes._read_code_lines(path)
+    except CodewordFileError as exc:
+        want = exc
+    calls = []
+    line_parser = codes._read_code_lines
+    monkeypatch.setattr(codes, "_read_code_lines", lambda p: calls.append(p) or line_parser(p))
+    monkeypatch.setattr(codes, "BLOCK_ENTRIES", block)
+    if isinstance(want, CodewordFileError):
+        with pytest.raises(CodewordFileError) as err:
+            read_code(path)
+        assert (err.value.line, str(err.value)) == (want.line, str(want))
+    else:
+        got = read_code(path)
+        assert got[1] == want[1]
+        assert got[0].words.dtype == want[0].words.dtype
+        assert np.array_equal(got[0].words, want[0].words) and np.array_equal(got[0].order, want[0].order)
+    assert calls == ([] if plain else [path])
+
+
+def test_read_code_fast_path_runs(monkeypatch, tmp_path, affine32):
+    _, natural, automorphisms = affine32
+    code = build_twisted_code(natural, automorphisms)
+    path = tmp_path / "aff.tw"
+    write_code(path, code, "affine", {"p": 3, "k": 2}, r=3)
+
+    def refuse(path):
+        raise AssertionError("the line parser ran")
+
+    monkeypatch.setattr(codes, "_read_code_lines", refuse)
+    for block in (4, 200, codes.BLOCK_ENTRIES):  # one line, a few lines, the whole body per chunk
+        monkeypatch.setattr(codes, "BLOCK_ENTRIES", block)
+        loaded, _ = read_code(path)
+        assert np.array_equal(loaded.words, code.words) and np.array_equal(loaded.order, code.order)
+
+
+@pytest.mark.parametrize("length", [255, 256, 65536])
+def test_pairwise_oracle_counts_past_narrow_types(length):
+    # two codewords that differ everywhere: a count that wrapped at 256 or 65,536 would read 0
+    words = np.stack([np.ones(length, dtype=np.uint8), np.full(length, 2, dtype=np.uint8)])
+    assert min_distance_pairwise(Code(words, 2)) == length
+    assert min_distance_pairwise(Code(np.vstack([words, words[:1] % 2 + 1]), 2)) == length
+
+
+def test_stored_arrays_frozen_not_callers():
+    gf2 = BinaryField(1)
+    elements = np.stack([np.eye(2, dtype=np.uint8), np.array([[0, 1], [1, 0]], dtype=np.uint8)])
+    group = EnumeratedGroup(gf2, elements)
+    perms = np.array([[0, 1, 2], [1, 2, 0]])
+    rep = Representation(range(2), perms)
+    words = np.array([[1, 2], [2, 1]], dtype=np.uint8)
+    code = Code(words, 2)
+    for caller, stored in ((elements, group.elements), (perms, rep.perms), (words, code.words)):
+        assert np.shares_memory(caller, stored)  # no copy was needed
+        assert caller.flags.writeable and not stored.flags.writeable
+    assert not code.order.flags.writeable
 
 
 def test_code_dedup_stable():
