@@ -211,24 +211,39 @@ def wedge_rows(ops: PackedOps, ops6: PackedOps, table, rows, lift, pairs):
     return out
 
 
+def _matmul_fixed(mul, A, B):
+    """(N, r, s) batch times a fixed (s, t) matrix: term k gathers rows of
+    the (q, t) table mul[:, B[k]] at the entries of column k of A."""
+    out = np.zeros(A.shape[:2] + B.shape[1:], dtype=mul.dtype)
+    for k in range(B.shape[0]):
+        out ^= np.take(mul[:, B[k]], A[:, :, k], axis=0)
+    return out
+
+
 def batch_matmul(mul, A, B):
     """Exact product over GF(2^n) via the field's q x q table.
 
     A is (N, r, s); B is either a fixed (s, t) matrix or a per-element
-    (N, s, t) batch.  Returns (N, r, t).  Callers chunk N.
+    (N, s, t) batch.  Returns (N, r, t), the XOR over k of the entrywise
+    products of column k of A and row k of B, one (N, r, t) term at a
+    time.  Callers chunk N.
     """
 
     if B.ndim == 2:
-        prod = mul[A[:, :, :, None], B[None, None, :, :]]
-    else:
-        prod = mul[A[:, :, :, None], B[:, None, :, :]]
-    return np.bitwise_xor.reduce(prod, axis=2)
+        return _matmul_fixed(mul, A, B)
+    q = mul.shape[0]
+    flat = mul.ravel()
+    out = np.zeros((A.shape[0], A.shape[1], B.shape[2]), dtype=mul.dtype)
+    for k in range(B.shape[1]):
+        out ^= flat[A[:, :, k, None].astype(np.intp) * q + B[:, None, k, :]]
+    return out
 
 
 def batch_matmul_left(mul, C, B):
-    """Fixed (r, s) matrix times per-element (N, s, t) batch."""
-    prod = mul[C[None, :, :, None], B[:, None, :, :]]
-    return np.bitwise_xor.reduce(prod, axis=2)
+    """Fixed (r, s) matrix times per-element (N, s, t) batch, as the
+    transpose of B^T . C^T.  Calls the private kernel, not batch_matmul,
+    so one call is one batch_matmul_left span to a wrapping tracer."""
+    return np.ascontiguousarray(_matmul_fixed(mul, B.transpose(0, 2, 1), C.T).transpose(0, 2, 1))
 
 
 def batch_exterior_square(mul, mats, pairs):

@@ -102,11 +102,14 @@ def _transvection_entries(space, v, lam):
 
 def transvection(space, v, lam) -> Matrix:
     """The symplectic transvection x -> x + lam * B(x, v) * v."""
-    v = np.asarray(v, dtype=np.uint8)
+    q = space.q
+    v = np.asarray(v)
+    if v.shape != (4,) or not np.issubdtype(v.dtype, np.integer) or ((v < 0) | (v >= q)).any():
+        raise ValueError(f"transvection direction must be 4 entries in 0..{q - 1}")
     if not v.any():
         raise ValueError("transvection direction must be nonzero")
-    if lam == 0:
-        raise ValueError("transvection scalar must be nonzero")
+    if not isinstance(lam, (int, np.integer)) or not 1 <= lam < q:
+        raise ValueError(f"transvection scalar must be in 1..{q - 1}")
     return Matrix(space.field, _transvection_entries(space, v, lam))
 
 

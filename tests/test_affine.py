@@ -139,6 +139,28 @@ def test_act_on_point_cases(g32):
     assert fixed == [(1, 0, 0), (1, 1, 0), (1, 2, 0)]
 
 
+@pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (5, 3), (7, 2)])  # G_k needs p > k, so k = 3 starts at p = 5
+def test_certificate_generators_order_by_schreier_sims(p, k):
+    # sympy's Schreier-Sims on the point permutations of the certificate's
+    # generators, B and the e_k translation, through the scalar point action:
+    # together they generate all p^(k+1) elements of G_k
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    params = AffineParams(p, k)
+    group = enumerate_group(params)
+    e_k = np.eye(k, dtype=np.int64)[-1]
+    gens = [group.element(group.element_index(0 * e_k, 1)), group.element(group.element_index(e_k, p))]
+    B = np.eye(k + 1, dtype=np.uint8)
+    B[1:, 1:] = matrix_B(k, p).A
+    shift = np.eye(k + 1, dtype=np.uint8)
+    shift[0, 1:] = e_k
+    assert [g.matrix for g in gens] == [Matrix(PrimeField(p), B), Matrix(PrimeField(p), shift)]
+    points = list(enumerate_points(params))
+    index = {x: j for j, x in enumerate(points)}
+    perms = [Permutation([index[act_on_point(g, x)] for x in points]) for g in gens]
+    assert PermutationGroup(perms).order() == params.group_order == p ** (k + 1)
+
+
 def test_fixed_point_count_closed_form_vs_enumeration():
     for p, k in [(3, 2), (5, 2)]:
         params = AffineParams(p, k)

@@ -2,7 +2,8 @@
 np.unique, lookup_sorted against a dict, the closure's pinned
 canonical order and its independence of the generators, the fixed-point
 counts, permutation tables and rank-one flags against a scalar count and
-Matrix.rank, rows_matmul against the dense batch_matmul, and the wedge
+Matrix.rank, the dense batch_matmul and batch_matmul_left against a loop of
+BinaryField.matmul, rows_matmul against batch_matmul, and the wedge
 table's size guard."""
 
 import functools
@@ -219,6 +220,67 @@ def test_rows_matmul_equals_batch_matmul(n, size, seed):
     got = _packed.rows_matmul(ops, ops.pack(A), ops.pack(B))
     assert got.shape == (size, 4)
     assert np.array_equal(got, ops.pack(_packed.batch_matmul(field.mul_table, A, B)))
+
+
+@st.composite
+def batch_operands(draw):
+    """(field, A, B, C) for the dense kernels: A an (N, r, s) batch, B a
+    fixed (s, t) matrix or an (N, s, t) batch, C a fixed (r, s) matrix; each
+    operand is drawn as a transposed, non-contiguous view or not."""
+    field = BinaryField(draw(st.integers(1, 4)))
+    size = draw(st.sampled_from([0, 1]) | st.integers(0, 40))
+    r, s, t = (draw(st.integers(1, 6)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operand(*shape):
+        if draw(st.booleans()):  # drawn with its last two axes swapped, then swapped back
+            swapped = shape[:-2] + (shape[-1], shape[-2])
+            return rng.integers(0, field.order, size=swapped, dtype=np.uint8).swapaxes(-1, -2)
+        return rng.integers(0, field.order, size=shape, dtype=np.uint8)
+
+    B = operand(s, t) if draw(st.booleans()) else operand(size, s, t)
+    return field, operand(size, r, s), B, operand(r, s)
+
+
+def matmul_loop(field, lefts, rights, shape):
+    out = np.zeros(shape, dtype=np.uint8)
+    for i, (X, Y) in enumerate(zip(lefts, rights)):
+        out[i] = field.matmul(X, Y)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch_operands())
+def test_batch_matmul_kernels_against_field_matmul(case):
+    # the dense tau kernels against a per-matrix loop of BinaryField.matmul
+    field, A, B, C = case
+    mul = field.mul_table
+    size, r, s = A.shape
+    t = B.shape[-1]
+    fixed = B.ndim == 2
+    got = _packed.batch_matmul(mul, A, B)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, matmul_loop(field, A, [B] * size if fixed else B, (size, r, t)))
+    if not fixed:
+        got = _packed.batch_matmul_left(mul, C, B)
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+        assert np.array_equal(got, matmul_loop(field, [C] * size, B, (size, r, t)))
+
+
+def test_batch_matmul_left_does_not_call_batch_matmul(monkeypatch):
+    # a wrapping tracer counts one span per kernel call, so batch_matmul_left
+    # must not reach the public batch_matmul
+    field = BinaryField(2)
+    rng = np.random.default_rng(7)
+    C = rng.integers(0, 4, size=(4, 6), dtype=np.uint8)
+    B = rng.integers(0, 4, size=(30, 6, 6), dtype=np.uint8)
+    want = _packed.batch_matmul_left(field.mul_table, C, B)
+
+    def refuse(*args):
+        raise AssertionError("batch_matmul called")
+
+    monkeypatch.setattr(_packed, "batch_matmul", refuse)
+    assert np.array_equal(_packed.batch_matmul_left(field.mul_table, C, B), want)
 
 
 def test_wedge_table_size_guard():

@@ -75,6 +75,14 @@ def test_transvection_validation_and_algebra():
         transvection(space, (0, 0, 0, 0), 1)
     with pytest.raises(ValueError):
         transvection(space, space.e1, 0)
+    # values outside GF(4), which would index the tables
+    for lam in (-1, 4, 1.0):
+        with pytest.raises(ValueError, match="scalar must be in 1..3"):
+            transvection(space, space.e1, lam)
+    for v in ((4, 0, 0, 0), (-1, 0, 0, 0), (1, 0, 0), (1, 0, 0, 0, 0), ((1, 0), (0, 0)), (1.0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="direction must be 4 entries in 0..3"):
+            transvection(space, v, 1)
+    assert transvection(space, np.array([0, 0, 0, 3], dtype=np.int64), 3) == transvection(space, (0, 0, 0, 3), 3)
     rng = np.random.default_rng(4)
     for _ in range(20):
         v = rng.integers(0, 4, size=4)
