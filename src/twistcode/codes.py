@@ -20,6 +20,7 @@ are 1-based, matching the codeword file format.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -29,9 +30,11 @@ from .linalg import Matrix
 from .report import VerificationReport, coverage_value, stage
 
 FORMAT_MAGIC = "# twistcode v1"
-BLOCK_ENTRIES = 1 << 22  # entries per block of rows: bijection checks, codeword scans, pairwise oracle
+BLOCK_ENTRIES = 1 << 22  # entries per block of rows (bijection checks, codeword scans, file writes) or per pairwise tile
 CODE_BYTES_GUARD = 1 << 28  # max |C| * length for materialised codewords
 EXHAUSTIVE_PAIR_LIMIT = 1 << 20  # max n^2 for the exhaustive element-pair checks
+LANE_WORDS = 255  # uint64 words of a bool mask summed at once: 255 ones fill a byte lane
+LOW_BYTES = 0x00FF00FF00FF00FF
 
 
 def sample_pairs(n, rng, samples):
@@ -177,6 +180,8 @@ class Code:
         words = np.ascontiguousarray(words)
         if words.ndim != 2:
             raise ValueError("words must be a 2-D array")
+        if not words.shape[1]:  # row_keys has no key for a zero-width row
+            raise ValueError("codewords must have at least one symbol")
         if words.size and (words.min() < 1 or words.max() > q):
             raise ValueError("codeword symbol out of alphabet range")
         keys = row_keys(words)
@@ -236,22 +241,51 @@ def build_twisted_code(rep: Representation, automorphisms=()) -> Code:
 
 def min_distance_pairwise(code: Code) -> int:
     """Exact minimum over all unordered codeword pairs; 0 if |C| <= 1.
-    Each block compares about BLOCK_ENTRIES symbols (at least one row) and
-    counts the mismatches in the narrowest type that holds the length."""
+
+    A plain symbol compare, tile by tile: a tile pairs a block of R rows
+    with a later (or the same) block, R = isqrt(BLOCK_ENTRIES // L8) for
+    the length L8 rounded up to a multiple of 8, so its mismatch mask fills
+    at most BLOCK_ENTRIES bytes of one reused buffer and memory stays
+    O(BLOCK_ENTRIES).  Both blocks are copied into zero-padded buffers of
+    the code's dtype (equal pads add no mismatch), and the mask is counted
+    by _mismatch_counts, eight bytes to a uint64 word."""
     W = code.words
-    n = code.size
+    n, length = W.shape
     if n <= 1:
         return 0
-    best = code.length + 1
-    for sl in _row_blocks(n, n * code.length):
-        blk = W[sl]
-        # distances to all later codewords, plus the in-block upper triangle
-        ne = blk[:, None, :] != W[None, sl.start :, :]
-        d = ne.view(np.uint8).sum(axis=2, dtype=np.min_scalar_type(code.length))
-        ii, jj = np.triu_indices(blk.shape[0], k=1, m=d.shape[1])
-        if ii.size:
-            best = min(best, int(d[ii, jj].min()))
+    width = -(-length // 8) * 8
+    rows = max(1, math.isqrt(BLOCK_ENTRIES // width))
+    pad_a, pad_b = np.zeros((2, rows, width), dtype=W.dtype)
+    mask = np.empty(rows * rows * width, dtype=bool)
+    blocks = list(chunks(n, rows))
+    best = length + 1
+    for i, a in enumerate(blocks):
+        ra = a.stop - a.start
+        pad_a[:ra, :length] = W[a]
+        for b in blocks[i:]:
+            rb = b.stop - b.start
+            if b is not a:
+                pad_b[:rb, :length] = W[b]
+            ne = mask[: ra * rb * width].reshape(ra, rb, width)
+            np.not_equal(pad_a[:ra, None], (pad_a if b is a else pad_b)[None, :rb], out=ne)
+            d = _mismatch_counts(ne.view(np.uint64))
+            if b is a:  # each pair once, and no codeword against itself
+                d[np.tril_indices(ra)] = length + 1
+            best = min(best, int(np.min(d)))
     return best
+
+
+def _mismatch_counts(words):
+    """Per row of a (..., g) uint64 view of a bool mask, its number of true
+    bytes: the words are summed LANE_WORDS at a time, each byte lane adding
+    at most one per word so none overflows, and each partial sum's eight
+    lanes are folded into one count."""
+    total = 0
+    for sl in chunks(words.shape[-1], LANE_WORDS):
+        x = np.add.reduce(words[..., sl], axis=-1)
+        x = (x & LOW_BYTES) + ((x >> 8) & LOW_BYTES)  # four 16-bit lanes
+        total += (x * 0x0001000100010001) >> 48  # their sum, in the top lane
+    return total
 
 
 def distance_row(code: Code, i) -> np.ndarray:
@@ -444,18 +478,37 @@ def finish_build(group, fix, make_twisting, *, family, params, m, deltas, checks
 
 def write_code(path, code: Code, family, params, r=1):
     """Codeword file format v1 (see README): two comment headers, then one
-    codeword per line as 1-based integers."""
+    codeword per line as 1-based integers.  Each block of rows is gathered
+    from a table of space-ended tokens (_token_table), its last space per
+    row turned into a newline, and written without the zero padding."""
+    if not code.size:
+        raise ValueError("an empty code has no codeword file")
+    tokens = _token_table(code.q)
     param_str = " ".join(f"{k}={v}" for k, v in params.items())
-    with open(path, "w") as fh:
-        fh.write(FORMAT_MAGIC + "\n")
+    with open(path, "wb") as fh:
         fh.write(
-            f"# family={family} {param_str} r={r} "
-            f"q={code.q} length={code.length} size={code.size}\n"
+            f"{FORMAT_MAGIC}\n# family={family} {param_str} r={r} "
+            f"q={code.q} length={code.length} size={code.size}\n".encode()
         )
-        strs = [str(i) for i in range(code.q + 1)]
-        for sl in _row_blocks(code.size, code.length):  # one block of rows as lists at a time
-            for row in code.words[sl].tolist():
-                fh.write(" ".join([strs[x] for x in row]) + "\n")
+        for sl in _row_blocks(code.size, code.length * tokens.itemsize):
+            lines = np.take(tokens, code.words[sl]).view(np.uint8)
+            lines[:, -1] = ord("\n")
+            fh.write(lines[lines != 0])
+
+
+def _token_table(q):
+    """(q + 1,) array of w-byte words: word t holds the bytes of f"{t} ",
+    right-aligned behind zero bytes, w = 4 up to 3 digits and 8 up to 7."""
+    digits = len(str(q))
+    if digits > 7:
+        raise ValueError(f"q={q} has more than 7 digits, too many for a codeword file token")
+    width = 4 if digits <= 3 else 8
+    t = np.arange(q + 1)
+    table = np.zeros((q + 1, width), dtype=np.uint8)
+    table[:, -1] = ord(" ")
+    for k in range(digits):  # the 10^k digit, where t has one (0 has its units digit)
+        table[:, -2 - k] = np.where((t >= 10**k) | (k == 0), t // 10**k % 10 + ord("0"), 0)
+    return table.view(f"u{width}").ravel()
 
 
 def read_code(path):

@@ -1,9 +1,12 @@
 """Independent oracles shared by the tests; they share no code with the
 packed kernels and gathered tables they certify."""
 
+import itertools
+
 import numpy as np
 
 from twistcode.affine import matrix_B
+from twistcode.codes import FORMAT_MAGIC, hamming_distance
 from twistcode.linalg import Matrix
 
 
@@ -69,3 +72,23 @@ def affine_twist_index(group, r):
     matrix among the group's element matrices."""
     where = {mat.tobytes(): j for j, mat in enumerate(group.elements)}
     return np.array([where[mat.astype(np.uint8).tobytes()] for mat in affine_twisted_elements(group, r)])
+
+
+def min_distance_all_pairs(code):
+    """The least hamming_distance over every unordered pair of codewords,
+    one pair at a time; 0 with fewer than two codewords."""
+    return min((hamming_distance(a, b) for a, b in itertools.combinations(code.words, 2)), default=0)
+
+
+def write_code_lines(path, code, family, params, r=1):
+    """The line writer: write_code's file, one Python join per codeword."""
+    param_str = " ".join(f"{k}={v}" for k, v in params.items())
+    with open(path, "w") as fh:
+        fh.write(FORMAT_MAGIC + "\n")
+        fh.write(
+            f"# family={family} {param_str} r={r} "
+            f"q={code.q} length={code.length} size={code.size}\n"
+        )
+        strs = [str(i) for i in range(code.q + 1)]
+        for row in code.words.tolist():
+            fh.write(" ".join([strs[x] for x in row]) + "\n")

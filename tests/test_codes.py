@@ -1,11 +1,13 @@
+import hashlib
 import itertools
+import json
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -39,7 +41,7 @@ from twistcode.fields import BinaryField, PrimeField
 from twistcode.linalg import Matrix
 from twistcode.symplectic import SymplecticGroup, SymplecticSpace, build_outer_automorphism, generate_group, generators
 
-from oracles import mulclose
+from oracles import min_distance_all_pairs, mulclose, write_code_lines
 
 
 @pytest.fixture(scope="module")
@@ -665,6 +667,78 @@ def test_pairwise_oracle_counts_past_narrow_types(length):
     words = np.stack([np.ones(length, dtype=np.uint8), np.full(length, 2, dtype=np.uint8)])
     assert min_distance_pairwise(Code(words, 2)) == length
     assert min_distance_pairwise(Code(np.vstack([words, words[:1] % 2 + 1]), 2)) == length
+
+
+@st.composite
+def pairwise_codes(draw):
+    """A code of 0-40 words over 1..q, q in {400, 256, 255, 2} (uint16 and
+    uint8 symbols), of a small length or of 2040, 2041 or 4100 symbols
+    (one, two and three 255-word lane groups): random words; words copied
+    from earlier ones with a few symbols redrawn, so the least distance is
+    small; or shifts of one word, which differ everywhere (n <= q)."""
+    q = draw(st.sampled_from([400, 256, 255, 2]))
+    length = draw(st.one_of(st.integers(1, 300), st.sampled_from([2040, 2041, 4100])))
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    words = rng.integers(1, q + 1, size=(n, length))
+    kind = draw(st.sampled_from(["random", "near", "shifted"]))
+    if kind == "near":
+        for i in range(1, n):
+            words[i] = words[rng.integers(i)]
+            cols = rng.choice(length, size=min(length, draw(st.integers(0, 12))), replace=False)
+            words[i, cols] = rng.integers(1, q + 1, size=len(cols))
+    elif kind == "shifted":
+        words = (words[:1] + np.arange(n)[:, None]) % q + 1
+    return Code(words.astype(np.min_scalar_type(q)), q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairwise_codes(), st.sampled_from([64, codes.BLOCK_ENTRIES]))
+# two words that differ in every symbol but agree mod 256; 2,041 symbols fill a 256-word lane
+@example(Code(np.repeat([[1], [257]], 2041, axis=1).astype(np.uint16), 400), codes.BLOCK_ENTRIES)
+def test_pairwise_oracle_equals_all_pairs(code, block):
+    # block 64 makes tiles of one or two rows, so tiles end mid-code
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "BLOCK_ENTRIES", block)
+        assert min_distance_pairwise(code) == min_distance_all_pairs(code)
+
+
+def test_code_refuses_zero_length_words():
+    # a zero-width row has no row key, so duplicates of it could not be found
+    with pytest.raises(ValueError, match="at least one symbol"):
+        Code(np.ones((3, 0), dtype=np.uint8), 2)
+
+
+def test_write_code_refuses_files_it_cannot_write(tmp_path):
+    path = tmp_path / "x.tw"
+    with pytest.raises(ValueError, match="empty code"):  # read_code refuses a file without codewords
+        write_code(path, Code(np.ones((0, 3), dtype=np.uint8), 2), "custom", {})
+    with pytest.raises(ValueError, match="more than 7 digits"):  # a token would not fit in 8 bytes
+        write_code(path, Code(np.ones((1, 3), dtype=np.uint32), 10**7), "custom", {})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("block", [4, codes.BLOCK_ENTRIES])
+@pytest.mark.parametrize("q", [9, 10, 99, 100, 999, 1000, 161051])
+def test_write_code_equals_line_writer(tmp_path, q, block):
+    # every digit width up to q's, with 4-byte tokens up to 3 digits and 8-byte ones past them
+    words = np.random.default_rng(q).integers(1, q + 1, size=(30, 17))
+    edges = [s for s in (1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 99999, 100000) if s < q] + [q]
+    words[0, : len(edges)] = edges
+    code = Code(words.astype(np.min_scalar_type(q)), q)
+    write_code_lines(tmp_path / "lines.tw", code, "custom", {"p": 3}, r=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "BLOCK_ENTRIES", block)
+        write_code(tmp_path / "tokens.tw", code, "custom", {"p": 3}, r=2)
+    assert (tmp_path / "tokens.tw").read_bytes() == (tmp_path / "lines.tw").read_bytes()
+
+
+def test_write_code_golden_digest(tmp_path):
+    golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
+    build = build_affine_twisted(AffineParams(11, 2))
+    path = tmp_path / "a112.tw"
+    write_code(path, build.code, "affine", {"p": 11, "k": 2}, r=build.report.reps)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == golden["affine-certify-p11k2"]["codewords"]
 
 
 def test_stored_arrays_frozen_not_callers():
