@@ -18,6 +18,7 @@ import numpy as np
 
 
 WEDGE_TABLE_LIMIT = 1 << 24  # entries of wedge_table: q^8 for 4-rows over GF(q)
+PAIR_TABLE_LIMIT = 1 << 16  # entries of a table over two packed 4-rows (q <= 4) or four field entries (q <= 16)
 ROW_CHUNK = 1 << 16  # rows per block of the per-element row kernels (rank, tau rows, tau pairs)
 
 
@@ -115,6 +116,34 @@ class PackedOps:
             out[((codes >> sh) & self.mask) != 0] = sh
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def span_tables(self):
+        """(pair_span, sum_rank): pair_span maps packed r0||r1 (r0 in the
+        high bits) to the id of span(r0, r1), numbering the two-row reduced
+        row echelon forms in ascending order (id 0 the zero space), and the
+        (n, n) sum_rank[a, b] is dim(span a + span b), so the rank of a
+        4-row matrix is three gathers, the last at the flat index a n + b."""
+        mask = self.ncodes - 1
+        pairs = np.arange(self.ncodes**2, dtype=np.uint32)
+        r0, r1 = pairs >> self.row_bits, pairs & mask
+        p0 = self.canon[r0]
+        r1 ^= self.smul[(r1 >> self.lead_shift[p0]) & self.mask, p0]
+        p1 = self.canon[r1]
+        p0 ^= self.smul[(p0 >> self.lead_shift[p1]) & self.mask, p1]
+        # the two reduced rows, leftmost leading entry (larger code) first
+        forms, pair_span = np.unique((np.maximum(p0, p1) << self.row_bits) | np.minimum(p0, p1), return_inverse=True)
+        n = len(forms)
+        sum_rank = np.empty(n * n, dtype=np.int8)
+        for sl in chunks(n * n, ROW_CHUNK):
+            ab = np.arange(sl.start, sl.stop)
+            a, b = forms[ab // n], forms[ab % n]
+            sum_rank[sl] = _ranks(self, np.stack([a >> self.row_bits, a & mask, b >> self.row_bits, b & mask], axis=1))
+        pair_span = pair_span.astype(np.uint32)
+        sum_rank = sum_rank.reshape(n, n)
+        pair_span.setflags(write=False)
+        sum_rank.setflags(write=False)
+        return pair_span, sum_rank
 
     @cached_property
     def point_codes(self):
@@ -248,12 +277,25 @@ def batch_matmul_left(mul, C, B):
 
 def batch_exterior_square(mul, mats, pairs):
     """Exterior-square matrices of a (N, 4, 4) batch on the wedge-pair
-    basis; characteristic 2, so the sign terms are XORs."""
-    n = mats.shape[0]
-    out = np.empty((n, len(pairs), len(pairs)), dtype=np.uint8)
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            out[:, a, b] = mul[mats[:, i, k], mats[:, j, l]] ^ mul[mats[:, i, l], mats[:, j, k]]
+    basis; characteristic 2, so the sign terms are XORs.  Entry ((i, j),
+    (k, l)) is the 2 x 2 minor g_ik g_jl ^ g_il g_jk: one gather from the
+    q^4-entry table of a b ^ c d, at the uint16 index abcd in base q.
+    Refused before anything is allocated when q^4 would exceed
+    PAIR_TABLE_LIMIT (q > 16)."""
+    q = mul.shape[0]
+    if q**4 > PAIR_TABLE_LIMIT:
+        raise ValueError(f"minor table of {q**4} entries exceeds {PAIR_TABLE_LIMIT}")
+    n = q.bit_length() - 1
+    minors = (mul[:, :, None, None] ^ mul[None, None, :, :]).ravel()
+    k, l = np.array(pairs).T
+    m = mats.astype(np.uint16)
+    out = np.empty((mats.shape[0], len(pairs), len(pairs)), dtype=np.uint8)
+    for a, (i, j) in enumerate(pairs):  # one output row at a time keeps the index arrays small
+        idx = m[:, i, k] << 3 * n
+        idx |= m[:, j, l] << 2 * n
+        idx |= m[:, i, l] << n
+        idx |= m[:, j, k]
+        out[:, a] = np.take(minors, idx)
     return out
 
 
@@ -265,9 +307,10 @@ def closure(ops: PackedOps, gen_mats, limit):
     the key is looked up in the generators' row tables, pre-shifted into
     place, and the four results are ORed.  Candidates are sorted and
     deduplicated (first_of_runs); those lookup_sorted misses in the sorted
-    `seen` array go into it and form the next frontier.  Returns (rows, keys) in
-    canonical order: the identity first, then ascending key, whatever the
-    generators.  Raises once more than `limit` elements are found.
+    `seen` array are merged into it and form the next frontier.  Returns
+    (rows, keys) in canonical order: the identity first, then ascending
+    key, whatever the generators.  Raises once more than `limit` elements
+    are found.
     """
 
     kd = ops.key_dtype
@@ -287,7 +330,9 @@ def closure(ops: PackedOps, gen_mats, limit):
         frontier = cand[lookup_sorted(seen, cand) < 0]
         if seen.size + frontier.size > limit:
             raise RuntimeError(f"closure exceeded the limit {limit}")
-        seen = np.insert(seen, np.searchsorted(seen, frontier), frontier)
+        # two ascending runs: the stable sort (timsort) merges them in one pass
+        seen = np.concatenate([seen, frontier])
+        seen.sort(kind="stable")
     at = int(np.searchsorted(seen, id_key[0]))
     keys = np.concatenate([id_key, seen[:at], seen[at + 1 :]])
     return ops.unpack_keys(keys), keys
@@ -313,6 +358,22 @@ def _ranks(ops: PackedOps, rows):
     return rank
 
 
+def _span_ranks(ops: PackedOps, rows):
+    """_ranks of a packed (N, 4) batch from ops.span_tables: the ids of
+    span(g_0, g_1) and span(g_2, g_3), then the dimension of their sum."""
+    pair_span, sum_rank = ops.span_tables
+    ids = np.take(pair_span, (rows[:, 0] << ops.row_bits) | rows[:, 1])
+    ids *= sum_rank.shape[0]
+    ids += np.take(pair_span, (rows[:, 2] << ops.row_bits) | rows[:, 3])
+    return np.take(sum_rank, ids)
+
+
+def _rank_kernel(ops: PackedOps):
+    """_span_ranks while its pair table is small (q <= 4 for 4-rows), else
+    the elimination _ranks."""
+    return _span_ranks if ops.ncodes**2 <= PAIR_TABLE_LIMIT else _ranks
+
+
 def fixed_counts(ops: PackedOps, rows):
     """Per-element count of projective points fixed setwise by the packed
     (N, 4) batch rows, from eigenspace dimensions: <v> is fixed iff
@@ -321,11 +382,12 @@ def fixed_counts(ops: PackedOps, rows):
     g - lam I = g + lam I).  The kernel vectors of a singular g (lam = 0)
     are not fixed points."""
     q = ops.field.order
+    ranks = _rank_kernel(ops)
     points_by_rank = np.array([(q ** (4 - k) - 1) // (q - 1) for k in range(5)], dtype=np.int16)
     counts = np.zeros(rows.shape[0], dtype=np.int16)
     for sl in chunks(rows.shape[0], ROW_CHUNK):
         for lam in range(1, q):
-            counts[sl] += points_by_rank[_ranks(ops, rows[sl] ^ ops.pack(lam * np.eye(4, dtype=np.uint8)))]
+            counts[sl] += points_by_rank[ranks(ops, rows[sl] ^ ops.pack(lam * np.eye(4, dtype=np.uint8)))]
     return counts
 
 
@@ -348,7 +410,8 @@ def perm_tables(ops: PackedOps, rows):
 
 def rank_one_flags(ops: PackedOps, diff_rows):
     """True where the packed (N, 4) row sets span exactly one dimension."""
+    ranks = _rank_kernel(ops)
     flags = np.empty(diff_rows.shape[0], dtype=bool)
     for sl in chunks(diff_rows.shape[0], ROW_CHUNK):
-        flags[sl] = _ranks(ops, diff_rows[sl]) == 1
+        flags[sl] = ranks(ops, diff_rows[sl]) == 1
     return flags

@@ -146,8 +146,13 @@ class SymplecticGroup:
     def indices_of_keys(self, keys):
         """Element index of each key in an array, -1 where no element has
         it: lookup_sorted on the ascending keys[1:], shifted by one, the
-        identity's key answered as 0.  In place on the one index array."""
-        pos = _packed.lookup_sorted(self.keys[1:], keys)
+        identity's key answered as 0.  Each block of ROW_CHUNK queries is
+        looked up in sorted order, so the binary searches walk keys[1:]
+        front to back, and the positions are scattered back."""
+        pos = np.empty(len(keys), dtype=np.intp)
+        for sl in _packed.chunks(len(keys), _packed.ROW_CHUNK):
+            order = np.argsort(keys[sl])
+            pos[sl][order] = _packed.lookup_sorted(self.keys[1:], keys[sl][order])
         pos += 1
         pos[pos == 0] = -1
         pos[keys == self.keys[0]] = 0
@@ -188,23 +193,29 @@ def all_transvections(space):
 def _preserves_form(space, rows):
     """Per-element g . Gram . g^T == Gram for a packed (N, 4) batch.
 
-    Indexed by a packed 4-row (u0, u1, v0, v1), H holds u0 v1 + u1 v0, the
-    form on one hyperbolic plane, so B(g_i, g_j) is H[hi_i || hi_j] ^
-    H[lo_i || lo_j] over the row halves.  Only i < j is compared: g . Gram
-    . g^T is alternating (characteristic 2), so its diagonal is zero and it
+    B(g_i, g_j) is one gather from the table of B(u, v) over packed u || v
+    (ncodes^2 entries), refused before it is allocated above
+    PAIR_TABLE_LIMIT entries (q > 4).  Only i < j is compared: g . Gram .
+    g^T is alternating (characteristic 2), so its diagonal is zero and it
     is symmetric."""
     ops = space.ops
-    half = 2 * space.n
-    lo = (1 << half) - 1
-    e = ops.unpack(np.arange(ops.ncodes, dtype=np.uint32))
+    size = ops.ncodes**2
+    if size > _packed.PAIR_TABLE_LIMIT:
+        raise ValueError(f"form table of {size} entries exceeds {_packed.PAIR_TABLE_LIMIT}")
+    uv = np.arange(size, dtype=np.uint32)
+    u = ops.unpack(uv >> ops.row_bits)
+    v = ops.unpack(uv & (ops.ncodes - 1))
     mul = space.field.mul_table
-    H = mul[e[:, 0], e[:, 3]] ^ mul[e[:, 1], e[:, 2]]
+    form = np.zeros(size, dtype=np.uint8)
+    for i, j in zip(*np.nonzero(GRAM)):
+        form ^= mul[u[:, i], v[:, j]]
     ok = np.ones(rows.shape[0], dtype=bool)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            ri, rj = rows[:, i], rows[:, j]
-            form = H[(ri & ~np.uint32(lo)) | (rj >> half)] ^ H[((ri & lo) << half) | (rj & lo)]
-            ok &= form == GRAM[i, j]
+    for sl in _packed.chunks(rows.shape[0], _packed.ROW_CHUNK):
+        for i in range(4):
+            for j in range(i + 1, 4):
+                pair = rows[sl, i] << ops.row_bits
+                pair |= rows[sl, j]
+                ok[sl] &= np.take(form, pair) == GRAM[i, j]
     return ok
 
 
@@ -249,15 +260,16 @@ def is_transvection(space, g: Matrix) -> bool:
 
 class OuterAutomorphism:
     """tau as a permutation of the enumerated group, tau(g_i) = g_index[i],
-    looked up from the packed image rows, so a per-element table of tau(g)
-    is the group's own one gathered through index; kept with the
-    change-of-basis data (quotient basis lift and coordinate matrix) that
-    built the image rows, through which tau of any matrix is recomputed."""
+    looked up from the keys of the packed image rows, so a per-element
+    table of tau(g) is the group's own one gathered through index; kept
+    with the change-of-basis data (quotient basis lift and coordinate
+    matrix) that built the image rows, through which tau of any matrix is
+    recomputed."""
 
-    def __init__(self, space, group, image_rows, basis_lift, coords):
+    def __init__(self, space, group, image_keys, basis_lift, coords):
         self.space = space
         self.group = group
-        self.index = group.indices_of_keys(space.ops.pack_keys(image_rows))
+        self.index = group.indices_of_keys(image_keys)
         self.basis_lift = basis_lift  # (4, 6): lifted quotient basis rows
         self.coords = coords  # (6, 6): inverse of [basis_lift; w; complement]
 
@@ -397,7 +409,9 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
     M = Matrix(field, np.concatenate([C, w.reshape(1, 6), u6.reshape(1, 6)]))
     coords = M.inverse().A
 
-    tau = OuterAutomorphism(space, group, _tau_rows(space, C, coords, group.rows), C, coords)
+    # the (N, 4) image rows are dropped once packed into keys, before the lookup
+    image_keys = space.ops.pack_keys(_tau_rows(space, C, coords, group.rows))
+    tau = OuterAutomorphism(space, group, image_keys, C, coords)
 
     # step (d)
     gi = np.repeat(np.arange(len(gens)), len(gens))

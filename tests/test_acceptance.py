@@ -293,7 +293,12 @@ def test_sp2_build_memory(sp2_traced):
     # peak 96.9 MiB, 63.3 MiB still held, while the group also kept a dense
     # (N, 4, 4) copy of its packed rows and tau its own (N, 4) image rows;
     # peak 68.0 MiB, 31.6 MiB held with the packed rows and tau.index only;
-    # peak 54.0 MiB once the rank kernel runs over row blocks (ROW_CHUNK)
+    # peak 54.0 MiB once the rank kernel runs over row blocks (ROW_CHUNK);
+    # peak 54.4 MiB, 32.0 MiB held, with the span-id rank tables (0.45 MiB,
+    # cached on the space's PackedOps): build_outer_automorphism, which
+    # passes tau the image keys instead of the (N, 4) image rows, now peaks
+    # at 50.8 MiB, and the peak sits in the support-bound checks after
+    # support_scan
     _, _, peak, retained = sp2_traced
     assert peak < 60 * 2**20
     assert retained < 48 * 2**20

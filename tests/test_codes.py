@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from twistcode import codes
+from twistcode import _packed, codes, symplectic
 from twistcode.affine import AffineParams, build_affine_twisted
 from twistcode.codes import (
     Code,
@@ -110,6 +110,38 @@ def test_enumerated_group_key_order(sp2):
             SymplecticGroup(space, rows, np.array(keys))
     with pytest.raises(ValueError, match="identity must sit at index 0"):
         SymplecticGroup(space, group.rows[1:4], np.array([5, 1, 9]))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])
+def test_indices_of_keys_independent_of_chunk(monkeypatch, sp2, chunk):
+    # unsorted queries with repeats, absent keys below, between and above
+    # the others, and the identity's key, looked up block by block
+    space, group, _ = sp2
+    if chunk is not None:
+        monkeypatch.setattr(_packed, "ROW_CHUNK", chunk)
+    rows = group.rows[:4]
+    keyed = SymplecticGroup(space, rows, np.array([50, 10, 20, 60], dtype=np.uint32))
+    queries = np.array([20, 50, 5, 60, 15, 10, 20, 70, 50, 61, 10, 0], dtype=np.uint32)
+    position = {50: 0, 10: 1, 20: 2, 60: 3}
+    assert keyed.indices_of_keys(queries).tolist() == [position.get(int(k), -1) for k in queries]
+    rng = np.random.default_rng(5)
+    picks = rng.integers(0, len(group), size=200)
+    queries = np.concatenate([group.keys[picks], group.keys[picks[:20]] + 1])
+    position = {int(k): i for i, k in enumerate(group.keys)}
+    assert group.indices_of_keys(queries).tolist() == [position.get(int(k), -1) for k in queries]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])
+def test_tau_index_equals_unchunked_lookup(monkeypatch, sp2, chunk):
+    space, group, _ = sp2
+    if chunk is not None:
+        monkeypatch.setattr(_packed, "ROW_CHUNK", chunk)
+    tau = build_outer_automorphism(space, group)
+    image_keys = space.ops.pack_keys(symplectic._tau_rows(space, tau.basis_lift, tau.coords, group.rows))
+    rest = _packed.lookup_sorted(group.keys[1:], image_keys)
+    is_identity = image_keys == group.keys[0]
+    assert (rest[~is_identity] >= 0).all() and is_identity.sum() == 1
+    assert np.array_equal(tau.index, np.where(is_identity, 0, rest + 1))
 
 
 def test_trivial_group_code():

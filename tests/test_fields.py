@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcode.fields import BinaryField, PrimeField, DEFAULT_POLYS, is_irreducible, is_prime
 
@@ -169,3 +172,65 @@ def test_mul_table_is_numpy_and_consistent():
     assert F.validate(9) == 9
     with pytest.raises(ValueError):
         F.validate(16)
+
+
+# ---------------------------------------------------------------------------
+# field axioms on drawn elements: every supported n for GF(2^n), small primes
+# ---------------------------------------------------------------------------
+
+SMALL_PRIMES = (3, 5, 7, 11, 13, 31, 101, 251)
+
+binary_field = functools.cache(BinaryField)
+prime_field = functools.cache(PrimeField)
+fields = st.sampled_from(sorted(DEFAULT_POLYS)).map(binary_field) | st.sampled_from(SMALL_PRIMES).map(prime_field)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_field_axioms_on_drawn_elements(data):
+    F = data.draw(fields)
+    a, b, c = (data.draw(st.integers(0, F.order - 1)) for _ in range(3))
+    assert F.add(a, b) == F.add(b, a) and F.mul(a, b) == F.mul(b, a)
+    assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+    assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+    assert F.add(a, 0) == a and F.mul(a, 1) == a and F.mul(a, 0) == 0
+    assert F.add(a, F.neg(a)) == 0 and F.sub(a, b) == F.add(a, F.neg(b))
+    if a:
+        assert F.mul(a, F.inv(a)) == 1
+
+
+@pytest.mark.parametrize("F", [binary_field(n) for n in sorted(DEFAULT_POLYS)] + [prime_field(p) for p in SMALL_PRIMES], ids=repr)
+def test_every_nonzero_element_has_an_inverse(F):
+    inverses = [F.inv(a) for a in range(1, F.order)]
+    assert all(F.mul(a, x) == 1 for a, x in zip(range(1, F.order), inverses))
+    assert sorted(inverses) == list(range(1, F.order))  # inversion permutes the units
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_binary_tables_agree_with_scalar_operations(data):
+    # mul_table against the long-division oracle, inv_table against inv,
+    # and the array helpers against the scalar operations
+    n = data.draw(st.sampled_from(sorted(DEFAULT_POLYS)))
+    F = binary_field(n)
+    a, b = (data.draw(st.integers(0, F.order - 1)) for _ in range(2))
+    want = to_int(poly_mod(poly_mul(from_int(a, n), from_int(b, n)), from_int(F.poly, n + 1)))
+    assert int(F.mul_table[a, b]) == want == F.mul(a, b)
+    if a:
+        assert int(F.inv_table[a]) == F.inv(a) and int(F.mul_table[a, F.inv_table[a]]) == 1
+    A = np.array([[a, b]], dtype=np.uint8)
+    assert F.scale_array(b, A).tolist() == [[F.mul(b, a), F.mul(b, b)]]
+    assert F.matmul(A, A.T).tolist() == [[F.add(F.mul(a, a), F.mul(b, b))]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_prime_array_helpers_agree_with_scalar_operations(data):
+    F = prime_field(data.draw(st.sampled_from(SMALL_PRIMES)))
+    a, b = (data.draw(st.integers(0, F.order - 1)) for _ in range(2))
+    A = np.array([[a, b]])
+    assert F.add_arrays(A, A[:, ::-1]).tolist() == [[F.add(a, b)] * 2]
+    assert F.sub_arrays(A, A[:, ::-1]).tolist() == [[F.sub(a, b), F.sub(b, a)]]
+    assert F.scale_array(b, A).tolist() == [[F.mul(b, a), F.mul(b, b)]]
+    assert F.matmul(A, A.T).tolist() == [[F.add(F.mul(a, a), F.mul(b, b))]]

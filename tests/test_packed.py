@@ -2,9 +2,10 @@
 np.unique, lookup_sorted against a dict, the closure's pinned
 canonical order and its independence of the generators, the fixed-point
 counts, permutation tables and rank-one flags against a scalar count and
-Matrix.rank, the dense batch_matmul and batch_matmul_left against a loop of
-BinaryField.matmul, rows_matmul against batch_matmul, and the wedge
-table's size guard."""
+Matrix.rank, the span-id rank tables against the elimination _ranks, the
+dense batch_matmul and batch_matmul_left against a loop of
+BinaryField.matmul, rows_matmul against batch_matmul, and the size guards
+of the wedge, form and minor tables."""
 
 import functools
 import hashlib
@@ -19,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 from twistcode import _packed
 from twistcode.fields import BinaryField
 from twistcode.linalg import WEDGE_PAIRS, Matrix
+from twistcode import symplectic
 from twistcode.symplectic import (
     SymplecticSpace,
     all_transvections,
@@ -283,16 +285,109 @@ def test_batch_matmul_left_does_not_call_batch_matmul(monkeypatch):
     assert np.array_equal(_packed.batch_matmul_left(field.mul_table, C, B), want)
 
 
+def refused_with_small_peak(build, match):
+    """build() raises ValueError matching `match` while tracemalloc's peak
+    stays under 1 MiB: refused before the table is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_wedge_table_size_guard():
     # q = 16: a q^8 = 2^32-entry table is refused before anything is built
     field = BinaryField(4)
     ops = _packed.PackedOps(field, 4)
     coords = np.eye(6, dtype=np.uint8)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="exceeds"):
-            _packed.wedge_table(ops, None, coords, WEDGE_PAIRS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    refused_with_small_peak(lambda: _packed.wedge_table(ops, None, coords, WEDGE_PAIRS), "exceeds")
+
+
+
+def test_span_ranks_exhaustive_q2():
+    # all 2^16 packed 4-row matrices over GF(2): every pair_span entry and
+    # every sum_rank entry is read
+    ops = _packed.PackedOps(BinaryField(1), 4)
+    rows = ops.unpack_keys(np.arange(ops.ncodes**4, dtype=np.uint32))
+    assert np.array_equal(_packed._span_ranks(ops, rows), _packed._ranks(ops, rows))
+    pair_span, sum_rank = ops.span_tables
+    assert sum_rank.shape == (51, 51)  # 1 + 15 + 35 subspaces of dimension <= 2 in GF(2)^4
+    assert pair_span[0] == 0 and sum_rank[0, 0] == 0
+
+
+@st.composite
+def low_pairs_q4(draw):
+    """Packed r2||r3 over GF(4): random rows, zero rows, and a row with a
+    scalar multiple of itself or of a unit vector."""
+    ops = _packed.PackedOps(BinaryField(2), 4)
+    row = st.integers(0, ops.ncodes - 1)
+    pairs = []
+    for kind in draw(st.lists(st.sampled_from(["any", "zero", "multiple", "unit"]), min_size=1, max_size=6)):
+        r2 = draw(row)
+        if kind == "zero":
+            r2, r3 = draw(st.sampled_from([(0, 0), (r2, 0), (0, r2)]))
+        elif kind == "multiple":
+            r3 = int(ops.smul[draw(st.integers(0, 3)), r2])
+        elif kind == "unit":
+            r3 = int(ops.smul[draw(st.integers(1, 3)), 1 << ops.shifts[draw(st.integers(0, 3))]])
+        else:
+            r3 = draw(row)
+        pairs.append((r2 << ops.row_bits) | r3)
+    return pairs
+
+
+@settings(max_examples=25, deadline=None)
+@given(low_pairs_q4())
+@example([0, 1, 0x1100, 0xFF00, 0x00FF])
+def test_span_ranks_q4_against_elimination(low):
+    # every r0||r1 over GF(4), against drawn r2||r3
+    ops = _packed.PackedOps(BinaryField(2), 4)
+    high = np.arange(ops.ncodes**2, dtype=np.uint32)[:, None] << 2 * ops.row_bits
+    rows = ops.unpack_keys((high | np.array(low, dtype=np.uint32)).ravel())
+    assert np.array_equal(_packed._span_ranks(ops, rows), _packed._ranks(ops, rows))
+    assert ops.span_tables[1].shape == (443, 443)  # 1 + 85 + 357 subspaces of dimension <= 2 in GF(4)^4
+
+
+def test_rank_kernels_skip_span_tables_at_q8(monkeypatch):
+    # above PAIR_TABLE_LIMIT the row kernels keep the elimination _ranks
+    def refuse(self):
+        raise AssertionError("span_tables built at q = 8")
+
+    monkeypatch.setattr(_packed.PackedOps, "span_tables", property(refuse))
+    space, _ = space_of(3)
+    g = transvection(space, np.array([1, 0, 2, 5]), 3)
+    rows = space.ops.pack(g.A[None, :, :])
+    assert _packed.fixed_counts(space.ops, rows).tolist() == [space.q**2 + space.q + 1]
+    diff = rows ^ space.ops.pack(np.eye(4, dtype=np.uint8))[None, :]
+    assert _packed.rank_one_flags(space.ops, diff).tolist() == [True]
+    with pytest.raises(AssertionError, match="span_tables"):
+        space.ops.span_tables
+
+
+def test_form_and_minor_table_size_guards():
+    # the form table over packed row pairs at q = 8 (2^24 entries) and the
+    # q^4-entry minor table at q = 32 are refused before they are built
+    space = SymplecticSpace.create(3)
+    rows = np.zeros((4, 4), dtype=np.uint32)
+    refused_with_small_peak(lambda: symplectic._preserves_form(space, rows), "form table")
+    mul = BinaryField(5).mul_table
+    mats = np.zeros((4, 4, 4), dtype=np.uint8)
+    refused_with_small_peak(lambda: _packed.batch_exterior_square(mul, mats, WEDGE_PAIRS), "minor table")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4]), st.integers(0, 50), st.integers(0, 2**32 - 1))
+def test_exterior_square_equals_minor_formula(n, size, seed):
+    # the one-gather minor table against g_ik g_jl ^ g_il g_jk from mul
+    field = BinaryField(n)
+    mul = field.mul_table
+    mats = np.random.default_rng(seed).integers(0, field.order, size=(size, 4, 4), dtype=np.uint8)
+    got = _packed.batch_exterior_square(mul, mats, WEDGE_PAIRS)
+    assert got.shape == (size, 6, 6) and got.dtype == np.uint8
+    for a, (i, j) in enumerate(WEDGE_PAIRS):
+        for b, (k, l) in enumerate(WEDGE_PAIRS):
+            want = mul[mats[:, i, k], mats[:, j, l]] ^ mul[mats[:, i, l], mats[:, j, k]]
+            assert np.array_equal(got[:, a, b], want)
