@@ -22,7 +22,6 @@ from .affine import (
 from .codes import (
     Code,
     CodewordFileError,
-    EnumeratedGroup,
     IndexedDomain,
     NontrivialKernelError,
     Representation,
@@ -62,7 +61,6 @@ __all__ = [
     "BinaryField",
     "Code",
     "CodewordFileError",
-    "EnumeratedGroup",
     "IndexedDomain",
     "Matrix",
     "NontrivialKernelError",

@@ -3,9 +3,11 @@
 {(1, v) : v in GF(p)^k}, the translation-twist automorphisms, and the
 p-fold twisted permutation code they generate.
 
-Element bookkeeping: every element is stored with its decomposition
-(u, i) where u is the top-row translation block and i in {1..p} is the
-exponent of the lower block B^i (i = p encodes B^p = I).  Natural
+Element bookkeeping: no element matrix is stored.  Element j is read off
+the block layout as its decomposition (u, i), where u is the top-row
+translation block and i in {1..p} is the exponent of the lower block B^i
+(i = p encodes B^p = I); the group holds only the m points and the
+powers of B.  Natural
 fixed-point counts are computed honestly from the point action, one
 histogram per exponent block: an element (u, i) fixes (1, x) iff
 u = x - x.B^i, so counting preimages of that difference map over all m
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._packed import chunks, first_of_runs
-from .codes import EnumeratedGroup, IndexedDomain, Representation, finish_build, row_keys, sample_pairs, support_scan
+from .codes import IndexedDomain, Representation, finish_build, row_keys, sample_pairs, support_scan
 from .fields import PrimeField
 from .linalg import Matrix
 from .report import stage
@@ -122,9 +124,11 @@ def _point_array(params):
     return P
 
 
-class AffineGroup(EnumeratedGroup):
-    """Enumerated affine group with the (u, i) decomposition arrays, the
-    precomputed B powers and the last rows of the partial-sum matrices."""
+class AffineGroup:
+    """The enumerated affine group, stored as its block layout only:
+    element j = block * m + rank is [[1, u], [0, B^i]] with u = points[rank]
+    and i = block_exponents[block].  Besides the m points it holds the
+    powers B^0 .. B^p and the last rows of the partial-sum matrices."""
 
     def __init__(self, params):
         if params.group_order > GROUP_GUARD:
@@ -135,27 +139,30 @@ class AffineGroup(EnumeratedGroup):
         p, k = params.p, params.k
         self.points = _point_array(params)
         self.weights = np.array([p ** (k - 1 - j) for j in range(k)], dtype=np.int64)
-        self.b_pows = [None] + [b_power(k, p, i).A for i in range(1, p + 1)]
+        self.b_pows = np.stack([np.eye(k, dtype=np.uint8)] + [b_power(k, p, i).A for i in range(1, p + 1)])
         # w_r . Omega(k,i) = r * (last row of Omega(k,i))
         last_rows = [omega_sum(k, p, i).A[-1] for i in range(1, p + 1)]
         self.omega_last = np.stack([np.zeros(k, np.uint8)] + last_rows)
-
         # exponent blocks in order i = p, 1, 2, ..., p-1 so that the
         # identity (u = 0, B^p = I) lands at index 0
-        self.block_exponents = [p] + list(range(1, p))
-        n = params.group_order
-        u_vecs = np.zeros((n, k), dtype=np.uint8)
-        i_vals = np.zeros(n, dtype=np.int64)
-        mats = np.zeros((n, k + 1, k + 1), dtype=np.uint8)
-        mats[:, 0, 0] = 1
-        for sl, i in self.exponent_blocks():
-            u_vecs[sl] = self.points
-            i_vals[sl] = i
-            mats[sl, 0, 1:] = self.points
-            mats[sl, 1:, 1:] = self.b_pows[i]
-        self.u_vecs = u_vecs
-        self.i_vals = i_vals
-        super().__init__(params.field, mats)
+        self.block_exponents = np.array([p, *range(1, p)])
+
+    def __len__(self):
+        return self.params.group_order
+
+    def decompose(self, idx):
+        """(u, i) of the element(s) at idx, read off the block layout: u is
+        points[idx % m] and i is block_exponents[idx // m]."""
+        block, rank = np.divmod(idx, self.params.num_points)
+        return self.points[rank], self.block_exponents[block]
+
+    def matrix(self, j) -> Matrix:
+        u, i = self.decompose(j)
+        k = self.params.k
+        mat = np.eye(k + 1, dtype=np.uint8)
+        mat[0, 1:] = u
+        mat[1:, 1:] = self.b_pows[i]
+        return Matrix(self.params.field, mat)
 
     def exponent_blocks(self):
         """(slice, i) per exponent block: the m elements with lower block B^i."""
@@ -170,18 +177,14 @@ class AffineGroup(EnumeratedGroup):
         return i % p * self.params.num_points + int(self._encode_points(np.asarray(u, dtype=np.int64) % p))
 
     def element(self, idx) -> AffineElement:
-        return AffineElement(
-            matrix=self.matrix(idx),
-            i=int(self.i_vals[idx]),
-            u=tuple(int(x) for x in self.u_vecs[idx]),
-        )
+        u, i = self.decompose(idx)
+        return AffineElement(matrix=self.matrix(idx), i=int(i), u=tuple(int(x) for x in u))
 
     def product_index(self, a, b) -> int:
         """Index of the product element a * b."""
-        p = self.params.p
-        ia, ib = int(self.i_vals[a]), int(self.i_vals[b])
-        u = (self.u_vecs[b].astype(np.int64) + self.u_vecs[a].astype(np.int64) @ self.b_pows[ib]) % p
-        return self.element_index(u, ia + ib)
+        (ua, ia), (ub, ib) = self.decompose(a), self.decompose(b)
+        u = (ub.astype(np.int64) + ua.astype(np.int64) @ self.b_pows[ib]) % self.params.p
+        return self.element_index(u, int(ia + ib))
 
     def twist_index(self, r):
         """tau_r as a permutation of the enumerated group, tau_r(g_j) =
@@ -304,10 +307,9 @@ def _check_twist_automorphism(group, checks, coverage, rng):
     p = group.params.p
     n = len(group)
     a, b, coverage["twist_automorphism"] = sample_pairs(n, rng, 10_000)
-    ia, ib = group.i_vals[a], group.i_vals[b]
+    (ua, ia), (ub, ib) = group.decompose(a), group.decompose(b)
     i3 = (ia + ib - 1) % p + 1
-    bp = np.stack(group.b_pows[1:])  # B^1 .. B^p
-    ua, ub = group.u_vecs[a].astype(np.int64), group.u_vecs[b].astype(np.int64)
+    ua, ub = ua.astype(np.int64), ub.astype(np.int64)
     ok = True
     for r in range(p):
         wa = r * group.omega_last[ia].astype(np.int64)
@@ -315,8 +317,8 @@ def _check_twist_automorphism(group, checks, coverage, rng):
         w3 = r * group.omega_last[i3].astype(np.int64)
         twa, twb = (ua + wa) % p, (ub + wb) % p
         # product of the twisted pair, versus the twist of the product
-        lhs = (twb + np.einsum("nk,nkl->nl", twa, bp[ib - 1])) % p
-        plain = (ub + np.einsum("nk,nkl->nl", ua, bp[ib - 1])) % p
+        lhs = (twb + np.einsum("nk,nkl->nl", twa, group.b_pows[ib])) % p
+        plain = (ub + np.einsum("nk,nkl->nl", ua, group.b_pows[ib])) % p
         rhs = (plain + w3) % p
         ok &= bool((lhs == rhs).all())
     checks["twist_automorphism"] = ok
@@ -329,11 +331,12 @@ def _check_fixed_points(group, fix, sums, checks):
     honest counts: column r of fix holds |fix| of the r-twist, and sums
     are support_scan's summed supports of the non-identity elements."""
     p, m = group.params.p, group.params.num_points
-    i_vals = group.i_vals[1:]
-    u_last = group.u_vecs[1:, -1].astype(np.int64)
+    u, exps = group.decompose(np.arange(1, len(group)))
+    u_last = u[:, -1].astype(np.int64)
+    del u  # not held through the column loop: 9 MiB of the (11,5) peak
     nat = fix[1:, 0]
     checks["fixed_point_dichotomy"] = bool(np.isin(nat, (0, p)).all())
-    moving = i_vals != p
+    moving = exps != p
     checks["fixed_point_rule"] = bool(((nat == p) == (moving & (u_last == 0))).all())
 
     # exponent p means every twist is fixed-point-free; otherwise
@@ -346,7 +349,7 @@ def _check_fixed_points(group, fix, sums, checks):
         hits += at_p
     ok &= bool((hits == moving).all())
     i_inv = np.array([0] + [pow(int(i), p - 2, p) for i in range(1, p)], dtype=np.int64)
-    r_pred = -u_last * i_inv[i_vals % p] % p
+    r_pred = -u_last * i_inv[exps % p] % p
     ok &= bool(((fix[1:][np.arange(len(r_pred)), r_pred] == p) | ~moving).all())
     checks["twist_support_pattern"] = ok
 
@@ -380,12 +383,15 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
         group = enumerate_group(params)
 
     m = params.num_points
-    keys = np.sort(row_keys(group.elements.reshape(len(group), -1)))  # one byte string per matrix
-    checks["group_order"] = int(first_of_runs(keys).sum()) == p ** (k + 1)  # distinct matrices
-    del keys  # not held through the scans
+    # [[1, u], [0, B^i]] determines (u, B^i), so the distinct matrices are
+    # the distinct points times the distinct powers the blocks use
+    powers = group.b_pows[group.block_exponents]
+    distinct = [int(first_of_runs(np.sort(row_keys(rows.reshape(len(rows), -1)))).sum())
+                for rows in (group.points, powers)]
+    checks["group_order"] = distinct[0] * distinct[1] == p ** (k + 1)
+    # every stored B^i lower unitriangular: zeros above the diagonal, ones on it
     checks["block_structure"] = bool(
-        (group.elements[:, 1:, 0] == 0).all()
-        and (group.elements[:, 0, 0] == 1).all()
+        not np.triu(powers, 1).any() and (np.diagonal(powers, axis1=1, axis2=2) == 1).all()
     )
 
     with stage(times, "closed_forms"):

@@ -26,7 +26,6 @@ import os
 import numpy as np
 
 from ._packed import chunks, first_of_runs
-from .linalg import Matrix
 from .report import VerificationReport, coverage_value, stage
 
 FORMAT_MAGIC = "# twistcode v1"
@@ -122,26 +121,6 @@ def support_size(perm) -> int:
     """Number of moved points of a permutation (0-based image array)."""
     perm = np.asarray(perm)
     return int((perm != np.arange(len(perm))).sum())
-
-
-class EnumeratedGroup:
-    """Explicit deduplicated element list of a matrix group, identity at
-    index 0; elements are stored as one (N, d, d) uint8 array."""
-
-    def __init__(self, field, elements):
-        elements = np.ascontiguousarray(elements, dtype=np.uint8)
-        if elements.ndim != 3 or elements.shape[1] != elements.shape[2]:
-            raise ValueError("elements must be an (N, d, d) array")
-        if not (elements[0] == np.eye(elements.shape[1], dtype=np.uint8)).all():
-            raise ValueError("identity must sit at index 0")
-        self.field = field
-        self.elements = _frozen(elements)
-
-    def __len__(self):
-        return self.elements.shape[0]
-
-    def matrix(self, i) -> Matrix:
-        return Matrix(self.field, self.elements[i])
 
 
 class Representation:
@@ -429,7 +408,7 @@ def support_scan(fix, m, expected, checks):
     element, delta_rep is r times the least single support.  Checks both
     and their gap against expected = (delta_tw, delta_rep) closed forms;
     returns (sums, delta_tw, delta_rep), sums[t - 1] belonging to element t."""
-    sums = fix[1:].sum(axis=1)
+    sums = fix[1:].sum(axis=1, dtype=np.int32)  # at most r * m, under 2^31 within the guards
     np.subtract(fix.shape[1] * m, sums, out=sums)  # in place, and no (N, r) copy of the supports
     delta_tw = int(sums.min())
     delta_rep = fix.shape[1] * (m - int(fix[1:].max()))

@@ -36,6 +36,11 @@ def mulclose(generators):
     return order
 
 
+def affine_element_matrices(group):
+    """(N, k+1, k+1) element matrices, assembled one group.matrix(j) at a time."""
+    return np.stack([group.matrix(j).A for j in range(len(group))])
+
+
 def affine_twisted_elements(group, r):
     """(N, k+1, k+1) matrices of the r-twisted affine elements, straight
     from the element matrices: [[1, u], [0, B^i]] gains r times the last
@@ -49,7 +54,7 @@ def affine_twisted_elements(group, r):
         acc = acc + power
         power = power * B
         last_rows.append(acc.A[-1].astype(np.int64))  # i = 1, ..., p
-    mats = group.elements.astype(np.int64)
+    mats = affine_element_matrices(group).astype(np.int64)
     i = mats[:, 2, 1].copy()
     i[i == 0] = p
     mats[:, 0, 1:] = (mats[:, 0, 1:] + r * np.stack(last_rows)[i - 1]) % p
@@ -70,7 +75,7 @@ def affine_twisted_table(group, r):
 def affine_twist_index(group, r):
     """tau_r as an index permutation: the index of each twisted element
     matrix among the group's element matrices."""
-    where = {mat.tobytes(): j for j, mat in enumerate(group.elements)}
+    where = {mat.tobytes(): j for j, mat in enumerate(affine_element_matrices(group))}
     return np.array([where[mat.astype(np.uint8).tobytes()] for mat in affine_twisted_elements(group, r)])
 
 

@@ -129,15 +129,16 @@ def test_criterion_4_affine_fixed_points(affine_builds):
             build, _ = affine_builds[(p, k)]
             group, fix = build.group, build.fix
             m = p**k
-            i_vals = group.i_vals[1:]
-            u_last = group.u_vecs[1:, -1].astype(np.int64)
+            u, i_all = group.decompose(np.arange(len(group)))
+            i_vals = i_all[1:]
+            u_last = u[1:, -1].astype(np.int64)
             nat = fix[1:, 0]
             assert np.isin(nat, (0, p)).all()
             assert ((nat == p) == ((i_vals != p) & (u_last == 0))).all()
             # support p^k - p occurs exactly at the unique r with u_k + i r = 0
             for e in range(1, len(group)):
                 row = fix[e]
-                i, uk = int(group.i_vals[e]), int(group.u_vecs[e, -1])
+                i, uk = int(i_all[e]), int(u[e, -1])
                 if i == p:
                     assert (row == 0).all()
                 else:
@@ -298,7 +299,11 @@ def test_sp2_build_memory(sp2_traced):
     # cached on the space's PackedOps): build_outer_automorphism, which
     # passes tau the image keys instead of the (N, 4) image rows, now peaks
     # at 50.8 MiB, and the peak sits in the support-bound checks after
-    # support_scan
+    # support_scan; peak 50.8 MiB, 32.0 MiB held, once support_scan sums in
+    # int32, the support bound reads one masked minimum instead of two
+    # copies of sums[neither], and transvection_flags XORs one ROW_CHUNK
+    # block at a time (its own traced peak 17.1 -> 3.3 MiB): the peak is
+    # build_outer_automorphism's again
     _, _, peak, retained = sp2_traced
     assert peak < 60 * 2**20
     assert retained < 48 * 2**20

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from twistcode.cli import main as cli_main
 from twistcode.fields import PrimeField
 from twistcode.linalg import Matrix
 
-from oracles import affine_twist_index, affine_twisted_table
+from oracles import affine_element_matrices, affine_twist_index, affine_twisted_table
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +85,9 @@ def test_omega_recurrence():
 def test_enumeration_counts(g32):
     assert len(g32) == 27
     assert len(enumerate_group(AffineParams(5, 3))) == 625
-    assert len(np.unique(g32.elements.reshape(len(g32), -1), axis=0)) == 27  # distinct matrices
+    assert len(np.unique(affine_element_matrices(g32).reshape(len(g32), -1), axis=0)) == 27  # distinct matrices
+    u, i = g32.decompose(np.arange(len(g32)))
+    assert len({(tuple(v), int(e)) for v, e in zip(u.tolist(), i)}) == 27  # distinct (u, i) pairs
     assert g32.matrix(0).is_identity()
 
 
@@ -222,19 +226,52 @@ def test_build_affine_twisted_values():
 
 
 def test_group_order_check_can_fail(monkeypatch, capsys):
+    # one point row, or one power B^i, equal to another: the matrices
+    # assembled from them are no longer p^(k+1) distinct ones
+    real = affine.enumerate_group
+    for stored in ("points", "b_pows"):
+
+        def duplicate_one(params):
+            group = real(params)
+            rows = getattr(group, stored).copy()
+            rows[2] = rows[1]
+            setattr(group, stored, rows)
+            return group
+
+        monkeypatch.setattr(affine, "enumerate_group", duplicate_one)
+        status = cli_main(["affine", "--p", "3", "--k", "2"])
+        assert "check.group_order=FAIL" in capsys.readouterr().out.splitlines(), stored
+        assert status == 1
+
+
+def test_block_structure_check_can_fail(monkeypatch, capsys):
+    # one entry above the diagonal of one stored B^i
     real = affine.enumerate_group
 
-    def duplicate_one(params):
+    def upper_entry(params):
         group = real(params)
-        elements = group.elements.copy()
-        elements[5] = elements[4]
-        group.elements = elements
+        group.b_pows = group.b_pows.copy()
+        group.b_pows[2, 0, 1] = 1
         return group
 
-    monkeypatch.setattr(affine, "enumerate_group", duplicate_one)
+    monkeypatch.setattr(affine, "enumerate_group", upper_entry)
     status = cli_main(["affine", "--p", "3", "--k", "2"])
-    assert "check.group_order=FAIL" in capsys.readouterr().out.splitlines()
+    lines = capsys.readouterr().out.splitlines()
+    assert "check.block_structure=FAIL" in lines and "check.group_order=PASS" in lines
     assert status == 1
+
+
+def test_enumerate_group_memory():
+    # the group holds its m points and p + 1 powers of B, not N matrices:
+    # (7, 6) has N = 823,543 elements and m = 117,649 points (706 KiB)
+    tracemalloc.start()
+    try:
+        group = enumerate_group(AffineParams(7, 6))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(group) == 7**7
+    assert held < 2 * 2**20
 
 
 def test_check_all_coverage_exhaustive(monkeypatch):
@@ -309,7 +346,8 @@ def mutate_fixed_points(group, fix, case):
     (p fixed points at r = 0), row b has i != p and u_k != 0 (natural
     column 0, p at some r != 0), row c has i = p (no fixed point at all)."""
     p, m = group.params.p, group.params.num_points
-    moving, u_last = group.i_vals != p, group.u_vecs[:, -1]
+    u, i = group.decompose(np.arange(len(group)))
+    moving, u_last = i != p, u[:, -1]
     idx = np.arange(len(group))
     a = idx[moving & (u_last == 0)][1]  # [0] is the identity
     b = idx[moving & (u_last != 0)][0]

@@ -16,7 +16,6 @@ from twistcode.affine import AffineParams, build_affine_twisted
 from twistcode.codes import (
     Code,
     CodewordFileError,
-    EnumeratedGroup,
     IndexedDomain,
     NontrivialKernelError,
     Representation,
@@ -37,7 +36,7 @@ from twistcode.codes import (
     support_size,
     write_code,
 )
-from twistcode.fields import BinaryField, PrimeField
+from twistcode.fields import PrimeField
 from twistcode.linalg import Matrix
 from twistcode.symplectic import SymplecticGroup, SymplecticSpace, build_outer_automorphism, generate_group, generators
 
@@ -46,11 +45,8 @@ from oracles import min_distance_all_pairs, mulclose, write_code_lines
 
 @pytest.fixture(scope="module")
 def cyclic3():
-    """C3 as 3x3 permutation matrices over GF(2), identity first."""
-    gf2 = BinaryField(1)
-    shift = np.roll(np.eye(3, dtype=np.uint8), 1, axis=1)
-    elements = np.stack([np.eye(3, dtype=np.uint8), shift, (shift @ shift) % 2])
-    group = EnumeratedGroup(gf2, elements)
+    """C3 acting on three points, identity first."""
+    group = range(3)
     perms = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     return group, Representation(group, perms)
 
@@ -145,9 +141,7 @@ def test_tau_index_equals_unchunked_lookup(monkeypatch, sp2, chunk):
 
 
 def test_trivial_group_code():
-    gf2 = BinaryField(1)
-    group = EnumeratedGroup(gf2, np.eye(2, dtype=np.uint8)[None, :, :])
-    rep = Representation(group, np.arange(4)[None, :])
+    rep = Representation(range(1), np.arange(4)[None, :])
     code = build_twisted_code(rep)
     assert code.size == 1
     assert min_distance_pairwise(code) == 0
@@ -303,10 +297,7 @@ def test_representation_homomorphism(affine32, sp2):
 
 
 def test_nontrivial_joint_kernel_reported():
-    gf3 = PrimeField(3)
-    swap = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-    group = EnumeratedGroup(gf3, np.stack([np.eye(2, dtype=np.uint8), swap]))
-    trivial = Representation(group, np.tile(np.arange(3), (2, 1)))
+    trivial = Representation(range(2), np.tile(np.arange(3), (2, 1)))
     with pytest.raises(NontrivialKernelError):
         min_distance_by_support(trivial)
     code = build_twisted_code(trivial)
@@ -774,14 +765,11 @@ def test_write_code_golden_digest(tmp_path):
 
 
 def test_stored_arrays_frozen_not_callers():
-    gf2 = BinaryField(1)
-    elements = np.stack([np.eye(2, dtype=np.uint8), np.array([[0, 1], [1, 0]], dtype=np.uint8)])
-    group = EnumeratedGroup(gf2, elements)
     perms = np.array([[0, 1, 2], [1, 2, 0]])
     rep = Representation(range(2), perms)
     words = np.array([[1, 2], [2, 1]], dtype=np.uint8)
     code = Code(words, 2)
-    for caller, stored in ((elements, group.elements), (perms, rep.perms), (words, code.words)):
+    for caller, stored in ((perms, rep.perms), (words, code.words)):
         assert np.shares_memory(caller, stored)  # no copy was needed
         assert caller.flags.writeable and not stored.flags.writeable
     assert not code.order.flags.writeable
