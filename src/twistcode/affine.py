@@ -17,17 +17,21 @@ The r-twist (u, i) -> (u + r w(i), i) is kept, as Sp(4, q)'s tau is, as a
 permutation of the enumerated group (AffineGroup.twist_index), so its
 fixed-count column and permutation table are the natural ones gathered
 through it; codes.build_twisted_code writes the check="all" code of both
-families from the natural table gathered through such permutations.
+families from the natural table gathered through such permutations.  As
+tau_r = tau_1^r, the builds gather through powers of the one permutation
+AffineGroup.twist, which _check_twist_automorphism certifies an
+automorphism from its Cayley edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._packed import chunks, first_of_runs
-from .codes import IndexedDomain, Representation, finish_build, row_keys, sample_pairs, support_scan
+from .codes import IndexedDomain, Representation, finish_build, reaches_all, row_keys, support_scan
 from .fields import PrimeField
 from .linalg import Matrix
 from .report import stage
@@ -171,6 +175,22 @@ class AffineGroup:
     def _encode_points(self, vecs):
         return vecs.astype(np.int64) @ self.weights
 
+    def _image_ranks(self, mat, shift):
+        """The rank of (shift + u mat) mod p for every point u, one coordinate
+        at a time in uint16 columns: with entries of mat and shift below p,
+        each sum stays below p + k p^2 < 2^16 within GROUP_GUARD, so nothing
+        wraps before the reduction."""
+        p, m = self.params.p, self.params.num_points
+        mat = mat.astype(np.uint16)
+        ranks = np.zeros(m, dtype=np.int64)
+        for j, weight in enumerate(self.weights):
+            coord = np.full(m, shift[j], dtype=np.uint16)
+            for l in np.flatnonzero(mat[:, j]):
+                coord += self.points[:, l] * mat[l, j]
+            coord %= np.uint16(p)
+            ranks += coord * weight
+        return ranks
+
     def element_index(self, u, i) -> int:
         """Index of (u, i): exponent block i mod p (block_exponents), then u's rank."""
         p = self.params.p
@@ -186,16 +206,48 @@ class AffineGroup:
         u = (ub.astype(np.int64) + ua.astype(np.int64) @ self.b_pows[ib]) % self.params.p
         return self.element_index(u, int(ia + ib))
 
+    def generators(self):
+        """Indices of B and of the translation by e_k, which generate G_k."""
+        e_k = np.eye(self.params.k, dtype=np.int64)[-1]
+        return [self.element_index(0 * e_k, 1), self.element_index(e_k, self.params.p)]
+
+    def right_multiplier(self, y):
+        """Right multiplication by g_y, x -> x g_y, as (starts, ranks): the
+        element block * m + rank goes to starts[block] + ranks[rank].  It
+        sends (u, i) to (u_y + u B^(i_y), i + i_y), whose point part does
+        not depend on i: one map of the m points plus a shift of the
+        exponent blocks, O(m) to build."""
+        p, m = self.params.p, self.params.num_points
+        u_y, i_y = self.decompose(y)
+        ranks = self._image_ranks(self.b_pows[i_y], u_y)
+        starts = (self.block_exponents + i_y) % p * m  # element_index's block of exponent i + i_y
+        return starts, ranks
+
     def twist_index(self, r):
         """tau_r as a permutation of the enumerated group, tau_r(g_j) =
         g_index[j]: (u, i) goes to (u + r w(i), i), one exponent block at a
-        time, so the temporaries stay at m rows."""
-        p = self.params.p
+        time.  Points are ranked lexicographically, so adding c = r w(i) to
+        every point rolls the (p,)*k grid of their ranks by -c."""
+        p, k = self.params.p, self.params.k
+        grid = np.arange(self.params.num_points).reshape((p,) * k)
         index = np.empty(len(self), dtype=np.intp)
         for sl, i in self.exponent_blocks():
-            moved = (self.points.astype(np.int64) + r * self.omega_last[i].astype(np.int64)) % p
-            index[sl] = sl.start + self._encode_points(moved)
+            shift = tuple(-r * self.omega_last[i].astype(np.int64))
+            index[sl] = sl.start + np.roll(grid, shift, axis=tuple(range(k))).ravel()
         return index
+
+    @cached_property
+    def twist(self):
+        """twist_index(1), computed once: every build gathers through its powers."""
+        return self.twist_index(1)
+
+    def twist_powers(self):
+        """The index permutations of tau_1, ..., tau_(p-1): tau_r = tau_1^r,
+        so T_r = T_(r-1)[T_1] with T_1 = twist."""
+        t = self.twist
+        for _ in range(1, self.params.p):
+            yield t
+            t = t[self.twist]
 
     def twisted_perm_table(self, r=0):
         """Permutation images (N, m) of every element under the r-twist:
@@ -211,16 +263,19 @@ class AffineGroup:
     def fixed_count_table(self):
         """Honest fixed-point counts (N, p): column r counts the points
         fixed by the r-twist of each element.  Column 0 enumerates the
-        action with one histogram per exponent block; column r is column 0
-        gathered through twist_index(r)."""
+        action with one histogram per exponent block; column r is column
+        r - 1 gathered through twist (tau_r = tau_1 tau_(r-1)), so it is
+        column 0 gathered through twist_index(r)."""
         p, m = self.params.p, self.params.num_points
         natural = np.empty(len(self), dtype=np.int32)  # contiguous, so each gather reads one block's window
+        eye, zero = np.eye(self.params.k, dtype=np.int64), np.zeros(self.params.k, dtype=np.int64)
         for sl, i in self.exponent_blocks():
-            diff = (self.points.astype(np.int64) - self.points.astype(np.int64) @ self.b_pows[i]) % p
-            natural[sl] = np.bincount(self._encode_points(diff), minlength=m)
+            diff = self._image_ranks((eye - self.b_pows[i]) % p, zero)  # the ranks of u - u B^i
+            natural[sl] = np.bincount(diff, minlength=m)
         counts = np.empty((len(self), p), dtype=np.int32)  # every count is at most m
-        for r in range(p):
-            counts[:, r] = natural[self.twist_index(r)] if r else natural
+        counts[:, 0] = column = natural
+        for r in range(1, p):
+            counts[:, r] = column = column[self.twist]
         return counts
 
 
@@ -299,30 +354,49 @@ def _check_closed_forms(params, checks):
     checks["omega_recurrence"] = ok_rec
 
 
-def _check_twist_automorphism(group, checks, coverage, rng):
-    """tau_r is an automorphism: twist(a) twist(b) = twist(ab) for every r,
-    exhaustively when the pair count is small, otherwise on 10^4 samples;
-    tau_0 is the identity on every element: its index permutation is the
-    identity."""
-    p = group.params.p
-    n = len(group)
-    a, b, coverage["twist_automorphism"] = sample_pairs(n, rng, 10_000)
-    (ua, ia), (ub, ib) = group.decompose(a), group.decompose(b)
-    i3 = (ia + ib - 1) % p + 1
-    ua, ub = ua.astype(np.int64), ub.astype(np.int64)
-    ok = True
-    for r in range(p):
-        wa = r * group.omega_last[ia].astype(np.int64)
-        wb = r * group.omega_last[ib].astype(np.int64)
-        w3 = r * group.omega_last[i3].astype(np.int64)
-        twa, twb = (ua + wa) % p, (ub + wb) % p
-        # product of the twisted pair, versus the twist of the product
-        lhs = (twb + np.einsum("nk,nkl->nl", twa, group.b_pows[ib])) % p
-        plain = (ub + np.einsum("nk,nkl->nl", ua, group.b_pows[ib])) % p
-        rhs = (plain + w3) % p
-        ok &= bool((lhs == rhs).all())
-    checks["twist_automorphism"] = ok
-    checks["twist_identity_r0"] = bool((group.twist_index(0) == np.arange(n)).all())
+def _check_twist_automorphism(group, checks, coverage):
+    """Certificate that T = group.twist, the permutation every twisted
+    table is gathered through (in powers), is an automorphism, exhaustively:
+    T permutes each exponent block (a scatter count per block, as tau_1
+    keeps i), T(x s) = T(x) T(s) for every x and every s in S =
+    group.generators(), and a search along x -> x s reaches every element
+    from 1, so S generates G_k.  By induction on word length T(x y) =
+    T(x) T(y) for all x and y (the argument behind Schreier's lemma;
+    Seress, "Permutation Group Algorithms", CUP 2003), and then so is
+    every power T_r.  Right multiplication is group.right_multiplier, read
+    off the points and B powers, never off twist_index.  tau_0 is the
+    identity on every element: its index permutation is the identity."""
+    n, m = len(group), group.params.num_points
+    t, gens = group.twist, group.generators()
+    muls = [group.right_multiplier(s) for s in gens]
+
+    def permutes_blocks():
+        return all(
+            ranks.min() >= 0 and ranks.max() < m and (np.bincount(ranks, minlength=m) == 1).all()
+            for ranks in (t[sl] - sl.start for sl in chunks(n, m))
+        )
+
+    def edges_agree():
+        for s, (starts, ranks) in zip(gens, muls):
+            tw_starts, tw_ranks = group.right_multiplier(t[s])
+            for b, sl in enumerate(chunks(n, m)):  # x running over exponent block b
+                if not (t[starts[b] + ranks] == tw_starts[b] + tw_ranks[t[sl] - sl.start]).all():
+                    return False
+        return True
+
+    def step(starts, ranks):
+        def times(idx):
+            block, rank = np.divmod(idx, m)
+            return starts[block] + ranks[rank]
+
+        return times
+
+    checks["twist_automorphism"] = bool(
+        permutes_blocks() and edges_agree() and reaches_all(n, [step(*mul) for mul in muls])
+    )
+    coverage["twist_automorphism"] = "exhaustive"
+    t0 = group.twist_index(0)
+    checks["twist_identity_r0"] = all(bool((t0[sl] == np.arange(sl.start, sl.stop)).all()) for sl in chunks(n, m))
     coverage["twist_identity_r0"] = "exhaustive"
 
 
@@ -331,40 +405,46 @@ def _check_fixed_points(group, fix, sums, checks):
     honest counts: column r of fix holds |fix| of the r-twist, and sums
     are support_scan's summed supports of the non-identity elements."""
     p, m = group.params.p, group.params.num_points
-    u, exps = group.decompose(np.arange(1, len(group)))
-    u_last = u[:, -1].astype(np.int64)
-    del u  # not held through the column loop: 9 MiB of the (11,5) peak
+    # per non-identity element, from decompose's block layout (rank j % m,
+    # block j // m) in small dtypes: no int64 index array of N entries
+    u_last = np.tile(group.points[:, -1].astype(np.int16), p)[1:]
+    i_inv = np.array([0] + [pow(i, p - 2, p) for i in range(1, p)], dtype=np.int16)
+    inv = np.repeat(i_inv[group.block_exponents % p], m)[1:]  # 1 / i mod p, and 0 at i = p
+    moving = inv != 0
     nat = fix[1:, 0]
-    checks["fixed_point_dichotomy"] = bool(np.isin(nat, (0, p)).all())
-    moving = exps != p
+    # == rather than np.isin, whose temporaries were 32 MiB at (11,5)
+    checks["fixed_point_dichotomy"] = bool(((nat == 0) | (nat == p)).all())
     checks["fixed_point_rule"] = bool(((nat == p) == (moving & (u_last == 0))).all())
 
     # exponent p means every twist is fixed-point-free; otherwise
-    # exactly one r (the solution of u_k + i r = 0) gives support m - p;
-    # one column at a time, so no (N, p) copy of the table is made
+    # exactly one r, the solution r_pred of u_k + i r = 0, gives support
+    # m - p; one column at a time, so no (N, p) copy of the table is made
+    r_pred = (p - u_last) * inv % p  # below p^2 < 2^15 within the group guard
+    del u_last, inv
     ok, hits = True, np.zeros(len(nat), dtype=np.int8)  # hits: p entries per row
     for r in range(p):
         at_p = fix[1:, r] == p
         ok &= bool((at_p | (fix[1:, r] == 0)).all())
+        ok &= bool((at_p | (r_pred != r) | ~moving).all())
         hits += at_p
     ok &= bool((hits == moving).all())
-    i_inv = np.array([0] + [pow(int(i), p - 2, p) for i in range(1, p)], dtype=np.int64)
-    r_pred = -u_last * i_inv[exps % p] % p
-    ok &= bool(((fix[1:][np.arange(len(r_pred)), r_pred] == p) | ~moving).all())
     checks["twist_support_pattern"] = ok
 
     tw_min = p * m - p
-    checks["support_sum_dichotomy"] = bool(np.isin(sums, (tw_min, p * m)).all())
+    checks["support_sum_dichotomy"] = bool(((sums == tw_min) | (sums == p * m)).all())
     checks["faithful_natural_action"] = bool((fix[1:, 0] < m).all())
 
 
 def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
     """Construct the p-twisted affine code and its verification report.
 
-    check="fast" runs the closed-form and support-scan suite; check="all"
-    additionally materialises the code and runs the pairwise-distance
-    oracle, the distance-invariance certificate over the code rows of B and
-    the e_k translation, and the letter-count (FPA) property.
+    check="fast" runs the closed-form and support-scan suite and the
+    twist-automorphism certificate; check="all" additionally materialises
+    the code and runs the pairwise-distance oracle, the distance-invariance
+    certificate over the code rows of B and the e_k translation, and the
+    letter-count (FPA) property.  Every check is exhaustive and nothing is
+    drawn at random: rng_seed is accepted for a signature shared with
+    build_symplectic_twisted, and unused.
     """
 
     if check not in ("fast", "all"):
@@ -374,7 +454,6 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
         raise ValueError(
             f"p^(k+2) = {p ** (k + 2)} exceeds the twist-scan guard {SCAN_GUARD}"
         )
-    rng = np.random.default_rng(rng_seed)
     checks: dict[str, bool] = {}
     times: dict[str, float] = {}
     coverage: dict[str, str] = {}
@@ -389,9 +468,13 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
     distinct = [int(first_of_runs(np.sort(row_keys(rows.reshape(len(rows), -1)))).sum())
                 for rows in (group.points, powers)]
     checks["group_order"] = distinct[0] * distinct[1] == p ** (k + 1)
-    # every stored B^i lower unitriangular: zeros above the diagonal, ones on it
+    # every stored B^i lower unitriangular (zeros above the diagonal, ones
+    # on it) and the i-th power of B: B^0 = I, then B^i = B^(i-1) B
+    B = matrix_B(k, p).A.astype(np.int64)
+    steps = group.b_pows[:-1].astype(np.int64) @ B % p
     checks["block_structure"] = bool(
         not np.triu(powers, 1).any() and (np.diagonal(powers, axis1=1, axis2=2) == 1).all()
+        and (group.b_pows[0] == np.eye(k)).all() and (group.b_pows[1:] == steps).all()
     )
 
     with stage(times, "closed_forms"):
@@ -406,14 +489,11 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
         checks.update(scan_checks)  # report order: the fixed-point checks first
 
     with stage(times, "automorphism"):
-        _check_twist_automorphism(group, checks, coverage, rng)
+        _check_twist_automorphism(group, checks, coverage)
 
-    e_k = np.eye(k, dtype=np.int64)[-1]  # B and the translation by e_k generate G_k
-    gen_rows = [group.element_index(0 * e_k, 1), group.element_index(e_k, p)] if check == "all" else None
     return finish_build(
-        group, fix, lambda: (
-            Representation(group, group.twisted_perm_table()), [group.twist_index(r) for r in range(1, p)]
-        ), family="affine", params={"p": p, "k": k},
+        group, fix, lambda: (Representation(group, group.twisted_perm_table()), list(group.twist_powers())),
+        family="affine", params={"p": p, "k": k},
         m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, coverage=coverage, check=check,
-        generators=gen_rows,
+        generators=group.generators() if check == "all" else None,
     )

@@ -88,22 +88,21 @@ def cmd_table1(args):
     for p in _primes_upto(args.max_p):
         for k in range(2, p):
             try:
-                build = build_affine_twisted(AffineParams(p, k), check="fast")
+                # only the report is kept, so no build's tables outlive its row
+                r = build_affine_twisted(AffineParams(p, k), check="fast").report
             except ValueError as exc:
                 print(f"# skipping affine p={p} k={k}: {exc}", file=sys.stderr)
                 continue
-            r = build.report
             expected_gap = p * p - p
             ok = r.all_pass() and r.gap == expected_gap
             rows.append((f"affine(p={p},k={k})", r.reps, r.alphabet, r.delta_tw, r.gap, ok))
             status |= 0 if ok else 1
     for n in range(1, args.max_n + 1):
         try:
-            build = build_symplectic_twisted(SymplecticSpace.create(n), check="fast")
+            r = build_symplectic_twisted(SymplecticSpace.create(n), check="fast").report
         except ValueError as exc:
             print(f"# skipping symplectic n={n}: {exc}", file=sys.stderr)
             continue
-        r = build.report
         expected_gap = 1 << (2 * n)
         ok = r.all_pass() and r.gap == expected_gap
         rows.append((f"Sp(4,2^{n})", r.reps, r.alphabet, r.delta_tw, r.gap, ok))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -221,37 +222,75 @@ def build_twisted_code(rep: Representation, automorphisms=()) -> Code:
 def min_distance_pairwise(code: Code) -> int:
     """Exact minimum over all unordered codeword pairs; 0 if |C| <= 1.
 
-    A plain symbol compare, tile by tile: a tile pairs a block of R rows
-    with a later (or the same) block, R = isqrt(BLOCK_ENTRIES // L8) for
-    the length L8 rounded up to a multiple of 8, so its mismatch mask fills
-    at most BLOCK_ENTRIES bytes of one reused buffer and memory stays
-    O(BLOCK_ENTRIES).  Both blocks are copied into zero-padded buffers of
-    the code's dtype (equal pads add no mismatch), and the mask is counted
-    by _mismatch_counts, eight bytes to a uint64 word."""
+    A plain symbol compare, tile by tile, on every usable core: a tile
+    pairs a block of R rows with a later (or the same) block, and worker w
+    of W takes blocks w, w + W, w + 2W, ... with all their later partners
+    (block i has n_blocks - i of them, so the striding balances the work).
+    R = isqrt(BLOCK_ENTRIES // (cores * L8)) for the length L8 rounded up
+    to a multiple of 8, so each worker's mismatch mask fills at most
+    BLOCK_ENTRIES // cores bytes of one reused buffer, and memory stays
+    O(BLOCK_ENTRIES) in all.  Both blocks are copied into the worker's
+    zero-padded buffers of the code's dtype (equal pads add no mismatch),
+    and the mask is counted by _mismatch_counts, eight bytes to a uint64
+    word.  The result is the least worker minimum: every pair is compared
+    once whatever the core count and tiling, so it is the same on every
+    machine.  An exception in a worker stops the others at their next tile
+    and is raised here once all are joined."""
     W = code.words
     n, length = W.shape
     if n <= 1:
         return 0
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     width = -(-length // 8) * 8
-    rows = max(1, math.isqrt(BLOCK_ENTRIES // width))
-    pad_a, pad_b = np.zeros((2, rows, width), dtype=W.dtype)
-    mask = np.empty(rows * rows * width, dtype=bool)
+    rows = max(1, math.isqrt(BLOCK_ENTRIES // cores // width))
     blocks = list(chunks(n, rows))
-    best = length + 1
-    for i, a in enumerate(blocks):
-        ra = a.stop - a.start
-        pad_a[:ra, :length] = W[a]
-        for b in blocks[i:]:
-            rb = b.stop - b.start
-            if b is not a:
-                pad_b[:rb, :length] = W[b]
-            ne = mask[: ra * rb * width].reshape(ra, rb, width)
-            np.not_equal(pad_a[:ra, None], (pad_a if b is a else pad_b)[None, :rb], out=ne)
-            d = _mismatch_counts(ne.view(np.uint64))
-            if b is a:  # each pair once, and no codeword against itself
-                d[np.tril_indices(ra)] = length + 1
-            best = min(best, int(np.min(d)))
-    return best
+    workers = min(cores, len(blocks))
+    best = [length + 1] * workers
+    errors = [None] * workers
+    failed = threading.Event()  # a worker that raised stops the others at their next tile
+
+    def sweep(w):
+        try:
+            pad_a, pad_b = np.zeros((2, rows, width), dtype=W.dtype)
+            mask = np.empty(rows * rows * width, dtype=bool)
+            for i in range(w, len(blocks), workers):
+                a = blocks[i]
+                ra = a.stop - a.start
+                pad_a[:ra, :length] = W[a]
+                for b in blocks[i:]:
+                    if failed.is_set():
+                        return
+                    rb = b.stop - b.start
+                    if b is not a:
+                        pad_b[:rb, :length] = W[b]
+                    ne = mask[: ra * rb * width].reshape(ra, rb, width)
+                    np.not_equal(pad_a[:ra, None], (pad_a if b is a else pad_b)[None, :rb], out=ne)
+                    d = _mismatch_counts(ne.view(np.uint64))
+                    if b is a:  # each pair once, and no codeword against itself
+                        d[np.tril_indices(ra)] = length + 1
+                    best[w] = min(best[w], int(np.min(d)))
+        except BaseException as exc:
+            errors[w] = exc
+            failed.set()
+
+    # threads, not processes: numpy releases the GIL in the compares and sums
+    started = []
+    try:
+        for w in range(1, workers):
+            started.append(threading.Thread(target=sweep, args=(w,)))
+            started[-1].start()
+        sweep(0)  # the calling thread is worker 0
+    except BaseException:  # a thread that could not start
+        failed.set()
+        raise
+    finally:
+        for t in started:
+            if t.ident is not None:
+                t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return min(best)
 
 
 def _mismatch_counts(words):
@@ -304,18 +343,28 @@ def check_distance_invariance(code: Code, *, generators) -> bool:
         moved_order = np.argsort(moved)
         if not all((moved[moved_order[sl]] == keys[order[sl]]).all() for sl in _row_blocks(code.size, code.length)):
             return False
-        maps.append(np.empty(code.size, dtype=np.intp))
-        maps[-1][moved_order] = order  # gathered row x is codeword maps[-1][x]
+        row_map = np.empty(code.size, dtype=np.intp)
+        row_map[moved_order] = order  # gathered row x is codeword row_map[x]
+        maps.append(row_map.__getitem__)
         del moved  # one gathered copy of the code at a time
-    reached = np.zeros(code.size, dtype=bool)
+    return reaches_all(code.size, maps)
+
+
+def reaches_all(n, steps):
+    """True iff a breadth-first search from index 0 reaches every index
+    0..n-1, where each step maps an index array to the indices one edge
+    away.  The frontier is kept as a boolean mask over the n indices
+    (np.unique on it is an order of magnitude slower)."""
+    reached, fresh = np.zeros((2, n), dtype=bool)
     reached[0] = True
     frontier = np.zeros(1, dtype=np.intp)
     while frontier.size:
-        step = np.zeros(code.size, dtype=bool)
-        for row_map in maps:
-            step[row_map[frontier]] = True
-        frontier = np.flatnonzero(step & ~reached)
+        for edge in steps:
+            fresh[edge(frontier)] = True
+        np.greater(fresh, reached, out=fresh)  # fresh and not reached
+        frontier = np.flatnonzero(fresh)
         reached[frontier] = True
+        fresh[frontier] = False
     return bool(reached.all())
 
 

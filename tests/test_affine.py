@@ -274,6 +274,19 @@ def test_enumerate_group_memory():
     assert held < 2 * 2**20
 
 
+def test_check_all_build_memory():
+    # (5, 3) check="all": the twist certificate walks the Cayley edges one
+    # exponent block at a time (forming all n^2 element pairs peaked at 132 MiB)
+    tracemalloc.start()
+    try:
+        report = build_affine_twisted(AffineParams(5, 3), check="all").report
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_pass()
+    assert peak < 20 << 20
+
+
 def test_check_all_coverage_exhaustive(monkeypatch):
     # every oracle is exhaustive at every size, in blocks of one row as well
     monkeypatch.setattr(codes, "BLOCK_ENTRIES", 1)
@@ -303,6 +316,100 @@ def test_twisted_tables_are_gathers(p, k):
         assert np.array_equal(group.twisted_perm_table(r), ref)
         assert np.array_equal(build.fix[:, r], (ref == np.arange(m)).sum(axis=1))
         assert np.array_equal(natural.sizes[t], m - build.fix[:, r])
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (7, 3), (11, 3), (5, 4)])
+def test_iterated_twists_equal_closed_forms(p, k):
+    # the columns and automorphisms iterated through twist (tau_r = tau_1^r)
+    # against the natural column gathered through each closed-form twist_index(r)
+    group = enumerate_group(AffineParams(p, k))
+    fix = group.fixed_count_table()
+    closed = [group.twist_index(r) for r in range(1, p)]
+    assert np.array_equal(group.twist, closed[0])
+    for r, (iterated, t) in enumerate(zip(group.twist_powers(), closed), start=1):
+        assert np.array_equal(iterated, t)
+        assert np.array_equal(fix[:, r], fix[:, 0][t])
+
+
+def test_right_multiplier_is_the_group_product(g32):
+    # right multiplication, as (starts, ranks), against product_index for every pair
+    m = g32.params.num_points
+    for y in range(len(g32)):
+        starts, ranks = g32.right_multiplier(y)
+        x = np.arange(len(g32))
+        assert np.array_equal(starts[x // m] + ranks[x % m], [g32.product_index(a, y) for a in x])
+
+
+def test_twist_certificate_exhaustive_past_sampling_size():
+    # n^2 = 1331^2 > 2^20: the certificate covers every Cayley edge, not 10^4 sampled pairs
+    report = build_affine_twisted(AffineParams(11, 2)).report
+    assert report.checks["twist_automorphism"] and report.coverage["twist_automorphism"] == "exhaustive"
+
+
+def test_affine_build_draws_no_random_numbers(monkeypatch):
+    # rng_seed stays in the signature, unused: nothing in the build is sampled
+    def refuse(*args, **kwargs):
+        raise AssertionError("the affine build drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    report = build_affine_twisted(AffineParams(5, 2), check="all", rng_seed=3).report
+    assert report.all_pass()
+
+
+def swap_pair(index):
+    index[[1, 10]] = index[[10, 1]]
+
+
+def repeat_entry(index):
+    index[1] = index[2]
+
+
+def bump(name, at):
+    """Add one, mod p, to one entry of the group's stored array `name`."""
+
+    def mutate(group):
+        stored = getattr(group, name).copy()
+        stored[at] = (stored[at] + 1) % group.params.p
+        setattr(group, name, stored)
+
+    return mutate
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (7, 3)])
+@pytest.mark.parametrize("case, failing", [
+    ("twist_swap", "twist_automorphism"),  # one swapped pair in twist_index(1)
+    ("twist_repeat", "twist_automorphism"),  # twist_index(1) no longer a permutation
+    ("omega_last", "twist_automorphism"),  # one entry of one omega_last row
+    ("b_pows_1", "twist_automorphism"),  # one entry of B as stored
+    ("b_pows_2", "block_structure"),  # one entry of B^2 as stored, which no twist edge reads
+    ("generators", "twist_automorphism"),  # S cut to {B}: the search stays in <B>
+])
+def test_twist_certificate_can_fail(monkeypatch, capsys, p, k, case, failing):
+    real_enumerate, real_twist, real_generators = affine.enumerate_group, affine.AffineGroup.twist_index, affine.AffineGroup.generators
+    mutations = {"twist_swap": swap_pair, "twist_repeat": repeat_entry}
+    if case in mutations:
+        def twist_index(group, r):
+            index = real_twist(group, r)
+            if r == 1:
+                mutations[case](index)
+            return index
+
+        monkeypatch.setattr(affine.AffineGroup, "twist_index", twist_index)
+    elif case == "generators":
+        monkeypatch.setattr(affine.AffineGroup, "generators", lambda group: real_generators(group)[:1])
+    else:
+        mutate = bump("omega_last", (2, 0)) if case == "omega_last" else bump("b_pows", (int(case[-1]), 1, 0))
+
+        def enumerate_mutated(params):
+            group = real_enumerate(params)
+            mutate(group)
+            return group
+
+        monkeypatch.setattr(affine, "enumerate_group", enumerate_mutated)
+    for check in ("fast", "all"):
+        status = cli_main(["affine", "--p", str(p), "--k", str(k), "--check", check])
+        assert f"check.{failing}=FAIL" in capsys.readouterr().out.splitlines(), check
+        assert status == 1
 
 
 def test_wrong_twist_index_fails_check_all(monkeypatch, capsys):

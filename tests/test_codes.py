@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import json
+import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -29,6 +31,7 @@ from twistcode.codes import (
     letter_counts_constant,
     min_distance_by_support,
     min_distance_pairwise,
+    reaches_all,
     read_code,
     repetition_lower_bound,
     sample_pairs,
@@ -244,9 +247,17 @@ def test_pairwise_oracle_one_row_blocks(monkeypatch, affine32, sp2):
     assert min_distance_pairwise(build_twisted_code(sprep)) == 8
 
 
-def test_pairwise_oracle_memory_bound():
+def usable_cores(monkeypatch, cores):
+    """Make os.sched_getaffinity, which min_distance_pairwise sizes its workers by, report `cores` CPUs."""
+    monkeypatch.setattr(codes.os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_pairwise_oracle_memory_bound(monkeypatch, cores):
     # 1000 x 200 symbols: a 64-row block against every row would be a
-    # 12.8 MB temporary; the budget holds each block to about 4 MiB
+    # 12.8 MB temporary; the budget holds each block to about 4 MiB, shared
+    # by the workers' masks (tracemalloc traces every thread)
+    usable_cores(monkeypatch, cores)
     words = np.random.default_rng(3).integers(1, 5, size=(1000, 200), dtype=np.uint8)
     code = Code(words, 4)
     assert code.size == 1000
@@ -315,6 +326,16 @@ def affine_generator_rows(group):
     k = group.params.k
     e_k = np.eye(k, dtype=np.int64)[-1]
     return [group.element_index(0 * e_k, 1), group.element_index(e_k, group.params.p)]
+
+
+def test_reaches_all():
+    cycle = np.roll(np.arange(5), -1)
+    assert reaches_all(1, [])
+    assert reaches_all(5, [cycle.__getitem__])
+    assert not reaches_all(5, [])
+    assert not reaches_all(6, [np.array([1, 0, 3, 2, 5, 4]).__getitem__])  # three 2-cycles
+    # two involutions that together walk the whole path 0 - 1 - 2 - 3 - 4 - 5
+    assert reaches_all(6, [np.array([1, 0, 3, 2, 5, 4]).__getitem__, np.array([0, 2, 1, 4, 3, 5]).__getitem__])
 
 
 def test_distance_invariance_small_cases(affine32):
@@ -715,15 +736,72 @@ def pairwise_codes(draw):
     return Code(words.astype(np.min_scalar_type(q)), q)
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3])
 @settings(max_examples=100, deadline=None)
-@given(pairwise_codes(), st.sampled_from([64, codes.BLOCK_ENTRIES]))
+@given(code=pairwise_codes(), block=st.sampled_from([64, codes.BLOCK_ENTRIES]))
 # two words that differ in every symbol but agree mod 256; 2,041 symbols fill a 256-word lane
-@example(Code(np.repeat([[1], [257]], 2041, axis=1).astype(np.uint16), 400), codes.BLOCK_ENTRIES)
-def test_pairwise_oracle_equals_all_pairs(code, block):
-    # block 64 makes tiles of one or two rows, so tiles end mid-code
+@example(code=Code(np.repeat([[1], [257]], 2041, axis=1).astype(np.uint16), 400), block=codes.BLOCK_ENTRIES)
+def test_pairwise_oracle_equals_all_pairs(cores, code, block):
+    # block 64 makes tiles of one or two rows, so tiles end mid-code; with
+    # several workers, each takes every cores-th block of rows
     with pytest.MonkeyPatch.context() as mp:
+        usable_cores(mp, cores)
         mp.setattr(codes, "BLOCK_ENTRIES", block)
         assert min_distance_pairwise(code) == min_distance_all_pairs(code)
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_pairwise_oracle_worker_edge_cases(monkeypatch, cores):
+    usable_cores(monkeypatch, cores)
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(codes.threading, "Thread", Recorded)
+    before = threading.active_count()
+    # |C| <= 1: no pair, and no worker started
+    for n in (0, 1):
+        assert min_distance_pairwise(Code(np.ones((n, 5), dtype=np.uint8), 2)) == 0
+    assert not started
+    # two rows fit one block: fewer blocks than cores, so the calling thread sweeps alone
+    pair = Code(np.array([[1, 2, 3], [1, 3, 2]], dtype=np.uint8), 3)
+    assert min_distance_pairwise(pair) == 2 and not started
+    # blocks of one row: every tile one pair, every worker busy, and the
+    # workers switched as often as the interpreter allows
+    monkeypatch.setattr(codes, "BLOCK_ENTRIES", 1)
+    words = np.random.default_rng(cores).integers(1, 4, size=(9, 6), dtype=np.uint8)
+    code = Code(words, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert min_distance_pairwise(code) == min_distance_all_pairs(code)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started) == cores - 1
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_pairwise_worker_exception_propagates(monkeypatch, where):
+    # an exception in one worker reaches the caller once every worker has been joined
+    usable_cores(monkeypatch, 3)
+    monkeypatch.setattr(codes, "BLOCK_ENTRIES", 64)
+    real = codes._mismatch_counts
+
+    def fail_in_one(words):
+        if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
+            raise RuntimeError(f"injected in the {where}")
+        return real(words)
+
+    monkeypatch.setattr(codes, "_mismatch_counts", fail_in_one)
+    before = threading.active_count()
+    code = Code(np.random.default_rng(7).integers(1, 4, size=(40, 8), dtype=np.uint8), 3)
+    with pytest.raises(RuntimeError, match=f"injected in the {where}"):
+        min_distance_pairwise(code)
+    assert threading.active_count() == before
 
 
 def test_code_refuses_zero_length_words():
