@@ -6,12 +6,16 @@ lexicographic order on coordinate tuples.  Addition of vectors is XOR of
 codes; row-times-matrix products and scalar multiples become single
 table lookups, which is what makes the million-element group scans cheap.
 
-All functions are pure.  fixed_counts and rank_one_flags run over blocks
-of ROW_CHUNK rows themselves; the other kernels take the batch they get.
+All functions are pure.  fixed_counts and rank_one_flags split their rows
+into row_blocks and run them on every usable core (parallel_map); the
+other kernels take the batch they get, and the builders run the large
+ones inside parallel_map bodies of their own.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from functools import cached_property
 
 import numpy as np
@@ -25,6 +29,68 @@ ROW_CHUNK = 1 << 16  # rows per block of the per-element row kernels (rank, tau 
 def chunks(n, size):
     for i in range(0, n, size):
         yield slice(i, min(i + size, n))
+
+
+def usable_cores():
+    """The CPUs this process may run on: its affinity set, where the OS keeps one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def row_blocks(n):
+    """Slices of n rows for parallel_map, ROW_CHUNK // usable_cores() rows
+    each, so the blocks the workers hold at once add up to about one
+    ROW_CHUNK block of temporaries."""
+    return chunks(n, max(1, ROW_CHUNK // usable_cores()))
+
+
+def parallel_map(body, blocks):
+    """[body(b) for b in blocks], on W = min(usable_cores(), len(blocks))
+    threads: worker w takes blocks w, w + W, w + 2W, ..., and the calling
+    thread is worker 0, so a single block starts no thread.  Threads, not
+    processes: numpy releases the GIL in its array loops.  A block that
+    raises stops every worker before its next block above it (the blocks
+    below still run), and once all workers are joined the exception of
+    the lowest failing block is raised: the one a serial loop meets first,
+    whatever the core count.  A body must not call a function that
+    perfbench/tracer.py wraps, whose one span stack assumes strictly
+    nested calls: traced kernels are entered on the calling thread and
+    split their own rows through parallel_map."""
+    blocks = list(blocks)
+    workers = max(1, min(usable_cores(), len(blocks)))
+    results = [None] * len(blocks)
+    errors = {}
+    lowest = len(blocks)  # the lowest failing block so far
+    lock = threading.Lock()
+
+    def run(w):
+        nonlocal lowest
+        for i in range(w, len(blocks), workers):
+            if i > lowest:
+                return
+            try:
+                results[i] = body(blocks[i])
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+                    lowest = min(lowest, i)
+                return
+
+    started = []
+    try:
+        for w in range(1, workers):
+            started.append(threading.Thread(target=run, args=(w,)))
+            started[-1].start()
+        run(0)
+    except BaseException:  # a thread that could not start
+        lowest = -1
+        raise
+    finally:
+        for t in started:
+            if t.ident is not None:
+                t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def first_of_runs(ranked):
@@ -240,6 +306,11 @@ def wedge_rows(ops: PackedOps, ops6: PackedOps, table, rows, lift, pairs):
     return out
 
 
+# The dense kernels.  A parallel_map body calls the private ones: the public
+# batch_* names are the entry points perfbench/tracer.py wraps, so they are
+# called on the calling thread only.
+
+
 def _matmul_fixed(mul, A, B):
     """(N, r, s) batch times a fixed (s, t) matrix: term k gathers rows of
     the (q, t) table mul[:, B[k]] at the entries of column k of A."""
@@ -249,17 +320,10 @@ def _matmul_fixed(mul, A, B):
     return out
 
 
-def batch_matmul(mul, A, B):
-    """Exact product over GF(2^n) via the field's q x q table.
-
-    A is (N, r, s); B is either a fixed (s, t) matrix or a per-element
-    (N, s, t) batch.  Returns (N, r, t), the XOR over k of the entrywise
-    products of column k of A and row k of B, one (N, r, t) term at a
-    time.  Callers chunk N.
-    """
-
-    if B.ndim == 2:
-        return _matmul_fixed(mul, A, B)
+def _matmul_each(mul, A, B):
+    """(N, r, s) batch times per-element (N, s, t) batch: the XOR over k of
+    the entrywise products of column k of A and row k of B, one (N, r, t)
+    term at a time."""
     q = mul.shape[0]
     flat = mul.ravel()
     out = np.zeros((A.shape[0], A.shape[1], B.shape[2]), dtype=mul.dtype)
@@ -268,14 +332,13 @@ def batch_matmul(mul, A, B):
     return out
 
 
-def batch_matmul_left(mul, C, B):
+def _matmul_left(mul, C, B):
     """Fixed (r, s) matrix times per-element (N, s, t) batch, as the
-    transpose of B^T . C^T.  Calls the private kernel, not batch_matmul,
-    so one call is one batch_matmul_left span to a wrapping tracer."""
+    transpose of B^T . C^T."""
     return np.ascontiguousarray(_matmul_fixed(mul, B.transpose(0, 2, 1), C.T).transpose(0, 2, 1))
 
 
-def batch_exterior_square(mul, mats, pairs):
+def _exterior_square(mul, mats, pairs):
     """Exterior-square matrices of a (N, 4, 4) batch on the wedge-pair
     basis; characteristic 2, so the sign terms are XORs.  Entry ((i, j),
     (k, l)) is the 2 x 2 minor g_ik g_jl ^ g_il g_jk: one gather from the
@@ -297,6 +360,27 @@ def batch_exterior_square(mul, mats, pairs):
         idx |= m[:, j, k]
         out[:, a] = np.take(minors, idx)
     return out
+
+
+def batch_matmul(mul, A, B):
+    """Exact product over GF(2^n) via the field's q x q table.
+
+    A is (N, r, s); B is either a fixed (s, t) matrix or a per-element
+    (N, s, t) batch.  Returns (N, r, t) (_matmul_fixed, _matmul_each).
+    Callers chunk N.
+    """
+
+    return _matmul_fixed(mul, A, B) if B.ndim == 2 else _matmul_each(mul, A, B)
+
+
+def batch_matmul_left(mul, C, B):
+    """Fixed (r, s) matrix times per-element (N, s, t) batch (_matmul_left)."""
+    return _matmul_left(mul, C, B)
+
+
+def batch_exterior_square(mul, mats, pairs):
+    """Exterior-square matrices of a (N, 4, 4) batch (_exterior_square)."""
+    return _exterior_square(mul, mats, pairs)
 
 
 def closure(ops: PackedOps, gen_mats, limit):
@@ -370,8 +454,13 @@ def _span_ranks(ops: PackedOps, rows):
 
 def _rank_kernel(ops: PackedOps):
     """_span_ranks while its pair table is small (q <= 4 for 4-rows), else
-    the elimination _ranks."""
-    return _span_ranks if ops.ncodes**2 <= PAIR_TABLE_LIMIT else _ranks
+    the elimination _ranks; the tables it reads are computed here, before
+    any worker reads them."""
+    if ops.ncodes**2 <= PAIR_TABLE_LIMIT:
+        ops.span_tables
+        return _span_ranks
+    ops.smul, ops.canon, ops.lead_shift
+    return _ranks
 
 
 def fixed_counts(ops: PackedOps, rows):
@@ -380,14 +469,18 @@ def fixed_counts(ops: PackedOps, rows):
     v . g = lam v for exactly one lam != 0, and the eigenspace of lam holds
     (q^(4 - rank(g + lam I)) - 1) / (q - 1) points (characteristic 2, so
     g - lam I = g + lam I).  The kernel vectors of a singular g (lam = 0)
-    are not fixed points."""
+    are not fixed points.  On every usable core."""
     q = ops.field.order
     ranks = _rank_kernel(ops)
     points_by_rank = np.array([(q ** (4 - k) - 1) // (q - 1) for k in range(5)], dtype=np.int16)
+    scalars = [ops.pack(lam * np.eye(4, dtype=np.uint8)) for lam in range(1, q)]
     counts = np.zeros(rows.shape[0], dtype=np.int16)
-    for sl in chunks(rows.shape[0], ROW_CHUNK):
-        for lam in range(1, q):
-            counts[sl] += points_by_rank[ranks(ops, rows[sl] ^ ops.pack(lam * np.eye(4, dtype=np.uint8)))]
+
+    def count(sl):
+        for lam in scalars:
+            counts[sl] += points_by_rank[ranks(ops, rows[sl] ^ lam)]
+
+    parallel_map(count, row_blocks(rows.shape[0]))
     return counts
 
 
@@ -408,10 +501,15 @@ def perm_tables(ops: PackedOps, rows):
     return out.T
 
 
-def rank_one_flags(ops: PackedOps, diff_rows):
-    """True where the packed (N, 4) row sets span exactly one dimension."""
+def rank_one_flags(ops: PackedOps, rows, offset=0):
+    """True where the packed (N, 4) row sets, each XORed with the packed
+    4-row offset (g + M, which is g - M in characteristic 2), span exactly
+    one dimension.  On every usable core, with no (N, 4) sum array."""
     ranks = _rank_kernel(ops)
-    flags = np.empty(diff_rows.shape[0], dtype=bool)
-    for sl in chunks(diff_rows.shape[0], ROW_CHUNK):
-        flags[sl] = ranks(ops, diff_rows[sl]) == 1
+    flags = np.empty(rows.shape[0], dtype=bool)
+
+    def flag(sl):
+        flags[sl] = ranks(ops, rows[sl] ^ offset) == 1
+
+    parallel_map(flag, row_blocks(rows.shape[0]))
     return flags

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._packed import chunks, first_of_runs
+from ._packed import ROW_CHUNK, chunks, first_of_runs
 from .codes import IndexedDomain, Representation, finish_build, reaches_all, row_keys, support_scan
 from .fields import PrimeField
 from .linalg import Matrix
@@ -403,36 +403,41 @@ def _check_twist_automorphism(group, checks, coverage):
 def _check_fixed_points(group, fix, sums, checks):
     """Fixed-point dichotomy and the per-twist support pattern, from the
     honest counts: column r of fix holds |fix| of the r-twist, and sums
-    are support_scan's summed supports of the non-identity elements."""
+    are support_scan's summed supports of the non-identity elements.  The
+    table is read once, a block of ROW_CHUNK rows with all p columns at a
+    time, and each element's (u, i) comes off decompose's block layout
+    (rank j % m, block j // m) for that block only."""
     p, m = group.params.p, group.params.num_points
-    # per non-identity element, from decompose's block layout (rank j % m,
-    # block j // m) in small dtypes: no int64 index array of N entries
-    u_last = np.tile(group.points[:, -1].astype(np.int16), p)[1:]
     i_inv = np.array([0] + [pow(i, p - 2, p) for i in range(1, p)], dtype=np.int16)
-    inv = np.repeat(i_inv[group.block_exponents % p], m)[1:]  # 1 / i mod p, and 0 at i = p
-    moving = inv != 0
-    nat = fix[1:, 0]
-    # == rather than np.isin, whose temporaries were 32 MiB at (11,5)
-    checks["fixed_point_dichotomy"] = bool(((nat == 0) | (nat == p)).all())
-    checks["fixed_point_rule"] = bool(((nat == p) == (moving & (u_last == 0))).all())
-
-    # exponent p means every twist is fixed-point-free; otherwise
-    # exactly one r, the solution r_pred of u_k + i r = 0, gives support
-    # m - p; one column at a time, so no (N, p) copy of the table is made
-    r_pred = (p - u_last) * inv % p  # below p^2 < 2^15 within the group guard
-    del u_last, inv
-    ok, hits = True, np.zeros(len(nat), dtype=np.int8)  # hits: p entries per row
-    for r in range(p):
-        at_p = fix[1:, r] == p
-        ok &= bool((at_p | (fix[1:, r] == 0)).all())
-        ok &= bool((at_p | (r_pred != r) | ~moving).all())
-        hits += at_p
-    ok &= bool((hits == moving).all())
-    checks["twist_support_pattern"] = ok
+    block_inv = i_inv[group.block_exponents % p]  # 1 / i mod p per exponent block, 0 at i = p
+    u_last = group.points[:, -1].astype(np.int16)
+    dichotomy = rule = pattern = faithful = True
+    for sl in chunks(len(group) - 1, ROW_CHUNK):
+        block, rank = np.divmod(np.arange(sl.start + 1, sl.stop + 1), m)  # the non-identity elements
+        inv, u = block_inv[block], u_last[rank]
+        moving = inv != 0
+        table = fix[sl.start + 1 : sl.stop + 1]
+        at_p = table == p
+        nat = table[:, 0]
+        dichotomy &= bool(((nat == 0) | at_p[:, 0]).all())
+        rule &= bool((at_p[:, 0] == (moving & (u == 0))).all())
+        # exponent p means every twist is fixed-point-free; otherwise
+        # exactly one r, the solution r_pred of u_k + i r = 0, gives
+        # support m - p
+        r_pred = (p - u) * inv % p  # below p^2 < 2^15 within the group guard
+        pattern &= bool(
+            (at_p | (table == 0)).all()
+            and (at_p.sum(axis=1) == moving).all()
+            and at_p[np.arange(len(table)), r_pred][moving].all()
+        )
+        faithful &= bool((nat < m).all())
+    checks["fixed_point_dichotomy"] = dichotomy
+    checks["fixed_point_rule"] = rule
+    checks["twist_support_pattern"] = pattern
 
     tw_min = p * m - p
     checks["support_sum_dichotomy"] = bool(((sums == tw_min) | (sums == p * m)).all())
-    checks["faithful_natural_action"] = bool((fix[1:, 0] < m).all())
+    checks["faithful_natural_action"] = faithful
 
 
 def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):

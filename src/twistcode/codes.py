@@ -26,6 +26,7 @@ import threading
 
 import numpy as np
 
+from . import _packed
 from ._packed import chunks, first_of_runs
 from .report import VerificationReport, coverage_value, stage
 
@@ -222,75 +223,51 @@ def build_twisted_code(rep: Representation, automorphisms=()) -> Code:
 def min_distance_pairwise(code: Code) -> int:
     """Exact minimum over all unordered codeword pairs; 0 if |C| <= 1.
 
-    A plain symbol compare, tile by tile, on every usable core: a tile
-    pairs a block of R rows with a later (or the same) block, and worker w
-    of W takes blocks w, w + W, w + 2W, ... with all their later partners
-    (block i has n_blocks - i of them, so the striding balances the work).
+    A plain symbol compare, tile by tile, on every usable core
+    (_packed.parallel_map): a tile pairs a block of R rows with a later
+    (or the same) block, and each row block is swept with all its later
+    partners by one worker (block i has n_blocks - i of them, and the
+    workers take the blocks strided, which balances the work).
     R = isqrt(BLOCK_ENTRIES // (cores * L8)) for the length L8 rounded up
     to a multiple of 8, so each worker's mismatch mask fills at most
     BLOCK_ENTRIES // cores bytes of one reused buffer, and memory stays
     O(BLOCK_ENTRIES) in all.  Both blocks are copied into the worker's
     zero-padded buffers of the code's dtype (equal pads add no mismatch),
     and the mask is counted by _mismatch_counts, eight bytes to a uint64
-    word.  The result is the least worker minimum: every pair is compared
+    word.  The result is the least block minimum: every pair is compared
     once whatever the core count and tiling, so it is the same on every
-    machine.  An exception in a worker stops the others at their next tile
-    and is raised here once all are joined."""
+    machine."""
     W = code.words
     n, length = W.shape
     if n <= 1:
         return 0
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     width = -(-length // 8) * 8
-    rows = max(1, math.isqrt(BLOCK_ENTRIES // cores // width))
+    rows = max(1, math.isqrt(BLOCK_ENTRIES // _packed.usable_cores() // width))
     blocks = list(chunks(n, rows))
-    workers = min(cores, len(blocks))
-    best = [length + 1] * workers
-    errors = [None] * workers
-    failed = threading.Event()  # a worker that raised stops the others at their next tile
+    buffers = threading.local()  # each worker's pads and mask, made at its first block
 
-    def sweep(w):
-        try:
-            pad_a, pad_b = np.zeros((2, rows, width), dtype=W.dtype)
-            mask = np.empty(rows * rows * width, dtype=bool)
-            for i in range(w, len(blocks), workers):
-                a = blocks[i]
-                ra = a.stop - a.start
-                pad_a[:ra, :length] = W[a]
-                for b in blocks[i:]:
-                    if failed.is_set():
-                        return
-                    rb = b.stop - b.start
-                    if b is not a:
-                        pad_b[:rb, :length] = W[b]
-                    ne = mask[: ra * rb * width].reshape(ra, rb, width)
-                    np.not_equal(pad_a[:ra, None], (pad_a if b is a else pad_b)[None, :rb], out=ne)
-                    d = _mismatch_counts(ne.view(np.uint64))
-                    if b is a:  # each pair once, and no codeword against itself
-                        d[np.tril_indices(ra)] = length + 1
-                    best[w] = min(best[w], int(np.min(d)))
-        except BaseException as exc:
-            errors[w] = exc
-            failed.set()
+    def sweep(i):
+        if not hasattr(buffers, "mask"):
+            buffers.pads = np.zeros((2, rows, width), dtype=W.dtype)
+            buffers.mask = np.empty(rows * rows * width, dtype=bool)
+        (pad_a, pad_b), mask = buffers.pads, buffers.mask
+        a = blocks[i]
+        ra = a.stop - a.start
+        pad_a[:ra, :length] = W[a]
+        best = length + 1
+        for b in blocks[i:]:
+            rb = b.stop - b.start
+            if b is not a:
+                pad_b[:rb, :length] = W[b]
+            ne = mask[: ra * rb * width].reshape(ra, rb, width)
+            np.not_equal(pad_a[:ra, None], (pad_a if b is a else pad_b)[None, :rb], out=ne)
+            d = _mismatch_counts(ne.view(np.uint64))
+            if b is a:  # each pair once, and no codeword against itself
+                d[np.tril_indices(ra)] = length + 1
+            best = min(best, int(np.min(d)))
+        return best
 
-    # threads, not processes: numpy releases the GIL in the compares and sums
-    started = []
-    try:
-        for w in range(1, workers):
-            started.append(threading.Thread(target=sweep, args=(w,)))
-            started[-1].start()
-        sweep(0)  # the calling thread is worker 0
-    except BaseException:  # a thread that could not start
-        failed.set()
-        raise
-    finally:
-        for t in started:
-            if t.ident is not None:
-                t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return min(best)
+    return min(_packed.parallel_map(sweep, range(len(blocks))))
 
 
 def _mismatch_counts(words):
@@ -467,13 +444,22 @@ def support_scan(fix, m, expected, checks):
     return sums, delta_tw, delta_rep
 
 
+ORACLES = (
+    "code_size_faithful", "fpa_letter_counts", "pairwise_delta_agrees",
+    "support_scan_agrees", "repetition_bound_agrees", "distance_invariant",
+)  # the check="all" checks of finish_build, in report order
+
+
 def finish_build(group, fix, make_twisting, *, family, params, m, deltas, checks, times, coverage, check, generators):
     """Assemble the report and the build (make_twisting returns its
     twisting).  check="all" then materialises the code and certifies the
     scan independently and exhaustively, adding so to `coverage`: letter
     counts, distance invariance certified from the code rows `generators`
     of generating elements, and the pairwise minimum as row 0's, besides
-    the support scan and the repetition bound."""
+    the support scan and the repetition bound.  When a check has already
+    failed, the twisting may not even be a group automorphism, so nothing
+    is materialised: every oracle is reported FAIL, with coverage
+    'skipped'."""
     delta_tw, delta_rep = deltas
     n, r = len(group), fix.shape[1]
     report = VerificationReport(
@@ -482,6 +468,11 @@ def finish_build(group, fix, make_twisting, *, family, params, m, deltas, checks
     )
     build = TwistedBuild(group, report, fix, make_twisting)
     if check != "all":
+        return build
+    if not report.all_pass():
+        for name in ORACLES:
+            checks[name] = False
+            coverage[name] = "skipped"
         return build
 
     with stage(times, "materialise"):

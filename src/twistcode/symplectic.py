@@ -146,16 +146,21 @@ class SymplecticGroup:
     def indices_of_keys(self, keys):
         """Element index of each key in an array, -1 where no element has
         it: lookup_sorted on the ascending keys[1:], shifted by one, the
-        identity's key answered as 0.  Each block of ROW_CHUNK queries is
-        looked up in sorted order, so the binary searches walk keys[1:]
-        front to back, and the positions are scattered back."""
+        identity's key answered as 0.  Each block of queries (row_blocks,
+        on every usable core) is looked up in sorted order, so the binary
+        searches walk keys[1:] front to back, and the positions are
+        scattered back."""
         pos = np.empty(len(keys), dtype=np.intp)
-        for sl in _packed.chunks(len(keys), _packed.ROW_CHUNK):
-            order = np.argsort(keys[sl])
-            pos[sl][order] = _packed.lookup_sorted(self.keys[1:], keys[sl][order])
-        pos += 1
-        pos[pos == 0] = -1
-        pos[keys == self.keys[0]] = 0
+
+        def lookup(sl):
+            block, found = keys[sl], pos[sl]
+            order = np.argsort(block)
+            found[order] = _packed.lookup_sorted(self.keys[1:], block[order])
+            found += 1
+            found[found == 0] = -1
+            found[block == self.keys[0]] = 0
+
+        _packed.parallel_map(lookup, _packed.row_blocks(len(keys)))
         return pos
 
     def transvection_mask(self):
@@ -174,13 +179,9 @@ def transvection_flags(space, rows):
     from the identity has rank 1 and squares to zero."""
     ops = space.ops
     ident = ops.pack(np.eye(4, dtype=np.uint8))
-    flags = np.empty(rows.shape[0], dtype=bool)
-    for sl in _packed.chunks(rows.shape[0], _packed.ROW_CHUNK):  # no (N, 4) difference array
-        diff = rows[sl] ^ ident
-        rank_one = _packed.rank_one_flags(ops, diff)
-        d = diff[rank_one]
-        rank_one[rank_one] = ~_packed.rows_matmul(ops, d, d).any(axis=1)
-        flags[sl] = rank_one
+    flags = _packed.rank_one_flags(ops, rows, ident)
+    diff = rows[flags] ^ ident  # the rank-one differences only
+    flags[flags] = ~_packed.rows_matmul(ops, diff, diff).any(axis=1)
     return flags
 
 
@@ -201,7 +202,7 @@ def _preserves_form(space, rows):
     (ncodes^2 entries), refused before it is allocated above
     PAIR_TABLE_LIMIT entries (q > 4).  Only i < j is compared: g . Gram .
     g^T is alternating (characteristic 2), so its diagonal is zero and it
-    is symmetric."""
+    is symmetric.  On every usable core."""
     ops = space.ops
     size = ops.ncodes**2
     if size > _packed.PAIR_TABLE_LIMIT:
@@ -214,12 +215,15 @@ def _preserves_form(space, rows):
     for i, j in zip(*np.nonzero(GRAM)):
         form ^= mul[u[:, i], v[:, j]]
     ok = np.ones(rows.shape[0], dtype=bool)
-    for sl in _packed.chunks(rows.shape[0], _packed.ROW_CHUNK):
+
+    def check(sl):
         for i in range(4):
             for j in range(i + 1, 4):
                 pair = rows[sl, i] << ops.row_bits
                 pair |= rows[sl, j]
                 ok[sl] &= np.take(form, pair) == GRAM[i, j]
+
+    _packed.parallel_map(check, _packed.row_blocks(rows.shape[0]))
     return ok
 
 
@@ -288,29 +292,36 @@ class OuterAutomorphism:
         return Matrix(self.space.field, self.map_entries(g.A[None, :, :])[0])
 
 
-def _tau_rows(space, basis_lift, coords, rows):
-    """_tau_apply on packed (N, 4) rows, through the q^8-entry wedge table:
-    the same step (b) check on the complement coordinate (entry 5), then
-    the top four entries are the image rows."""
+def _tau_keys(space, basis_lift, coords, rows):
+    """Content keys of _tau_apply on packed (N, 4) rows, through the
+    q^8-entry wedge table: the same step (b) check on the complement
+    coordinate (entry 5), then the top four entries are the image rows,
+    packed into keys block by block (row_blocks, on every usable core),
+    so no (N, 4) image-row array is built."""
+    ops = space.ops
     ops6 = PackedOps(space.field, 6)
-    table = _packed.wedge_table(space.ops, ops6, coords, WEDGE_PAIRS)
-    image_rows = np.empty((len(rows), 4), dtype=np.uint32)
-    for sl in _packed.chunks(len(rows), _packed.ROW_CHUNK):
-        y = _packed.wedge_rows(space.ops, ops6, table, rows[sl], basis_lift, WEDGE_PAIRS)
+    table = _packed.wedge_table(ops, ops6, coords, WEDGE_PAIRS)  # and ops6.smul, before the workers read it
+    keys = np.empty(len(rows), dtype=ops.key_dtype)
+
+    def image_keys(sl):
+        y = _packed.wedge_rows(ops, ops6, table, rows[sl], basis_lift, WEDGE_PAIRS)
         if (y & ops6.mask).any():
             raise TauConstructionError("b", "exterior action leaves the invariant 5-space")
-        image_rows[sl] = y >> (2 * space.n)
-    return image_rows
+        keys[sl] = ops.pack_keys(y >> (2 * space.n))
+
+    _packed.parallel_map(image_keys, _packed.row_blocks(len(rows)))
+    return keys
 
 
 def _tau_apply(field, basis_lift, coords, mats):
     """Induced action on the quotient: wedge the matrix, push the lifted
     basis through it, and read coordinates; the complement coordinate must
-    vanish or the invariant 5-space is not actually invariant."""
+    vanish or the invariant 5-space is not actually invariant.  Through
+    the private dense kernels, so parallel_map bodies may call it."""
     mul = field.mul_table
-    lam = batch_exterior_square(mul, np.ascontiguousarray(mats), WEDGE_PAIRS)
-    x = batch_matmul_left(mul, basis_lift, lam)
-    y = batch_matmul(mul, x, coords)
+    lam = _packed._exterior_square(mul, np.ascontiguousarray(mats), WEDGE_PAIRS)
+    x = _packed._matmul_left(mul, basis_lift, lam)
+    y = _packed._matmul_fixed(mul, x, coords)
     if y[:, :, 5].any():
         raise TauConstructionError("b", "exterior action leaves the invariant 5-space")
     return np.ascontiguousarray(y[:, :, :4])
@@ -385,7 +396,7 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
         raise TauConstructionError("a", "form vector is not isotropic")
     gens = all_transvections(space)
     lam_gens = batch_exterior_square(mul, gens, WEDGE_PAIRS)
-    if (batch_matmul(mul, w[None, None, :].repeat(len(gens), 0), lam_gens) != w).any():
+    if (batch_matmul_left(mul, w[None, :], lam_gens) != w).any():
         raise TauConstructionError("a", "a generator moves the form vector")
     pair_pres = batch_matmul(mul, batch_matmul(mul, lam_gens, G2), lam_gens.transpose(0, 2, 1))
     if (pair_pres != G2[None, :, :]).any():
@@ -413,18 +424,17 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
     M = Matrix(field, np.concatenate([C, w.reshape(1, 6), u6.reshape(1, 6)]))
     coords = M.inverse().A
 
-    # the (N, 4) image rows are dropped once packed into keys, before the lookup
-    image_keys = space.ops.pack_keys(_tau_rows(space, C, coords, group.rows))
-    tau = OuterAutomorphism(space, group, image_keys, C, coords)
+    tau = OuterAutomorphism(space, group, _tau_keys(space, C, coords, group.rows), C, coords)
 
-    # step (d)
-    gi = np.repeat(np.arange(len(gens)), len(gens))
-    gj = np.tile(np.arange(len(gens)), len(gens))
-    prod = batch_matmul(mul, gens[gi], gens[gj])
+    # step (d), on the generator pairs (gi, gj), in row_blocks on every usable core
     tg = tau.map_entries(gens)
-    lhs = tau.map_entries(prod)
-    rhs = batch_matmul(mul, tg[gi], tg[gj])
-    if (lhs != rhs).any():
+
+    def homomorphic(sl):
+        gi, gj = np.divmod(np.arange(sl.start, sl.stop), len(gens))
+        lhs = tau.map_entries(_packed._matmul_each(mul, gens[gi], gens[gj]))
+        return bool((lhs == _packed._matmul_each(mul, tg[gi], tg[gj])).all())
+
+    if not all(_packed.parallel_map(homomorphic, _packed.row_blocks(len(gens) ** 2))):
         raise TauConstructionError("d", "not a homomorphism on generator pairs")
     if (tau.index < 0).any():
         raise TauConstructionError("d", "an image falls outside the group")
@@ -443,18 +453,21 @@ def _check_tau_homomorphism(space, group, tau, rng, samples):
     `samples` uniform pairs for larger groups.  tau(gh) is recomputed
     through the dense exterior square, tau(g) tau(h) from the rows that
     tau.index points at, the table every tau-side scan gathers through.
-    Returns (ok, coverage)."""
+    The pairs run in row_blocks on every usable core.  Returns (ok,
+    coverage)."""
     mul = space.field.mul_table
     ops = space.ops
     rows = group.rows
     a, b, cov = sample_pairs(len(group), rng, samples)
-    ok = True
-    for sl in _packed.chunks(len(a), _packed.ROW_CHUNK):
-        prod = batch_matmul(mul, ops.unpack(rows[a[sl]]), ops.unpack(rows[b[sl]]))
+
+    def agrees(sl):
+        prod = _packed._matmul_each(mul, ops.unpack(rows[a[sl]]), ops.unpack(rows[b[sl]]))
         lhs = ops.pack(tau.map_entries(prod))
         rhs = _packed.rows_matmul(ops, rows[tau.index[a[sl]]], rows[tau.index[b[sl]]])
-        ok &= bool((lhs == rhs).all())
-    return ok, cov
+        return bool((lhs == rhs).all())
+
+    ops.smul  # computed here, before the workers read it
+    return all(_packed.parallel_map(agrees, _packed.row_blocks(len(a)))), cov
 
 
 def _check_inverses_sampled(space, group, rng, samples=100):

@@ -1,10 +1,12 @@
 """Independent oracles shared by the tests; they share no code with the
-packed kernels and gathered tables they certify."""
+packed kernels and gathered tables they certify.  Also usable_cores, which
+sets the core count the threaded kernels split their work by."""
 
 import itertools
 
 import numpy as np
 
+from twistcode import _packed
 from twistcode.affine import matrix_B
 from twistcode.codes import FORMAT_MAGIC, hamming_distance
 from twistcode.linalg import Matrix
@@ -77,6 +79,12 @@ def affine_twist_index(group, r):
     matrix among the group's element matrices."""
     where = {mat.tobytes(): j for j, mat in enumerate(affine_element_matrices(group))}
     return np.array([where[mat.astype(np.uint8).tobytes()] for mat in affine_twisted_elements(group, r)])
+
+
+def usable_cores(monkeypatch, cores):
+    """Make _packed.usable_cores, which parallel_map and min_distance_pairwise
+    size their workers by, report `cores` CPUs."""
+    monkeypatch.setattr(_packed, "usable_cores", lambda: cores)
 
 
 def min_distance_all_pairs(code):

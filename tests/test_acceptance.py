@@ -172,7 +172,8 @@ def test_criterion_6_outer_automorphism(sp1, sp2):
             if q == 2:
                 assert len(build.group) ** 2 <= 1 << 20  # the q=2 path really is exhaustive
             group, tau = build.group, build.tau
-            images = symplectic._tau_rows(group.space, tau.basis_lift, tau.coords, group.rows)
+            ops = group.space.ops
+            images = ops.unpack_keys(symplectic._tau_keys(group.space, tau.basis_lift, tau.coords, group.rows))
             assert np.array_equal(images, group.rows[tau.index])  # the table tau.index points at
             tmask = group.transvection_mask()
             timg = images[tmask]
@@ -316,7 +317,7 @@ def test_tau_tables_gathered_q4(sp2):
     group, tau = build.group, build.tau
     ops = group.space.ops
     sub = np.arange(0, len(group), 97)
-    rows = symplectic._tau_rows(group.space, tau.basis_lift, tau.coords, group.rows[sub])
+    rows = ops.unpack_keys(symplectic._tau_keys(group.space, tau.basis_lift, tau.coords, group.rows[sub]))
     assert np.array_equal(_packed.fixed_counts(ops, rows), build.fix[sub, 1])
     assert np.array_equal(transvection_flags(group.space, rows), group.transvection_mask()[tau.index[sub]])
     # the natural representation's rows tau.index[sub], as natural_representation computes them

@@ -427,6 +427,29 @@ def test_wrong_twist_index_fails_check_all(monkeypatch, capsys):
     assert "check.distance_invariant=FAIL" in fails and status == 1
 
 
+@pytest.mark.parametrize("p, k", [(3, 2), (7, 3)])
+@pytest.mark.parametrize("name", ["omega_last", "b_pows"])
+def test_twist_moving_the_identity_skips_check_all(monkeypatch, capsys, p, k, name):
+    # one entry of omega_last[p] or B^p = I as stored: the twists move the
+    # identity, so the code cannot be materialised; check="all" reports
+    # the certificate's FAIL as "fast" does, and every oracle FAIL, skipped
+    real_enumerate = affine.enumerate_group
+
+    def enumerate_mutated(params):
+        group = real_enumerate(params)
+        bump(name, (p, 1) if name == "omega_last" else (p, 1, 0))(group)
+        return group
+
+    monkeypatch.setattr(affine, "enumerate_group", enumerate_mutated)
+    for check in ("fast", "all"):
+        status = cli_main(["affine", "--p", str(p), "--k", str(k), "--check", check])
+        lines = capsys.readouterr().out.splitlines()
+        assert "check.twist_automorphism=FAIL" in lines and status == 1, check
+    for oracle in codes.ORACLES:
+        assert f"check.{oracle}=FAIL" in lines and f"# coverage.{oracle}=skipped" in lines
+    assert not any(line.startswith("# time.materialise") for line in lines)
+
+
 @pytest.mark.parametrize("p, k", [(3, 2), (5, 2)])
 def test_check_all_independent_of_block_size(monkeypatch, tmp_path, p, k):
     # blocks of one row: the same deterministic report lines and codeword file
@@ -488,6 +511,17 @@ def test_fixed_point_checks_can_fail(g52, case, name):
     assert all(fixed_point_checks(g52, fix).values())
     mutate_fixed_points(g52, fix, case)
     assert fixed_point_checks(g52, fix)[name] is False
+
+
+@pytest.mark.parametrize("case", [None, "entry_one", "p_in_free_row", "second_p", "p_at_wrong_r", "nonzero_at_i_eq_p", "m_in_natural"])
+def test_fixed_point_checks_independent_of_block(monkeypatch, g52, case):
+    # blocks of 7 rows end mid exponent block and leave a short last block
+    fix = g52.fixed_count_table()
+    if case:
+        mutate_fixed_points(g52, fix, case)
+    want = fixed_point_checks(g52, fix)
+    monkeypatch.setattr(affine, "ROW_CHUNK", 7)
+    assert fixed_point_checks(g52, fix) == want
 
 
 def test_support_sum_dichotomy(g32):

@@ -43,7 +43,7 @@ from twistcode.fields import PrimeField
 from twistcode.linalg import Matrix
 from twistcode.symplectic import SymplecticGroup, SymplecticSpace, build_outer_automorphism, generate_group, generators
 
-from oracles import min_distance_all_pairs, mulclose, write_code_lines
+from oracles import min_distance_all_pairs, mulclose, usable_cores, write_code_lines
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +136,7 @@ def test_tau_index_equals_unchunked_lookup(monkeypatch, sp2, chunk):
     if chunk is not None:
         monkeypatch.setattr(_packed, "ROW_CHUNK", chunk)
     tau = build_outer_automorphism(space, group)
-    image_keys = space.ops.pack_keys(symplectic._tau_rows(space, tau.basis_lift, tau.coords, group.rows))
+    image_keys = symplectic._tau_keys(space, tau.basis_lift, tau.coords, group.rows)
     rest = _packed.lookup_sorted(group.keys[1:], image_keys)
     is_identity = image_keys == group.keys[0]
     assert (rest[~is_identity] >= 0).all() and is_identity.sum() == 1
@@ -245,11 +245,6 @@ def test_pairwise_oracle_one_row_blocks(monkeypatch, affine32, sp2):
     assert min_distance_pairwise(build_twisted_code(natural, automorphisms)) == 24
     assert min_distance_pairwise(build_twisted_code(natural, [np.arange(len(group))])) == 12
     assert min_distance_pairwise(build_twisted_code(sprep)) == 8
-
-
-def usable_cores(monkeypatch, cores):
-    """Make os.sched_getaffinity, which min_distance_pairwise sizes its workers by, report `cores` CPUs."""
-    monkeypatch.setattr(codes.os, "sched_getaffinity", lambda pid: set(range(cores)))
 
 
 @pytest.mark.parametrize("cores", [1, 2])
@@ -760,7 +755,7 @@ def test_pairwise_oracle_worker_edge_cases(monkeypatch, cores):
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(codes.threading, "Thread", Recorded)
+    monkeypatch.setattr(_packed.threading, "Thread", Recorded)
     before = threading.active_count()
     # |C| <= 1: no pair, and no worker started
     for n in (0, 1):

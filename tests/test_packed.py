@@ -4,11 +4,15 @@ canonical order and its independence of the generators, the fixed-point
 counts, permutation tables and rank-one flags against a scalar count and
 Matrix.rank, the span-id rank tables against the elimination _ranks, the
 dense batch_matmul and batch_matmul_left against a loop of
-BinaryField.matmul, rows_matmul against batch_matmul, and the size guards
-of the wedge, form and minor tables."""
+BinaryField.matmul, rows_matmul against batch_matmul, the size guards
+of the wedge, form and minor tables, and parallel_map, through which the
+row kernels run on every usable core."""
 
 import functools
 import hashlib
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,18 +21,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from twistcode import _packed
+from twistcode import _packed, codes
 from twistcode.fields import BinaryField
 from twistcode.linalg import WEDGE_PAIRS, Matrix
 from twistcode import symplectic
 from twistcode.symplectic import (
     SymplecticSpace,
+    TauConstructionError,
     all_transvections,
+    build_outer_automorphism,
+    build_symplectic_twisted,
+    generate_group,
     generators,
     projective_points,
     sp4_order,
     transvection,
+    transvection_flags,
 )
+
+from oracles import usable_cores
 
 # SHA-256 of the closure's key array for Sp(4, 2): canonical order, so the
 # same for every generating set
@@ -391,3 +402,189 @@ def test_exterior_square_equals_minor_formula(n, size, seed):
         for b, (k, l) in enumerate(WEDGE_PAIRS):
             want = mul[mats[:, i, k], mats[:, j, l]] ^ mul[mats[:, i, l], mats[:, j, k]]
             assert np.array_equal(got[:, a, b], want)
+
+
+@pytest.fixture(scope="module")
+def sp42_tau():
+    space = SymplecticSpace.create(1)
+    group = generate_group(space)
+    return space, group, build_outer_automorphism(space, group)
+
+
+def threaded_outputs(space, group, tau):
+    """The output of every kernel that runs its rows through parallel_map,
+    on the 720 elements of Sp(4, 2)."""
+    ops = space.ops
+    ident = ops.pack(np.eye(4, dtype=np.uint8))
+    queries = np.concatenate([group.keys[::-1], group.keys[:50] + 1])  # unsorted, some absent
+    return {
+        "fixed_counts": _packed.fixed_counts(ops, group.rows),
+        "rank_one_flags": _packed.rank_one_flags(ops, group.rows, ident),
+        "rank_one_flags of the sums": _packed.rank_one_flags(ops, group.rows ^ ident),
+        "transvection_flags": transvection_flags(space, group.rows),
+        "_preserves_form": symplectic._preserves_form(space, group.rows),
+        "_tau_keys": symplectic._tau_keys(space, tau.basis_lift, tau.coords, group.rows),
+        "indices_of_keys": group.indices_of_keys(queries),
+        # _tau_keys, indices_of_keys and step (d)'s 225 generator pairs
+        "tau.index": build_outer_automorphism(space, group).index,
+        "_check_tau_homomorphism": symplectic._check_tau_homomorphism(space, group, tau, np.random.default_rng(3), 200),
+    }
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_threaded_kernels_equal_across_core_counts(monkeypatch, sp42_tau, cores):
+    # blocks of 7 // cores rows, strided over the workers, against one block on the calling thread
+    monkeypatch.setattr(codes, "EXHAUSTIVE_PAIR_LIMIT", 0)  # 200 sampled tau pairs, not all 518,400
+    want = threaded_outputs(*sp42_tau)
+    assert want["_check_tau_homomorphism"] == (True, "200/518400")
+    assert np.array_equal(want["rank_one_flags"], want["rank_one_flags of the sums"])  # offset XORs each row
+    monkeypatch.setattr(_packed, "ROW_CHUNK", 7)
+    usable_cores(monkeypatch, cores)
+    before = threading.active_count()
+    got = threaded_outputs(*sp42_tau)
+    for name, value in want.items():
+        assert np.array_equal(got[name], value) if isinstance(value, np.ndarray) else got[name] == value, name
+    assert threading.active_count() == before
+
+
+def recording_threads(monkeypatch):
+    """Patch threading.Thread so every thread parallel_map starts is recorded."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(_packed.threading, "Thread", Recorded)
+    return started
+
+
+def test_parallel_map_workers(monkeypatch):
+    usable_cores(monkeypatch, 3)
+    started = recording_threads(monkeypatch)
+    before = threading.active_count()
+    # no block or one block: the calling thread runs it and no worker starts
+    assert _packed.parallel_map(lambda b: 2 * b, []) == []
+    assert _packed.parallel_map(lambda b: 2 * b, [5]) == [10]
+    assert not started
+    # two blocks: one worker beside the calling thread
+    assert _packed.parallel_map(lambda b: 2 * b, [5, 6]) == [10, 12]
+    assert len(started) == 1
+    # ten blocks: results in block order, block i run by worker i % 3, the caller being worker 0
+    started.clear()
+    runs = _packed.parallel_map(lambda b: (b, threading.current_thread()), range(10))
+    assert [b for b, _ in runs] == list(range(10)) and len(started) == 2
+    assert {t for b, t in runs if b % 3 == 0} == {threading.current_thread()}
+    assert {t for b, t in runs if b % 3 == 1} == {started[0]} and {t for b, t in runs if b % 3 == 2} == {started[1]}
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_parallel_map_raises_once_workers_are_joined(monkeypatch, cores):
+    # the calling thread's block 0 fails at once; the worker's block 1 is
+    # still running, and has finished by the time the caller sees the error
+    usable_cores(monkeypatch, cores)
+    before = threading.active_count()
+    finished = []
+
+    def body(b):
+        if b == 0:
+            raise RuntimeError("block 0")
+        time.sleep(0.05)
+        finished.append(b)
+
+    with pytest.raises(RuntimeError, match="block 0"):
+        _packed.parallel_map(body, range(cores))
+    assert sorted(finished) == list(range(1, cores))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_parallel_map_raises_lowest_failing_block(monkeypatch, cores):
+    # blocks 2, 3 and 7 fail; block 3 (a worker's, at 2 cores) fails first,
+    # yet block 2's exception is raised, as a serial loop would raise it,
+    # and every block below it ran
+    usable_cores(monkeypatch, cores)
+    before = threading.active_count()
+    three_failed = threading.Event()
+    ran = []
+
+    def body(b):
+        ran.append(b)
+        if b == 2:
+            three_failed.wait(timeout=0.2)  # on one core, block 3 never runs first
+            raise ValueError("block 2")
+        if b in (3, 7):
+            three_failed.set()
+            raise ValueError(f"block {b}")
+        return b
+
+    with pytest.raises(ValueError, match="^block 2$"):
+        _packed.parallel_map(body, range(9))
+    assert {0, 1, 2} <= set(ran) and 8 not in ran
+    assert threading.active_count() == before
+
+
+def test_parallel_map_stress(monkeypatch):
+    # more workers than cores, switched as often as the interpreter allows:
+    # every result lands in its block's slot, and of the failing blocks
+    # the lowest one's exception is raised, every block below it having run
+    usable_cores(monkeypatch, 5)
+    rng = np.random.default_rng(11)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _packed.parallel_map(lambda b: b * b, range(300)) == [b * b for b in range(300)]
+        for _ in range(20):
+            failing = set(rng.choice(300, size=5, replace=False).tolist())
+            ran = set()
+
+            def body(b):
+                ran.add(b)
+                if b in failing:
+                    raise ValueError(b)
+
+            with pytest.raises(ValueError) as err:
+                _packed.parallel_map(body, range(300))
+            assert err.value.args == (min(failing),) and set(range(min(failing) + 1)) <= ran
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
+def test_tau_step_b_failure_in_a_worker_block(monkeypatch):
+    # coords whose complement column also reads the w coordinate fail step
+    # (b) at Sp(4, 2) row 13, in block 3 of 4 rows: a worker's at 2 cores
+    real = symplectic._tau_keys
+
+    def corrupted(space, basis_lift, coords, rows):
+        bad = coords.copy()
+        bad[:, 5] ^= coords[:, 4]
+        return real(space, basis_lift, bad, rows)
+
+    made_in = {}
+    real_init = TauConstructionError.__init__
+
+    def init(self, step, message):
+        made_in[id(self)] = threading.current_thread()
+        real_init(self, step, message)
+
+    monkeypatch.setattr(symplectic, "_tau_keys", corrupted)
+    monkeypatch.setattr(TauConstructionError, "__init__", init)
+    errors = []
+    for cores, chunk in ((1, _packed.ROW_CHUNK), (2, 8)):
+        with pytest.MonkeyPatch.context() as mp:
+            usable_cores(mp, cores)
+            mp.setattr(_packed, "ROW_CHUNK", chunk)
+            before = threading.active_count()
+            with pytest.raises(TauConstructionError, match="invariant 5-space") as err:
+                build_symplectic_twisted(SymplecticSpace.create(1))
+            assert threading.active_count() == before
+        errors.append(err.value)
+    serial, threaded = errors
+    assert made_in[id(serial)] is threading.main_thread()
+    assert made_in[id(threaded)] is not threading.main_thread()
+    assert threaded.step == serial.step == "b"
+    assert threaded.checks == serial.checks == {"tau_step_a": True, "tau_step_b": False}

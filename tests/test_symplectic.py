@@ -198,8 +198,8 @@ def test_outer_automorphism_q2(sp2, tau2):
         img = tau.matrix(int(idx))
         assert fixed_projective_count(space, img) == 3
         assert not is_transvection(space, img)
-    images = symplectic._tau_rows(space, tau.basis_lift, tau.coords, group.rows)
-    assert len(np.unique(space.ops.pack_keys(images))) == len(group)
+    keys = symplectic._tau_keys(space, tau.basis_lift, tau.coords, group.rows)
+    assert len(np.unique(keys)) == len(group)
     assert np.array_equal(np.sort(tau.index), np.arange(len(group)))
 
 
@@ -210,7 +210,7 @@ TAU_IMAGE_Q2_DIGEST = "9fd4322a2ceec697861cc9b7495adc11fd4a4c955727d82e2c38cceb4
 def test_tau_rows_equal_dense_tau_apply(sp2, tau2):
     space, group = sp2
     dense = symplectic._tau_apply(space.field, tau2.basis_lift, tau2.coords, space.ops.unpack(group.rows))
-    packed = symplectic._tau_rows(space, tau2.basis_lift, tau2.coords, group.rows)
+    packed = space.ops.unpack_keys(symplectic._tau_keys(space, tau2.basis_lift, tau2.coords, group.rows))
     assert np.array_equal(packed, space.ops.pack(dense))
     table = group.rows[tau2.index]
     assert np.array_equal(table, packed)
@@ -288,12 +288,12 @@ def test_tau_step_failure_is_reported(monkeypatch, capsys):
     assert status == 1
 
 
-def _duplicate_row(rows):
-    rows[2] = rows[1]
+def _duplicate_row(keys):
+    keys[2] = keys[1]
 
 
-def _zero_row(rows):
-    rows[1] = 0  # the zero matrix is no group element
+def _zero_row(keys):
+    keys[1] = 0  # the zero matrix's key: no group element has it
 
 
 @pytest.mark.parametrize(
@@ -302,14 +302,14 @@ def _zero_row(rows):
     ids=["duplicate", "zero"],
 )
 def test_tau_step_d_failure_is_reported(monkeypatch, capsys, corrupt, message):
-    real = symplectic._tau_rows
+    real = symplectic._tau_keys
 
     def corrupted(*args):
-        rows = real(*args)
-        corrupt(rows)
-        return rows
+        keys = real(*args)
+        corrupt(keys)
+        return keys
 
-    monkeypatch.setattr(symplectic, "_tau_rows", corrupted)
+    monkeypatch.setattr(symplectic, "_tau_keys", corrupted)
     with pytest.raises(TauConstructionError, match=message) as err:
         build_symplectic_twisted(SymplecticSpace.create(1))
     assert err.value.step == "d"
@@ -324,7 +324,7 @@ def test_tau_tables_gathered_equal_kernel_oracle(sp2, tau2):
     # the packed kernels run on the recomputed image rows are the oracle
     space, group = sp2
     ops = space.ops
-    rows = symplectic._tau_rows(space, tau2.basis_lift, tau2.coords, group.rows)
+    rows = ops.unpack_keys(symplectic._tau_keys(space, tau2.basis_lift, tau2.coords, group.rows))
     assert np.array_equal(_packed.fixed_counts(ops, rows), _packed.fixed_counts(ops, group.rows)[tau2.index])
     assert np.array_equal(transvection_flags(space, rows), group.transvection_mask()[tau2.index])
     natural = group.natural_representation()

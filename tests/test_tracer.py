@@ -2,14 +2,20 @@
 function it wraps, so a rename or removal fails here and not only in the
 benchmark run."""
 
+import functools
 import importlib
 import importlib.util
 import inspect
+import threading
 from pathlib import Path
 
 import numpy as np
 
-from twistcode.codes import Code
+from twistcode import _packed, codes, symplectic
+from twistcode.codes import Code, min_distance_pairwise
+from twistcode.symplectic import SymplecticSpace, build_symplectic_twisted
+
+from oracles import usable_cores
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -69,3 +75,42 @@ def test_invariance_rows_counter_reads_code_size():
     code = Code(np.array([[1, 2], [2, 1]]), 2)
     counts = tr._invariance_rows((code,), {"generators": [1]}, True)
     assert counts == {"codes.check_distance_invariance.rows": code.size}
+
+
+def test_traced_functions_run_on_the_calling_thread(monkeypatch):
+    # the tracer keeps one span stack and assumes strictly nested calls, so
+    # no parallel_map worker may enter a function it wraps: Sp(4, 2) with
+    # check="all" and the pairwise oracle, on 2 cores in blocks of 32 rows
+    tr = load_tracer()
+    usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(_packed, "ROW_CHUNK", 64)
+    monkeypatch.setattr(codes, "EXHAUSTIVE_PAIR_LIMIT", 0)  # sampled tau pairs, not all 518,400
+    monkeypatch.setattr(symplectic, "HOM_SAMPLES", 1000)
+    monkeypatch.setattr(codes, "BLOCK_ENTRIES", 1 << 16)
+    threads = set()
+    tracer = tr.Tracer()
+    wrap = tracer.wrap
+
+    def recording_wrap(name, fn, counter=None):
+        traced = wrap(name, fn, counter)
+
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return traced(*args, **kwargs)
+
+        return recorded
+
+    started = []
+    real_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or real_start(t))
+    tracer.wrap = recording_wrap
+    tracer.install()
+    try:
+        build = build_symplectic_twisted(SymplecticSpace.create(1), check="all")
+        assert build.report.all_pass()
+        assert min_distance_pairwise(build.code) == build.report.delta_tw
+    finally:
+        tracer.uninstall()
+    assert started and threads == {threading.current_thread()}
+    assert {"packed.batch_matmul_left", "symplectic.tau_homomorphism"} <= {span[0] for span in tracer.spans}
