@@ -6,10 +6,17 @@ lexicographic order on coordinate tuples.  Addition of vectors is XOR of
 codes; row-times-matrix products and scalar multiples become single
 table lookups, which is what makes the million-element group scans cheap.
 
-All functions are pure.  fixed_counts and rank_one_flags split their rows
-into row_blocks and run them on every usable core (parallel_map); the
-other kernels take the batch they get, and the builders run the large
-ones inside parallel_map bodies of their own.
+A 4 x 4 matrix is held as its key: its four packed rows in one uint32
+(q <= 4) or uint64 integer, row 0 in the highest bits.  The group-wide
+kernels (fixed_counts, rank_one_flags, perm_tables) take keys and read
+row fields straight off them; the span-id rank reads its two pair ids as
+key >> 2 row_bits and key & (ncodes^2 - 1), and the other kernels unpack
+at most one block of keys into rows (unpack_keys) at a time.
+
+All functions are pure.  fixed_counts, rank_one_flags and perm_tables
+split their keys into row_blocks and run them on every usable core
+(parallel_map); the other kernels take the batch they get, and the
+builders run the large ones inside parallel_map bodies of their own.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import numpy as np
 
 
 WEDGE_TABLE_LIMIT = 1 << 24  # entries of wedge_table: q^8 for 4-rows over GF(q)
+POINT_TABLE_LIMIT = 1 << 24  # entries of perm_tables' four point-image tables: 4 q^4 (q^3 + q^2 + q + 1)
 PAIR_TABLE_LIMIT = 1 << 16  # entries of a table over two packed 4-rows (q <= 4) or four field entries (q <= 16)
 ROW_CHUNK = 1 << 16  # rows per block of the per-element row kernels (rank, tau rows, tau pairs)
 
@@ -199,12 +207,12 @@ class PackedOps:
         p0 ^= self.smul[(p0 >> self.lead_shift[p1]) & self.mask, p1]
         # the two reduced rows, leftmost leading entry (larger code) first
         forms, pair_span = np.unique((np.maximum(p0, p1) << self.row_bits) | np.minimum(p0, p1), return_inverse=True)
+        forms = forms.astype(self.key_dtype)
         n = len(forms)
         sum_rank = np.empty(n * n, dtype=np.int8)
         for sl in chunks(n * n, ROW_CHUNK):
             ab = np.arange(sl.start, sl.stop)
-            a, b = forms[ab // n], forms[ab % n]
-            sum_rank[sl] = _ranks(self, np.stack([a >> self.row_bits, a & mask, b >> self.row_bits, b & mask], axis=1))
+            sum_rank[sl] = _ranks(self, (forms[ab // n] << 2 * self.row_bits) | forms[ab % n])
         pair_span = pair_span.astype(np.uint32)
         sum_rank = sum_rank.reshape(n, n)
         pair_span.setflags(write=False)
@@ -252,12 +260,26 @@ class PackedOps:
             keys |= rows[:, i].astype(self.key_dtype) << (self.row_bits * (rows.shape[1] - 1 - i))
         return keys
 
-    def unpack_keys(self, keys, nrows=4):
-        rows = np.zeros((len(keys), nrows), dtype=np.uint32)
+    def unpack_keys(self, keys):
+        """(N, 4) uint32 packed rows of these keys."""
+        rows = np.zeros((len(keys), 4), dtype=np.uint32)
         mask = self.ncodes - 1
-        for i in range(nrows):
-            rows[:, i] = (keys >> (self.row_bits * (nrows - 1 - i))) & mask
+        for i in range(4):
+            rows[:, i] = (keys >> (self.row_bits * (3 - i))) & mask
         return rows
+
+    def keys_of(self, mats):
+        """Keys of a (N, 4, 4) batch of entries, or of one 4 x 4 matrix as a
+        (1,) array."""
+        return self.pack_keys(self.pack(mats).reshape(-1, 4))
+
+    def matrices_of(self, keys):
+        """(N, 4, 4) uint8 entries of the matrices with these keys."""
+        return self.unpack(self.unpack_keys(keys))
+
+    @cached_property
+    def identity_key(self):
+        return self.keys_of(np.eye(4, dtype=np.uint8))[0]
 
 
 def rows_matmul(ops: PackedOps, A, B):
@@ -323,12 +345,15 @@ def _matmul_fixed(mul, A, B):
 def _matmul_each(mul, A, B):
     """(N, r, s) batch times per-element (N, s, t) batch: the XOR over k of
     the entrywise products of column k of A and row k of B, one (N, r, t)
-    term at a time."""
+    term at a time.  The flat index a q + b fits uint16 (q <= 256), and
+    indexing casts a uint16 index array in buffered pieces, so no (N, r, t)
+    intp index array is built."""
     q = mul.shape[0]
     flat = mul.ravel()
     out = np.zeros((A.shape[0], A.shape[1], B.shape[2]), dtype=mul.dtype)
     for k in range(B.shape[1]):
-        out ^= flat[A[:, :, k, None].astype(np.intp) * q + B[:, None, k, :]]
+        idx = A[:, :, k, None].astype(np.uint16) * np.uint16(q)
+        out ^= flat[idx + B[:, None, k, :]]
     return out
 
 
@@ -392,9 +417,10 @@ def closure(ops: PackedOps, gen_mats, limit):
     place, and the four results are ORed.  Candidates are sorted and
     deduplicated (first_of_runs); those lookup_sorted misses in the sorted
     `seen` array are merged into it and form the next frontier.  Returns
-    (rows, keys) in canonical order: the identity first, then ascending
-    key, whatever the generators.  Raises once more than `limit` elements
-    are found.
+    (levels, keys): the frontier size of each level, the identity's 1
+    first, and the keys in canonical order: the identity first, then
+    ascending key, whatever the generators.  Raises once more than `limit`
+    elements are found.
     """
 
     kd = ops.key_dtype
@@ -403,9 +429,11 @@ def closure(ops: PackedOps, gen_mats, limit):
     # (ncodes, G) per key field: row code -> product row, already shifted into place
     field_tables = [tables << sh for sh in shifts]
     field_mask = kd(ops.ncodes - 1)
-    id_key = ops.pack_keys(ops.pack(np.eye(4, dtype=np.uint8)).reshape(1, 4))
+    id_key = ops.keys_of(np.eye(4, dtype=np.uint8))
     seen = frontier = id_key
+    levels = []
     while frontier.size:
+        levels.append(frontier.size)
         out = field_tables[0][frontier >> shifts[0]]  # the top field needs no mask
         for t, sh in zip(field_tables[1:], shifts[1:]):
             out |= t[(frontier >> sh) & field_mask]
@@ -418,37 +446,35 @@ def closure(ops: PackedOps, gen_mats, limit):
         seen = np.concatenate([seen, frontier])
         seen.sort(kind="stable")
     at = int(np.searchsorted(seen, id_key[0]))
-    keys = np.concatenate([id_key, seen[:at], seen[at + 1 :]])
-    return ops.unpack_keys(keys), keys
+    return levels, np.concatenate([id_key, seen[:at], seen[at + 1 :]])
 
 
-def _ranks(ops: PackedOps, rows):
-    """Per-row rank of a packed (N, 4) batch of 4 x 4 matrices, by forward
-    elimination on the four row columns.  Pivot row i is scaled to a leading
-    1 (canon) and cleared from every later row at its leading entry's shift
-    (lead_shift); a zero pivot clears nothing.  Later rows are then zero at
-    every earlier pivot's leading position, so the nonzero rows left are
-    independent and the rank is their count."""
+def _ranks(ops: PackedOps, keys):
+    """Per-element rank of a block of 4 x 4 matrices given by their keys, by
+    forward elimination on the four row fields, unpacked from the block.
+    Pivot row i is scaled to a leading 1 (canon) and cleared from every
+    later row at its leading entry's shift (lead_shift); a zero pivot
+    clears nothing.  Later rows are then zero at every earlier pivot's
+    leading position, so the nonzero rows left are independent and the
+    rank is their count."""
     smul = ops.smul.ravel()
-    r = [rows[:, i].copy() for i in range(4)]
+    r = ops.unpack_keys(keys).T.copy()
     for i in range(3):
         p = ops.canon[r[i]]
         s = ops.lead_shift[p]
         for j in range(i + 1, 4):
             r[j] ^= smul[(((r[j] >> s) & ops.mask) << ops.row_bits) | p]
-    rank = np.zeros(rows.shape[0], dtype=np.int8)
-    for row in r:
-        rank += row != 0
-    return rank
+    return np.count_nonzero(r, axis=0).astype(np.int8)
 
 
-def _span_ranks(ops: PackedOps, rows):
-    """_ranks of a packed (N, 4) batch from ops.span_tables: the ids of
-    span(g_0, g_1) and span(g_2, g_3), then the dimension of their sum."""
+def _span_ranks(ops: PackedOps, keys):
+    """_ranks of a block of keys from ops.span_tables: the ids of
+    span(g_0, g_1) and span(g_2, g_3), read straight off the key as its
+    high and low pair of rows, then the dimension of their sum."""
     pair_span, sum_rank = ops.span_tables
-    ids = np.take(pair_span, (rows[:, 0] << ops.row_bits) | rows[:, 1])
+    ids = np.take(pair_span, keys >> 2 * ops.row_bits)
     ids *= sum_rank.shape[0]
-    ids += np.take(pair_span, (rows[:, 2] << ops.row_bits) | rows[:, 3])
+    ids += np.take(pair_span, keys & (ops.ncodes**2 - 1))
     return np.take(sum_rank, ids)
 
 
@@ -464,16 +490,18 @@ def _rank_kernel(ops: PackedOps):
 
 
 def fixed_counts(ops: PackedOps, rows):
-    """Per-element count of projective points fixed setwise by the packed
-    (N, 4) batch rows, from eigenspace dimensions: <v> is fixed iff
-    v . g = lam v for exactly one lam != 0, and the eigenspace of lam holds
-    (q^(4 - rank(g + lam I)) - 1) / (q - 1) points (characteristic 2, so
-    g - lam I = g + lam I).  The kernel vectors of a singular g (lam = 0)
-    are not fixed points.  On every usable core."""
+    """Per-element count of projective points fixed setwise by the matrices
+    whose keys are `rows` (one key per element), from
+    eigenspace dimensions: <v> is fixed iff v . g = lam v for exactly one
+    lam != 0, and the eigenspace of lam holds (q^(4 - rank(g + lam I)) - 1)
+    / (q - 1) points (characteristic 2, so g - lam I = g + lam I, and the
+    key of g + lam I is the key of g XOR that of lam I).  The kernel
+    vectors of a singular g (lam = 0) are not fixed points.  On every
+    usable core."""
     q = ops.field.order
     ranks = _rank_kernel(ops)
     points_by_rank = np.array([(q ** (4 - k) - 1) // (q - 1) for k in range(5)], dtype=np.int16)
-    scalars = [ops.pack(lam * np.eye(4, dtype=np.uint8)) for lam in range(1, q)]
+    scalars = ops.keys_of(np.arange(1, q)[:, None, None] * np.eye(4, dtype=np.uint8))
     counts = np.zeros(rows.shape[0], dtype=np.int16)
 
     def count(sl):
@@ -484,27 +512,40 @@ def fixed_counts(ops: PackedOps, rows):
     return counts
 
 
-def perm_tables(ops: PackedOps, rows):
-    """(N, m) permutation images (point indices) of the projective action.
-    Row j of the point-major (m, N) table is the point index of v . g for
-    the j-th point <v>, assembled from scalar-multiple tables of g's rows
-    and looked up in ops.point_index; the transposed view is returned."""
-    smul = ops.smul
+def perm_tables(ops: PackedOps, keys):
+    """(N, m) permutation images (point indices) of the projective action,
+    written row-major one block of keys at a time, on every usable core.
+    Entry (g, j) is the point index (ops.point_index) of v . g for the j-th
+    point <v>, the XOR over k of v_k times row k of g.  Table k maps a
+    packed row r to the m images v_k r, so a block's images are four row
+    gathers.  The tables (4 ncodes m entries) are refused before they are
+    built above POINT_TABLE_LIMIT (q > 8)."""
+    m = len(ops.point_codes)
+    size = 4 * ops.ncodes * m
+    if size > POINT_TABLE_LIMIT:
+        raise ValueError(f"point-image tables of {size} entries exceed {POINT_TABLE_LIMIT}")
     index = ops.point_index
-    out = np.empty((len(ops.point_codes), rows.shape[0]), dtype=index.dtype)
-    for j, v in enumerate(ops.unpack(ops.point_codes)):
-        img = None
-        for k in np.flatnonzero(v):
-            term = smul[v[k]][rows[:, k]]
-            img = term if img is None else img ^ term
-        out[j] = index[img]
-    return out.T
+    points = ops.unpack(ops.point_codes)
+    code_dtype = np.min_scalar_type(ops.ncodes - 1)
+    tables = [np.ascontiguousarray(ops.smul[points[:, k]].T, dtype=code_dtype) for k in range(4)]
+    out = np.empty((len(keys), m), dtype=index.dtype)
+
+    def fill(sl):
+        rows = ops.unpack_keys(keys[sl])
+        img = np.take(tables[0], rows[:, 0], axis=0)
+        for k in range(1, 4):
+            img ^= np.take(tables[k], rows[:, k], axis=0)
+        out[sl] = index[img]  # a uint8/uint16 index array is cast in buffered pieces, np.take would copy it to intp
+
+    parallel_map(fill, row_blocks(len(keys)))
+    return out
 
 
 def rank_one_flags(ops: PackedOps, rows, offset=0):
-    """True where the packed (N, 4) row sets, each XORed with the packed
-    4-row offset (g + M, which is g - M in characteristic 2), span exactly
-    one dimension.  On every usable core, with no (N, 4) sum array."""
+    """True where the matrices whose keys are `rows`, each plus the matrix
+    with key `offset` (g + M, which is g - M in characteristic 2: one XOR
+    of keys), have rank exactly one.  On every usable core, with no sum
+    array over all rows."""
     ranks = _rank_kernel(ops)
     flags = np.empty(rows.shape[0], dtype=bool)
 

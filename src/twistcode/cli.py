@@ -16,16 +16,20 @@ from .symplectic import SymplecticSpace, TauConstructionError, build_symplectic_
 
 
 def _finish(build, args, family_params):
+    """Print (and write) the report, then write the codeword file only when
+    every check passed: a code whose checks failed is not exported."""
     report = build.report
-    if args.out:
-        code, _ = build
-        write_code(args.out, code, report.family, family_params, r=report.reps)
     print(report.render(), end="")
     if args.report:
         report.write(args.report)
     if not report.all_pass():
         print(f"FAILED checks: {', '.join(report.failed())}", file=sys.stderr)
+        if args.out:
+            print(f"no codeword file written to {args.out}", file=sys.stderr)
         return 1
+    if args.out:
+        code, _ = build
+        write_code(args.out, code, report.family, family_params, r=report.reps)
     return 0
 
 

@@ -120,28 +120,28 @@ def projective_points(space) -> IndexedDomain:
 
 
 class SymplecticGroup:
-    """Enumerated Sp(4, q), stored only as packed rows (identity at index 0)
-    and their content keys.  The keys are in canonical order: the
-    identity's first, then strictly ascending and without the identity's
-    (so they are distinct), which is what lets indices_of_keys look keys
-    up without a sort."""
+    """Enumerated Sp(4, q), stored only as its elements' keys (each packs
+    the element's four packed rows; PackedOps.unpack_keys and matrices_of
+    unpack them).  The keys are in canonical order: the identity's first,
+    then strictly ascending and without the identity's (so they are
+    distinct), which is what lets indices_of_keys look keys up without a
+    sort."""
 
-    def __init__(self, space, rows, keys):
-        if not (rows[0] == space.ops.pack(np.eye(4, dtype=np.uint8))).all():
+    def __init__(self, space, keys):
+        if keys[0] != space.ops.identity_key:
             raise ValueError("identity must sit at index 0")
         rest = keys[1:]
         if (rest[1:] <= rest[:-1]).any() or keys[0] in rest:
             raise ValueError("keys must be the identity's, then strictly ascending")
         self.space = space
-        self.rows = rows  # (N, 4) packed row codes; unpacks to the entries
         self.keys = keys
         self._trans = None
 
     def __len__(self):
-        return self.rows.shape[0]
+        return len(self.keys)
 
     def matrix(self, i) -> Matrix:
-        return Matrix(self.space.field, self.space.ops.unpack(self.rows[i]))
+        return Matrix(self.space.field, self.space.ops.matrices_of(self.keys[i : i + 1])[0])
 
     def indices_of_keys(self, keys):
         """Element index of each key in an array, -1 where no element has
@@ -166,21 +166,21 @@ class SymplecticGroup:
     def transvection_mask(self):
         """Per-element decision rule: g != I, rank(g - I) = 1, (g - I)^2 = 0."""
         if self._trans is None:
-            self._trans = transvection_flags(self.space, self.rows)
+            self._trans = transvection_flags(self.space, self.keys)
         return self._trans
 
     def natural_representation(self) -> Representation:
-        perms = _packed.perm_tables(self.space.ops, self.rows)
+        perms = _packed.perm_tables(self.space.ops, self.keys)
         return Representation(self, perms)
 
 
 def transvection_flags(space, rows):
-    """Vectorised transvection test for a (N, 4) packed batch: difference
-    from the identity has rank 1 and squares to zero."""
+    """Vectorised transvection test for the matrices whose keys are `rows`:
+    difference from the identity has rank 1 and squares to zero."""
     ops = space.ops
-    ident = ops.pack(np.eye(4, dtype=np.uint8))
+    ident = ops.identity_key
     flags = _packed.rank_one_flags(ops, rows, ident)
-    diff = rows[flags] ^ ident  # the rank-one differences only
+    diff = ops.unpack_keys(rows[flags] ^ ident)  # the rank-one differences only
     flags[flags] = ~_packed.rows_matmul(ops, diff, diff).any(axis=1)
     return flags
 
@@ -195,14 +195,15 @@ def all_transvections(space):
     return np.stack(mats)
 
 
-def _preserves_form(space, rows):
-    """Per-element g . Gram . g^T == Gram for a packed (N, 4) batch.
+def _preserves_form(space, keys):
+    """Per-element g . Gram . g^T == Gram for the matrices with these keys.
 
     B(g_i, g_j) is one gather from the table of B(u, v) over packed u || v
     (ncodes^2 entries), refused before it is allocated above
     PAIR_TABLE_LIMIT entries (q > 4).  Only i < j is compared: g . Gram .
     g^T is alternating (characteristic 2), so its diagonal is zero and it
-    is symmetric.  On every usable core."""
+    is symmetric.  On every usable core, one block of keys unpacked at a
+    time."""
     ops = space.ops
     size = ops.ncodes**2
     if size > _packed.PAIR_TABLE_LIMIT:
@@ -214,16 +215,17 @@ def _preserves_form(space, rows):
     form = np.zeros(size, dtype=np.uint8)
     for i, j in zip(*np.nonzero(GRAM)):
         form ^= mul[u[:, i], v[:, j]]
-    ok = np.ones(rows.shape[0], dtype=bool)
+    ok = np.ones(len(keys), dtype=bool)
 
     def check(sl):
+        rows = ops.unpack_keys(keys[sl])
         for i in range(4):
             for j in range(i + 1, 4):
-                pair = rows[sl, i] << ops.row_bits
-                pair |= rows[sl, j]
+                pair = rows[:, i] << ops.row_bits
+                pair |= rows[:, j]
                 ok[sl] &= np.take(form, pair) == GRAM[i, j]
 
-    _packed.parallel_map(check, _packed.row_blocks(rows.shape[0]))
+    _packed.parallel_map(check, _packed.row_blocks(len(keys)))
     return ok
 
 
@@ -249,16 +251,15 @@ def generate_group(space) -> SymplecticGroup:
     and the order it proves that the closure is Sp(4, q)."""
     gens = generators(space)
     expected = sp4_order(space.q)
-    rows, keys = _packed.closure(space.ops, gens, limit=expected)
+    _, keys = _packed.closure(space.ops, gens, limit=expected)
     if len(keys) != expected:
         raise RuntimeError(f"closure produced {len(keys)} elements, expected {expected}")
-    return SymplecticGroup(space, rows, keys)
+    return SymplecticGroup(space, keys)
 
 
 def fixed_projective_count(space, g: Matrix) -> int:
     """Number of projective 1-spaces fixed setwise by g."""
-    rows = space.ops.pack(np.asarray(g.A, dtype=np.uint8)).reshape(1, 4)
-    return int(_packed.fixed_counts(space.ops, rows)[0])
+    return int(_packed.fixed_counts(space.ops, space.ops.keys_of(g.A))[0])
 
 
 def is_transvection(space, g: Matrix) -> bool:
@@ -268,7 +269,7 @@ def is_transvection(space, g: Matrix) -> bool:
 
 class OuterAutomorphism:
     """tau as a permutation of the enumerated group, tau(g_i) = g_index[i],
-    looked up from the keys of the packed image rows, so a per-element
+    looked up from the keys of the image matrices, so a per-element
     table of tau(g) is the group's own one gathered through index; kept
     with the change-of-basis data (quotient basis lift and coordinate
     matrix) that built the image rows, through which tau of any matrix is
@@ -292,25 +293,26 @@ class OuterAutomorphism:
         return Matrix(self.space.field, self.map_entries(g.A[None, :, :])[0])
 
 
-def _tau_keys(space, basis_lift, coords, rows):
-    """Content keys of _tau_apply on packed (N, 4) rows, through the
+def _tau_keys(space, basis_lift, coords, keys):
+    """Keys of _tau_apply on the matrices with these keys, through the
     q^8-entry wedge table: the same step (b) check on the complement
-    coordinate (entry 5), then the top four entries are the image rows,
-    packed into keys block by block (row_blocks, on every usable core),
-    so no (N, 4) image-row array is built."""
+    coordinate (entry 5), then the top four entries are the image rows.
+    Block by block (row_blocks, on every usable core): each block of keys
+    is unpacked into rows and its image rows packed into keys, so no
+    (N, 4) row array is built."""
     ops = space.ops
     ops6 = PackedOps(space.field, 6)
     table = _packed.wedge_table(ops, ops6, coords, WEDGE_PAIRS)  # and ops6.smul, before the workers read it
-    keys = np.empty(len(rows), dtype=ops.key_dtype)
+    images = np.empty(len(keys), dtype=ops.key_dtype)
 
     def image_keys(sl):
-        y = _packed.wedge_rows(ops, ops6, table, rows[sl], basis_lift, WEDGE_PAIRS)
+        y = _packed.wedge_rows(ops, ops6, table, ops.unpack_keys(keys[sl]), basis_lift, WEDGE_PAIRS)
         if (y & ops6.mask).any():
             raise TauConstructionError("b", "exterior action leaves the invariant 5-space")
-        keys[sl] = ops.pack_keys(y >> (2 * space.n))
+        images[sl] = ops.pack_keys(y >> (2 * space.n))
 
-    _packed.parallel_map(image_keys, _packed.row_blocks(len(rows)))
-    return keys
+    _packed.parallel_map(image_keys, _packed.row_blocks(len(keys)))
+    return images
 
 
 def _tau_apply(field, basis_lift, coords, mats):
@@ -424,7 +426,7 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
     M = Matrix(field, np.concatenate([C, w.reshape(1, 6), u6.reshape(1, 6)]))
     coords = M.inverse().A
 
-    tau = OuterAutomorphism(space, group, _tau_keys(space, C, coords, group.rows), C, coords)
+    tau = OuterAutomorphism(space, group, _tau_keys(space, C, coords, group.keys), C, coords)
 
     # step (d), on the generator pairs (gi, gj), in row_blocks on every usable core
     tg = tau.map_entries(gens)
@@ -441,7 +443,7 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
     if np.bincount(tau.index).max() > 1:  # N indices in range: a permutation iff none repeats
         raise TauConstructionError("d", "image table has duplicates")
     tmask = group.transvection_mask()
-    if not (_packed.fixed_counts(space.ops, group.rows[tau.index[tmask]]) == space.q + 1).all():
+    if not (_packed.fixed_counts(space.ops, group.keys[tau.index[tmask]]) == space.q + 1).all():
         raise TauConstructionError("d", "a transvection image has wrong fixed count")
     if tmask[tau.index[tmask]].any():
         raise TauConstructionError("d", "a transvection image is a transvection")
@@ -451,19 +453,19 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
 def _check_tau_homomorphism(space, group, tau, rng, samples):
     """tau(gh) = tau(g) tau(h): exhaustive over all pairs at q = 2, on
     `samples` uniform pairs for larger groups.  tau(gh) is recomputed
-    through the dense exterior square, tau(g) tau(h) from the rows that
+    through the dense exterior square, tau(g) tau(h) from the keys that
     tau.index points at, the table every tau-side scan gathers through.
-    The pairs run in row_blocks on every usable core.  Returns (ok,
-    coverage)."""
+    The pairs run in row_blocks on every usable core, each block's keys
+    unpacked on their own.  Returns (ok, coverage)."""
     mul = space.field.mul_table
     ops = space.ops
-    rows = group.rows
+    keys = group.keys
     a, b, cov = sample_pairs(len(group), rng, samples)
 
     def agrees(sl):
-        prod = _packed._matmul_each(mul, ops.unpack(rows[a[sl]]), ops.unpack(rows[b[sl]]))
+        prod = _packed._matmul_each(mul, ops.matrices_of(keys[a[sl]]), ops.matrices_of(keys[b[sl]]))
         lhs = ops.pack(tau.map_entries(prod))
-        rhs = _packed.rows_matmul(ops, rows[tau.index[a[sl]]], rows[tau.index[b[sl]]])
+        rhs = _packed.rows_matmul(ops, ops.unpack_keys(keys[tau.index[a[sl]]]), ops.unpack_keys(keys[tau.index[b[sl]]]))
         return bool((lhs == rhs).all())
 
     ops.smul  # computed here, before the workers read it
@@ -473,8 +475,7 @@ def _check_tau_homomorphism(space, group, tau, rng, samples):
 def _check_inverses_sampled(space, group, rng, samples=100):
     """Sampled inverse closure; returns (ok, coverage)."""
     inv = np.stack([group.matrix(int(i)).inverse().A for i in rng.integers(0, len(group), size=samples)])
-    keys = space.ops.pack_keys(space.ops.pack(inv))
-    return bool((group.indices_of_keys(keys) >= 0).all()), coverage_value(samples, len(group))
+    return bool((group.indices_of_keys(space.ops.keys_of(inv)) >= 0).all()), coverage_value(samples, len(group))
 
 
 def _check_products_sampled(space, group, rng, samples=10_000):
@@ -483,7 +484,8 @@ def _check_products_sampled(space, group, rng, samples=10_000):
     n = len(group)
     a = rng.integers(0, n, size=samples)
     b = rng.integers(0, n, size=samples)
-    keys = space.ops.pack_keys(_packed.rows_matmul(space.ops, group.rows[a], group.rows[b]))
+    ops = space.ops
+    keys = ops.pack_keys(_packed.rows_matmul(ops, ops.unpack_keys(group.keys[a]), ops.unpack_keys(group.keys[b])))
     return bool((group.indices_of_keys(keys) >= 0).all()), coverage_value(samples, n * n)
 
 
@@ -509,7 +511,7 @@ def build_symplectic_twisted(space, check="fast", rng_seed=1):
 
     with stage(times, "enumerate"):
         group = generate_group(space)
-        form_ok = _preserves_form(space, group.rows)
+        form_ok = _preserves_form(space, group.keys)
     n = len(group)
     checks["group_order"] = n == sp4_order(q)
     checks["form_preserved"] = bool(form_ok.all())
@@ -519,7 +521,7 @@ def build_symplectic_twisted(space, check="fast", rng_seed=1):
 
     with stage(times, "classify"):
         flags = group.transvection_mask()
-        fix_nat = _packed.fixed_counts(space.ops, group.rows)
+        fix_nat = _packed.fixed_counts(space.ops, group.keys)
     checks["identity_fixes_all"] = int(fix_nat[0]) == m
     checks["transvection_count"] = int(flags.sum()) == m * (q - 1)
     trans_fix = q * q + q + 1
@@ -558,7 +560,7 @@ def build_symplectic_twisted(space, check="fast", rng_seed=1):
     checks["nontransvection_support_bound"] = least >= 2 * (m - 2 * q - 2) and (q == 2 or least > 2 * q**3 + q**2)
 
     # the rows of the GENERATOR_WORDS elements, for the invariance certificate
-    gen_rows = group.indices_of_keys(space.ops.pack_keys(space.ops.pack(generators(space)))) if check == "all" else None
+    gen_rows = group.indices_of_keys(space.ops.keys_of(generators(space))) if check == "all" else None
     build = finish_build(
         group, fix, lambda: (group.natural_representation(), [tau.index]),
         family="symplectic", params={"n": space.n, "poly": space.field.poly},

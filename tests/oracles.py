@@ -1,6 +1,10 @@
 """Independent oracles shared by the tests; they share no code with the
 packed kernels and gathered tables they certify.  Also usable_cores, which
-sets the core count the threaded kernels split their work by."""
+sets the core count the threaded kernels split their work by, and the
+row-based references of the key-based Sp(4, q) kernels: the same
+algorithms on packed (N, 4) row arrays, unthreaded.  These read the same
+PackedOps tables as the kernels, so they certify how the kernels read
+rows off keys, not the tables."""
 
 import itertools
 
@@ -10,6 +14,7 @@ from twistcode import _packed
 from twistcode.affine import matrix_B
 from twistcode.codes import FORMAT_MAGIC, hamming_distance
 from twistcode.linalg import Matrix
+from twistcode.symplectic import GRAM
 
 
 def mulclose(generators):
@@ -105,3 +110,73 @@ def write_code_lines(path, code, family, params, r=1):
         strs = [str(i) for i in range(code.q + 1)]
         for row in code.words.tolist():
             fh.write(" ".join([strs[x] for x in row]) + "\n")
+
+
+def row_ranks(ops, rows):
+    """Rank of each packed (N, 4) row set by forward elimination: pivot row
+    i scaled to a leading 1 (canon) and cleared from every later row at its
+    leading entry's shift (lead_shift)."""
+    smul = ops.smul.ravel()
+    r = [rows[:, i].copy() for i in range(4)]
+    for i in range(3):
+        p = ops.canon[r[i]]
+        s = ops.lead_shift[p]
+        for j in range(i + 1, 4):
+            r[j] ^= smul[(((r[j] >> s) & ops.mask) << ops.row_bits) | p]
+    rank = np.zeros(rows.shape[0], dtype=np.int8)
+    for row in r:
+        rank += row != 0
+    return rank
+
+
+def row_span_ranks(ops, rows):
+    """row_ranks from ops.span_tables: the ids of span(g_0, g_1) and
+    span(g_2, g_3), each from its two packed rows, then the dimension of
+    their sum."""
+    pair_span, sum_rank = ops.span_tables
+    high = pair_span[(rows[:, 0] << ops.row_bits) | rows[:, 1]]
+    low = pair_span[(rows[:, 2] << ops.row_bits) | rows[:, 3]]
+    return sum_rank[high, low]
+
+
+def row_fixed_counts(ops, rows):
+    """Fixed projective points of each packed (N, 4) row set, from the
+    eigenspace dimensions q^(4 - rank(g + lam I)) over lam != 0."""
+    q = ops.field.order
+    counts = np.zeros(rows.shape[0], dtype=np.int64)
+    for lam in range(1, q):
+        rank = row_ranks(ops, rows ^ ops.pack(lam * np.eye(4, dtype=np.uint8)))
+        counts += (q ** (4 - rank.astype(np.int64)) - 1) // (q - 1)
+    return counts
+
+
+def row_rank_one_flags(ops, rows, offset=0):
+    """rank(g + M) == 1 for packed (N, 4) rows g and packed 4-row M."""
+    return row_ranks(ops, rows ^ offset) == 1
+
+
+def row_perm_tables(ops, rows):
+    """(N, m) point images of packed (N, 4) rows: the point-major (m, N)
+    table, one point at a time, transposed."""
+    out = np.empty((len(ops.point_codes), rows.shape[0]), dtype=ops.point_index.dtype)
+    for j, v in enumerate(ops.unpack(ops.point_codes)):
+        img = np.zeros(rows.shape[0], dtype=np.uint32)
+        for k in np.flatnonzero(v):
+            img ^= ops.smul[v[k]][rows[:, k]]
+        out[j] = ops.point_index[img]
+    return out.T
+
+
+def row_preserves_form(ops, rows):
+    """g . Gram . g^T == Gram for packed (N, 4) rows: B(g_i, g_j) over all
+    i, j, from the entries and the field's multiplication table."""
+    mul = ops.field.mul_table
+    g = ops.unpack(rows)
+    ok = np.ones(rows.shape[0], dtype=bool)
+    for i in range(4):
+        for j in range(4):
+            b = np.zeros(rows.shape[0], dtype=np.uint8)
+            for k, l in zip(*np.nonzero(GRAM)):
+                b ^= mul[g[:, i, k], g[:, j, l]]
+            ok &= b == GRAM[i, j]
+    return ok

@@ -173,14 +173,14 @@ def test_criterion_6_outer_automorphism(sp1, sp2):
                 assert len(build.group) ** 2 <= 1 << 20  # the q=2 path really is exhaustive
             group, tau = build.group, build.tau
             ops = group.space.ops
-            images = ops.unpack_keys(symplectic._tau_keys(group.space, tau.basis_lift, tau.coords, group.rows))
-            assert np.array_equal(images, group.rows[tau.index])  # the table tau.index points at
+            images = symplectic._tau_keys(group.space, tau.basis_lift, tau.coords, group.keys)
+            assert np.array_equal(images, group.keys[tau.index])  # the table tau.index points at
             tmask = group.transvection_mask()
             timg = images[tmask]
-            fixed = _packed.fixed_counts(group.space.ops, timg)
+            fixed = _packed.fixed_counts(ops, timg)
             assert (fixed == q + 1).all()
             assert not transvection_flags(group.space, timg).any()
-            assert len(np.unique(group.space.ops.pack_keys(images))) == len(group)
+            assert len(np.unique(images)) == len(group)
 
 
 def test_criterion_7_code_properties(affine_builds, sp1, sp2):
@@ -279,13 +279,14 @@ def test_key_set_pinned_q4(sp2):
     assert hashlib.sha256(np.sort(keys).tobytes()).hexdigest() == SORTED_KEYS_Q4_DIGEST
 
 
-# SHA-256 of the Sp(4,4) tau table, group.rows[tau.index].tobytes() (uint32)
+# SHA-256 of the Sp(4,4) tau table, its (N, 4) uint32 packed rows
+# ops.unpack_keys(group.keys[tau.index]).tobytes()
 TAU_IMAGE_Q4_DIGEST = "ea2c95c702f76895d9967d38cd5c105935a44b6c7425de5e1b49651d7bfb34d1"
 
 
 def test_tau_image_rows_pinned_q4(sp2):
     build = sp2[0]
-    rows = build.group.rows[build.tau.index]
+    rows = build.group.space.ops.unpack_keys(build.group.keys[build.tau.index])
     assert rows.dtype == np.uint32
     assert hashlib.sha256(rows.tobytes()).hexdigest() == TAU_IMAGE_Q4_DIGEST
 
@@ -304,24 +305,29 @@ def test_sp2_build_memory(sp2_traced):
     # int32, the support bound reads one masked minimum instead of two
     # copies of sums[neither], and transvection_flags XORs one ROW_CHUNK
     # block at a time (its own traced peak 17.1 -> 3.3 MiB): the peak is
-    # build_outer_automorphism's again
-    _, _, peak, retained = sp2_traced
-    assert peak < 60 * 2**20
-    assert retained < 48 * 2**20
+    # build_outer_automorphism's again; peak 30.2 MiB, 17.1 MiB held, with
+    # the group held as its keys alone (no (N, 4) row table, 15 MiB) and
+    # uint16 flat indices in _matmul_each: the peak is _check_tau_homomorphism's
+    build, _, peak, retained = sp2_traced
+    assert peak < 36 * 2**20
+    assert retained < 20 * 2**20
+    # the group holds its keys, no per-element array of rows or entries
+    held = [v for v in vars(build.group).values() if isinstance(v, np.ndarray)]
+    assert all(v.ndim == 1 for v in held) and any(v is build.group.keys for v in held)
 
 
 def test_tau_tables_gathered_q4(sp2):
     # the tau-side tables of Sp(4,4), gathered through tau.index, against the
-    # packed kernels run on the recomputed image rows: every 97th row
+    # packed kernels run on the recomputed image keys: every 97th row
     build = sp2[0]
     group, tau = build.group, build.tau
     ops = group.space.ops
     sub = np.arange(0, len(group), 97)
-    rows = ops.unpack_keys(symplectic._tau_keys(group.space, tau.basis_lift, tau.coords, group.rows[sub]))
-    assert np.array_equal(_packed.fixed_counts(ops, rows), build.fix[sub, 1])
-    assert np.array_equal(transvection_flags(group.space, rows), group.transvection_mask()[tau.index[sub]])
+    images = symplectic._tau_keys(group.space, tau.basis_lift, tau.coords, group.keys[sub])
+    assert np.array_equal(_packed.fixed_counts(ops, images), build.fix[sub, 1])
+    assert np.array_equal(transvection_flags(group.space, images), group.transvection_mask()[tau.index[sub]])
     # the natural representation's rows tau.index[sub], as natural_representation computes them
-    assert np.array_equal(_packed.perm_tables(ops, rows), _packed.perm_tables(ops, group.rows[tau.index[sub]]))
+    assert np.array_equal(_packed.perm_tables(ops, images), _packed.perm_tables(ops, group.keys[tau.index[sub]]))
 
 
 def test_symplectic_coverage_lines(sp1, sp2):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twistcode import affine
 from twistcode.cli import main
 
 
@@ -41,6 +42,31 @@ def test_affine_check_all_with_export(capsys, tmp_path):
     assert header[0] == "# twistcode v1"
     assert header[1] == "# family=affine p=3 k=2 r=3 q=9 length=27 size=27"
     assert rep_file.read_text().startswith("family=affine\n")
+
+
+@pytest.mark.parametrize("check", ["fast", "all"])
+def test_failed_checks_write_no_file(monkeypatch, capsys, tmp_path, check):
+    # one entry of omega_last[p] bumped at (3, 2): the twists move the
+    # identity, so the certificate fails; the report is still printed and
+    # written, and no codeword file is
+    real_enumerate = affine.enumerate_group
+
+    def enumerate_mutated(params):
+        group = real_enumerate(params)
+        group.omega_last = group.omega_last.copy()
+        group.omega_last[3, 1] = (group.omega_last[3, 1] + 1) % 3
+        return group
+
+    monkeypatch.setattr(affine, "enumerate_group", enumerate_mutated)
+    out_file, rep_file = tmp_path / "aff.tw", tmp_path / "aff.report"
+    status, out, err = run(
+        capsys, "affine", "--p", "3", "--k", "2", "--check", check, "--out", str(out_file), "--report", str(rep_file),
+    )
+    assert status == 1
+    assert "check.twist_automorphism=FAIL" in out.splitlines()
+    assert rep_file.read_text() == out
+    assert f"no codeword file written to {out_file}" in err
+    assert not out_file.exists()
 
 
 def test_affine_bad_parameters(capsys):

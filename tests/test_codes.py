@@ -99,16 +99,16 @@ def test_enumerated_group_key_order(sp2):
     # every key of Sp(4, 2) answers its own index, the identity's (not the least) 0
     assert group.keys[0] > group.keys[1]
     assert group.indices_of_keys(group.keys).tolist() == list(range(len(group)))
-    rows = group.rows[:3]  # the identity first; the keys below are made up
-    keyed = SymplecticGroup(space, rows, np.array([5, 1, 9]))
+    ident = int(group.keys[0])  # the identity's key; the others below are made up
+    keyed = SymplecticGroup(space, np.array([ident, 1, 9]))
     # the identity's key answers 0; keys below, between and above the rest miss
-    got = keyed.indices_of_keys(np.array([5, 1, 9, 0, 4, 7, 10, 5]))
+    got = keyed.indices_of_keys(np.array([ident, 1, 9, 0, 4, 7, 10, ident]))
     assert got.tolist() == [0, 1, 2, -1, -1, -1, -1, 0]
-    for keys in ([5, 9, 1], [5, 1, 1], [5, 5, 9]):  # a descent, a repeat, the identity's repeated
+    for keys in ([ident, 9, 1], [ident, 1, 1], [ident, ident, 9]):  # a descent, a repeat, the identity's repeated
         with pytest.raises(ValueError, match="strictly ascending"):
-            SymplecticGroup(space, rows, np.array(keys))
+            SymplecticGroup(space, np.array(keys))
     with pytest.raises(ValueError, match="identity must sit at index 0"):
-        SymplecticGroup(space, group.rows[1:4], np.array([5, 1, 9]))
+        SymplecticGroup(space, np.array([5, 1, 9]))
 
 
 @pytest.mark.parametrize("chunk", [1, 3, None])
@@ -118,10 +118,10 @@ def test_indices_of_keys_independent_of_chunk(monkeypatch, sp2, chunk):
     space, group, _ = sp2
     if chunk is not None:
         monkeypatch.setattr(_packed, "ROW_CHUNK", chunk)
-    rows = group.rows[:4]
-    keyed = SymplecticGroup(space, rows, np.array([50, 10, 20, 60], dtype=np.uint32))
-    queries = np.array([20, 50, 5, 60, 15, 10, 20, 70, 50, 61, 10, 0], dtype=np.uint32)
-    position = {50: 0, 10: 1, 20: 2, 60: 3}
+    ident = int(group.keys[0])
+    keyed = SymplecticGroup(space, np.array([ident, 10, 20, 60], dtype=np.uint32))
+    queries = np.array([20, ident, 5, 60, 15, 10, 20, 70, ident, 61, 10, 0], dtype=np.uint32)
+    position = {ident: 0, 10: 1, 20: 2, 60: 3}
     assert keyed.indices_of_keys(queries).tolist() == [position.get(int(k), -1) for k in queries]
     rng = np.random.default_rng(5)
     picks = rng.integers(0, len(group), size=200)
@@ -136,7 +136,7 @@ def test_tau_index_equals_unchunked_lookup(monkeypatch, sp2, chunk):
     if chunk is not None:
         monkeypatch.setattr(_packed, "ROW_CHUNK", chunk)
     tau = build_outer_automorphism(space, group)
-    image_keys = symplectic._tau_keys(space, tau.basis_lift, tau.coords, group.rows)
+    image_keys = symplectic._tau_keys(space, tau.basis_lift, tau.coords, group.keys)
     rest = _packed.lookup_sorted(group.keys[1:], image_keys)
     is_identity = image_keys == group.keys[0]
     assert (rest[~is_identity] >= 0).all() and is_identity.sum() == 1
@@ -297,7 +297,7 @@ def test_representation_homomorphism(affine32, sp2):
     for _ in range(500):
         a, b = (int(x) for x in rng.integers(0, len(spgroup), size=2))
         prod_mat = spgroup.matrix(a) * spgroup.matrix(b)
-        key = space.ops.pack_keys(space.ops.pack(prod_mat.A)[None, :])[0]
+        key = space.ops.keys_of(prod_mat.A)[0]
         prod = int(spgroup.indices_of_keys(np.array([key]))[0])
         assert (sprep.perm(prod) == sprep.perm(b)[sprep.perm(a)]).all()
 
@@ -313,7 +313,7 @@ def test_nontrivial_joint_kernel_reported():
 
 def sp2_generator_rows(space, group):
     """Code rows of the GENERATOR_WORDS elements of Sp(4, 2)."""
-    return group.indices_of_keys(space.ops.pack_keys(space.ops.pack(generators(space))))
+    return group.indices_of_keys(space.ops.keys_of(generators(space)))
 
 
 def affine_generator_rows(group):

@@ -2,8 +2,8 @@
 np.unique, lookup_sorted against a dict, the closure's pinned
 canonical order and its independence of the generators, the fixed-point
 counts, permutation tables and rank-one flags against a scalar count and
-Matrix.rank, the span-id rank tables against the elimination _ranks, the
-dense batch_matmul and batch_matmul_left against a loop of
+Matrix.rank, the key-based kernels against their row-based references
+(every key at q = 2, random batches up to q = 16), the dense batch_matmul and batch_matmul_left against a loop of
 BinaryField.matmul, rows_matmul against batch_matmul, the size guards
 of the wedge, form and minor tables, and parallel_map, through which the
 row kernels run on every usable core."""
@@ -39,7 +39,15 @@ from twistcode.symplectic import (
     transvection_flags,
 )
 
-from oracles import usable_cores
+from oracles import (
+    row_fixed_counts,
+    row_perm_tables,
+    row_preserves_form,
+    row_rank_one_flags,
+    row_ranks,
+    row_span_ranks,
+    usable_cores,
+)
 
 # SHA-256 of the closure's key array for Sp(4, 2): canonical order, so the
 # same for every generating set
@@ -109,10 +117,10 @@ def sp42():
 def test_closure_discovery_order_pinned(sp42, seed):
     space, gens = sp42
     shuffled = gens[np.random.default_rng(seed).permutation(len(gens))]
-    rows, keys = _packed.closure(space.ops, shuffled, limit=720)
+    levels, keys = _packed.closure(space.ops, shuffled, limit=720)
     assert len(keys) == 720
     assert hashlib.sha256(keys.tobytes()).hexdigest() == CLOSURE_Q2_DIGEST
-    assert np.array_equal(space.ops.pack_keys(rows), keys)
+    assert levels[0] == 1 and min(levels) > 0 and sum(levels) == 720  # the identity's level, then every new frontier
 
 
 def test_closure_independent_of_generators(sp42):
@@ -122,7 +130,7 @@ def test_closure_independent_of_generators(sp42):
     _, pair = _packed.closure(space.ops, generators(space), limit=720)
     assert np.array_equal(reversed_gens, keys)  # a different level order
     assert np.array_equal(pair, keys)
-    assert keys[0] == space.ops.pack_keys(space.ops.pack(np.eye(4, dtype=np.uint8))[None, :])[0]
+    assert keys[0] == space.ops.identity_key
     assert (keys[2:] > keys[1:-1]).all()
 
 
@@ -168,10 +176,10 @@ def test_point_image_kernels_against_scalar_count(case):
     n, mats = case
     space, points = space_of(n)
     m = len(points)
-    rows = space.ops.pack(np.stack([g.A for g in mats]))
-    counts = _packed.fixed_counts(space.ops, rows)
-    perms = _packed.perm_tables(space.ops, rows)
-    assert perms.shape == (len(mats), m)
+    keys = space.ops.keys_of(np.stack([g.A for g in mats]))
+    counts = _packed.fixed_counts(space.ops, keys)
+    perms = _packed.perm_tables(space.ops, keys)
+    assert perms.shape == (len(mats), m) and perms.flags.c_contiguous
     for g, count, perm in zip(mats, counts, perms):
         want = [scalar_image(space, points, pt, g) for pt in points]
         assert perm.tolist() == want
@@ -213,9 +221,9 @@ def test_rank_kernels_on_arbitrary_matrices(case):
     # rank-one flags against exact elimination, singular matrices included
     n, mats = case
     space, points = space_of(n)
-    rows = space.ops.pack(np.stack(mats))
-    counts = _packed.fixed_counts(space.ops, rows)
-    flags = _packed.rank_one_flags(space.ops, rows)
+    keys = space.ops.keys_of(np.stack(mats))
+    counts = _packed.fixed_counts(space.ops, keys)
+    flags = _packed.rank_one_flags(space.ops, keys)
     for A, count, flag in zip(mats, counts, flags):
         g = Matrix(space.field, A)
         assert count == sum(j == scalar_image(space, points, pt, g) for j, pt in enumerate(points))
@@ -318,15 +326,58 @@ def test_wedge_table_size_guard():
 
 
 
-def test_span_ranks_exhaustive_q2():
-    # all 2^16 packed 4-row matrices over GF(2): every pair_span entry and
+def assert_key_kernels_equal_row_references(ops, keys):
+    """Every key-based kernel on `keys` against its row-based reference in
+    tests/oracles.py on the unpacked rows; the form check only where its
+    pair table is admitted (q <= 4)."""
+    rows = ops.unpack_keys(keys)
+    ranks = row_ranks(ops, rows)
+    assert np.array_equal(_packed._ranks(ops, keys), ranks)
+    if ops.ncodes**2 <= _packed.PAIR_TABLE_LIMIT:
+        assert np.array_equal(_packed._span_ranks(ops, keys), ranks)
+        assert np.array_equal(row_span_ranks(ops, rows), ranks)
+        space = SymplecticSpace(ops.field)
+        assert np.array_equal(symplectic._preserves_form(space, keys), row_preserves_form(ops, rows))
+    assert np.array_equal(_packed.fixed_counts(ops, keys), row_fixed_counts(ops, rows))
+    for offset in (ops.identity_key, keys[len(keys) // 2]):
+        want = row_rank_one_flags(ops, rows, ops.unpack_keys(np.array([offset])))
+        assert np.array_equal(_packed.rank_one_flags(ops, keys, offset), want)
+    if 4 * ops.ncodes * len(ops.point_codes) <= _packed.POINT_TABLE_LIMIT:
+        assert np.array_equal(_packed.perm_tables(ops, keys), row_perm_tables(ops, rows))
+    else:  # q = 16: 4 x 2^16 x 4369 table entries
+        with pytest.raises(ValueError, match="point-image tables"):
+            _packed.perm_tables(ops, keys)
+
+
+def test_key_kernels_exhaustive_q2():
+    # all 2^16 keys of 4 x 4 matrices over GF(2): every pair_span entry and
     # every sum_rank entry is read
     ops = _packed.PackedOps(BinaryField(1), 4)
-    rows = ops.unpack_keys(np.arange(ops.ncodes**4, dtype=np.uint32))
-    assert np.array_equal(_packed._span_ranks(ops, rows), _packed._ranks(ops, rows))
+    assert_key_kernels_equal_row_references(ops, np.arange(ops.ncodes**4, dtype=np.uint32))
     pair_span, sum_rank = ops.span_tables
     assert sum_rank.shape == (51, 51)  # 1 + 15 + 35 subspaces of dimension <= 2 in GF(2)^4
     assert pair_span[0] == 0 and sum_rank[0, 0] == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_key_kernels_on_random_batches(n):
+    # q = 4 (span-id ranks, uint32 keys), q = 8 and 16 (elimination ranks,
+    # uint64 keys): uniform matrices, products of rank <= k, I plus a
+    # rank-one product, and every lam I
+    field = BinaryField(n)
+    ops = _packed.PackedOps(field, 4)
+    q, mul = field.order, field.mul_table
+    rng = np.random.default_rng(20 + n)
+    eye = np.eye(4, dtype=np.uint8)
+
+    def entries(*shape):
+        return rng.integers(0, q, size=shape, dtype=np.uint8)
+
+    low = [_packed.batch_matmul(mul, entries(60, 4, k), entries(60, k, 4)) for k in (1, 2, 3)]
+    scalars = np.arange(q, dtype=np.uint8)[:, None, None] * eye
+    keys = ops.keys_of(np.concatenate([entries(60, 4, 4), *low, low[0] ^ eye, scalars]))
+    assert keys.dtype == ops.key_dtype == (np.uint32 if n <= 2 else np.uint64)
+    assert_key_kernels_equal_row_references(ops, keys)
 
 
 @st.composite
@@ -357,8 +408,8 @@ def test_span_ranks_q4_against_elimination(low):
     # every r0||r1 over GF(4), against drawn r2||r3
     ops = _packed.PackedOps(BinaryField(2), 4)
     high = np.arange(ops.ncodes**2, dtype=np.uint32)[:, None] << 2 * ops.row_bits
-    rows = ops.unpack_keys((high | np.array(low, dtype=np.uint32)).ravel())
-    assert np.array_equal(_packed._span_ranks(ops, rows), _packed._ranks(ops, rows))
+    keys = (high | np.array(low, dtype=np.uint32)).ravel()
+    assert np.array_equal(_packed._span_ranks(ops, keys), row_ranks(ops, ops.unpack_keys(keys)))
     assert ops.span_tables[1].shape == (443, 443)  # 1 + 85 + 357 subspaces of dimension <= 2 in GF(4)^4
 
 
@@ -370,10 +421,9 @@ def test_rank_kernels_skip_span_tables_at_q8(monkeypatch):
     monkeypatch.setattr(_packed.PackedOps, "span_tables", property(refuse))
     space, _ = space_of(3)
     g = transvection(space, np.array([1, 0, 2, 5]), 3)
-    rows = space.ops.pack(g.A[None, :, :])
-    assert _packed.fixed_counts(space.ops, rows).tolist() == [space.q**2 + space.q + 1]
-    diff = rows ^ space.ops.pack(np.eye(4, dtype=np.uint8))[None, :]
-    assert _packed.rank_one_flags(space.ops, diff).tolist() == [True]
+    keys = space.ops.keys_of(g.A)
+    assert _packed.fixed_counts(space.ops, keys).tolist() == [space.q**2 + space.q + 1]
+    assert _packed.rank_one_flags(space.ops, keys, space.ops.identity_key).tolist() == [True]
     with pytest.raises(AssertionError, match="span_tables"):
         space.ops.span_tables
 
@@ -382,8 +432,8 @@ def test_form_and_minor_table_size_guards():
     # the form table over packed row pairs at q = 8 (2^24 entries) and the
     # q^4-entry minor table at q = 32 are refused before they are built
     space = SymplecticSpace.create(3)
-    rows = np.zeros((4, 4), dtype=np.uint32)
-    refused_with_small_peak(lambda: symplectic._preserves_form(space, rows), "form table")
+    keys = np.zeros(4, dtype=space.ops.key_dtype)
+    refused_with_small_peak(lambda: symplectic._preserves_form(space, keys), "form table")
     mul = BinaryField(5).mul_table
     mats = np.zeros((4, 4, 4), dtype=np.uint8)
     refused_with_small_peak(lambda: _packed.batch_exterior_square(mul, mats, WEDGE_PAIRS), "minor table")
@@ -415,15 +465,16 @@ def threaded_outputs(space, group, tau):
     """The output of every kernel that runs its rows through parallel_map,
     on the 720 elements of Sp(4, 2)."""
     ops = space.ops
-    ident = ops.pack(np.eye(4, dtype=np.uint8))
+    ident = ops.identity_key
     queries = np.concatenate([group.keys[::-1], group.keys[:50] + 1])  # unsorted, some absent
     return {
-        "fixed_counts": _packed.fixed_counts(ops, group.rows),
-        "rank_one_flags": _packed.rank_one_flags(ops, group.rows, ident),
-        "rank_one_flags of the sums": _packed.rank_one_flags(ops, group.rows ^ ident),
-        "transvection_flags": transvection_flags(space, group.rows),
-        "_preserves_form": symplectic._preserves_form(space, group.rows),
-        "_tau_keys": symplectic._tau_keys(space, tau.basis_lift, tau.coords, group.rows),
+        "fixed_counts": _packed.fixed_counts(ops, group.keys),
+        "rank_one_flags": _packed.rank_one_flags(ops, group.keys, ident),
+        "rank_one_flags of the sums": _packed.rank_one_flags(ops, group.keys ^ ident),
+        "transvection_flags": transvection_flags(space, group.keys),
+        "_preserves_form": symplectic._preserves_form(space, group.keys),
+        "_tau_keys": symplectic._tau_keys(space, tau.basis_lift, tau.coords, group.keys),
+        "perm_tables": _packed.perm_tables(ops, group.keys),
         "indices_of_keys": group.indices_of_keys(queries),
         # _tau_keys, indices_of_keys and step (d)'s 225 generator pairs
         "tau.index": build_outer_automorphism(space, group).index,
@@ -559,10 +610,10 @@ def test_tau_step_b_failure_in_a_worker_block(monkeypatch):
     # (b) at Sp(4, 2) row 13, in block 3 of 4 rows: a worker's at 2 cores
     real = symplectic._tau_keys
 
-    def corrupted(space, basis_lift, coords, rows):
+    def corrupted(space, basis_lift, coords, keys):
         bad = coords.copy()
         bad[:, 5] ^= coords[:, 4]
-        return real(space, basis_lift, bad, rows)
+        return real(space, basis_lift, bad, keys)
 
     made_in = {}
     real_init = TauConstructionError.__init__

@@ -143,7 +143,7 @@ def test_generator_order_by_schreier_sims(n):
     from sympy.combinatorics import Permutation, PermutationGroup
 
     space = SymplecticSpace.create(n)
-    perms = _packed.perm_tables(space.ops, space.ops.pack(generators(space)))
+    perms = _packed.perm_tables(space.ops, space.ops.keys_of(generators(space)))
     assert PermutationGroup([Permutation(p.tolist()) for p in perms]).order() == sp4_order(space.q)
 
 
@@ -174,7 +174,7 @@ def test_fixed_counts(sp2):
     assert fixed_projective_count(space, group.matrix(0)) == 15
     t = transvection(space, space.f2, 1)
     assert fixed_projective_count(space, t) == 7
-    counts = _packed.fixed_counts(space.ops, group.rows)
+    counts = _packed.fixed_counts(space.ops, group.keys)
     mask = group.transvection_mask()
     assert (counts[1:][mask[1:]] == 7).all()
     assert (counts[1:][~mask[1:]] <= 6).all()
@@ -198,21 +198,22 @@ def test_outer_automorphism_q2(sp2, tau2):
         img = tau.matrix(int(idx))
         assert fixed_projective_count(space, img) == 3
         assert not is_transvection(space, img)
-    keys = symplectic._tau_keys(space, tau.basis_lift, tau.coords, group.rows)
+    keys = symplectic._tau_keys(space, tau.basis_lift, tau.coords, group.keys)
     assert len(np.unique(keys)) == len(group)
     assert np.array_equal(np.sort(tau.index), np.arange(len(group)))
 
 
-# SHA-256 of the tau table group.rows[tau.index].tobytes() (uint32) for Sp(4, 2)
+# SHA-256 of the tau table ops.unpack_keys(group.keys[tau.index]).tobytes()
+# (its (N, 4) uint32 packed rows) for Sp(4, 2)
 TAU_IMAGE_Q2_DIGEST = "9fd4322a2ceec697861cc9b7495adc11fd4a4c955727d82e2c38cceb4c501023"
 
 
 def test_tau_rows_equal_dense_tau_apply(sp2, tau2):
     space, group = sp2
-    dense = symplectic._tau_apply(space.field, tau2.basis_lift, tau2.coords, space.ops.unpack(group.rows))
-    packed = space.ops.unpack_keys(symplectic._tau_keys(space, tau2.basis_lift, tau2.coords, group.rows))
+    dense = symplectic._tau_apply(space.field, tau2.basis_lift, tau2.coords, space.ops.matrices_of(group.keys))
+    packed = space.ops.unpack_keys(symplectic._tau_keys(space, tau2.basis_lift, tau2.coords, group.keys))
     assert np.array_equal(packed, space.ops.pack(dense))
-    table = group.rows[tau2.index]
+    table = space.ops.unpack_keys(group.keys[tau2.index])
     assert np.array_equal(table, packed)
     assert hashlib.sha256(table.tobytes()).hexdigest() == TAU_IMAGE_Q2_DIGEST
 
@@ -222,13 +223,13 @@ def test_tau_rows_independent_of_chunk(monkeypatch, sp2):
     # and the tau table equal their one-block results
     space, group = sp2
     ops = space.ops
-    diff = group.rows ^ ops.pack(np.eye(4, dtype=np.uint8))[None, :]
-    counts, flags = _packed.fixed_counts(ops, group.rows), _packed.rank_one_flags(ops, diff)
+    diff = group.keys ^ ops.identity_key
+    counts, flags = _packed.fixed_counts(ops, group.keys), _packed.rank_one_flags(ops, diff)
     monkeypatch.setattr(_packed, "ROW_CHUNK", 7)
-    assert np.array_equal(_packed.fixed_counts(ops, group.rows), counts)
+    assert np.array_equal(_packed.fixed_counts(ops, group.keys), counts)
     assert np.array_equal(_packed.rank_one_flags(ops, diff), flags)
     tau = build_outer_automorphism(space, group)
-    assert hashlib.sha256(group.rows[tau.index].tobytes()).hexdigest() == TAU_IMAGE_Q2_DIGEST
+    assert hashlib.sha256(ops.unpack_keys(group.keys[tau.index]).tobytes()).hexdigest() == TAU_IMAGE_Q2_DIGEST
 
 
 def _dense_preserves_form(space, mats):
@@ -242,17 +243,17 @@ def _dense_preserves_form(space, mats):
 def test_preserves_form_equals_dense_oracle(sp2):
     space, group = sp2
     ops = space.ops
-    assert symplectic._preserves_form(space, group.rows).all()
-    elements = ops.unpack(group.rows)
+    assert symplectic._preserves_form(space, group.keys).all()
+    elements = ops.matrices_of(group.keys)
     assert _dense_preserves_form(space, elements).all()
     # every element with each one of its 16 entries flipped
     flipped = np.repeat(elements, 16, axis=0)
     pos = np.tile(np.arange(16), len(group))
     flipped.reshape(-1, 16)[np.arange(len(flipped)), pos] ^= 1
-    packed = symplectic._preserves_form(space, ops.pack(flipped))
+    packed = symplectic._preserves_form(space, ops.keys_of(flipped))
     assert np.array_equal(packed, _dense_preserves_form(space, flipped))
     # a flip stays symplectic exactly when it lands on another group element
-    member = np.isin(ops.pack_keys(ops.pack(flipped)), group.keys)
+    member = np.isin(ops.keys_of(flipped), group.keys)
     assert np.array_equal(packed, member)
     assert 0 < packed.sum() < len(flipped)
 
@@ -261,10 +262,10 @@ def test_form_check_failure_is_reported(monkeypatch, capsys):
     calls = []
     packed_ok = symplectic._preserves_form
 
-    def reject_one(space, rows):
-        ok = packed_ok(space, rows)
+    def reject_one(space, keys):
+        ok = packed_ok(space, keys)
         ok[1] = False
-        calls.append(len(rows))
+        calls.append(len(keys))
         return ok
 
     monkeypatch.setattr(symplectic, "_preserves_form", reject_one)
@@ -321,14 +322,14 @@ def test_tau_step_d_failure_is_reported(monkeypatch, capsys, corrupt, message):
 
 def test_tau_tables_gathered_equal_kernel_oracle(sp2, tau2):
     # every tau-side table is the natural one gathered through tau.index;
-    # the packed kernels run on the recomputed image rows are the oracle
+    # the packed kernels run on the recomputed image keys are the oracle
     space, group = sp2
     ops = space.ops
-    rows = ops.unpack_keys(symplectic._tau_keys(space, tau2.basis_lift, tau2.coords, group.rows))
-    assert np.array_equal(_packed.fixed_counts(ops, rows), _packed.fixed_counts(ops, group.rows)[tau2.index])
-    assert np.array_equal(transvection_flags(space, rows), group.transvection_mask()[tau2.index])
+    images = symplectic._tau_keys(space, tau2.basis_lift, tau2.coords, group.keys)
+    assert np.array_equal(_packed.fixed_counts(ops, images), _packed.fixed_counts(ops, group.keys)[tau2.index])
+    assert np.array_equal(transvection_flags(space, images), group.transvection_mask()[tau2.index])
     natural = group.natural_representation()
-    assert np.array_equal(_packed.perm_tables(ops, rows), natural.perms[tau2.index])
+    assert np.array_equal(_packed.perm_tables(ops, images), natural.perms[tau2.index])
 
 
 def test_outer_automorphism_is_homomorphism_sampled(sp2, tau2):
@@ -358,7 +359,7 @@ def test_build_symplectic_twisted_n1():
 
 def test_transvection_flags_match_scalar(sp2):
     space, group = sp2
-    flags = transvection_flags(space, group.rows)
+    flags = transvection_flags(space, group.keys)
     rng = np.random.default_rng(10)
     for i in rng.integers(0, len(group), size=40):
         assert bool(flags[i]) == is_transvection(space, group.matrix(int(i)))
@@ -391,9 +392,9 @@ def test_packed_kernels_against_python_at_q4():
                 v[0] = 1
             g = g * transvection(space, v, int(rng.integers(1, 4)))
         mats.append(g)
-    rows = space.ops.pack(np.stack([g.A for g in mats]))
-    counts = _packed.fixed_counts(space.ops, rows)
-    perms = _packed.perm_tables(space.ops, rows)
+    keys = space.ops.keys_of(np.stack([g.A for g in mats]))
+    counts = _packed.fixed_counts(space.ops, keys)
+    perms = _packed.perm_tables(space.ops, keys)
     dom = projective_points(space)
     for idx, g in enumerate(mats):
         assert counts[idx] == _python_fixed_count(space, g)
