@@ -31,10 +31,12 @@ from functools import cached_property
 import numpy as np
 
 from ._packed import ROW_CHUNK, chunks, first_of_runs
-from .codes import IndexedDomain, Representation, finish_build, reaches_all, row_keys, support_scan
+from .codes import (
+    IndexedDomain, Representation, check_delta_formulas, finish_build, reaches_all, row_keys, support_scan,
+)
 from .fields import PrimeField
 from .linalg import Matrix
-from .report import stage
+from .report import BuildRecord
 
 GROUP_GUARD = 1 << 21  # max |G| = p^(k+1) for enumeration
 SCAN_GUARD = 1 << 26  # max p^(k+2) twist-scan work
@@ -327,7 +329,7 @@ def fixed_point_count(params: AffineParams, g: AffineElement, by_enumeration=Fal
     return 0
 
 
-def _check_closed_forms(params, checks):
+def _check_closed_forms(params, rec):
     """B^i and Omega(k,i) closed forms against iterated multiplication and
     the literal geometric sum, plus the mod-p periodicity facts."""
     p, k = params.p, params.k
@@ -342,19 +344,19 @@ def _check_closed_forms(params, checks):
         ok_b &= b_power(k, p, i) == acc
         ok_om &= omega_sum(k, p, i) == run
         prev = acc
-    checks["bk_closed_form"] = ok_b
-    checks["bk_order_p"] = b_power(k, p, p).is_identity()
-    checks["omega_closed_form"] = ok_om
-    checks["omega_zero_at_p"] = omega_sum(k, p, p).is_zero()
+    rec.check("bk_closed_form", ok_b)
+    rec.check("bk_order_p", b_power(k, p, p).is_identity())
+    rec.check("omega_closed_form", ok_om)
+    rec.check("omega_zero_at_p", omega_sum(k, p, p).is_zero())
     ok_rec = True
     for i in range(1, p + 1):
         bi = b_power(k, p, i)
         for j in range(1, p + 1):
             ok_rec &= omega_sum(k, p, i + j) == omega_sum(k, p, i) + bi * omega_sum(k, p, j)
-    checks["omega_recurrence"] = ok_rec
+    rec.check("omega_recurrence", ok_rec)
 
 
-def _check_twist_automorphism(group, checks, coverage):
+def _check_twist_automorphism(group, rec):
     """Certificate that T = group.twist, the permutation every twisted
     table is gathered through (in powers), is an automorphism, exhaustively:
     T permutes each exponent block (a scatter count per block, as tau_1
@@ -391,16 +393,14 @@ def _check_twist_automorphism(group, checks, coverage):
 
         return times
 
-    checks["twist_automorphism"] = bool(
-        permutes_blocks() and edges_agree() and reaches_all(n, [step(*mul) for mul in muls])
-    )
-    coverage["twist_automorphism"] = "exhaustive"
+    ok = permutes_blocks() and edges_agree() and reaches_all(n, [step(*mul) for mul in muls])
+    rec.check("twist_automorphism", ok, "exhaustive")
     t0 = group.twist_index(0)
-    checks["twist_identity_r0"] = all(bool((t0[sl] == np.arange(sl.start, sl.stop)).all()) for sl in chunks(n, m))
-    coverage["twist_identity_r0"] = "exhaustive"
+    ok = all((t0[sl] == np.arange(sl.start, sl.stop)).all() for sl in chunks(n, m))
+    rec.check("twist_identity_r0", ok, "exhaustive")
 
 
-def _check_fixed_points(group, fix, sums, checks):
+def _check_fixed_points(group, fix, sums, rec):
     """Fixed-point dichotomy and the per-twist support pattern, from the
     honest counts: column r of fix holds |fix| of the r-twist, and sums
     are support_scan's summed supports of the non-identity elements.  The
@@ -431,13 +431,11 @@ def _check_fixed_points(group, fix, sums, checks):
             and at_p[np.arange(len(table)), r_pred][moving].all()
         )
         faithful &= bool((nat < m).all())
-    checks["fixed_point_dichotomy"] = dichotomy
-    checks["fixed_point_rule"] = rule
-    checks["twist_support_pattern"] = pattern
-
-    tw_min = p * m - p
-    checks["support_sum_dichotomy"] = bool(((sums == tw_min) | (sums == p * m)).all())
-    checks["faithful_natural_action"] = faithful
+    rec.check("fixed_point_dichotomy", dichotomy)
+    rec.check("fixed_point_rule", rule)
+    rec.check("twist_support_pattern", pattern)
+    rec.check("support_sum_dichotomy", ((sums == p * m - p) | (sums == p * m)).all())
+    rec.check("faithful_natural_action", faithful)
 
 
 def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
@@ -452,18 +450,14 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
     build_symplectic_twisted, and unused.
     """
 
-    if check not in ("fast", "all"):
-        raise ValueError(f"unknown check level {check!r}")
+    rec = BuildRecord(check)
     p, k = params.p, params.k
     if p ** (k + 2) > SCAN_GUARD:
         raise ValueError(
             f"p^(k+2) = {p ** (k + 2)} exceeds the twist-scan guard {SCAN_GUARD}"
         )
-    checks: dict[str, bool] = {}
-    times: dict[str, float] = {}
-    coverage: dict[str, str] = {}
 
-    with stage(times, "enumerate"):
+    with rec.stage("enumerate"):
         group = enumerate_group(params)
 
     m = params.num_points
@@ -472,33 +466,30 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
     powers = group.b_pows[group.block_exponents]
     distinct = [int(first_of_runs(np.sort(row_keys(rows.reshape(len(rows), -1)))).sum())
                 for rows in (group.points, powers)]
-    checks["group_order"] = distinct[0] * distinct[1] == p ** (k + 1)
+    rec.check("group_order", distinct[0] * distinct[1] == p ** (k + 1))
     # every stored B^i lower unitriangular (zeros above the diagonal, ones
     # on it) and the i-th power of B: B^0 = I, then B^i = B^(i-1) B
     B = matrix_B(k, p).A.astype(np.int64)
     steps = group.b_pows[:-1].astype(np.int64) @ B % p
-    checks["block_structure"] = bool(
+    rec.check(
+        "block_structure",
         not np.triu(powers, 1).any() and (np.diagonal(powers, axis1=1, axis2=2) == 1).all()
-        and (group.b_pows[0] == np.eye(k)).all() and (group.b_pows[1:] == steps).all()
+        and (group.b_pows[0] == np.eye(k)).all() and (group.b_pows[1:] == steps).all(),
     )
 
-    with stage(times, "closed_forms"):
-        _check_closed_forms(params, checks)
+    with rec.stage("closed_forms"):
+        _check_closed_forms(params, rec)
 
-    with stage(times, "support_scan"):
+    with rec.stage("support_scan"):
         fix = group.fixed_count_table()
-        expected = (p ** (k + 1) - p, p ** (k + 1) - p * p)
-        scan_checks = {}
-        sums, delta_tw, delta_rep = support_scan(fix, m, expected, scan_checks)
-        _check_fixed_points(group, fix, sums, checks)
-        checks.update(scan_checks)  # report order: the fixed-point checks first
+        sums, deltas = support_scan(fix, m)
+        _check_fixed_points(group, fix, sums, rec)
+        check_delta_formulas(rec, deltas, (p ** (k + 1) - p, p ** (k + 1) - p * p))
 
-    with stage(times, "automorphism"):
-        _check_twist_automorphism(group, checks, coverage)
+    with rec.stage("automorphism"):
+        _check_twist_automorphism(group, rec)
 
     return finish_build(
-        group, fix, lambda: (Representation(group, group.twisted_perm_table()), list(group.twist_powers())),
-        family="affine", params={"p": p, "k": k},
-        m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, coverage=coverage, check=check,
-        generators=group.generators() if check == "all" else None,
+        group, fix, lambda: (Representation(group, group.twisted_perm_table()), list(group.twist_powers())), rec,
+        family="affine", params={"p": p, "k": k}, m=m, deltas=deltas, generators=group.generators,
     )

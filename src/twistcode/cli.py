@@ -15,7 +15,7 @@ from .codes import CodewordFileError, min_distance_pairwise, read_code, write_co
 from .symplectic import SymplecticSpace, TauConstructionError, build_symplectic_twisted
 
 
-def _finish(build, args, family_params):
+def _finish(build, args):
     """Print (and write) the report, then write the codeword file only when
     every check passed: a code whose checks failed is not exported."""
     report = build.report
@@ -29,33 +29,15 @@ def _finish(build, args, family_params):
         return 1
     if args.out:
         code, _ = build
-        write_code(args.out, code, report.family, family_params, r=report.reps)
+        write_code(args.out, code, report.family, report.params, r=report.reps)
     return 0
 
 
-def cmd_affine(args):
+def cmd_build(args):
+    """The affine and symplectic subcommands: args.build, set by the
+    subparser, builds and verifies the code from the parsed arguments."""
     try:
-        params = AffineParams(args.p, args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        build = build_affine_twisted(params, check=args.check)
-        return _finish(build, args, {"p": args.p, "k": args.k})
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def cmd_symplectic(args):
-    try:
-        space = SymplecticSpace.create(args.n, args.poly)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        build = build_symplectic_twisted(space, check=args.check)
-        return _finish(build, args, {"n": args.n, "poly": space.field.poly})
+        return _finish(args.build(args), args)
     except TauConstructionError as exc:
         for name, ok in exc.checks.items():
             print(f"check.{name}={'PASS' if ok else 'FAIL'}")
@@ -87,32 +69,31 @@ def _primes_upto(bound):
 
 
 def cmd_table1(args):
-    rows = []
+    # (name, label when skipped, expected gap, build) per row; each row is
+    # built in its turn and only its report kept, so no build's tables
+    # outlive its row
+    rows = [
+        (f"affine(p={p},k={k})", f"affine p={p} k={k}", p * p - p,
+         lambda p=p, k=k: build_affine_twisted(AffineParams(p, k), check="fast"))
+        for p in _primes_upto(args.max_p) for k in range(2, p)
+    ] + [
+        (f"Sp(4,2^{n})", f"symplectic n={n}", 1 << (2 * n),
+         lambda n=n: build_symplectic_twisted(SymplecticSpace.create(n), check="fast"))
+        for n in range(1, args.max_n + 1)
+    ]
+    done = []
     status = 0
-    for p in _primes_upto(args.max_p):
-        for k in range(2, p):
-            try:
-                # only the report is kept, so no build's tables outlive its row
-                r = build_affine_twisted(AffineParams(p, k), check="fast").report
-            except ValueError as exc:
-                print(f"# skipping affine p={p} k={k}: {exc}", file=sys.stderr)
-                continue
-            expected_gap = p * p - p
-            ok = r.all_pass() and r.gap == expected_gap
-            rows.append((f"affine(p={p},k={k})", r.reps, r.alphabet, r.delta_tw, r.gap, ok))
-            status |= 0 if ok else 1
-    for n in range(1, args.max_n + 1):
+    for name, label, expected_gap, build in rows:
         try:
-            r = build_symplectic_twisted(SymplecticSpace.create(n), check="fast").report
+            r = build().report
         except ValueError as exc:
-            print(f"# skipping symplectic n={n}: {exc}", file=sys.stderr)
+            print(f"# skipping {label}: {exc}", file=sys.stderr)
             continue
-        expected_gap = 1 << (2 * n)
         ok = r.all_pass() and r.gap == expected_gap
-        rows.append((f"Sp(4,2^{n})", r.reps, r.alphabet, r.delta_tw, r.gap, ok))
+        done.append((name, r.reps, r.alphabet, r.delta_tw, r.gap, ok))
         status |= 0 if ok else 1
     print(f"{'T':<18} {'r':>4} {'q':>6} {'delta_tw':>9} {'gap':>6}  status")
-    for name, reps, q, tw, gap, ok in rows:
+    for name, reps, q, tw, gap, ok in done:
         print(f"{name:<18} {reps:>4} {q:>6} {tw:>9} {gap:>6}  {'ok' if ok else 'DEVIATES'}")
     return status
 
@@ -130,7 +111,7 @@ def main(argv=None) -> int:
     pa.add_argument("--out", help="write the codeword file here")
     pa.add_argument("--report", help="write the key=value report here")
     pa.add_argument("--check", choices=("fast", "all"), default="fast")
-    pa.set_defaults(func=cmd_affine)
+    pa.set_defaults(func=cmd_build, build=lambda a: build_affine_twisted(AffineParams(a.p, a.k), check=a.check))
 
     ps = sub.add_parser("symplectic", help="build and verify a symplectic twisted code")
     ps.add_argument("--n", type=int, required=True, help="field degree: q = 2^n")
@@ -138,7 +119,9 @@ def main(argv=None) -> int:
     ps.add_argument("--out", help="write the codeword file here")
     ps.add_argument("--report", help="write the key=value report here")
     ps.add_argument("--check", choices=("fast", "all"), default="fast")
-    ps.set_defaults(func=cmd_symplectic)
+    ps.set_defaults(
+        func=cmd_build, build=lambda a: build_symplectic_twisted(SymplecticSpace.create(a.n, a.poly), check=a.check)
+    )
 
     pd = sub.add_parser("dist", help="pairwise minimum distance of a codeword file")
     pd.add_argument("in_file", help="codeword file (twistcode v1 format)")

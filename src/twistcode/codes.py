@@ -10,9 +10,10 @@ once check_distance_invariance has certified it (behind the check="all"
 oracles), and a plain symbol-compare pairwise scan, kept as the
 independent oracle of the `dist` subcommand.
 
-Both families run one pipeline: support_scan turns their (N, r)
-fixed-point table into delta_tw and delta_rep, and finish_build wraps the
-report in a TwistedBuild and runs the check="all" oracles.
+Both families run one pipeline, recording every check in one
+report.BuildRecord: support_scan turns their (N, r) fixed-point table
+into delta_tw and delta_rep, and finish_build wraps the report in a
+TwistedBuild and runs the check="all" oracles.
 
 Permutations are 0-based numpy index arrays internally; codeword symbols
 are 1-based, matching the codeword file format.
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import _packed
 from ._packed import chunks, first_of_runs
-from .report import VerificationReport, coverage_value, stage
+from .report import VerificationReport, coverage_value
 
 FORMAT_MAGIC = "# twistcode v1"
 BLOCK_ENTRIES = 1 << 22  # entries per block of rows (bijection checks, codeword scans, file writes) or per pairwise tile
@@ -428,20 +429,23 @@ class TwistedBuild:
         return iter((self.code, self.report))
 
 
-def support_scan(fix, m, expected, checks):
+def support_scan(fix, m):
     """Support scan over an (N, r) fixed-point table on m points, identity
     in row 0: delta_tw is the least summed support of a non-identity
-    element, delta_rep is r times the least single support.  Checks both
-    and their gap against expected = (delta_tw, delta_rep) closed forms;
-    returns (sums, delta_tw, delta_rep), sums[t - 1] belonging to element t."""
+    element, delta_rep is r times the least single support.  Returns
+    (sums, (delta_tw, delta_rep)), sums[t - 1] belonging to element t."""
     sums = fix[1:].sum(axis=1, dtype=np.int32)  # at most r * m, under 2^31 within the guards
     np.subtract(fix.shape[1] * m, sums, out=sums)  # in place, and no (N, r) copy of the supports
-    delta_tw = int(sums.min())
-    delta_rep = fix.shape[1] * (m - int(fix[1:].max()))
-    checks["delta_tw_formula"] = delta_tw == expected[0]
-    checks["delta_rep_formula"] = delta_rep == expected[1]
-    checks["gap_formula"] = delta_tw - delta_rep == expected[0] - expected[1]
-    return sums, delta_tw, delta_rep
+    return sums, (int(sums.min()), fix.shape[1] * (m - int(fix[1:].max())))
+
+
+def check_delta_formulas(rec, deltas, expected):
+    """Record delta_tw, delta_rep and their gap against the closed forms
+    expected = (delta_tw, delta_rep)."""
+    (delta_tw, delta_rep), (want_tw, want_rep) = deltas, expected
+    rec.check("delta_tw_formula", delta_tw == want_tw)
+    rec.check("delta_rep_formula", delta_rep == want_rep)
+    rec.check("gap_formula", delta_tw - delta_rep == want_tw - want_rep)
 
 
 ORACLES = (
@@ -450,48 +454,45 @@ ORACLES = (
 )  # the check="all" checks of finish_build, in report order
 
 
-def finish_build(group, fix, make_twisting, *, family, params, m, deltas, checks, times, coverage, check, generators):
-    """Assemble the report and the build (make_twisting returns its
-    twisting).  check="all" then materialises the code and certifies the
-    scan independently and exhaustively, adding so to `coverage`: letter
-    counts, distance invariance certified from the code rows `generators`
-    of generating elements, and the pairwise minimum as row 0's, besides
-    the support scan and the repetition bound.  When a check has already
-    failed, the twisting may not even be a group automorphism, so nothing
-    is materialised: every oracle is reported FAIL, with coverage
-    'skipped'."""
+def finish_build(group, fix, make_twisting, rec, *, family, params, m, deltas, generators):
+    """Assemble the report over the build record rec and the build
+    (make_twisting returns its twisting).  At check level "all" it then
+    materialises the code and certifies the scan independently and
+    exhaustively: letter counts, distance invariance certified from the
+    code rows generators() of generating elements, and the pairwise
+    minimum as row 0's, besides the support scan and the repetition bound.
+    When a check has already failed, the twisting may not even be a group
+    automorphism, so nothing is materialised: every oracle is reported
+    FAIL, with coverage 'skipped'."""
     delta_tw, delta_rep = deltas
     n, r = len(group), fix.shape[1]
     report = VerificationReport(
         family, params, reps=r, alphabet=m, length=r * m, code_size=n,
-        delta_tw=delta_tw, delta_rep=delta_rep, checks=checks, times=times, coverage=coverage,
+        delta_tw=delta_tw, delta_rep=delta_rep, record=rec,
     )
     build = TwistedBuild(group, report, fix, make_twisting)
-    if check != "all":
+    if rec.level != "all":
         return build
     if not report.all_pass():
         for name in ORACLES:
-            checks[name] = False
-            coverage[name] = "skipped"
+            rec.check(name, False, "skipped")
         return build
 
-    with stage(times, "materialise"):
+    with rec.stage("materialise"):
         rep, automorphisms = build.twisting
         code = build.code
     report.code_size = code.size
-    checks["code_size_faithful"] = check_code_size(rep, automorphisms, code) and code.size == n
-    for name in ("fpa_letter_counts", "pairwise_delta_agrees", "distance_invariant"):
-        coverage[name] = "exhaustive"
-    with stage(times, "letter_counts"):
-        checks["fpa_letter_counts"] = letter_counts_constant(code, r)
-    with stage(times, "invariance"):
-        invariant = check_distance_invariance(code, generators=generators)
-    with stage(times, "pairwise"):
+    rec.check("code_size_faithful", check_code_size(rep, automorphisms, code) and code.size == n)
+    with rec.stage("letter_counts"):
+        rec.check("fpa_letter_counts", letter_counts_constant(code, r), "exhaustive")
+    with rec.stage("invariance"):
+        invariant = check_distance_invariance(code, generators=generators())
+    with rec.stage("pairwise"):
         least = int(distance_row(code, 0)[1:].min(initial=code.length + 1))
-    checks["pairwise_delta_agrees"] = invariant and least == delta_tw
-    checks["support_scan_agrees"] = min_distance_by_support(rep, automorphisms) == delta_tw
-    checks["repetition_bound_agrees"] = repetition_lower_bound(rep, automorphisms) == delta_rep
-    checks["distance_invariant"] = invariant
+    rec.check("pairwise_delta_agrees", invariant and least == delta_tw, "exhaustive")
+    rec.check("support_scan_agrees", min_distance_by_support(rep, automorphisms) == delta_tw)
+    rec.check("repetition_bound_agrees", repetition_lower_bound(rep, automorphisms) == delta_rep)
+    rec.check("distance_invariant", invariant, "exhaustive")
     return build
 
 

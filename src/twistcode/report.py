@@ -1,9 +1,10 @@
 """Verification report: one table row's worth of recomputed values plus
 named check outcomes, rendered as machine-diffable key=value lines.
 
-Wall-clock timings, recorded per build stage by `stage`, and what each
-check covered ('exhaustive', or k of N cases) are emitted as '# time.*'
-and '# coverage.*' comment lines, so that the non-comment content of a
+A build records its check outcomes, what each check covered
+('exhaustive', or k of N cases) and the wall time of each stage in one
+BuildRecord.  The timings and coverage are emitted as '# time.*' and
+'# coverage.*' comment lines, so that the non-comment content of a
 report file is deterministic for fixed parameters.
 """
 
@@ -19,12 +20,31 @@ def coverage_value(k, total):
     return "exhaustive" if k >= total else f"{k}/{total}"
 
 
-@contextmanager
-def stage(times, name):
-    """Record the wall time of the with-block as times[name]."""
-    t0 = time.monotonic()
-    yield
-    times[name] = time.monotonic() - t0
+class BuildRecord:
+    """One build's named check outcomes, what each covered and its stage
+    times, each in the order recorded (the report's order), at a check
+    level of "fast" or "all"."""
+
+    def __init__(self, check="fast"):
+        if check not in ("fast", "all"):
+            raise ValueError(f"unknown check level {check!r}")
+        self.level = check
+        self.checks: dict[str, bool] = {}
+        self.coverage: dict[str, str] = {}
+        self.times: dict[str, float] = {}
+
+    def check(self, name, ok, covered=None):
+        """Record a check's outcome and, when given, its coverage value."""
+        self.checks[name] = bool(ok)
+        if covered is not None:
+            self.coverage[name] = covered
+
+    @contextmanager
+    def stage(self, name):
+        """Record the wall time of the with-block as times[name]."""
+        t0 = time.monotonic()
+        yield
+        self.times[name] = time.monotonic() - t0
 
 
 @dataclass
@@ -37,15 +57,25 @@ class VerificationReport:
     code_size: int
     delta_tw: int
     delta_rep: int
-    checks: dict = field(default_factory=dict)
-    times: dict = field(default_factory=dict)
-    coverage: dict = field(default_factory=dict)
+    record: BuildRecord = field(default_factory=BuildRecord)
 
     def __post_init__(self):
         if self.delta_tw < self.delta_rep:
             raise ValueError(
                 f"delta_tw={self.delta_tw} below delta_rep={self.delta_rep}: scan is broken"
             )
+
+    @property
+    def checks(self):
+        return self.record.checks
+
+    @property
+    def coverage(self):
+        return self.record.coverage
+
+    @property
+    def times(self):
+        return self.record.times
 
     @property
     def gap(self):

@@ -20,10 +20,10 @@ import numpy as np
 
 from . import _packed
 from ._packed import PackedOps, batch_matmul, batch_matmul_left, batch_exterior_square
-from .codes import IndexedDomain, Representation, finish_build, sample_pairs, support_scan
+from .codes import IndexedDomain, Representation, check_delta_formulas, finish_build, sample_pairs, support_scan
 from .fields import BinaryField
 from .linalg import Matrix, WEDGE_PAIRS, null_space
-from .report import coverage_value, stage
+from .report import BuildRecord, coverage_value
 
 GRAM = np.array(
     [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.uint8
@@ -43,13 +43,13 @@ TAU_STEPS = ("a", "b", "c", "d")  # the verification steps of build_outer_automo
 
 class TauConstructionError(RuntimeError):
     """A verification step of the outer-automorphism construction failed;
-    `step` names it (one of TAU_STEPS).  build_symplectic_twisted attaches
-    `checks`: the steps before it as True, the failed step as False."""
+    `step` names it (one of TAU_STEPS), and `checks` holds the tau_step_*
+    outcomes: the steps before it True, the failed step False."""
 
     def __init__(self, step, message):
         super().__init__(f"step ({step}): {message}")
         self.step = step
-        self.checks = {}
+        self.checks = {f"tau_step_{s}": s != step for s in TAU_STEPS[: TAU_STEPS.index(step) + 1]}
 
 
 def sp4_order(q):
@@ -500,72 +500,60 @@ def build_symplectic_twisted(space, check="fast", rng_seed=1):
     exhaustive.
     """
 
-    if check not in ("fast", "all"):
-        raise ValueError(f"unknown check level {check!r}")
+    rec = BuildRecord(check)
     rng = np.random.default_rng(rng_seed)
     q = space.q
     m = space.num_points
-    checks: dict[str, bool] = {}
-    times: dict[str, float] = {}
-    coverage: dict[str, str] = {}
 
-    with stage(times, "enumerate"):
+    with rec.stage("enumerate"):
         group = generate_group(space)
         form_ok = _preserves_form(space, group.keys)
     n = len(group)
-    checks["group_order"] = n == sp4_order(q)
-    checks["form_preserved"] = bool(form_ok.all())
-    coverage["form_preserved"] = coverage_value(len(form_ok), n)
-    checks["inverses_sampled"], coverage["inverses_sampled"] = _check_inverses_sampled(space, group, rng)
-    checks["products_sampled"], coverage["products_sampled"] = _check_products_sampled(space, group, rng)
+    rec.check("group_order", n == sp4_order(q))
+    rec.check("form_preserved", form_ok.all(), coverage_value(len(form_ok), n))
+    rec.check("inverses_sampled", *_check_inverses_sampled(space, group, rng))
+    rec.check("products_sampled", *_check_products_sampled(space, group, rng))
 
-    with stage(times, "classify"):
+    with rec.stage("classify"):
         flags = group.transvection_mask()
         fix_nat = _packed.fixed_counts(space.ops, group.keys)
-    checks["identity_fixes_all"] = int(fix_nat[0]) == m
-    checks["transvection_count"] = int(flags.sum()) == m * (q - 1)
+    rec.check("identity_fixes_all", int(fix_nat[0]) == m)
+    rec.check("transvection_count", int(flags.sum()) == m * (q - 1))
     trans_fix = q * q + q + 1
-    checks["fixed_trichotomy"] = bool(
-        ((fix_nat[1:] == trans_fix) == flags[1:]).all()
-        and (fix_nat[1:][~flags[1:]] <= 2 * q + 2).all()
+    rec.check(
+        "fixed_trichotomy",
+        ((fix_nat[1:] == trans_fix) == flags[1:]).all() and (fix_nat[1:][~flags[1:]] <= 2 * q + 2).all(),
     )
-    checks["faithful"] = int(fix_nat[1:].max()) < m
+    rec.check("faithful", int(fix_nat[1:].max()) < m)
 
-    with stage(times, "outer_automorphism"):
-        try:
-            tau = build_outer_automorphism(space, group)
-        except TauConstructionError as exc:
-            done = TAU_STEPS[: TAU_STEPS.index(exc.step) + 1]
-            exc.checks = {f"tau_step_{s}": s != exc.step for s in done}
-            raise
-    checks.update((f"tau_step_{s}", True) for s in TAU_STEPS)
+    with rec.stage("outer_automorphism"):
+        tau = build_outer_automorphism(space, group)
+    for s in TAU_STEPS:
+        rec.check(f"tau_step_{s}", True)
 
-    with stage(times, "tau_scan"):
+    with rec.stage("tau_scan"):
         fix_tau = fix_nat[tau.index]
         flags_tau = flags[tau.index]
 
-    with stage(times, "tau_homomorphism"):
-        checks["tau_homomorphism_pairs"], coverage["tau_homomorphism_pairs"] = _check_tau_homomorphism(
-            space, group, tau, rng, HOM_SAMPLES
-        )
+    with rec.stage("tau_homomorphism"):
+        rec.check("tau_homomorphism_pairs", *_check_tau_homomorphism(space, group, tau, rng, HOM_SAMPLES))
 
-    with stage(times, "support_scan"):
+    with rec.stage("support_scan"):
         fix = np.stack([fix_nat, fix_tau], axis=1)
-        sums, delta_tw, delta_rep = support_scan(fix, m, (2 * q**3 + q**2, 2 * q**3), checks)
+        sums, deltas = support_scan(fix, m)
+        check_delta_formulas(rec, deltas, (2 * q**3 + q**2, 2 * q**3))
 
-    attained = np.flatnonzero(sums == delta_tw) + 1
-    checks["min_at_transvection_related"] = bool((flags[attained] | flags_tau[attained]).all())
+    attained = np.flatnonzero(sums == deltas[0]) + 1
+    rec.check("min_at_transvection_related", (flags[attained] | flags_tau[attained]).all())
     neither = ~(flags[1:] | flags_tau[1:])
     least = int(np.min(sums, where=neither, initial=np.iinfo(sums.dtype).max))  # no copy of sums[neither]
-    checks["nontransvection_support_bound"] = least >= 2 * (m - 2 * q - 2) and (q == 2 or least > 2 * q**3 + q**2)
+    rec.check("nontransvection_support_bound", least >= 2 * (m - 2 * q - 2) and (q == 2 or least > 2 * q**3 + q**2))
 
-    # the rows of the GENERATOR_WORDS elements, for the invariance certificate
-    gen_rows = group.indices_of_keys(space.ops.keys_of(generators(space))) if check == "all" else None
     build = finish_build(
-        group, fix, lambda: (group.natural_representation(), [tau.index]),
-        family="symplectic", params={"n": space.n, "poly": space.field.poly},
-        m=m, deltas=(delta_tw, delta_rep), checks=checks, times=times, coverage=coverage,
-        check=check, generators=gen_rows,
+        group, fix, lambda: (group.natural_representation(), [tau.index]), rec,
+        family="symplectic", params={"n": space.n, "poly": space.field.poly}, m=m, deltas=deltas,
+        # the rows of the GENERATOR_WORDS elements, for the invariance certificate
+        generators=lambda: group.indices_of_keys(space.ops.keys_of(generators(space))),
     )
     build.tau = tau
     return build

@@ -20,6 +20,7 @@ from twistcode.affine import (
 from twistcode.cli import main as cli_main
 from twistcode.fields import PrimeField
 from twistcode.linalg import Matrix
+from twistcode.report import BuildRecord
 
 from oracles import affine_element_matrices, affine_twist_index, affine_twisted_table
 
@@ -223,6 +224,15 @@ def test_build_affine_twisted_values():
     oracles = ("fpa_letter_counts", "pairwise_delta_agrees", "distance_invariant")
     assert report.coverage == {"twist_automorphism": "exhaustive", "twist_identity_r0": "exhaustive",
                                **dict.fromkeys(oracles, "exhaustive")}
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (5, 3)])
+def test_affine_coverage_lines(p, k):
+    # the twist certificate's lines, then the check="all" oracles', in report order
+    names = ["twist_automorphism", "twist_identity_r0",
+             "fpa_letter_counts", "pairwise_delta_agrees", "distance_invariant"]
+    lines = build_affine_twisted(AffineParams(p, k), check="all").report.lines()
+    assert [line for line in lines if line.startswith("# coverage.")] == [f"# coverage.{n}=exhaustive" for n in names]
 
 
 def test_group_order_check_can_fail(monkeypatch, capsys):
@@ -465,10 +475,10 @@ def test_check_all_independent_of_block_size(monkeypatch, tmp_path, p, k):
 
 def fixed_point_checks(group, fix):
     """_check_fixed_points on a table, with the sums support_scan takes from it."""
-    sums, _, _ = codes.support_scan(fix, group.params.num_points, (0, 0), {})
-    checks = {}
-    affine._check_fixed_points(group, fix, sums, checks)
-    return checks
+    sums, _ = codes.support_scan(fix, group.params.num_points)
+    rec = BuildRecord()
+    affine._check_fixed_points(group, fix, sums, rec)
+    return rec.checks
 
 
 def mutate_fixed_points(group, fix, case):

@@ -41,6 +41,7 @@ from twistcode.codes import (
 )
 from twistcode.fields import PrimeField
 from twistcode.linalg import Matrix
+from twistcode.report import BuildRecord
 from twistcode.symplectic import SymplecticGroup, SymplecticSpace, build_outer_automorphism, generate_group, generators
 
 from oracles import min_distance_all_pairs, mulclose, usable_cores, write_code_lines
@@ -481,14 +482,24 @@ def test_code_order_with_duplicate_rows():
 
 def test_finish_build_reports_wrong_delta(affine32):
     group, natural, automorphisms = affine32
-    checks = {}
+    rec = BuildRecord("all")
     build = finish_build(
-        group, group.fixed_count_table(), lambda: (natural, automorphisms), family="affine", params={"p": 3, "k": 2},
-        m=9, deltas=(25, 18), checks=checks, times={}, coverage={}, check="all",
-        generators=affine_generator_rows(group),
+        group, group.fixed_count_table(), lambda: (natural, automorphisms), rec, family="affine",
+        params={"p": 3, "k": 2}, m=9, deltas=(25, 18), generators=lambda: affine_generator_rows(group),
     )
     assert "check.pairwise_delta_agrees=FAIL" in build.report.lines()
-    assert checks["distance_invariant"] and checks["fpa_letter_counts"]
+    assert rec.checks["distance_invariant"] and rec.checks["fpa_letter_counts"]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda check: build_affine_twisted(AffineParams(3, 2), check=check),
+     lambda check: symplectic.build_symplectic_twisted(SymplecticSpace.create(1), check=check)],
+    ids=["affine", "symplectic"],
+)
+def test_builders_reject_unknown_check_level(build):
+    with pytest.raises(ValueError, match="unknown check level 'most'"):
+        build("most")
 
 
 def test_check_code_size(affine32):

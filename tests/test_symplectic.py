@@ -289,6 +289,43 @@ def test_tau_step_failure_is_reported(monkeypatch, capsys):
     assert status == 1
 
 
+def _fail_step(monkeypatch, step):
+    """Patch one input of build_outer_automorphism so that its step fails."""
+    real_tau_keys = symplectic._tau_keys
+
+    def duplicated(*args):
+        keys = real_tau_keys(*args)
+        _duplicate_row(keys)
+        return keys
+
+    attr, fake = {
+        "a": ("batch_matmul_left", lambda mul, rows, mats: np.zeros((len(mats), 1, 6), np.uint8)),  # moves w
+        "b": ("null_space", lambda field, functional: np.zeros((4, 6), np.uint8)),  # w-perp of dimension 4
+        "c": ("_symplectic_basis_of", lambda field, F: np.zeros((4, 4), np.uint8)),
+        "d": ("_tau_keys", duplicated),
+    }[step]
+    monkeypatch.setattr(symplectic, attr, fake)
+
+
+@pytest.mark.parametrize(
+    "step, checks",
+    [
+        ("a", {"tau_step_a": False}),
+        ("b", {"tau_step_a": True, "tau_step_b": False}),
+        ("c", {"tau_step_a": True, "tau_step_b": True, "tau_step_c": False}),
+        ("d", {"tau_step_a": True, "tau_step_b": True, "tau_step_c": True, "tau_step_d": False}),
+    ],
+    ids=list("abcd"),
+)
+def test_tau_error_carries_step_checks(monkeypatch, sp2, step, checks):
+    # raised by build_outer_automorphism itself, with no builder around it
+    _fail_step(monkeypatch, step)
+    with pytest.raises(TauConstructionError) as err:
+        build_outer_automorphism(*sp2)
+    assert err.value.step == step
+    assert err.value.checks == checks
+
+
 def _duplicate_row(keys):
     keys[2] = keys[1]
 
