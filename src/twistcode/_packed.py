@@ -15,8 +15,10 @@ at most one block of keys into rows (unpack_keys) at a time.
 
 All functions are pure.  fixed_counts, rank_one_flags and perm_tables
 split their keys into row_blocks and run them on every usable core
-(parallel_map); the other kernels take the batch they get, and the
-builders run the large ones inside parallel_map bodies of their own.
+(parallel_map), as closure does with each level's frontier and
+span_tables with its sum_rank entries; the other kernels take the batch
+they get, and the builders run the large ones inside parallel_map bodies
+of their own.
 """
 
 from __future__ import annotations
@@ -210,9 +212,12 @@ class PackedOps:
         forms = forms.astype(self.key_dtype)
         n = len(forms)
         sum_rank = np.empty(n * n, dtype=np.int8)
-        for sl in chunks(n * n, ROW_CHUNK):
+
+        def fill(sl):
             ab = np.arange(sl.start, sl.stop)
             sum_rank[sl] = _ranks(self, (forms[ab // n] << 2 * self.row_bits) | forms[ab % n])
+
+        parallel_map(fill, row_blocks(n * n))  # _ranks reads smul, canon and lead_shift, all computed above
         pair_span = pair_span.astype(np.uint32)
         sum_rank = sum_rank.reshape(n, n)
         pair_span.setflags(write=False)
@@ -409,37 +414,60 @@ def batch_exterior_square(mul, mats, pairs):
 
 
 def closure(ops: PackedOps, gen_mats, limit):
-    """Level-order closure of the generated matrix group.
+    """Level-order closure of the generated matrix group, each level on
+    every usable core.
 
-    gen_mats is (G, 4, 4) uint8.  Each level forms all G products of every
-    key on the frontier straight from the key: every packed-row field of
-    the key is looked up in the generators' row tables, pre-shifted into
-    place, and the four results are ORed.  Candidates are sorted and
-    deduplicated (first_of_runs); those lookup_sorted misses in the sorted
-    `seen` array are merged into it and form the next frontier.  Returns
-    (levels, keys): the frontier size of each level, the identity's 1
-    first, and the keys in canonical order: the identity first, then
-    ascending key, whatever the generators.  Raises once more than `limit`
-    elements are found.
+    gen_mats is (G, 4, 4) uint8.  Each generator has four 1-D tables, one
+    per key field, mapping a packed row to the product row already shifted
+    into place, so the product of a key and a generator is four gathers
+    ORed.  A level splits its frontier into row_blocks and runs them
+    through parallel_map: a block takes its four fields once (in the
+    smallest dtype that holds a row code), writes its G products into one
+    (G, F) buffer, sorts and deduplicates them (first_of_runs) and keeps
+    those lookup_sorted misses in the sorted `seen` array.  The blocks' new
+    keys are then sorted and deduplicated again, since two blocks may find
+    the same key, and merged into `seen` to form the next frontier; `seen`
+    is only read while the blocks run.  Returns (levels, keys): the
+    frontier size of each level, the identity's 1 first, and the keys in
+    canonical order: the identity first, then ascending key, whatever the
+    generators and the core count.  Raises once more than `limit` elements
+    are found.
     """
 
     kd = ops.key_dtype
-    tables = np.stack([ops.rmul_table(B) for B in np.asarray(gen_mats, dtype=np.uint8)]).T.astype(kd)
     shifts = [kd(ops.row_bits * (3 - i)) for i in range(4)]
-    # (ncodes, G) per key field: row code -> product row, already shifted into place
-    field_tables = [tables << sh for sh in shifts]
+    tables = [[ops.rmul_table(B).astype(kd) << sh for sh in shifts] for B in np.asarray(gen_mats, dtype=np.uint8)]
+    code_dtype = np.min_scalar_type(ops.ncodes - 1)
     field_mask = kd(ops.ncodes - 1)
     id_key = ops.keys_of(np.eye(4, dtype=np.uint8))
     seen = frontier = id_key
     levels = []
+
+    def new_keys(sl):
+        keys = frontier[sl]
+        fields = [(keys >> shifts[0]).astype(code_dtype)]  # the top field needs no mask
+        fields += [((keys >> sh) & field_mask).astype(code_dtype) for sh in shifts[1:]]
+        cand = np.empty((len(tables), len(keys)), dtype=kd)
+        term = np.empty(len(keys), dtype=kd)
+        # every field is below ncodes, the table length, so "clip" never
+        # clips; it spares the bounds check and the buffered `out` of "raise"
+        for out, gen_tables in zip(cand, tables):
+            np.take(gen_tables[0], fields[0], out=out, mode="clip")
+            for t, f in zip(gen_tables[1:], fields[1:]):
+                out |= np.take(t, f, out=term, mode="clip")
+        cand = cand.ravel()
+        cand.sort()
+        cand = cand[first_of_runs(cand)]
+        return cand[lookup_sorted(seen, cand) < 0]
+
     while frontier.size:
         levels.append(frontier.size)
-        out = field_tables[0][frontier >> shifts[0]]  # the top field needs no mask
-        for t, sh in zip(field_tables[1:], shifts[1:]):
-            out |= t[(frontier >> sh) & field_mask]
-        cand = np.sort(out, axis=None)
-        cand = cand[first_of_runs(cand)]
-        frontier = cand[lookup_sorted(seen, cand) < 0]
+        found = parallel_map(new_keys, row_blocks(frontier.size))
+        frontier = found[0]
+        if len(found) > 1:
+            frontier = np.concatenate(found)
+            frontier.sort()
+            frontier = frontier[first_of_runs(frontier)]
         if seen.size + frontier.size > limit:
             raise RuntimeError(f"closure exceeded the limit {limit}")
         # two ascending runs: the stable sort (timsort) merges them in one pass

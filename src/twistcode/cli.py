@@ -86,6 +86,9 @@ def cmd_table1(args):
     for name, label, expected_gap, build in rows:
         try:
             r = build().report
+        except RuntimeError as exc:  # a row the program got wrong is not skipped
+            print(f"internal consistency error at {label}: {exc}", file=sys.stderr)
+            return 1
         except ValueError as exc:
             print(f"# skipping {label}: {exc}", file=sys.stderr)
             continue

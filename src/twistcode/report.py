@@ -60,8 +60,8 @@ class VerificationReport:
     record: BuildRecord = field(default_factory=BuildRecord)
 
     def __post_init__(self):
-        if self.delta_tw < self.delta_rep:
-            raise ValueError(
+        if self.delta_tw < self.delta_rep:  # the twists can only add distance: an internal error
+            raise RuntimeError(
                 f"delta_tw={self.delta_tw} below delta_rep={self.delta_rep}: scan is broken"
             )
 

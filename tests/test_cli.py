@@ -130,6 +130,34 @@ def test_table1(capsys):
     assert all(l.endswith("ok") for l in lines[1:] if l and not l.startswith("#"))
 
 
+def broken_support_scan(monkeypatch):
+    """Make affine's support scan return delta_tw = delta_rep - 1, which no
+    correct scan can: the twists never lower the distance."""
+    real = affine.support_scan
+
+    def broken(fix, m):
+        sums, (_, delta_rep) = real(fix, m)
+        return sums, (delta_rep - 1, delta_rep)
+
+    monkeypatch.setattr(affine, "support_scan", broken)
+
+
+def test_broken_scan_is_an_internal_error(monkeypatch, capsys):
+    # exit 1, not the exit 2 of bad parameters
+    broken_support_scan(monkeypatch)
+    status, out, err = run(capsys, "affine", "--p", "3", "--k", "2")
+    assert status == 1 and out == ""
+    assert err == "internal consistency error: delta_tw=17 below delta_rep=18: scan is broken\n"
+
+
+def test_table1_broken_scan_is_not_skipped(monkeypatch, capsys):
+    broken_support_scan(monkeypatch)
+    status, out, err = run(capsys, "table1", "--max-p", "3", "--max-n", "1")
+    assert status == 1 and out == ""
+    assert err == "internal consistency error at affine p=3 k=2: delta_tw=17 below delta_rep=18: scan is broken\n"
+    assert "# skipping" not in err
+
+
 def test_report_determinism(capsys, tmp_path):
     r1, r2 = tmp_path / "r1", tmp_path / "r2"
     run(capsys, "affine", "--p", "5", "--k", "2", "--report", str(r1))

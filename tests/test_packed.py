@@ -6,7 +6,7 @@ Matrix.rank, the key-based kernels against their row-based references
 (every key at q = 2, random batches up to q = 16), the dense batch_matmul and batch_matmul_left against a loop of
 BinaryField.matmul, rows_matmul against batch_matmul, the size guards
 of the wedge, form and minor tables, and parallel_map, through which the
-row kernels run on every usable core."""
+row kernels and the closure levels run on every usable core."""
 
 import functools
 import hashlib
@@ -138,6 +138,54 @@ def test_closure_limit_guard(sp42):
     space, gens = sp42
     with pytest.raises(RuntimeError, match="limit 719"):
         _packed.closure(space.ops, gens, limit=sp4_order(2) - 1)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_closure_equal_across_core_counts(monkeypatch, sp42, cores):
+    # levels of up to 274 keys in blocks of 7 // cores keys, strided over the
+    # workers, against one block per level on the calling thread
+    space, gens = sp42
+    gen_sets = {
+        "all_transvections": gens,
+        "shuffled": gens[np.random.default_rng(7).permutation(len(gens))],
+        "generators": generators(space),
+    }
+    want = {name: _packed.closure(space.ops, g, limit=720) for name, g in gen_sets.items()}
+    monkeypatch.setattr(_packed, "ROW_CHUNK", 7)
+    usable_cores(monkeypatch, cores)
+    started = recording_threads(monkeypatch)
+    before = threading.active_count()
+    for name, g in gen_sets.items():
+        levels, keys = _packed.closure(space.ops, g, limit=720)
+        assert levels == want[name][0], name
+        assert np.array_equal(keys, want[name][1]), name
+        assert hashlib.sha256(keys.tobytes()).hexdigest() == CLOSURE_Q2_DIGEST
+    assert bool(started) == (cores > 1)
+    # the guard trips on the new keys of the 274-key level, here 40 to 137 blocks
+    assert want["all_transvections"][0][-2] == 274
+    with pytest.raises(RuntimeError, match="limit 719"):
+        _packed.closure(space.ops, gens, limit=sp4_order(2) - 1)
+    assert threading.active_count() == before
+
+
+def test_closure_single_block_levels_start_no_thread(monkeypatch, sp42):
+    # at q = 2 every level fits one block of ROW_CHUNK // 3 keys
+    space, gens = sp42
+    usable_cores(monkeypatch, 3)
+    started = recording_threads(monkeypatch)
+    _, keys = _packed.closure(space.ops, gens, limit=720)
+    assert started == []
+    assert hashlib.sha256(keys.tobytes()).hexdigest() == CLOSURE_Q2_DIGEST
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_span_tables_equal_across_core_counts(monkeypatch, cores):
+    field = SymplecticSpace.create(1).field
+    want = _packed.PackedOps(field, 4).span_tables
+    monkeypatch.setattr(_packed, "ROW_CHUNK", 7)
+    usable_cores(monkeypatch, cores)
+    got = _packed.PackedOps(field, 4).span_tables  # a fresh cache: 2601 sums in blocks of 7 // cores
+    assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
 
 
 @functools.cache
