@@ -225,6 +225,12 @@ class AffineGroup:
         starts = (self.block_exponents + i_y) % p * m  # element_index's block of exponent i + i_y
         return starts, ranks
 
+    def right_step(self, y):
+        """x -> x g_y on index arrays (a codes.reaches_all step), through right_multiplier's tables."""
+        starts, ranks = self.right_multiplier(y)
+        m = self.params.num_points
+        return lambda idx: starts[idx // m] + ranks[idx % m]
+
     def twist_index(self, r):
         """tau_r as a permutation of the enumerated group, tau_r(g_j) =
         g_index[j]: (u, i) goes to (u + r w(i), i), one exponent block at a
@@ -386,14 +392,7 @@ def _check_twist_automorphism(group, rec):
                     return False
         return True
 
-    def step(starts, ranks):
-        def times(idx):
-            block, rank = np.divmod(idx, m)
-            return starts[block] + ranks[rank]
-
-        return times
-
-    ok = permutes_blocks() and edges_agree() and reaches_all(n, [step(*mul) for mul in muls])
+    ok = permutes_blocks() and edges_agree() and reaches_all(n, [group.right_step(s) for s in gens])
     rec.check("twist_automorphism", ok, "exhaustive")
     t0 = group.twist_index(0)
     ok = all((t0[sl] == np.arange(sl.start, sl.stop)).all() for sl in chunks(n, m))
@@ -444,8 +443,8 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
     check="fast" runs the closed-form and support-scan suite and the
     twist-automorphism certificate; check="all" additionally materialises
     the code and runs the pairwise-distance oracle, the distance-invariance
-    certificate over the code rows of B and the e_k translation, and the
-    letter-count (FPA) property.  Every check is exhaustive and nothing is
+    certificate over the (row, right_step) pairs of B and the e_k
+    translation, and the letter-count (FPA) property.  Every check is exhaustive and nothing is
     drawn at random: rng_seed is accepted for a signature shared with
     build_symplectic_twisted, and unused.
     """
@@ -491,5 +490,6 @@ def build_affine_twisted(params: AffineParams, check="fast", rng_seed=1):
 
     return finish_build(
         group, fix, lambda: (Representation(group, group.twisted_perm_table()), list(group.twist_powers())), rec,
-        family="affine", params={"p": p, "k": k}, m=m, deltas=deltas, generators=group.generators,
+        family="affine", params={"p": p, "k": k}, m=m, deltas=deltas,
+        generators=lambda: [(s, group.right_step(s)) for s in group.generators()],
     )

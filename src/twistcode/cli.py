@@ -54,10 +54,7 @@ def cmd_build(args):
 def cmd_dist(args):
     try:
         code, _ = read_code(args.in_file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CodewordFileError as exc:
+    except (OSError, CodewordFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"delta={min_distance_pairwise(code)}")

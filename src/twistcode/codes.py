@@ -6,9 +6,9 @@ forms of rho and of rho . tau for automorphisms tau, read from rho's one
 table through tau's index permutation of the group.  Minimum distance is
 computed three ways: a support-sum scan over group elements (valid
 whenever the joint kernel is trivial), the least distance from codeword 0
-once check_distance_invariance has certified it (behind the check="all"
-oracles), and a plain symbol-compare pairwise scan, kept as the
-independent oracle of the `dist` subcommand.
+once check_distance_invariance has certified it against the group's right
+multiplication (behind the check="all" oracles), and a plain
+symbol-compare pairwise scan, the independent oracle of `dist`.
 
 Both families run one pipeline, recording every check in one
 report.BuildRecord: support_scan turns their (N, r) fixed-point table
@@ -155,8 +155,8 @@ class Representation:
 
 class Code:
     """Deduplicated codeword list over alphabet {1..q}; rows are 1-based.
-    Each duplicate row keeps its first occurrence; `order` lists the row
-    indices by ascending row_keys, from the dedup's one argsort."""
+    Each duplicate row keeps its first occurrence, so the rows are
+    distinct."""
 
     def __init__(self, words, q):
         words = np.ascontiguousarray(words)
@@ -173,9 +173,8 @@ class Code:
             lo = max(sl.start - 1, 0)  # and the key before it
             first[sl] = first_of_runs(keys[order[lo : sl.stop]])[sl.start - lo :]
         if not first.all():
-            kept = np.sort(order[first])
-            words, order = words[kept], np.searchsorted(kept, order[first])
-        self.words, self.order = _frozen(words), _frozen(order)
+            words = words[np.sort(order[first])]
+        self.words = _frozen(words)
         self.q = q
 
     @property
@@ -295,37 +294,39 @@ def distance_row(code: Code, i) -> np.ndarray:
 def check_distance_invariance(code: Code, *, generators) -> bool:
     """Certificate, from the codewords alone, that every codeword has the
     same distance distribution (Bailey, "Error-correcting codes from
-    permutation groups", Discrete Math. 309, 2009).  Each generator row c_s
-    must be blocks of permutations of 1..q, so sigma_s(b q + j) = b q +
-    c_s[b q + j] - 1 permutes the columns (a Hamming isometry), and the code
-    gathered through sigma_s must hold the code's rows (equal sorted
-    row_keys), so sigma_s also permutes the rows.  True iff all do, and they
-    reach every row from row 0: a group of isometries acts transitively, so
-    the minimum distance is row 0's least nonzero one.  Sufficient, not
-    necessary: a pass proves invariance whatever the rows given; an
-    invariant code fails when they are not permutation blocks or do not act
-    transitively.  In a group code sigma_s maps the codeword of x to that of
-    s x, so rows of generating elements pass."""
+    permutation groups", Discrete Math. 309, 2009).  generators are
+    (s, step) pairs.  Codeword s must be blocks of permutations of 1..q, so
+    relabelling each block's symbols through codeword s's block is a
+    Hamming isometry f_s, and every row x, relabelled, must equal row
+    step(x) (step maps an index array, as in reaches_all), a block of rows
+    at a time on every usable core.  A Code's rows are distinct and f_s is
+    one-to-one, so such a step permutes the rows.  True iff all pass, and
+    the steps reach every row from row 0: a group of isometries acts
+    transitively, so the minimum distance is row 0's least nonzero one.
+    Sufficient, not necessary: a pass proves invariance whatever the pairs.
+    In a group code f_s maps the codeword of x to that of x s, so
+    generating elements s with steps x -> x s pass."""
     if code.size <= 1:
         return True
     if code.length % code.q:
         return False
-    q, keys, order = code.q, row_keys(code.words), code.order
-    maps = []
-    for s in generators:
-        perm = code.words[s].reshape(-1, q).astype(np.intp) - 1
-        if not _rows_are_permutations(perm):
+    n, q, words = code.size, code.q, code.words
+    images = []
+    for s, step in generators:
+        tables = np.insert(words[s].reshape(-1, q), 0, 0, axis=1)  # tables[b, v]: symbol v of block b, relabelled
+        image = step(np.arange(n))
+        if not _rows_sort_to(tables[:, 1:], np.arange(1, q + 1)) or image.min() < 0 or image.max() >= n:
             return False
-        # np.take, as W[:, sigma] gathers the columns several times slower
-        moved = row_keys(np.take(code.words, (q * np.arange(len(perm))[:, None] + perm).ravel(), axis=1))
-        moved_order = np.argsort(moved)
-        if not all((moved[moved_order[sl]] == keys[order[sl]]).all() for sl in _row_blocks(code.size, code.length)):
+
+        def agrees(sl):
+            moved = words[image[sl]]
+            return all((np.take(table, words[sl, cols], mode="clip") == moved[:, cols]).all()
+                       for table, cols in zip(tables, chunks(code.length, q)))
+
+        if not all(_packed.parallel_map(agrees, _row_blocks(n, code.length * _packed.usable_cores()))):
             return False
-        row_map = np.empty(code.size, dtype=np.intp)
-        row_map[moved_order] = order  # gathered row x is codeword row_map[x]
-        maps.append(row_map.__getitem__)
-        del moved  # one gathered copy of the code at a time
-    return reaches_all(code.size, maps)
+        images.append(image.__getitem__)
+    return reaches_all(n, images)
 
 
 def reaches_all(n, steps):
@@ -459,8 +460,8 @@ def finish_build(group, fix, make_twisting, rec, *, family, params, m, deltas, g
     (make_twisting returns its twisting).  At check level "all" it then
     materialises the code and certifies the scan independently and
     exhaustively: letter counts, distance invariance certified from the
-    code rows generators() of generating elements, and the pairwise
-    minimum as row 0's, besides the support scan and the repetition bound.
+    (row, step) pairs generators() of generating elements (x -> x s), the
+    pairwise minimum as row 0's, the support scan and the repetition bound.
     When a check has already failed, the twisting may not even be a group
     automorphism, so nothing is materialised: every oracle is reported
     FAIL, with coverage 'skipped'."""

@@ -12,7 +12,7 @@ import numpy as np
 
 from twistcode import _packed
 from twistcode.affine import matrix_B
-from twistcode.codes import FORMAT_MAGIC, hamming_distance
+from twistcode.codes import FORMAT_MAGIC, hamming_distance, row_keys
 from twistcode.linalg import Matrix
 from twistcode.symplectic import GRAM
 
@@ -96,6 +96,39 @@ def min_distance_all_pairs(code):
     """The least hamming_distance over every unordered pair of codewords,
     one pair at a time; 0 with fewer than two codewords."""
     return min((hamming_distance(a, b) for a, b in itertools.combinations(code.words, 2)), default=0)
+
+
+def sorted_key_invariance(code, rows):
+    """The sorted-key reference of check_distance_invariance, from plain
+    code rows: codeword s, read block by block, is a column permutation
+    sigma_s (a Hamming isometry), the code gathered through sigma_s must
+    hold the code's rows (its sorted row_keys equal the code's, argsorted
+    here), so sigma_s maps each row to a row, and a set-based search along
+    these row maps must reach every row from row 0.  In a group code
+    sigma_s maps the codeword of x to that of s x."""
+    if code.size <= 1:
+        return True
+    if code.length % code.q:
+        return False
+    q, keys = code.q, row_keys(code.words)
+    order = np.argsort(keys)
+    maps = []
+    for s in rows:
+        perm = code.words[s].reshape(-1, q).astype(np.intp) - 1
+        if not (np.sort(perm, axis=1) == np.arange(q)).all():
+            return False
+        moved = row_keys(np.take(code.words, (q * np.arange(len(perm))[:, None] + perm).ravel(), axis=1))
+        moved_order = np.argsort(moved)
+        if not (moved[moved_order] == keys[order]).all():
+            return False
+        row_map = np.empty(code.size, dtype=np.intp)
+        row_map[moved_order] = order  # gathered row x is codeword row_map[x]
+        maps.append(row_map)
+    reached, frontier = {0}, {0}
+    while frontier:
+        frontier = {int(row_map[x]) for x in frontier for row_map in maps} - reached
+        reached |= frontier
+    return len(reached) == code.size
 
 
 def write_code_lines(path, code, family, params, r=1):

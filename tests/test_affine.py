@@ -342,12 +342,14 @@ def test_iterated_twists_equal_closed_forms(p, k):
 
 
 def test_right_multiplier_is_the_group_product(g32):
-    # right multiplication, as (starts, ranks), against product_index for every pair
+    # right multiplication, as (starts, ranks) and as right_step, against product_index for every pair
     m = g32.params.num_points
     for y in range(len(g32)):
         starts, ranks = g32.right_multiplier(y)
         x = np.arange(len(g32))
-        assert np.array_equal(starts[x // m] + ranks[x % m], [g32.product_index(a, y) for a in x])
+        want = [g32.product_index(a, y) for a in x]
+        assert np.array_equal(starts[x // m] + ranks[x % m], want)
+        assert np.array_equal(g32.right_step(y)(x), want)
 
 
 def test_twist_certificate_exhaustive_past_sampling_size():

@@ -44,7 +44,7 @@ from twistcode.linalg import Matrix
 from twistcode.report import BuildRecord
 from twistcode.symplectic import SymplecticGroup, SymplecticSpace, build_outer_automorphism, generate_group, generators
 
-from oracles import min_distance_all_pairs, mulclose, usable_cores, write_code_lines
+from oracles import min_distance_all_pairs, mulclose, sorted_key_invariance, usable_cores, write_code_lines
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +203,7 @@ def test_twisted_code_equals_gathered_oracle(monkeypatch, affine32, sp2, block):
         want, sizes = gathered_oracle(group, natural, automorphisms)
         code = build_twisted_code(natural, automorphisms)
         assert code.words.dtype == want.words.dtype
-        assert np.array_equal(code.words, want.words) and np.array_equal(code.order, want.order)
+        assert np.array_equal(code.words, want.words)
         total = sum(sizes)
         assert np.array_equal(summed_supports(natural, automorphisms), total)
         assert min_distance_by_support(natural, automorphisms) == int(total[1:].min())
@@ -324,6 +324,26 @@ def affine_generator_rows(group):
     return [group.element_index(0 * e_k, 1), group.element_index(e_k, group.params.p)]
 
 
+def affine_steps(group, rows):
+    """(s, step) for each row s: step is right multiplication by s."""
+    return [(s, group.right_step(s)) for s in rows]
+
+
+def sp2_steps(group, rows):
+    """(s, step) for each row s: step is right multiplication by s."""
+    return [(s, lambda x, s=s: group.product_index(x, s)) for s in rows]
+
+
+def relabel_steps(code, rows):
+    """(s, step) for each row s, step read off the code one row at a time:
+    row x goes to the row that equals x with each block's symbols
+    relabelled through row s's block, -1 where no row does."""
+    index = {tuple(w): i for i, w in enumerate(code.words.tolist())}
+    offsets = np.arange(code.length) // code.q * code.q - 1
+    return [(s, np.array([index.get(tuple(code.words[s].take(offsets + w, mode="clip")), -1)
+                          for w in code.words.astype(np.intp)]).__getitem__) for s in rows]
+
+
 def test_reaches_all():
     cycle = np.roll(np.arange(5), -1)
     assert reaches_all(1, [])
@@ -337,13 +357,17 @@ def test_reaches_all():
 def test_distance_invariance_small_cases(affine32):
     assert check_distance_invariance(Code(np.array([[1, 2, 3]]), 3), generators=[])
     # invariant, but its rows are not permutations of 1..q: not certified
-    assert not check_distance_invariance(Code(np.array([[1, 2], [1, 3]]), 3), generators=[0, 1])
-    # the column map [1, 0, 0] of the first row swaps the rows, but is no isometry
-    assert not check_distance_invariance(Code(np.array([[2, 1, 1], [1, 2, 2]]), 3), generators=[0])
+    code = Code(np.array([[1, 2], [1, 3]]), 3)
+    assert not check_distance_invariance(code, generators=relabel_steps(code, [0, 1]))
+    # relabelling through the first row (1 -> 2, 2 -> 1, 3 -> 1) swaps the rows, but is no isometry
+    code = Code(np.array([[2, 1, 1], [1, 2, 2]]), 3)
+    assert not check_distance_invariance(code, generators=[(0, np.array([1, 0]).__getitem__)])
     # distances {0, 2, 2} from the first row, {0, 2, 3} from the second
-    assert not check_distance_invariance(Code(np.array([[1, 2, 3], [2, 1, 3], [3, 2, 1]]), 3), generators=[0, 1, 2])
+    code = Code(np.array([[1, 2, 3], [2, 1, 3], [3, 2, 1]]), 3)
+    assert not check_distance_invariance(code, generators=relabel_steps(code, [0, 1, 2]))
     group, natural, automorphisms = affine32
-    assert check_distance_invariance(build_twisted_code(natural, automorphisms), generators=affine_generator_rows(group))
+    code = build_twisted_code(natural, automorphisms)
+    assert check_distance_invariance(code, generators=affine_steps(group, affine_generator_rows(group)))
 
 
 def invariant_by_rows(code):
@@ -393,11 +417,33 @@ def certificate_codes(draw):
     return Code(words.astype(np.uint8), q)
 
 
+@st.composite
+def certificate_steps(draw, code):
+    """(s, step) for every row s of the code: its relabel_steps step, a
+    permutation or any map into range(n), sometimes with one entry set to
+    -1 or n."""
+    n = code.size
+    pairs = []
+    for s, relabel in relabel_steps(code, range(n)):
+        kind = draw(st.sampled_from(["relabel", "permutation", "map"]))
+        if kind == "relabel":
+            image = relabel(np.arange(n))
+        elif kind == "permutation":
+            image = np.array(draw(st.permutations(range(n))))
+        else:
+            image = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+        if draw(st.sampled_from(["keep", "keep", "keep", "off"])) == "off":
+            image[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1, n]))
+        pairs.append((s, image.__getitem__))
+    return pairs
+
+
 @settings(max_examples=100, deadline=None)
-@given(certificate_codes())
-def test_invariance_certificate_sound(code):
-    # a pass, with every row as a generator, proves invariance and delta from row 0
-    if check_distance_invariance(code, generators=range(code.size)):
+@given(st.data())
+def test_invariance_certificate_sound(data):
+    # a pass, with every row as a generator and whatever its step, proves invariance and delta from row 0
+    code = data.draw(certificate_codes())
+    if check_distance_invariance(code, generators=data.draw(certificate_steps(code))):
         assert invariant_by_rows(code)
         assert code.size == 1 or int(distance_row(code, 0)[1:].min()) == min_distance_pairwise(code)
 
@@ -414,36 +460,104 @@ def test_invariance_certificate_complete_on_permutation_groups(case):
     conj = np.argsort(h)[nat[:, h]]  # h^-1 x h, a second representation
     code = Code(np.concatenate([nat, conj], axis=1) + 1, len(h))
     assert code.size == len(elements)
-    assert check_distance_invariance(code, generators=[index[g] for g in gens])
+    # relabelling through g sends the passive form of x to that of x, then g
+    steps = [(index[g], np.array([index[tuple(np.array(g)[x])] for x in nat]).__getitem__) for g in gens]
+    assert check_distance_invariance(code, generators=steps)
     if code.size > 1:
         assert int(distance_row(code, 0)[1:].min()) == min_distance_pairwise(code)
 
 
-def test_invariance_certificate_complete_on_families(sp2):
-    for p, k in [(3, 2), (5, 2)]:
-        build = build_affine_twisted(AffineParams(p, k))
-        group, code = build.group, build.code
-        assert check_distance_invariance(code, generators=affine_generator_rows(group))
-        assert int(distance_row(code, 0)[1:].min()) == min_distance_pairwise(code) == p ** (k + 1) - p
-    space, group, natural = sp2
-    code = build_twisted_code(natural, [build_outer_automorphism(space, group).index])
-    assert check_distance_invariance(code, generators=sp2_generator_rows(space, group))
-    assert int(distance_row(code, 0)[1:].min()) == min_distance_pairwise(code) == 20
+FAMILIES = [(3, 2), (5, 2), (5, 3), "Sp(4,2)"]
 
 
-def test_invariance_certificate_fails_on_mutations(affine32):
-    group, natural, automorphisms = affine32
-    code = build_twisted_code(natural, automorphisms)
-    gens = affine_generator_rows(group)
-    assert check_distance_invariance(code, generators=gens)
+def family_code(family, sp2):
+    """(code, generator rows, steps, delta_tw) of a family's check="all" code:
+    steps(rows) pairs each row with right multiplication by it."""
+    if family == "Sp(4,2)":
+        space, group, natural = sp2
+        code = build_twisted_code(natural, [build_outer_automorphism(space, group).index])
+        return code, list(sp2_generator_rows(space, group)), lambda rows: sp2_steps(group, rows), 20
+    p, k = family
+    build = build_affine_twisted(AffineParams(p, k))
+    group = build.group
+    return build.code, affine_generator_rows(group), lambda rows: affine_steps(group, rows), p ** (k + 1) - p
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=str)
+def test_invariance_certificate_complete_on_families(family, sp2):
+    # the certificate and its sorted-key reference both pass, and each step x -> x s is
+    # the relabelling through row s
+    code, rows, steps, delta = family_code(family, sp2)
+    assert check_distance_invariance(code, generators=steps(rows))
+    assert sorted_key_invariance(code, rows)
+    x = np.arange(code.size)
+    for (_, step), (_, relabel) in zip(steps(rows), relabel_steps(code, rows)):
+        assert np.array_equal(step(x), relabel(x))
+    assert int(distance_row(code, 0)[1:].min()) == min_distance_pairwise(code) == delta
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=str)
+def test_invariance_certificate_fails_on_mutations(family, sp2):
+    # the certificate and its sorted-key reference both fail
+    code, rows, steps, _ = family_code(family, sp2)
     swapped = code.words.copy()
     swapped[7, [0, 1]] = swapped[7, [1, 0]]  # two symbols of one codeword
-    assert not check_distance_invariance(Code(swapped, code.q), generators=gens)
     dropped = Code(code.words[:-1], code.q)  # the last row; the generator rows stay put
-    assert max(gens) < dropped.size
-    assert not check_distance_invariance(dropped, generators=gens)
-    assert not check_distance_invariance(code, generators=[0])  # the identity alone
-    assert not check_distance_invariance(code, generators=gens[:1])  # B alone: cyclic of order p
+    assert max(rows) < dropped.size
+    mutants = [
+        (Code(swapped, code.q), rows), (dropped, rows),
+        (code, [0]),  # the identity alone
+        (code, rows[:1]),  # one generator alone: cyclic
+    ]
+    for mutant, gens in mutants:
+        assert not check_distance_invariance(mutant, generators=steps(gens))
+        assert not sorted_key_invariance(mutant, gens)
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_invariance_certificate_fails_on_bad_steps(monkeypatch, affine32, sp2, cores):
+    # each returns False, and none raises, on blocks of a few rows split over `cores` workers
+    usable_cores(monkeypatch, cores)
+    monkeypatch.setattr(codes, "BLOCK_ENTRIES", 1 << 10)
+    group, natural, automorphisms = affine32
+    code = build_twisted_code(natural, automorphisms)
+    (s, step), *rest = pairs = affine_steps(group, affine_generator_rows(group))
+    image = step(np.arange(code.size))
+    off_low, off_high, swapped = image.copy(), image.copy(), image.copy()
+    off_low[9], off_high[4] = -1, code.size
+    swapped[[3, 5]] = swapped[[5, 3]]  # two step targets
+    for bad in (off_low, off_high, swapped):
+        assert check_distance_invariance(code, generators=[(s, bad.__getitem__), *rest]) is False
+    changed = code.words.copy()
+    changed[7, 0] = changed[7, 1]  # one symbol of one codeword: block 0 of row 7 is no permutation
+    mutant = Code(changed, code.q)
+    assert mutant.size == code.size
+    assert check_distance_invariance(mutant, generators=pairs) is False
+    assert check_distance_invariance(mutant, generators=[*pairs, (7, group.right_step(7))]) is False
+    # at Sp(4, 2), one key moved off the group: indices_of_keys misses its products, and the steps return -1
+    space, spgroup, natural = sp2
+    spcode = build_twisted_code(natural, [build_outer_automorphism(space, spgroup).index])
+    keys = spgroup.keys.copy()
+    i = next(i for i in range(1, len(keys) - 1) if keys[i] + 1 < keys[i + 1] and keys[i] + 1 != keys[0])
+    keys[i] += 1
+    broken, rows = SymplecticGroup(space, keys), sp2_generator_rows(space, spgroup)
+    assert (broken.product_index(np.arange(len(keys)), rows[0]) == -1).any()
+    assert check_distance_invariance(spcode, generators=sp2_steps(broken, rows)) is False
+
+
+def test_invariance_certificate_allocates_no_code_copy(monkeypatch):
+    # blocks of rows are relabelled and compared in place of a gathered copy of the whole code
+    build = build_affine_twisted(AffineParams(7, 3))
+    group, code = build.group, build.code
+    pairs = affine_steps(group, affine_generator_rows(group))
+    monkeypatch.setattr(codes, "BLOCK_ENTRIES", 1 << 16)
+    tracemalloc.start()
+    try:
+        ok = check_distance_invariance(code, generators=pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and peak < code.words.nbytes // 8
 
 
 @settings(max_examples=60, deadline=None)
@@ -468,16 +582,12 @@ def test_code_dedup_matches_unique_axis0(words, chunk):
         mp.setattr(codes, "BLOCK_ENTRIES", chunk)
         code = Code(words, 3)
     assert np.array_equal(code.words, words[np.sort(first)])
-    # the kept rows are distinct, so every argsort of their keys is code.order
-    assert np.array_equal(code.order, np.argsort(codes.row_keys(code.words)))
 
 
-def test_code_order_with_duplicate_rows():
+def test_code_dedup_keeps_first_occurrences():
     words = np.array([[2, 1], [1, 2], [2, 1], [1, 1], [1, 2]], dtype=np.uint8)
-    code = Code(words, 2)
-    assert code.words.tolist() == [[2, 1], [1, 2], [1, 1]]  # first occurrences, in input order
-    assert code.order.tolist() == [2, 1, 0]  # rows by ascending key: [1, 1] < [1, 2] < [2, 1]
-    assert Code(code.words[::-1], 2).order.tolist() == [0, 1, 2]
+    assert Code(words, 2).words.tolist() == [[2, 1], [1, 2], [1, 1]]  # in input order
+    assert Code(words[::-1], 2).words.tolist() == [[1, 2], [1, 1], [2, 1]]
 
 
 def test_finish_build_reports_wrong_delta(affine32):
@@ -485,7 +595,8 @@ def test_finish_build_reports_wrong_delta(affine32):
     rec = BuildRecord("all")
     build = finish_build(
         group, group.fixed_count_table(), lambda: (natural, automorphisms), rec, family="affine",
-        params={"p": 3, "k": 2}, m=9, deltas=(25, 18), generators=lambda: affine_generator_rows(group),
+        params={"p": 3, "k": 2}, m=9, deltas=(25, 18),
+        generators=lambda: affine_steps(group, affine_generator_rows(group)),
     )
     assert "check.pairwise_delta_agrees=FAIL" in build.report.lines()
     assert rec.checks["distance_invariant"] and rec.checks["fpa_letter_counts"]
@@ -691,7 +802,7 @@ def test_read_code_hands_over_to_line_parser(monkeypatch, tmp_path, text, plain,
         got = read_code(path)
         assert got[1] == want[1]
         assert got[0].words.dtype == want[0].words.dtype
-        assert np.array_equal(got[0].words, want[0].words) and np.array_equal(got[0].order, want[0].order)
+        assert np.array_equal(got[0].words, want[0].words)
     assert calls == ([] if plain else [path])
 
 
@@ -708,7 +819,7 @@ def test_read_code_fast_path_runs(monkeypatch, tmp_path, affine32):
     for block in (4, 200, codes.BLOCK_ENTRIES):  # one line, a few lines, the whole body per chunk
         monkeypatch.setattr(codes, "BLOCK_ENTRIES", block)
         loaded, _ = read_code(path)
-        assert np.array_equal(loaded.words, code.words) and np.array_equal(loaded.order, code.order)
+        assert np.array_equal(loaded.words, code.words)
 
 
 @pytest.mark.parametrize("length", [255, 256, 65536])
@@ -856,7 +967,6 @@ def test_stored_arrays_frozen_not_callers():
     for caller, stored in ((perms, rep.perms), (words, code.words)):
         assert np.shares_memory(caller, stored)  # no copy was needed
         assert caller.flags.writeable and not stored.flags.writeable
-    assert not code.order.flags.writeable
 
 
 def test_code_dedup_stable():

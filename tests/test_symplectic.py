@@ -26,7 +26,7 @@ from twistcode.symplectic import (
     transvection_flags,
 )
 
-from oracles import mulclose
+from oracles import mulclose, usable_cores
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +400,20 @@ def test_transvection_flags_match_scalar(sp2):
     rng = np.random.default_rng(10)
     for i in rng.integers(0, len(group), size=40):
         assert bool(flags[i]) == is_transvection(space, group.matrix(int(i)))
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_product_index_is_the_matrix_product(monkeypatch, sp2, cores):
+    # every element times one element, then random pairs, in blocks of a few rows on `cores` workers
+    space, group = sp2
+    usable_cores(monkeypatch, cores)
+    monkeypatch.setattr(_packed, "ROW_CHUNK", 21)
+    x = np.arange(len(group))
+    a, b = np.random.default_rng(14).integers(0, len(group), size=(2, 200))
+    for got, pairs in [(group.product_index(x, 5), [(i, 5) for i in x]), (group.product_index(a, b), zip(a, b))]:
+        prods = np.stack([(group.matrix(int(i)) * group.matrix(int(j))).A for i, j in pairs])
+        assert np.array_equal(got, group.indices_of_keys(space.ops.keys_of(prods)))
+        assert (got >= 0).all()
 
 
 def _python_fixed_count(space, g):
