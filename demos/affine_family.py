@@ -12,26 +12,24 @@ from twistcode import (
     AffineParams,
     build_affine_twisted,
     enumerate_group,
-    enumerate_points,
-    fixed_point_count,
     min_distance_pairwise,
-    tau_twist,
 )
 
 params = AffineParams(3, 2)
 group = enumerate_group(params)
-points = enumerate_points(params)
-print(f"group order {len(group)}, acting on {points.size} points: {list(points)[:4]} ...")
+points = [(1, *map(int, v)) for v in group.points]
+print(f"group order {len(group)}, acting on {len(points)} points: {points[:4]} ...")
 
-g = group.element(group.element_index((1, 0), 1))
+j = group.element_index((1, 0), 1)
 print("\nan element with exponent i=1 and top block u=(1,0):")
-print(g.matrix.A)
-print("fixed points:", fixed_point_count(params, g), " (u_k = 0, i nonzero: fixes p points)")
+print(group.matrix(j).A)
+fix = group.fixed_count_table()  # column r: the points fixed by each element's r-twist
+print("fixed points:", fix[j, 0], " (u_k = 0, i nonzero: fixes p points)")
 
 print("\nits three twists and their fixed counts:")
 for r in range(3):
-    tw = tau_twist(group, r, g)
-    print(f"  r={r}: u={tw.u}  fixes {fixed_point_count(params, tw, by_enumeration=True)} points")
+    u, _ = group.decompose(group.twist_index(r)[j])
+    print(f"  r={r}: u={tuple(map(int, u))}  fixes {fix[j, r]} points")
 
 build = build_affine_twisted(params, check="all")
 code, report = build

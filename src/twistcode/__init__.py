@@ -12,12 +12,9 @@ from .affine import (
     b_power,
     build_affine_twisted,
     enumerate_group,
-    enumerate_points,
-    fixed_point_count,
     matrix_A,
     matrix_B,
     omega_sum,
-    tau_twist,
 )
 from .codes import (
     Code,
@@ -28,7 +25,6 @@ from .codes import (
     build_twisted_code,
     check_code_size,
     check_distance_invariance,
-    codeword_from_element,
     hamming_distance,
     letter_counts_constant,
     min_distance_by_support,
@@ -76,11 +72,8 @@ __all__ = [
     "build_twisted_code",
     "check_code_size",
     "check_distance_invariance",
-    "codeword_from_element",
     "enumerate_group",
-    "enumerate_points",
     "exterior_square",
-    "fixed_point_count",
     "fixed_projective_count",
     "generate_group",
     "hamming_distance",
@@ -96,7 +89,6 @@ __all__ = [
     "repetition_lower_bound",
     "support_size",
     "symplectic_form",
-    "tau_twist",
     "transvection",
     "write_code",
 ]

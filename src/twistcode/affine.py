@@ -32,7 +32,7 @@ import numpy as np
 
 from ._packed import ROW_CHUNK, chunks, first_of_runs
 from .codes import (
-    IndexedDomain, Representation, check_delta_formulas, finish_build, reaches_all, row_keys, support_scan,
+    Representation, check_delta_formulas, finish_build, reaches_all, row_keys, support_scan,
 )
 from .fields import PrimeField
 from .linalg import Matrix
@@ -100,25 +100,6 @@ def omega_sum(k, p, i) -> Matrix:
         for t in range(s + 1):
             M[s, t] = f.binom(i, s - t + 1)
     return Matrix(f, M)
-
-
-@dataclass(frozen=True)
-class AffineElement:
-    """Group element with its cached (u, i) decomposition: the matrix is
-    [[1, u], [0, B^i]]."""
-
-    matrix: Matrix
-    i: int
-    u: tuple
-
-    def is_identity(self):
-        return self.matrix.is_identity()
-
-
-def enumerate_points(params: AffineParams) -> IndexedDomain:
-    """All (1, v) labels, v running lexicographically over GF(p)^k."""
-    vecs = _point_array(params)
-    return IndexedDomain([(1, *map(int, v)) for v in vecs])
 
 
 def _point_array(params):
@@ -198,10 +179,6 @@ class AffineGroup:
         p = self.params.p
         return i % p * self.params.num_points + int(self._encode_points(np.asarray(u, dtype=np.int64) % p))
 
-    def element(self, idx) -> AffineElement:
-        u, i = self.decompose(idx)
-        return AffineElement(matrix=self.matrix(idx), i=int(i), u=tuple(int(x) for x in u))
-
     def product_index(self, a, b) -> int:
         """Index of the product element a * b."""
         (ua, ia), (ub, ib) = self.decompose(a), self.decompose(b)
@@ -257,16 +234,16 @@ class AffineGroup:
             yield t
             t = t[self.twist]
 
-    def twisted_perm_table(self, r=0):
-        """Permutation images (N, m) of every element under the r-twist:
-        the natural table, gathered through twist_index(r) for r != 0."""
+    def twisted_perm_table(self):
+        """Permutation images (N, m) of every element: the natural table,
+        which the builds gather through twist_index(r) for the r-twist."""
         p, m = self.params.p, self.params.num_points
         out = np.empty((len(self), m), dtype=np.min_scalar_type(m - 1))
         for sl, i in self.exponent_blocks():
             pb = self.points.astype(np.int64) @ self.b_pows[i] % p
             imgs = (pb[None, :, :] + self.points[:, None, :]) % p
             out[sl] = self._encode_points(imgs)
-        return out[self.twist_index(r)] if r else out
+        return out
 
     def fixed_count_table(self):
         """Honest fixed-point counts (N, p): column r counts the points
@@ -289,50 +266,6 @@ class AffineGroup:
 
 def enumerate_group(params: AffineParams) -> AffineGroup:
     return AffineGroup(params)
-
-
-def tau_twist(group: AffineGroup, r, g: AffineElement) -> AffineElement:
-    """Apply the automorphism tau_{w_r} tau_{w_0}^{-1}: the top block gains
-    r times the last row of Omega(k, i)."""
-    p = group.params.p
-    if not 0 <= r < p:
-        raise ValueError(f"twist parameter {r} outside GF({p})")
-    w = group.omega_last[g.i].astype(np.int64)
-    u = (np.array(g.u, dtype=np.int64) + r * w) % p
-    return group.element(group.element_index(u, g.i))
-
-
-def act_on_point(g: AffineElement, x):
-    """Image of the point (1, v) under right multiplication by g."""
-    mat = g.matrix
-    p = mat.field.p
-    vec = np.asarray(x, dtype=np.int64)
-    if vec.shape != (mat.rows,) or vec[0] != 1:
-        raise ValueError("point must be (1, v) of matching dimension")
-    img = vec @ mat.A % p
-    return tuple(int(c) for c in img)
-
-
-def fixed_point_count(params: AffineParams, g: AffineElement, by_enumeration=False) -> int:
-    """Fixed points of g on the m = p^k points; always 0 or p for g != 1.
-
-    The closed form reads off the decomposition: p fixed points iff the
-    exponent is nonzero mod p and the last coordinate of the top block is
-    zero.  by_enumeration recounts by acting on every point.
-    """
-
-    if g.is_identity():
-        raise ValueError("fixed_point_count is defined for non-identity elements")
-    if by_enumeration:
-        count = 0
-        for v in _point_array(params):
-            x = (1, *map(int, v))
-            if act_on_point(g, x) == x:
-                count += 1
-        return count
-    if g.i != params.p and g.u[-1] == 0:
-        return params.p
-    return 0
 
 
 def _check_closed_forms(params, rec):

@@ -197,11 +197,6 @@ def hamming_distance(a, b) -> int:
     return int((a != b).sum())
 
 
-def codeword_from_element(rep: Representation, i: int):
-    """Passive form of element i: symbol j is the 1-based image of point j."""
-    return rep.perms[i].astype(np.min_scalar_type(rep.q)) + 1
-
-
 def build_twisted_code(rep: Representation, automorphisms=()) -> Code:
     """The code of rep twisted by automorphisms, each an index permutation t
     of the group (tau(g_j) = g_t[j]): block 0 of a codeword is rep's passive

@@ -106,8 +106,7 @@ class Matrix:
         return hash((self.field, self.A.tobytes(), self.shape))
 
     def rank(self):
-        ech, rk = _eliminate(self.field, self.A.copy())
-        return rk
+        return _eliminate(self.field, self.A.copy())[1]
 
     def inverse(self):
         if self.rows != self.cols:
@@ -133,7 +132,6 @@ def _eliminate(field, A, reduce=False, limit_cols=None):
 
     m, n = A.shape
     r = 0
-    pivots = []
     for c in range(n if limit_cols is None else limit_cols):
         piv = None
         for i in range(r, m):
@@ -151,7 +149,6 @@ def _eliminate(field, A, reduce=False, limit_cols=None):
         for i in range(lo, m):
             if i != r and A[i, c]:
                 A[i] = field.sub_arrays(A[i], field.scale_array(int(A[i, c]), A[r]))
-        pivots.append(c)
         r += 1
         if r == m:
             break

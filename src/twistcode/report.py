@@ -87,7 +87,7 @@ class VerificationReport:
     def failed(self):
         return [name for name, ok in self.checks.items() if not ok]
 
-    def lines(self, include_times=True):
+    def lines(self):
         out = [f"family={self.family}"]
         out += [f"{k}={v}" for k, v in self.params.items()]
         out += [
@@ -100,14 +100,13 @@ class VerificationReport:
             f"gap={self.gap}",
         ]
         out += [f"check.{name}={'PASS' if ok else 'FAIL'}" for name, ok in self.checks.items()]
-        if include_times:
-            out += [f"# time.{name}={dt:.3f}" for name, dt in self.times.items()]
-            out += [f"# coverage.{name}={cov}" for name, cov in self.coverage.items()]
+        out += [f"# time.{name}={dt:.3f}" for name, dt in self.times.items()]
+        out += [f"# coverage.{name}={cov}" for name, cov in self.coverage.items()]
         return out
 
-    def render(self, include_times=True):
-        return "\n".join(self.lines(include_times)) + "\n"
+    def render(self):
+        return "\n".join(self.lines()) + "\n"
 
-    def write(self, path, include_times=True):
+    def write(self, path):
         with open(path, "w") as fh:
-            fh.write(self.render(include_times))
+            fh.write(self.render())

@@ -219,7 +219,12 @@ def test_criterion_8_dist_oracle_on_exports(tmp_path, capsys, affine_builds, sp1
             assert out.strip() == f"delta={expected}", path.name
 
 
-# SHA-256 of report.render(include_times=False) for the default seed
+def deterministic_text(report):
+    """The rendered report without its '# ...' comment lines (times and coverage)."""
+    return "".join(line + "\n" for line in report.render().splitlines() if not line.startswith("#"))
+
+
+# SHA-256 of deterministic_text(report) for the default seed
 REPORT_DIGESTS = {
     ("affine", 3, 2): "9a9c48176da64dab7a188ff4275527add31e2bd5bb066f92820d4de84500d310",
     ("affine", 5, 3): "19590d236171bd828d23df1b7e4b75264c9f0bfde469d4d80fb425e80f29cb4c",
@@ -235,13 +240,13 @@ def test_report_content_pinned(affine_builds, sp1):
         ("symplectic", 1): sp1[0],
     }
     for key, build in builds.items():
-        text = build.report.render(include_times=False)
+        text = deterministic_text(build.report)
         assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[key], (key, text)
 
 
 def test_report_content_pinned_q4(sp2):
     # the Sp(4,4) check="fast" report, as `twistcode symplectic --n 2` prints it
-    text = sp2[0].report.render(include_times=False)
+    text = deterministic_text(sp2[0].report)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[("symplectic", 2)], text
 
 
@@ -340,9 +345,24 @@ def test_symplectic_coverage_lines(sp1, sp2):
         4: list(zip(names, ["exhaustive", "100/979200", "10000/958832640000", "100000/958832640000"])),
     }
     for build, _ in (sp1, sp2):
-        report = build.report
-        lines = report.lines()
-        got = [line for line in lines if line.startswith("# coverage.")]
+        got = [line for line in build.report.lines() if line.startswith("# coverage.")]
         want = [f"# coverage.{k}={v}" for k, v in expected[build.group.space.q]]
         assert got == want
-        assert not any(line.startswith("#") for line in report.lines(include_times=False))
+
+
+def test_public_exports_resolve():
+    # every name in __all__ resolves, once; the deleted scalar affine model and passive-form helper stay gone
+    import twistcode
+    from twistcode import affine, codes
+
+    assert len(set(twistcode.__all__)) == len(twistcode.__all__)
+    assert all(hasattr(twistcode, name) for name in twistcode.__all__)
+    deleted = {
+        affine: ["AffineElement", "act_on_point", "enumerate_points", "fixed_point_count", "tau_twist"],
+        codes: ["codeword_from_element"],
+        affine.AffineGroup: ["element"],
+    }
+    for owner, names in deleted.items():
+        for name in names:
+            assert not hasattr(owner, name) and not hasattr(twistcode, name), name
+            assert name not in twistcode.__all__

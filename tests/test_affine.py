@@ -6,23 +6,19 @@ import pytest
 from twistcode import affine, codes
 from twistcode.affine import (
     AffineParams,
-    act_on_point,
     b_power,
     build_affine_twisted,
     enumerate_group,
-    enumerate_points,
-    fixed_point_count,
     matrix_A,
     matrix_B,
     omega_sum,
-    tau_twist,
 )
 from twistcode.cli import main as cli_main
 from twistcode.fields import PrimeField
 from twistcode.linalg import Matrix
 from twistcode.report import BuildRecord
 
-from oracles import affine_element_matrices, affine_twist_index, affine_twisted_table
+from oracles import affine_element_matrices, affine_twist_index, affine_twisted_elements, affine_twisted_table
 
 
 @pytest.fixture(scope="module")
@@ -102,115 +98,91 @@ def test_exponent_addition_rule(g52):
 
 
 def test_points_order(g32):
-    dom = enumerate_points(AffineParams(3, 2))
-    assert dom.size == 9
-    assert dom[0] == (1, 0, 0) and dom[1] == (1, 0, 1) and dom[3] == (1, 1, 0)
+    # point rank j is v in GF(p)^k, lexicographically
+    assert g32.points.tolist() == [list(v) for v in np.ndindex(3, 3)]
 
 
-def test_tau_twist_identity_cases(g32):
-    for idx in range(len(g32)):
-        g = g32.element(idx)
-        assert tau_twist(g32, 0, g) == g
-        if g.i == 3:  # exponent p: B^i = I, twists act trivially
-            for r in range(3):
-                assert tau_twist(g32, r, g) == g
+def test_twists_fix_identity_cases(g32):
+    # tau_0 is the identity, and every twist fixes the elements of exponent p (B^p = I, w(p) = 0)
+    n, m = len(g32), g32.params.num_points
+    assert np.array_equal(g32.twist_index(0), np.arange(n))
+    for r in range(3):
+        assert np.array_equal(g32.twist_index(r)[:m], np.arange(m))
+        assert np.array_equal(affine_twisted_elements(g32, r)[:m], affine_element_matrices(g32)[:m])
 
 
-def test_tau_twist_is_automorphism_exhaustive(g32):
-    p = 3
+def test_twists_are_automorphisms_exhaustive(g32):
+    # tau_r(a b) = tau_r(a) tau_r(b) for every pair, as matrix products of the
+    # elements twist_index(r) names; a b is found among the element matrices
+    p, n = 3, len(g32)
+    mats = affine_element_matrices(g32).astype(np.int64)
+    where = {mat.tobytes(): j for j, mat in enumerate(mats)}
+    prods = np.einsum("aij,bjk->abik", mats, mats) % p
+    ab = np.array([where[mat.tobytes()] for mat in prods.reshape(n * n, 3, 3)]).reshape(n, n)
     for r in range(p):
-        for a in range(len(g32)):
-            ga = g32.element(a)
-            ta = tau_twist(g32, r, ga)
-            for b in range(len(g32)):
-                gb = g32.element(b)
-                tb = tau_twist(g32, r, gb)
-                prod = g32.element(g32.product_index(a, b))
-                assert tau_twist(g32, r, prod).matrix == ta.matrix * tb.matrix
+        tw = mats[g32.twist_index(r)]
+        assert np.array_equal(tw[ab], np.einsum("aij,bjk->abik", tw, tw) % p)
 
 
-def test_act_on_point_cases(g32):
-    ident = g32.element(0)
-    pts = list(enumerate_points(AffineParams(3, 2)))
-    assert all(act_on_point(ident, x) == x for x in pts)
-    # pure translation: i = p block with nonzero u
-    trans = g32.element(g32.element_index((1, 2), 3))
-    assert trans.i == 3 and trans.u == (1, 2)
-    assert all(act_on_point(trans, x) != x for x in pts)
-    assert act_on_point(trans, (1, 0, 0)) == (1, 1, 2)
-    # v = 0, i = 1: fixed points are exactly (1, a, 0)
-    g = g32.element(g32.element_index((0, 0), 1))
-    fixed = [x for x in pts if act_on_point(g, x) == x]
-    assert fixed == [(1, 0, 0), (1, 1, 0), (1, 2, 0)]
+def test_point_action_cases(g32):
+    # the natural table against images by hand: point (1, v) goes to (1, v) M
+    table, ident = g32.twisted_perm_table(), np.arange(9)
+    assert np.array_equal(table[0], ident)
+    trans = g32.element_index((1, 2), 3)  # pure translation: i = p block with nonzero u
+    assert (table[trans] != ident).all()
+    assert (np.array([1, 0, 0]) @ g32.matrix(trans).A % 3).tolist() == [1, 1, 2] and table[trans, 0] == 5
+    g = g32.element_index((0, 0), 1)  # v = 0, i = 1: fixed points are exactly (1, a, 0)
+    assert np.flatnonzero(table[g] == ident).tolist() == [0, 3, 6]
 
 
 @pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (5, 3), (7, 2)])  # G_k needs p > k, so k = 3 starts at p = 5
 def test_certificate_generators_order_by_schreier_sims(p, k):
     # sympy's Schreier-Sims on the point permutations of the certificate's
-    # generators, B and the e_k translation, through the scalar point action:
-    # together they generate all p^(k+1) elements of G_k
+    # generators, B and the e_k translation, through matrix products on the
+    # points (1, v): together they generate all p^(k+1) elements of G_k
     from sympy.combinatorics import Permutation, PermutationGroup
 
     params = AffineParams(p, k)
     group = enumerate_group(params)
     e_k = np.eye(k, dtype=np.int64)[-1]
-    gens = [group.element(group.element_index(0 * e_k, 1)), group.element(group.element_index(e_k, p))]
     B = np.eye(k + 1, dtype=np.uint8)
     B[1:, 1:] = matrix_B(k, p).A
     shift = np.eye(k + 1, dtype=np.uint8)
     shift[0, 1:] = e_k
-    assert [g.matrix for g in gens] == [Matrix(PrimeField(p), B), Matrix(PrimeField(p), shift)]
-    points = list(enumerate_points(params))
-    index = {x: j for j, x in enumerate(points)}
-    perms = [Permutation([index[act_on_point(g, x)] for x in points]) for g in gens]
+    gens = [group.matrix(j) for j in group.generators()]
+    assert gens == [Matrix(PrimeField(p), B), Matrix(PrimeField(p), shift)]
+    points = np.array([(1, *v) for v in np.ndindex(*(p,) * k)], dtype=np.int64)
+    index = {tuple(x): j for j, x in enumerate(points.tolist())}
+    perms = [Permutation([index[tuple(x)] for x in (points @ g.A % p).tolist()]) for g in gens]
     assert PermutationGroup(perms).order() == params.group_order == p ** (k + 1)
 
 
-def test_fixed_point_count_closed_form_vs_enumeration():
-    for p, k in [(3, 2), (5, 2)]:
-        params = AffineParams(p, k)
-        group = enumerate_group(params)
-        for idx in range(1, len(group)):
-            g = group.element(idx)
-            by_form = fixed_point_count(params, g)
-            by_enum = fixed_point_count(params, g, by_enumeration=True)
-            assert by_form == by_enum
-            assert by_form in (0, p)
-            assert (by_form == p) == (g.i != p and g.u[-1] == 0)
-
-
-def test_fixed_point_count_rejects_identity(g32):
-    with pytest.raises(ValueError):
-        fixed_point_count(AffineParams(3, 2), g32.element(0))
-
-
-def test_fixed_count_table_matches_scalar_path(g32):
-    params = AffineParams(3, 2)
-    table = g32.fixed_count_table()
-    assert table[0, 0] == 9
-    for idx in range(1, len(g32)):
-        g = g32.element(idx)
-        assert table[idx, 0] == fixed_point_count(params, g)
-        for r in range(3):
-            tw = tau_twist(g32, r, g)
-            assert table[idx, r] == fixed_point_count(params, tw, by_enumeration=True)
+@pytest.mark.parametrize("p, k", [(3, 2), (5, 2)])
+def test_fixed_point_rule_by_enumeration(p, k):
+    # fixed points counted on the element matrices: 0 or p for g != 1, and p
+    # iff the exponent is nonzero mod p (entry (2, 1) of B^i is i mod p) and u_k = 0
+    group = enumerate_group(AffineParams(p, k))
+    mats = affine_element_matrices(group)
+    counts = (affine_twisted_table(group, 0) == np.arange(p**k)).sum(axis=1)
+    assert set(counts[1:].tolist()) <= {0, p}
+    assert np.array_equal(counts[1:] == p, ((mats[:, 2, 1] != 0) & (mats[:, 0, -1] == 0))[1:])
 
 
 def test_unique_twist_with_p_fixed_points(g52):
     # for i nonzero mod p there is exactly one twist with fixed points,
-    # at r = -u_k / i (which is r = 0 exactly when u_k = 0)
+    # at r = -u_k / i (which is r = 0 exactly when u_k = 0); u_k and i mod p
+    # are read off the element matrices
     p = 5
     table = g52.fixed_count_table()
-    for idx in range(1, len(g52)):
-        g = g52.element(idx)
-        row = table[idx]
-        if g.i == p:
+    mats = affine_element_matrices(g52).astype(np.int64)
+    for row, u_k, i in zip(table[1:], mats[1:, 0, -1], mats[1:, 2, 1]):
+        if i == 0:
             assert (row == 0).all()
         else:
             assert sorted(row)[-1] == p and (row == p).sum() == 1
             r_hit = int(np.flatnonzero(row == p)[0])
-            assert (g.u[-1] + g.i * r_hit) % p == 0
-            assert (r_hit == 0) == (g.u[-1] == 0)
+            assert (u_k + i * r_hit) % p == 0
+            assert (r_hit == 0) == (u_k == 0)
 
 
 def test_build_affine_twisted_values():
@@ -323,7 +295,6 @@ def test_twisted_tables_are_gathers(p, k):
         assert np.array_equal(group.twist_index(r), affine_twist_index(group, r))
         assert np.array_equal(t, affine_twist_index(group, r))
         assert np.array_equal(natural.perms[t], ref)
-        assert np.array_equal(group.twisted_perm_table(r), ref)
         assert np.array_equal(build.fix[:, r], (ref == np.arange(m)).sum(axis=1))
         assert np.array_equal(natural.sizes[t], m - build.fix[:, r])
 

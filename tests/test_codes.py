@@ -24,7 +24,6 @@ from twistcode.codes import (
     build_twisted_code,
     check_code_size,
     check_distance_invariance,
-    codeword_from_element,
     distance_row,
     finish_build,
     hamming_distance,
@@ -90,9 +89,9 @@ def test_transvection_support_in_sp42(sp2):
 
 
 def test_passive_form(cyclic3):
+    # with no automorphism a codeword is its element's passive form: symbol j is the 1-based image of point j
     group, rep = cyclic3
-    assert codeword_from_element(rep, 0).tolist() == [1, 2, 3]
-    assert codeword_from_element(rep, 1).tolist() == [2, 3, 1]
+    assert build_twisted_code(rep).words.tolist() == [[1, 2, 3], [2, 3, 1], [3, 1, 2]]
 
 
 def test_enumerated_group_key_order(sp2):
@@ -245,6 +244,9 @@ def test_pairwise_oracle_one_row_blocks(monkeypatch, affine32, sp2):
     monkeypatch.setattr(codes, "BLOCK_ENTRIES", 1)
     assert min_distance_pairwise(build_twisted_code(natural, automorphisms)) == 24
     assert min_distance_pairwise(build_twisted_code(natural, [np.arange(len(group))])) == 12
+    # Sp(4,2) in seven-row tiles (length 15 pads to 16 bytes): one-row tiles of its
+    # 720 codewords would be 259,560 calls of about 22 us each
+    monkeypatch.setattr(codes, "BLOCK_ENTRIES", 49 * 16 * _packed.usable_cores())
     assert min_distance_pairwise(build_twisted_code(sprep)) == 8
 
 
