@@ -32,7 +32,7 @@ from ._packed import chunks, first_of_runs
 from .report import VerificationReport, coverage_value
 
 FORMAT_MAGIC = "# twistcode v1"
-BLOCK_ENTRIES = 1 << 22  # entries per block of rows (bijection checks, codeword scans, file writes) or per pairwise tile
+BLOCK_ENTRIES = 1 << 22  # entries per block of rows (bijection checks, codeword scans) or per pairwise tile; file I/O takes 1/16
 CODE_BYTES_GUARD = 1 << 28  # max |C| * length for materialised codewords
 EXHAUSTIVE_PAIR_LIMIT = 1 << 20  # max n^2 for the exhaustive element-pair checks
 LANE_WORDS = 255  # uint64 words of a bool mask summed at once: 255 ones fill a byte lane
@@ -494,9 +494,11 @@ def finish_build(group, fix, make_twisting, rec, *, family, params, m, deltas, g
 
 def write_code(path, code: Code, family, params, r=1):
     """Codeword file format v1 (see README): two comment headers, then one
-    codeword per line as 1-based integers.  Each block of rows is gathered
-    from a table of space-ended tokens (_token_table), its last space per
-    row turned into a newline, and written without the zero padding."""
+    codeword per line as 1-based integers.  Each block of rows, about
+    BLOCK_ENTRIES // 16 symbols, is gathered from a table of space-ended
+    tokens (_token_table) by indexing with the symbols themselves (np.take
+    would copy them to intp first), its last space per row turned into a
+    newline, and written without the zero padding."""
     if not code.size:
         raise ValueError("an empty code has no codeword file")
     tokens = _token_table(code.q)
@@ -506,8 +508,8 @@ def write_code(path, code: Code, family, params, r=1):
             f"{FORMAT_MAGIC}\n# family={family} {param_str} r={r} "
             f"q={code.q} length={code.length} size={code.size}\n".encode()
         )
-        for sl in _row_blocks(code.size, code.length * tokens.itemsize):
-            lines = np.take(tokens, code.words[sl]).view(np.uint8)
+        for sl in _row_blocks(code.size, 16 * code.length):
+            lines = tokens[code.words[sl]].view(np.uint8)
             lines[:, -1] = ord("\n")
             fh.write(lines[lines != 0])
 
@@ -531,10 +533,10 @@ def read_code(path):
     """Parse a v1 codeword file; returns (Code, header dict).
 
     A file in the plain form write_code writes is parsed in numpy, about
-    BLOCK_ENTRIES // 4 bytes of whole lines at a time.  Any other goes to
-    the line parser, read again from the top: malformed input raises
-    CodewordFileError carrying the line number, and whatever the line
-    parser accepts reads the same.
+    BLOCK_ENTRIES // 16 bytes of whole lines at a time (at least one
+    line).  Any other goes to the line parser, read again from the top:
+    malformed input raises CodewordFileError carrying the line number,
+    and whatever the line parser accepts reads the same.
     """
     with open(path, "rb") as fh:
         parsed = _read_plain(fh)
@@ -580,7 +582,7 @@ def _read_plain(fh):
     dtype = np.min_scalar_type(q)
     words = [] if size is None else np.empty((size, length), dtype=dtype)
     done = 0
-    while chunk := b"".join(fh.readlines(BLOCK_ENTRIES // 4)):  # whole lines, about 1 MiB
+    while chunk := b"".join(fh.readlines(max(1, BLOCK_ENTRIES // 16))):  # whole lines, about 256 KiB
         rows = _parse_rows(np.frombuffer(chunk, dtype=np.uint8), q, length)
         if rows is None or (size is not None and done + len(rows) > size):
             return None
@@ -612,9 +614,10 @@ def _parse_rows(buf, q, length):
     per_line = np.diff(np.searchsorted(starts, line_ends), prepend=0)
     if not ((per_line == 0) | (per_line == length)).all() or width > len(str(q)):
         return None
-    values = np.take(digits, ends - 1).astype(np.int32)  # units; every token has one
+    # index with the int32 ends themselves: np.take would copy them to intp
+    values = digits[ends - 1].astype(np.int32)  # units; every token has one
     for k in range(1, width):  # then the 10^k digit of the tokens that have one
-        digit = np.take(digits, ends - 1 - k, mode="clip")
+        digit = digits[ends - 1 - k]  # ends <= k wrap to the back of buf, where sizes <= k zeroes them
         digit *= sizes > k
         values += digit * np.int32(10**k)
     if values.size and (values.min() < 1 or values.max() > q):

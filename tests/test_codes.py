@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import sys
 import tempfile
@@ -59,6 +58,14 @@ def affine32():
     build = build_affine_twisted(AffineParams(3, 2))
     natural, automorphisms = build.twisting
     return build.group, natural, automorphisms
+
+
+@pytest.fixture(scope="module")
+def affine112():
+    """The (11,2) build with its code materialised: 1,331 codewords of 1,331 symbols."""
+    build = build_affine_twisted(AffineParams(11, 2))
+    build.code  # materialised here, not inside a test's tracemalloc window
+    return build
 
 
 @pytest.fixture(scope="module")
@@ -721,7 +728,7 @@ def corrupt_symbol(draw, tokens, q):
 @settings(max_examples=60, deadline=None)
 @given(code_files(), st.data(), st.sampled_from([4, codes.BLOCK_ENTRIES]))
 def test_code_file_roundtrip_property(case, data, block):
-    # block 4 reads one line per chunk (the reader takes BLOCK_ENTRIES // 4 bytes of whole lines)
+    # block 4 reads one line per chunk (the reader takes max(1, BLOCK_ENTRIES // 16) bytes of whole lines)
     code, family, params, r = case
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(codes, "BLOCK_ENTRIES", block)
@@ -818,7 +825,8 @@ def test_read_code_fast_path_runs(monkeypatch, tmp_path, affine32):
         raise AssertionError("the line parser ran")
 
     monkeypatch.setattr(codes, "_read_code_lines", refuse)
-    for block in (4, 200, codes.BLOCK_ENTRIES):  # one line, a few lines, the whole body per chunk
+    # one 54-byte line, about four lines (a 200-byte hint) and the whole body per chunk
+    for block in (4, 200 * 16, codes.BLOCK_ENTRIES):
         monkeypatch.setattr(codes, "BLOCK_ENTRIES", block)
         loaded, _ = read_code(path)
         assert np.array_equal(loaded.words, code.words)
@@ -953,12 +961,32 @@ def test_write_code_equals_line_writer(tmp_path, q, block):
     assert (tmp_path / "tokens.tw").read_bytes() == (tmp_path / "lines.tw").read_bytes()
 
 
-def test_write_code_golden_digest(tmp_path):
+def test_write_code_golden_digest(tmp_path, affine112):
     golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
-    build = build_affine_twisted(AffineParams(11, 2))
     path = tmp_path / "a112.tw"
-    write_code(path, build.code, "affine", {"p": 11, "k": 2}, r=build.report.reps)
+    write_code(path, affine112.code, "affine", {"p": 11, "k": 2}, r=affine112.report.reps)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == golden["affine-certify-p11k2"]["codewords"]
+
+
+def test_code_file_io_peaks_within_a_block(tmp_path, affine112):
+    # write_code gathers BLOCK_ENTRIES // 16 symbols and read_code parses BLOCK_ENTRIES // 16
+    # bytes of lines at a time, without intp copies of the symbols or token ends (numpy 2.4.6:
+    # 2.8 and 3.1 MiB; 12.3 and 14.0 MiB with np.take over 4 MiB and 1 MiB blocks)
+    code = affine112.code
+    path = tmp_path / "a112.tw"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_code(path, code, "affine", {"p": 11, "k": 2}, r=affine112.report.reps)
+        written = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        loaded, _ = read_code(path)
+        read = tracemalloc.get_traced_memory()[1] - start - loaded.words.nbytes  # apart from the code it returns
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.words, code.words)
+    assert written <= codes.BLOCK_ENTRIES and read <= codes.BLOCK_ENTRIES, (written, read)
 
 
 def test_stored_arrays_frozen_not_callers():
