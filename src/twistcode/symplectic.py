@@ -456,8 +456,11 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
         raise TauConstructionError("d", "not a homomorphism on generator pairs")
     if (tau.index < 0).any():
         raise TauConstructionError("d", "an image falls outside the group")
-    if np.bincount(tau.index).max() > 1:  # N indices in range: a permutation iff none repeats
+    seen = np.zeros(len(group), dtype=bool)  # N indices in range: a permutation iff they hit every element
+    seen[tau.index] = True
+    if not seen.all():
         raise TauConstructionError("d", "image table has duplicates")
+    del seen
     tmask = group.transvection_mask()
     if not (_packed.fixed_counts(space.ops, group.keys[tau.index[tmask]]) == space.q + 1).all():
         raise TauConstructionError("d", "a transvection image has wrong fixed count")
