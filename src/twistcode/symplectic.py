@@ -144,13 +144,14 @@ class SymplecticGroup:
         return Matrix(self.space.field, self.space.ops.matrices_of(self.keys[i : i + 1])[0])
 
     def indices_of_keys(self, keys):
-        """Element index of each key in an array, -1 where no element has
-        it: lookup_sorted on the ascending keys[1:], shifted by one, the
+        """Element index of each key in an array, as int32 (it holds every
+        index of Sp(4, q) up to q = 8), -1 where no element has it:
+        lookup_sorted on the ascending keys[1:], shifted by one, the
         identity's key answered as 0.  Each block of queries (row_blocks,
         on every usable core) is looked up in sorted order, so the binary
         searches walk keys[1:] front to back, and the positions are
         scattered back."""
-        pos = np.empty(len(keys), dtype=np.intp)
+        pos = np.empty(len(keys), dtype=np.int32)
 
         def lookup(sl):
             block, found = keys[sl], pos[sl]
