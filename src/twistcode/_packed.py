@@ -517,7 +517,7 @@ def _rank_kernel(ops: PackedOps):
     return _ranks
 
 
-def fixed_counts(ops: PackedOps, rows):
+def fixed_counts(ops: PackedOps, rows, out=None):
     """Per-element count of projective points fixed setwise by the matrices
     whose keys are `rows` (one key per element), from
     eigenspace dimensions: <v> is fixed iff v . g = lam v for exactly one
@@ -525,14 +525,16 @@ def fixed_counts(ops: PackedOps, rows):
     / (q - 1) points (characteristic 2, so g - lam I = g + lam I, and the
     key of g + lam I is the key of g XOR that of lam I).  The kernel
     vectors of a singular g (lam = 0) are not fixed points.  On every
-    usable core."""
+    usable core, into out (an (N,) int16 array, a table's column will do)
+    when one is given."""
     q = ops.field.order
     ranks = _rank_kernel(ops)
     points_by_rank = np.array([(q ** (4 - k) - 1) // (q - 1) for k in range(5)], dtype=np.int16)
     scalars = ops.keys_of(np.arange(1, q)[:, None, None] * np.eye(4, dtype=np.uint8))
-    counts = np.zeros(rows.shape[0], dtype=np.int16)
+    counts = np.empty(rows.shape[0], dtype=np.int16) if out is None else out
 
     def count(sl):
+        counts[sl] = 0
         for lam in scalars:
             counts[sl] += points_by_rank[ranks(ops, rows[sl] ^ lam)]
 
