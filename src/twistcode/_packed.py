@@ -33,7 +33,7 @@ import numpy as np
 WEDGE_TABLE_LIMIT = 1 << 24  # entries of wedge_table: q^8 for 4-rows over GF(q)
 POINT_TABLE_LIMIT = 1 << 24  # entries of perm_tables' four point-image tables: 4 q^4 (q^3 + q^2 + q + 1)
 PAIR_TABLE_LIMIT = 1 << 16  # entries of a table over two packed 4-rows (q <= 4) or four field entries (q <= 16)
-ROW_CHUNK = 1 << 16  # rows per block of the per-element row kernels (rank, tau rows, tau pairs)
+ROW_CHUNK = 1 << 16  # rows per block of the per-element row kernels (rank, tau rows; a dense 4 x 4 matrix is four)
 
 
 def chunks(n, size):
@@ -46,11 +46,12 @@ def usable_cores():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def row_blocks(n):
-    """Slices of n rows for parallel_map, ROW_CHUNK // usable_cores() rows
-    each, so the blocks the workers hold at once add up to about one
-    ROW_CHUNK block of temporaries."""
-    return chunks(n, max(1, ROW_CHUNK // usable_cores()))
+def row_blocks(n, width=1):
+    """Slices of n items of `width` rows each for parallel_map,
+    ROW_CHUNK // (width usable_cores()) items each (at least one), so the
+    blocks the workers hold at once add up to about one ROW_CHUNK block of
+    rows' temporaries."""
+    return chunks(n, max(1, ROW_CHUNK // (width * usable_cores())))
 
 
 def parallel_map(body, blocks):
@@ -426,12 +427,13 @@ def closure(ops: PackedOps, gen_mats, limit):
     (G, F) buffer, sorts and deduplicates them (first_of_runs) and keeps
     those lookup_sorted misses in the sorted `seen` array.  The blocks' new
     keys are then sorted and deduplicated again, since two blocks may find
-    the same key, and merged into `seen` to form the next frontier; `seen`
-    is only read while the blocks run.  Returns (levels, keys): the
-    frontier size of each level, the identity's 1 first, and the keys in
-    canonical order: the identity first, then ascending key, whatever the
-    generators and the core count.  Raises once more than `limit` elements
-    are found.
+    the same key, and form the next frontier.  `seen` is the sorted prefix
+    of one buffer of `limit` keys, allocated once: the frontier is written
+    after it and the grown prefix sorted in place, and `seen` is only read
+    while the blocks run.  Returns (levels, keys): the frontier size of
+    each level, the identity's 1 first, and the keys in canonical order:
+    the identity first, then ascending key, whatever the generators and
+    the core count.  Raises once more than `limit` elements are found.
     """
 
     kd = ops.key_dtype
@@ -439,8 +441,10 @@ def closure(ops: PackedOps, gen_mats, limit):
     tables = [[ops.rmul_table(B).astype(kd) << sh for sh in shifts] for B in np.asarray(gen_mats, dtype=np.uint8)]
     code_dtype = np.min_scalar_type(ops.ncodes - 1)
     field_mask = kd(ops.ncodes - 1)
-    id_key = ops.keys_of(np.eye(4, dtype=np.uint8))
-    seen = frontier = id_key
+    id_key = ops.identity_key
+    buf = np.empty(max(limit, 1), dtype=kd)
+    buf[0] = id_key
+    seen = frontier = buf[:1]
     levels = []
 
     def new_keys(sl):
@@ -470,11 +474,13 @@ def closure(ops: PackedOps, gen_mats, limit):
             frontier = frontier[first_of_runs(frontier)]
         if seen.size + frontier.size > limit:
             raise RuntimeError(f"closure exceeded the limit {limit}")
-        # two ascending runs: the stable sort (timsort) merges them in one pass
-        seen = np.concatenate([seen, frontier])
-        seen.sort(kind="stable")
-    at = int(np.searchsorted(seen, id_key[0]))
-    return levels, np.concatenate([id_key, seen[:at], seen[at + 1 :]])
+        buf[seen.size : seen.size + frontier.size] = frontier
+        seen = buf[: seen.size + frontier.size]
+        seen.sort(kind="stable")  # two ascending runs: the stable sort (timsort) merges them in one pass
+    at = int(np.searchsorted(seen, id_key))
+    seen[1 : at + 1] = seen[:at]  # one forward copy (memmove), no temporary
+    seen[0] = id_key
+    return levels, seen
 
 
 def _ranks(ops: PackedOps, keys):

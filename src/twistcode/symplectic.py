@@ -445,15 +445,19 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
 
     tau = OuterAutomorphism(space, group, _tau_keys(space, C, coords, group.keys), C, coords)
 
-    # step (d), on the generator pairs (gi, gj), in row_blocks on every usable core
-    tg = tau.map_entries(gens)
+    # step (d), on the generator pairs (gi, gj), in row_blocks of four rows
+    # per pair on every usable core: gi gj and tau(gi) tau(gj) by rows_matmul,
+    # tau(gi gj) recomputed densely
+    ops = space.ops
+    packed_gens, packed_tg = ops.pack(gens), ops.pack(tau.map_entries(gens))
 
     def homomorphic(sl):
         gi, gj = np.divmod(np.arange(sl.start, sl.stop), len(gens))
-        lhs = tau.map_entries(_packed._matmul_each(mul, gens[gi], gens[gj]))
-        return bool((lhs == _packed._matmul_each(mul, tg[gi], tg[gj])).all())
+        lhs = tau.map_entries(ops.unpack(_packed.rows_matmul(ops, packed_gens[gi], packed_gens[gj])))
+        return bool((lhs == ops.unpack(_packed.rows_matmul(ops, packed_tg[gi], packed_tg[gj]))).all())
 
-    if not all(_packed.parallel_map(homomorphic, _packed.row_blocks(len(gens) ** 2))):
+    ops.smul  # computed here, before the workers read it
+    if not all(_packed.parallel_map(homomorphic, _packed.row_blocks(len(gens) ** 2, 4))):
         raise TauConstructionError("d", "not a homomorphism on generator pairs")
     if (tau.index < 0).any():
         raise TauConstructionError("d", "an image falls outside the group")
@@ -472,24 +476,24 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
 
 def _check_tau_homomorphism(space, group, tau, rng, samples):
     """tau(gh) = tau(g) tau(h): exhaustive over all pairs at q = 2, on
-    `samples` uniform pairs for larger groups.  tau(gh) is recomputed
-    through the dense exterior square, tau(g) tau(h) from the keys that
-    tau.index points at, the table every tau-side scan gathers through.
-    The pairs run in row_blocks on every usable core, each block's keys
-    unpacked on their own.  Returns (ok, coverage)."""
-    mul = space.field.mul_table
+    `samples` uniform pairs for larger groups.  gh is multiplied on the
+    packed rows and tau(gh) recomputed through the dense exterior square;
+    tau(g) tau(h) is multiplied from the keys that tau.index points at, the
+    table every tau-side scan gathers through.  The pairs run in row_blocks
+    of four rows per pair on every usable core, each block's keys unpacked
+    on their own.  Returns (ok, coverage)."""
     ops = space.ops
     keys = group.keys
     a, b, cov = sample_pairs(len(group), rng, samples)
 
     def agrees(sl):
-        prod = _packed._matmul_each(mul, ops.matrices_of(keys[a[sl]]), ops.matrices_of(keys[b[sl]]))
-        lhs = ops.pack(tau.map_entries(prod))
+        prod = _packed.rows_matmul(ops, ops.unpack_keys(keys[a[sl]]), ops.unpack_keys(keys[b[sl]]))
+        lhs = tau.map_entries(ops.unpack(prod))
         rhs = _packed.rows_matmul(ops, ops.unpack_keys(keys[tau.index[a[sl]]]), ops.unpack_keys(keys[tau.index[b[sl]]]))
-        return bool((lhs == rhs).all())
+        return bool((lhs == ops.unpack(rhs)).all())
 
     ops.smul  # computed here, before the workers read it
-    return all(_packed.parallel_map(agrees, _packed.row_blocks(len(a)))), cov
+    return all(_packed.parallel_map(agrees, _packed.row_blocks(len(a), 4))), cov
 
 
 def _check_inverses_sampled(space, group, rng, samples=100):
