@@ -312,10 +312,17 @@ def test_sp2_build_memory(sp2_traced):
     # block at a time (its own traced peak 17.1 -> 3.3 MiB): the peak is
     # build_outer_automorphism's again; peak 30.2 MiB, 17.1 MiB held, with
     # the group held as its keys alone (no (N, 4) row table, 15 MiB) and
-    # uint16 flat indices in _matmul_each: the peak is _check_tau_homomorphism's
+    # uint16 flat indices in _matmul_each: the peak is _check_tau_homomorphism's;
+    # peak 18.9 MiB, 13.3 MiB held, once tau.index is int32 (7.5 -> 3.7 MiB)
+    # and proved a permutation by a seen mask instead of np.bincount (N int64
+    # counts, plus an intp copy of an int32 index), the fixed-point table is
+    # written in place (no per-column arrays or stacked copy), the dense tau
+    # checks run a quarter of ROW_CHUNK pairs per block and the closure
+    # merges its levels into one preallocated key buffer
     build, _, peak, retained = sp2_traced
-    assert peak < 36 * 2**20
-    assert retained < 20 * 2**20
+    assert peak < 24 * 2**20
+    assert retained < 16 * 2**20
+    assert build.tau.index.dtype == np.int32
     # the group holds its keys, no per-element array of rows or entries
     held = [v for v in vars(build.group).values() if isinstance(v, np.ndarray)]
     assert all(v.ndim == 1 for v in held) and any(v is build.group.keys for v in held)

@@ -357,6 +357,37 @@ def test_tau_step_d_failure_is_reported(monkeypatch, capsys, corrupt, message):
     assert status == 1
 
 
+def test_tau_homomorphism_failure_is_reported(monkeypatch, capsys):
+    # two tau.index entries swapped, at two elements that are neither the
+    # identity nor transvections and whose images fix equally many points: the
+    # index is still a permutation (step (d) passes) and every table gathered
+    # through it is unchanged, so only the exhaustive pair check at q = 2 sees it
+    real = symplectic.build_outer_automorphism
+    swapped = []
+
+    def swap_two(space, group):
+        tau = real(space, group)
+        image_fix = _packed.fixed_counts(space.ops, group.keys)[tau.index]
+        plain = ~group.transvection_mask()
+        plain[0] = False
+        i = np.flatnonzero(plain)[0]
+        j = np.flatnonzero(plain & (image_fix == image_fix[i]))[1]
+        tau.index[[i, j]] = tau.index[[j, i]]
+        swapped.append((i, j))
+        return tau
+
+    assert cli_main(["symplectic", "--n", "1"]) == 0
+    clean = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    monkeypatch.setattr(symplectic, "build_outer_automorphism", swap_two)
+    status = cli_main(["symplectic", "--n", "1"])
+    out = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert len(swapped) == 1 and swapped[0][0] != swapped[0][1]
+    assert [a for a, b in zip(clean, out) if a != b] == ["check.tau_homomorphism_pairs=PASS"]
+    assert [line for line in out if line.endswith("=FAIL")] == ["check.tau_homomorphism_pairs=FAIL"]
+    assert len(out) == len(clean)
+    assert status == 1
+
+
 def test_tau_tables_gathered_equal_kernel_oracle(sp2, tau2):
     # every tau-side table is the natural one gathered through tau.index;
     # the packed kernels run on the recomputed image keys are the oracle
