@@ -48,9 +48,9 @@ def usable_cores():
 
 def row_blocks(n, width=1):
     """Slices of n items of `width` rows each for parallel_map,
-    ROW_CHUNK // (width usable_cores()) items each (at least one), so the
-    blocks the workers hold at once add up to about one ROW_CHUNK block of
-    rows' temporaries."""
+    ROW_CHUNK // (width * usable_cores()) items each (at least one), so
+    the blocks the workers hold at once add up to about one ROW_CHUNK
+    block of rows' temporaries."""
     return chunks(n, max(1, ROW_CHUNK // (width * usable_cores())))
 
 

@@ -465,9 +465,8 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
     seen[tau.index] = True
     if not seen.all():
         raise TauConstructionError("d", "image table has duplicates")
-    del seen
     tmask = group.transvection_mask()
-    if not (_packed.fixed_counts(space.ops, group.keys[tau.index[tmask]]) == space.q + 1).all():
+    if not (_packed.fixed_counts(ops, group.keys[tau.index[tmask]]) == space.q + 1).all():
         raise TauConstructionError("d", "a transvection image has wrong fixed count")
     if tmask[tau.index[tmask]].any():
         raise TauConstructionError("d", "a transvection image is a transvection")
