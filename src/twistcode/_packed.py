@@ -531,13 +531,18 @@ def fixed_counts(ops: PackedOps, rows, out=None):
     / (q - 1) points (characteristic 2, so g - lam I = g + lam I, and the
     key of g + lam I is the key of g XOR that of lam I).  The kernel
     vectors of a singular g (lam = 0) are not fixed points.  On every
-    usable core, into out (an (N,) int16 array, a table's column will do)
-    when one is given."""
+    usable core, into an int16 array, or into out when one is given (an
+    (N,) integer array, a table's column will do): the points_by_rank
+    terms are added in out's dtype, so one that cannot hold m, the
+    identity's count, is refused before any block runs."""
     q = ops.field.order
-    ranks = _rank_kernel(ops)
-    points_by_rank = np.array([(q ** (4 - k) - 1) // (q - 1) for k in range(5)], dtype=np.int16)
-    scalars = ops.keys_of(np.arange(1, q)[:, None, None] * np.eye(4, dtype=np.uint8))
+    m = (q**4 - 1) // (q - 1)
     counts = np.empty(rows.shape[0], dtype=np.int16) if out is None else out
+    if counts.dtype.kind not in "iu" or np.iinfo(counts.dtype).max < m:
+        raise ValueError(f"fixed counts up to {m} do not fit an out array of dtype {counts.dtype}")
+    ranks = _rank_kernel(ops)
+    points_by_rank = np.array([(q ** (4 - k) - 1) // (q - 1) for k in range(5)], dtype=counts.dtype)
+    scalars = ops.keys_of(np.arange(1, q)[:, None, None] * np.eye(4, dtype=np.uint8))
 
     def count(sl):
         counts[sl] = 0

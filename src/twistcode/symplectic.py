@@ -537,7 +537,7 @@ def build_symplectic_twisted(space, check="fast", rng_seed=1):
 
     with rec.stage("classify"):
         flags = group.transvection_mask()
-        fix = np.empty((n, 2), dtype=np.int16)  # the fixed-point table: columns rho and rho . tau
+        fix = np.empty((n, 2), dtype=np.min_scalar_type(m))  # the fixed-point table: columns rho and rho . tau
         fix_nat = _packed.fixed_counts(space.ops, group.keys, out=fix[:, 0])
     rec.check("identity_fixes_all", int(fix_nat[0]) == m)
     rec.check("transvection_count", int(flags.sum()) == m * (q - 1))

@@ -407,6 +407,38 @@ def test_key_kernels_exhaustive_q2():
     assert pair_span[0] == 0 and sum_rank[0, 0] == 0
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_fixed_counts_into_narrow_out(n):
+    # the builder's table type np.min_scalar_type(m), uint8 at q = 2 and 4,
+    # against the int16 default: every 4 x 4 matrix over GF(2); at q = 4
+    # every lam I (lam = 1 fixes all m points) and uniform matrices
+    ops = _packed.PackedOps(BinaryField(n), 4)
+    q, m = ops.field.order, len(ops.point_codes)
+    if n == 1:
+        keys = np.arange(ops.ncodes**4, dtype=np.uint32)
+    else:
+        scalars = ops.keys_of(np.arange(1, q)[:, None, None] * np.eye(4, dtype=np.uint8))
+        uniform = np.random.default_rng(5).integers(0, ops.ncodes**4, size=1 << 16, dtype=np.uint32)
+        keys = np.concatenate([scalars, uniform])
+    want = _packed.fixed_counts(ops, keys)
+    assert want.dtype == np.int16 and want.max() == m
+    out = np.empty(len(keys), dtype=np.min_scalar_type(m))
+    assert _packed.fixed_counts(ops, keys, out=out) is out
+    assert out.dtype == np.uint8 and np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("n, dtype", [(3, np.uint8), (3, np.int8), (1, np.bool_), (1, np.float32)])
+def test_fixed_counts_refuses_a_narrow_out(n, dtype):
+    # an out that cannot hold m (585 at q = 8), or is not integer, is refused
+    # before any block writes to it
+    ops = _packed.PackedOps(BinaryField(n), 4)
+    keys = ops.keys_of(np.eye(4, dtype=np.uint8)[None])
+    out = np.ones(len(keys), dtype=dtype)
+    with pytest.raises(ValueError, match="do not fit"):
+        _packed.fixed_counts(ops, keys, out=out)
+    assert (out == 1).all()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_key_kernels_on_random_batches(n):
     # q = 4 (span-id ranks, uint32 keys), q = 8 and 16 (elimination ranks,
