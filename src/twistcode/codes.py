@@ -429,8 +429,11 @@ def support_scan(fix, m):
     """Support scan over an (N, r) fixed-point table on m points, identity
     in row 0: delta_tw is the least summed support of a non-identity
     element, delta_rep is r times the least single support.  Returns
-    (sums, (delta_tw, delta_rep)), sums[t - 1] belonging to element t."""
-    sums = fix[1:].sum(axis=1, dtype=np.int32)  # at most r * m, under 2^31 within the guards
+    (sums, (delta_tw, delta_rep)), sums[t - 1] belonging to element t,
+    in the narrowest type that holds r * m, the largest sum:
+    np.min_scalar_type(r * m), which is unsigned (uint8 at Sp(4, 4), uint16
+    at affine (11, 2)), so they are compared, never subtracted."""
+    sums = fix[1:].sum(axis=1, dtype=np.min_scalar_type(fix.shape[1] * m))
     np.subtract(fix.shape[1] * m, sums, out=sums)  # in place, and no (N, r) copy of the supports
     return sums, (int(sums.min()), fix.shape[1] * (m - int(fix[1:].max())))
 

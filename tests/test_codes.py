@@ -40,7 +40,9 @@ from twistcode.codes import (
 from twistcode.fields import PrimeField
 from twistcode.linalg import Matrix
 from twistcode.report import BuildRecord
-from twistcode.symplectic import SymplecticGroup, SymplecticSpace, build_outer_automorphism, generate_group, generators
+from twistcode.symplectic import (
+    SymplecticGroup, SymplecticSpace, build_outer_automorphism, build_symplectic_twisted, generate_group, generators,
+)
 
 from oracles import min_distance_all_pairs, mulclose, sorted_key_invariance, usable_cores, write_code_lines
 
@@ -148,6 +150,25 @@ def test_tau_index_equals_unchunked_lookup(monkeypatch, sp2, chunk):
     is_identity = image_keys == group.keys[0]
     assert (rest[~is_identity] >= 0).all() and is_identity.sum() == 1
     assert np.array_equal(tau.index, np.where(is_identity, 0, rest + 1))
+
+
+def test_support_scan_narrow_sums(affine32, affine112):
+    # both families' fixed-point tables: the sums in np.min_scalar_type(r * m)
+    # (uint8 at affine (3,2) and Sp(4,2), uint16 at affine (11,2)), equal to
+    # the summed supports in int64
+    sp42 = build_symplectic_twisted(SymplecticSpace.create(1))
+    cases = [
+        (affine32[0].fixed_count_table(), 9, np.uint8),
+        (affine112.fix, 121, np.uint16),
+        (sp42.fix, 15, np.uint8),
+    ]
+    for fix, m, dtype in cases:
+        r = fix.shape[1]
+        sums, deltas = codes.support_scan(fix, m)
+        want = r * m - fix[1:].astype(np.int64).sum(axis=1)
+        assert sums.dtype == np.min_scalar_type(r * m) == dtype
+        assert np.array_equal(sums, want)
+        assert deltas == (int(want.min()), r * (m - int(fix[1:].max())))
 
 
 def test_trivial_group_code():
