@@ -555,8 +555,6 @@ def build_symplectic_twisted(space, check="fast", rng_seed=1):
 
     with rec.stage("tau_scan"):
         fix[:, 1] = fix_nat[tau.index]
-        related = flags[tau.index]  # g or tau(g) is a transvection
-        related |= flags
 
     with rec.stage("tau_homomorphism"):
         rec.check("tau_homomorphism_pairs", *_check_tau_homomorphism(space, group, tau, rng, HOM_SAMPLES))
@@ -564,6 +562,8 @@ def build_symplectic_twisted(space, check="fast", rng_seed=1):
     with rec.stage("support_scan"):
         sums, deltas = support_scan(fix, m)
         check_delta_formulas(rec, deltas, (2 * q**3 + q**2, 2 * q**3))
+        related = flags[tau.index]  # g or tau(g) is a transvection; built here, where it is read
+        related |= flags
 
     attained = np.flatnonzero(sums == deltas[0]) + 1
     rec.check("min_at_transvection_related", related[attained].all())
