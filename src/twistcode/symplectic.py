@@ -146,23 +146,23 @@ class SymplecticGroup:
     def indices_of_keys(self, keys):
         """Element index of each key in an array, as int32 (it holds every
         index of Sp(4, q) up to q = 8), -1 where no element has it:
-        lookup_sorted on the ascending keys[1:], shifted by one, the
-        identity's key answered as 0.  Each block of queries (row_blocks,
-        on every usable core) is looked up in sorted order, so the binary
-        searches walk keys[1:] front to back, and the positions are
-        scattered back."""
+        index_block on each block of queries (row_blocks, on every usable
+        core)."""
         pos = np.empty(len(keys), dtype=np.int32)
-
-        def lookup(sl):
-            block, found = keys[sl], pos[sl]
-            order = np.argsort(block)
-            found[order] = _packed.lookup_sorted(self.keys[1:], block[order])
-            found += 1
-            found[found == 0] = -1
-            found[block == self.keys[0]] = 0
-
-        _packed.parallel_map(lookup, _packed.row_blocks(len(keys)))
+        _packed.parallel_map(lambda sl: self.index_block(keys[sl], pos[sl]), _packed.row_blocks(len(keys)))
         return pos
+
+    def index_block(self, block, out):
+        """indices_of_keys of one block of keys, written to out (int32, one
+        entry per key): lookup_sorted on the ascending keys[1:], shifted by
+        one, the identity's key answered as 0.  The block is looked up in
+        sorted order, so the binary searches walk keys[1:] front to back,
+        and the positions are scattered back."""
+        order = np.argsort(block)
+        out[order] = _packed.lookup_sorted(self.keys[1:], block[order])
+        out += 1
+        out[out == 0] = -1
+        out[block == self.keys[0]] = 0
 
     def product_index(self, a, b):
         """Element index of each product g_a g_b (index arrays, or one index
@@ -290,14 +290,25 @@ class OuterAutomorphism:
     table of tau(g) is the group's own one gathered through index; kept
     with the change-of-basis data (quotient basis lift and coordinate
     matrix) that built the image rows, through which tau of any matrix is
-    recomputed."""
+    recomputed.  The index is filled one block at a time (row_blocks, two
+    rows per element: its image rows, then their lookup's intp arrays; on
+    every usable core): each block's image keys come off the wedge table
+    (_tau_keys) and are looked up at once (index_block), so no array of N
+    image keys is built."""
 
-    def __init__(self, space, group, image_keys, basis_lift, coords):
+    def __init__(self, space, group, basis_lift, coords):
         self.space = space
         self.group = group
-        self.index = group.indices_of_keys(image_keys)
         self.basis_lift = basis_lift  # (4, 6): lifted quotient basis rows
         self.coords = coords  # (6, 6): inverse of [basis_lift; w; complement]
+        image_keys = _tau_keys(space, basis_lift, coords)
+        self.index = np.empty(len(group), dtype=np.int32)
+        # at one row per element, the heap top each 65,536-element block frees on
+        # one core was trimmed and faulted back in by the next: 17k page faults at
+        # Sp(4, 4), against 1k at two
+        _packed.parallel_map(
+            lambda sl: group.index_block(image_keys(group.keys[sl]), self.index[sl]), _packed.row_blocks(len(group), 2)
+        )
 
     def matrix(self, i) -> Matrix:
         return self.group.matrix(self.index[i])
@@ -310,26 +321,24 @@ class OuterAutomorphism:
         return Matrix(self.space.field, self.map_entries(g.A[None, :, :])[0])
 
 
-def _tau_keys(space, basis_lift, coords, keys):
-    """Keys of _tau_apply on the matrices with these keys, through the
-    q^8-entry wedge table: the same step (b) check on the complement
-    coordinate (entry 5), then the top four entries are the image rows.
-    Block by block (row_blocks, on every usable core): each block of keys
-    is unpacked into rows and its image rows packed into keys, so no
-    (N, 4) row array is built."""
+def _tau_keys(space, basis_lift, coords):
+    """The function from a block of keys to the keys of _tau_apply on those
+    matrices, through the q^8-entry wedge table built here from coords: the
+    same step (b) check on the complement coordinate (entry 5), then the
+    top four entries are the image rows.  The block's keys are unpacked
+    into rows and its image rows packed into keys, so no (N, 4) row array
+    is built; parallel_map bodies may call it."""
     ops = space.ops
     ops6 = PackedOps(space.field, 6)
     table = _packed.wedge_table(ops, ops6, coords, WEDGE_PAIRS)  # and ops6.smul, before the workers read it
-    images = np.empty(len(keys), dtype=ops.key_dtype)
 
-    def image_keys(sl):
-        y = _packed.wedge_rows(ops, ops6, table, ops.unpack_keys(keys[sl]), basis_lift, WEDGE_PAIRS)
+    def image_keys(keys):
+        y = _packed.wedge_rows(ops, ops6, table, ops.unpack_keys(keys), basis_lift, WEDGE_PAIRS)
         if (y & ops6.mask).any():
             raise TauConstructionError("b", "exterior action leaves the invariant 5-space")
-        images[sl] = ops.pack_keys(y >> (2 * space.n))
+        return ops.pack_keys(y >> (2 * space.n))
 
-    _packed.parallel_map(image_keys, _packed.row_blocks(len(keys)))
-    return images
+    return image_keys
 
 
 def _tau_apply(field, basis_lift, coords, mats):
@@ -443,7 +452,7 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
     M = Matrix(field, np.concatenate([C, w.reshape(1, 6), u6.reshape(1, 6)]))
     coords = M.inverse().A
 
-    tau = OuterAutomorphism(space, group, _tau_keys(space, C, coords, group.keys), C, coords)
+    tau = OuterAutomorphism(space, group, C, coords)
 
     # step (d), on the generator pairs (gi, gj), in row_blocks of four rows
     # per pair on every usable core: gi gj and tau(gi) tau(gj) by rows_matmul,

@@ -161,6 +161,13 @@ def test_criterion_5_symplectic_fixed_space_rule(sp1, sp2):
             assert int(mask.sum()) == (q**3 + q**2 + q + 1) * (q - 1)
 
 
+def tau_image_keys(tau, keys):
+    """Keys of tau on the elements with these keys, recomputed through the
+    wedge table one row block at a time."""
+    image_keys = symplectic._tau_keys(tau.space, tau.basis_lift, tau.coords)
+    return np.concatenate([image_keys(keys[sl]) for sl in _packed.row_blocks(len(keys))])
+
+
 def test_criterion_6_outer_automorphism(sp1, sp2):
     with criterion("6 outer automorphism construction and verification"):
         for build, _ in (sp1, sp2):
@@ -173,7 +180,7 @@ def test_criterion_6_outer_automorphism(sp1, sp2):
                 assert len(build.group) ** 2 <= 1 << 20  # the q=2 path really is exhaustive
             group, tau = build.group, build.tau
             ops = group.space.ops
-            images = symplectic._tau_keys(group.space, tau.basis_lift, tau.coords, group.keys)
+            images = tau_image_keys(tau, group.keys)
             assert np.array_equal(images, group.keys[tau.index])  # the table tau.index points at
             tmask = group.transvection_mask()
             timg = images[tmask]
@@ -319,10 +326,14 @@ def test_sp2_build_memory(sp2_traced):
     # counts, plus an intp copy of an int32 index), the fixed-point table is
     # written in place (no per-column arrays or stacked copy), the dense tau
     # checks run a quarter of ROW_CHUNK pairs per block and the closure
-    # merges its levels into one preallocated key buffer
+    # merges its levels into one preallocated key buffer; peak 15.8 MiB,
+    # 11.45 MiB held, with the fixed-point table as uint8 (3.7 -> 1.9 MiB),
+    # support_scan's sums as uint8 (3.7 -> 0.9 MiB), tau.index filled one
+    # row block at a time with no N-key image array (3.7 MiB), and the
+    # related mask built after support_scan
     build, _, peak, retained = sp2_traced
-    assert peak < 24 * 2**20
-    assert retained < 16 * 2**20
+    assert peak < 18 * 2**20
+    assert retained < 12.5 * 2**20
     assert build.tau.index.dtype == np.int32
     # the group holds its keys, no per-element array of rows or entries
     held = [v for v in vars(build.group).values() if isinstance(v, np.ndarray)]
@@ -336,7 +347,7 @@ def test_tau_tables_gathered_q4(sp2):
     group, tau = build.group, build.tau
     ops = group.space.ops
     sub = np.arange(0, len(group), 97)
-    images = symplectic._tau_keys(group.space, tau.basis_lift, tau.coords, group.keys[sub])
+    images = tau_image_keys(tau, group.keys[sub])
     assert np.array_equal(_packed.fixed_counts(ops, images), build.fix[sub, 1])
     assert np.array_equal(transvection_flags(group.space, images), group.transvection_mask()[tau.index[sub]])
     # the natural representation's rows tau.index[sub], as natural_representation computes them

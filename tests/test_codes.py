@@ -145,7 +145,7 @@ def test_tau_index_equals_unchunked_lookup(monkeypatch, sp2, chunk):
     if chunk is not None:
         monkeypatch.setattr(_packed, "ROW_CHUNK", chunk)
     tau = build_outer_automorphism(space, group)
-    image_keys = symplectic._tau_keys(space, tau.basis_lift, tau.coords, group.keys)
+    image_keys = symplectic._tau_keys(space, tau.basis_lift, tau.coords)(group.keys)  # one block
     rest = _packed.lookup_sorted(group.keys[1:], image_keys)
     is_identity = image_keys == group.keys[0]
     assert (rest[~is_identity] >= 0).all() and is_identity.sum() == 1

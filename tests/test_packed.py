@@ -553,10 +553,11 @@ def threaded_outputs(space, group, tau):
         "rank_one_flags of the sums": _packed.rank_one_flags(ops, group.keys ^ ident),
         "transvection_flags": transvection_flags(space, group.keys),
         "_preserves_form": symplectic._preserves_form(space, group.keys),
-        "_tau_keys": symplectic._tau_keys(space, tau.basis_lift, tau.coords, group.keys),
+        # _tau_keys and index_block on each row block
+        "OuterAutomorphism.index": symplectic.OuterAutomorphism(space, group, tau.basis_lift, tau.coords).index,
         "perm_tables": _packed.perm_tables(ops, group.keys),
         "indices_of_keys": group.indices_of_keys(queries),
-        # _tau_keys, indices_of_keys and step (d)'s 225 generator pairs
+        # the same, and step (d)'s 225 generator pairs
         "tau.index": build_outer_automorphism(space, group).index,
         "_check_tau_homomorphism": symplectic._check_tau_homomorphism(space, group, tau, np.random.default_rng(3), 200),
     }
@@ -687,13 +688,14 @@ def test_parallel_map_stress(monkeypatch):
 
 def test_tau_step_b_failure_in_a_worker_block(monkeypatch):
     # coords whose complement column also reads the w coordinate fail step
-    # (b) at Sp(4, 2) row 13, in block 3 of 4 rows: a worker's at 2 cores
+    # (b) at Sp(4, 2) row 13, in block 3 of 4 elements (two rows each in
+    # OuterAutomorphism's blocks): a worker's at 2 cores
     real = symplectic._tau_keys
 
-    def corrupted(space, basis_lift, coords, keys):
+    def corrupted(space, basis_lift, coords):
         bad = coords.copy()
         bad[:, 5] ^= coords[:, 4]
-        return real(space, basis_lift, bad, keys)
+        return real(space, basis_lift, bad)  # the wedge table is built from bad
 
     made_in = {}
     real_init = TauConstructionError.__init__
@@ -705,7 +707,7 @@ def test_tau_step_b_failure_in_a_worker_block(monkeypatch):
     monkeypatch.setattr(symplectic, "_tau_keys", corrupted)
     monkeypatch.setattr(TauConstructionError, "__init__", init)
     errors = []
-    for cores, chunk in ((1, _packed.ROW_CHUNK), (2, 8)):
+    for cores, chunk in ((1, _packed.ROW_CHUNK), (2, 16)):
         with pytest.MonkeyPatch.context() as mp:
             usable_cores(mp, cores)
             mp.setattr(_packed, "ROW_CHUNK", chunk)

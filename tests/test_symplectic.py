@@ -198,7 +198,7 @@ def test_outer_automorphism_q2(sp2, tau2):
         img = tau.matrix(int(idx))
         assert fixed_projective_count(space, img) == 3
         assert not is_transvection(space, img)
-    keys = symplectic._tau_keys(space, tau.basis_lift, tau.coords, group.keys)
+    keys = symplectic._tau_keys(space, tau.basis_lift, tau.coords)(group.keys)
     assert len(np.unique(keys)) == len(group)
     assert np.array_equal(np.sort(tau.index), np.arange(len(group)))
 
@@ -211,7 +211,7 @@ TAU_IMAGE_Q2_DIGEST = "9fd4322a2ceec697861cc9b7495adc11fd4a4c955727d82e2c38cceb4
 def test_tau_rows_equal_dense_tau_apply(sp2, tau2):
     space, group = sp2
     dense = symplectic._tau_apply(space.field, tau2.basis_lift, tau2.coords, space.ops.matrices_of(group.keys))
-    packed = space.ops.unpack_keys(symplectic._tau_keys(space, tau2.basis_lift, tau2.coords, group.keys))
+    packed = space.ops.unpack_keys(symplectic._tau_keys(space, tau2.basis_lift, tau2.coords)(group.keys))
     assert np.array_equal(packed, space.ops.pack(dense))
     table = space.ops.unpack_keys(group.keys[tau2.index])
     assert np.array_equal(table, packed)
@@ -291,12 +291,7 @@ def test_tau_step_failure_is_reported(monkeypatch, capsys):
 
 def _fail_step(monkeypatch, step):
     """Patch one input of build_outer_automorphism so that its step fails."""
-    real_tau_keys = symplectic._tau_keys
-
-    def duplicated(*args):
-        keys = real_tau_keys(*args)
-        _duplicate_row(keys)
-        return keys
+    duplicated = _corrupt_image_keys(symplectic._tau_keys, _duplicate_row)
 
     attr, fake = {
         "a": ("batch_matmul_left", lambda mul, rows, mats: np.zeros((len(mats), 1, 6), np.uint8)),  # moves w
@@ -334,20 +329,30 @@ def _zero_row(keys):
     keys[1] = 0  # the zero matrix's key: no group element has it
 
 
+def _corrupt_image_keys(real, corrupt):
+    """A _tau_keys whose block function applies corrupt to the image keys of
+    every block it computes (one block of 720 at Sp(4, 2))."""
+
+    def tau_keys(*args):
+        image_keys = real(*args)
+
+        def corrupted(keys):
+            images = image_keys(keys)
+            corrupt(images)
+            return images
+
+        return corrupted
+
+    return tau_keys
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [(_duplicate_row, "image table has duplicates"), (_zero_row, "an image falls outside the group")],
     ids=["duplicate", "zero"],
 )
 def test_tau_step_d_failure_is_reported(monkeypatch, capsys, corrupt, message):
-    real = symplectic._tau_keys
-
-    def corrupted(*args):
-        keys = real(*args)
-        corrupt(keys)
-        return keys
-
-    monkeypatch.setattr(symplectic, "_tau_keys", corrupted)
+    monkeypatch.setattr(symplectic, "_tau_keys", _corrupt_image_keys(symplectic._tau_keys, corrupt))
     with pytest.raises(TauConstructionError, match=message) as err:
         build_symplectic_twisted(SymplecticSpace.create(1))
     assert err.value.step == "d"
@@ -393,7 +398,7 @@ def test_tau_tables_gathered_equal_kernel_oracle(sp2, tau2):
     # the packed kernels run on the recomputed image keys are the oracle
     space, group = sp2
     ops = space.ops
-    images = symplectic._tau_keys(space, tau2.basis_lift, tau2.coords, group.keys)
+    images = symplectic._tau_keys(space, tau2.basis_lift, tau2.coords)(group.keys)
     assert np.array_equal(_packed.fixed_counts(ops, images), _packed.fixed_counts(ops, group.keys)[tau2.index])
     assert np.array_equal(transvection_flags(space, images), group.transvection_mask()[tau2.index])
     natural = group.natural_representation()
