@@ -291,10 +291,9 @@ class OuterAutomorphism:
     with the change-of-basis data (quotient basis lift and coordinate
     matrix) that built the image rows, through which tau of any matrix is
     recomputed.  The index is filled one block at a time (row_blocks, two
-    rows per element: its image rows, then their lookup's intp arrays; on
-    every usable core): each block's image keys come off the wedge table
-    (_tau_keys) and are looked up at once (index_block), so no array of N
-    image keys is built."""
+    rows per element, on every usable core): each block's image keys come
+    off the wedge table (_tau_keys) and are looked up at once
+    (index_block), so no array of N image keys is built."""
 
     def __init__(self, space, group, basis_lift, coords):
         self.space = space

@@ -326,11 +326,11 @@ def test_sp2_build_memory(sp2_traced):
     # counts, plus an intp copy of an int32 index), the fixed-point table is
     # written in place (no per-column arrays or stacked copy), the dense tau
     # checks run a quarter of ROW_CHUNK pairs per block and the closure
-    # merges its levels into one preallocated key buffer; peak 15.8 MiB,
-    # 11.45 MiB held, with the fixed-point table as uint8 (3.7 -> 1.9 MiB),
-    # support_scan's sums as uint8 (3.7 -> 0.9 MiB), tau.index filled one
-    # row block at a time with no N-key image array (3.7 MiB), and the
-    # related mask built after support_scan
+    # merges its levels into one preallocated key buffer; peak 15.7 MiB,
+    # 11.5 MiB held, with the fixed-point table as uint8 (3.7 -> 1.9 MiB
+    # held), support_scan's sums as uint8 (3.7 -> 0.9 MiB), tau.index
+    # filled one block at a time with no N-key image array beside it
+    # (3.7 MiB) and the related mask built after support_scan
     build, _, peak, retained = sp2_traced
     assert peak < 18 * 2**20
     assert retained < 12.5 * 2**20
