@@ -17,8 +17,9 @@ All functions are pure.  fixed_counts, rank_one_flags and perm_tables
 split their keys into row_blocks and run them on every usable core
 (parallel_map), as closure does with each level's frontier and
 span_tables with its sum_rank entries; the other kernels take the batch
-they get, and the builders run the large ones inside parallel_map bodies
-of their own.
+they get.  The builders run the row kernels (rows_matmul, wedge_rows)
+inside parallel_map bodies of their own, and the dense batch_* kernels
+on the calling thread, on the few generators only.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 WEDGE_TABLE_LIMIT = 1 << 24  # entries of wedge_table: q^8 for 4-rows over GF(q)
 POINT_TABLE_LIMIT = 1 << 24  # entries of perm_tables' four point-image tables: 4 q^4 (q^3 + q^2 + q + 1)
 PAIR_TABLE_LIMIT = 1 << 16  # entries of a table over two packed 4-rows (q <= 4) or four field entries (q <= 16)
-ROW_CHUNK = 1 << 16  # rows per block of the per-element row kernels (rank, tau rows; a dense 4 x 4 matrix is four)
+ROW_CHUNK = 1 << 16  # rows per block of the per-element row kernels (rank, tau rows; a pair of the tau checks is four)
 
 
 def chunks(n, size):
@@ -63,9 +64,10 @@ def parallel_map(body, blocks):
     below still run), and once all workers are joined the exception of
     the lowest failing block is raised: the one a serial loop meets first,
     whatever the core count.  A body must not call a function that
-    perfbench/tracer.py wraps, whose one span stack assumes strictly
-    nested calls: traced kernels are entered on the calling thread and
-    split their own rows through parallel_map."""
+    perfbench/tracer.py wraps (the batch_* dense kernels and the staged
+    builders among them), whose one span stack assumes strictly nested
+    calls: traced kernels are entered on the calling thread and split
+    their own rows through parallel_map."""
     blocks = list(blocks)
     workers = max(1, min(usable_cores(), len(blocks)))
     results = [None] * len(blocks)
@@ -334,11 +336,6 @@ def wedge_rows(ops: PackedOps, ops6: PackedOps, table, rows, lift, pairs):
     return out
 
 
-# The dense kernels.  A parallel_map body calls the private ones: the public
-# batch_* names are the entry points perfbench/tracer.py wraps, so they are
-# called on the calling thread only.
-
-
 def _matmul_fixed(mul, A, B):
     """(N, r, s) batch times a fixed (s, t) matrix: term k gathers rows of
     the (q, t) table mul[:, B[k]] at the entries of column k of A."""
@@ -363,13 +360,25 @@ def _matmul_each(mul, A, B):
     return out
 
 
-def _matmul_left(mul, C, B):
+def batch_matmul(mul, A, B):
+    """Exact product over GF(2^n) via the field's q x q table.
+
+    A is (N, r, s); B is either a fixed (s, t) matrix or a per-element
+    (N, s, t) batch.  Returns (N, r, t) (_matmul_fixed, _matmul_each).
+    Callers chunk N.
+    """
+
+    return _matmul_fixed(mul, A, B) if B.ndim == 2 else _matmul_each(mul, A, B)
+
+
+def batch_matmul_left(mul, C, B):
     """Fixed (r, s) matrix times per-element (N, s, t) batch, as the
-    transpose of B^T . C^T."""
+    transpose of B^T . C^T through _matmul_fixed, not batch_matmul, so a
+    tracer wrapping both counts one span per call."""
     return np.ascontiguousarray(_matmul_fixed(mul, B.transpose(0, 2, 1), C.T).transpose(0, 2, 1))
 
 
-def _exterior_square(mul, mats, pairs):
+def batch_exterior_square(mul, mats, pairs):
     """Exterior-square matrices of a (N, 4, 4) batch on the wedge-pair
     basis; characteristic 2, so the sign terms are XORs.  Entry ((i, j),
     (k, l)) is the 2 x 2 minor g_ik g_jl ^ g_il g_jk: one gather from the
@@ -391,27 +400,6 @@ def _exterior_square(mul, mats, pairs):
         idx |= m[:, j, k]
         out[:, a] = np.take(minors, idx)
     return out
-
-
-def batch_matmul(mul, A, B):
-    """Exact product over GF(2^n) via the field's q x q table.
-
-    A is (N, r, s); B is either a fixed (s, t) matrix or a per-element
-    (N, s, t) batch.  Returns (N, r, t) (_matmul_fixed, _matmul_each).
-    Callers chunk N.
-    """
-
-    return _matmul_fixed(mul, A, B) if B.ndim == 2 else _matmul_each(mul, A, B)
-
-
-def batch_matmul_left(mul, C, B):
-    """Fixed (r, s) matrix times per-element (N, s, t) batch (_matmul_left)."""
-    return _matmul_left(mul, C, B)
-
-
-def batch_exterior_square(mul, mats, pairs):
-    """Exterior-square matrices of a (N, 4, 4) batch (_exterior_square)."""
-    return _exterior_square(mul, mats, pairs)
 
 
 def closure(ops: PackedOps, gen_mats, limit):

@@ -289,11 +289,12 @@ class OuterAutomorphism:
     looked up from the keys of the image matrices, so a per-element
     table of tau(g) is the group's own one gathered through index; kept
     with the change-of-basis data (quotient basis lift and coordinate
-    matrix) that built the image rows, through which tau of any matrix is
-    recomputed.  The index is filled one block at a time (row_blocks, two
-    rows per element, on every usable core): each block's image keys come
-    off the wedge table (_tau_keys) and are looked up at once
-    (index_block), so no array of N image keys is built."""
+    matrix) that built the image rows, from which _tau_keys, tau's one
+    evaluator, rebuilds its wedge table for map_matrix.  The index is
+    filled one block at a time (row_blocks, two rows per element, on
+    every usable core): each block's image keys come off the wedge table
+    (_tau_keys) and are looked up at once (index_block), so no array of N
+    image keys is built."""
 
     def __init__(self, space, group, basis_lift, coords):
         self.space = space
@@ -312,21 +313,22 @@ class OuterAutomorphism:
     def matrix(self, i) -> Matrix:
         return self.group.matrix(self.index[i])
 
-    def map_entries(self, mats):
-        """tau of a (N, 4, 4) batch, recomputed from the exterior square."""
-        return _tau_apply(self.space.field, self.basis_lift, self.coords, mats)
-
     def map_matrix(self, g: Matrix) -> Matrix:
-        return Matrix(self.space.field, self.map_entries(g.A[None, :, :])[0])
+        """tau of any 4 x 4 matrix: _tau_keys on its one key, so a matrix
+        whose exterior square leaves the invariant 5-space raises step (b)."""
+        ops = self.space.ops
+        key = _tau_keys(self.space, self.basis_lift, self.coords)(ops.keys_of(g.A))
+        return Matrix(self.space.field, ops.matrices_of(key)[0])
 
 
 def _tau_keys(space, basis_lift, coords):
-    """The function from a block of keys to the keys of _tau_apply on those
-    matrices, through the q^8-entry wedge table built here from coords: the
-    same step (b) check on the complement coordinate (entry 5), then the
-    top four entries are the image rows.  The block's keys are unpacked
-    into rows and its image rows packed into keys, so no (N, 4) row array
-    is built; parallel_map bodies may call it."""
+    """The function from a block of keys to the keys of their images under
+    tau, through the q^8-entry wedge table built here from coords: row r of
+    an image is basis_lift[r] . L(g) . coords (wedge_rows), whose
+    complement coordinate (entry 5) must vanish or the invariant 5-space is
+    not invariant (step (b)); its top four entries are the image row.  The
+    block's keys are unpacked into rows and its image rows packed into
+    keys, so no (N, 4) row array is built; parallel_map bodies may call it."""
     ops = space.ops
     ops6 = PackedOps(space.field, 6)
     table = _packed.wedge_table(ops, ops6, coords, WEDGE_PAIRS)  # and ops6.smul, before the workers read it
@@ -338,20 +340,6 @@ def _tau_keys(space, basis_lift, coords):
         return ops.pack_keys(y >> (2 * space.n))
 
     return image_keys
-
-
-def _tau_apply(field, basis_lift, coords, mats):
-    """Induced action on the quotient: wedge the matrix, push the lifted
-    basis through it, and read coordinates; the complement coordinate must
-    vanish or the invariant 5-space is not actually invariant.  Through
-    the private dense kernels, so parallel_map bodies may call it."""
-    mul = field.mul_table
-    lam = _packed._exterior_square(mul, np.ascontiguousarray(mats), WEDGE_PAIRS)
-    x = _packed._matmul_left(mul, basis_lift, lam)
-    y = _packed._matmul_fixed(mul, x, coords)
-    if y[:, :, 5].any():
-        raise TauConstructionError("b", "exterior action leaves the invariant 5-space")
-    return np.ascontiguousarray(y[:, :, :4])
 
 
 def _wedge_pairing_gram(space):
@@ -404,10 +392,11 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
         quotient is alternating and nondegenerate;
     (c) a deterministic hyperbolic-pair extraction maps the quotient form
         onto the standard Gram matrix;
-    (d) the resulting map is a homomorphism on generator pairs, each image
-        row is an element (so symplectic) and tau.index is a permutation;
-        it sends every transvection to a non-transvection (the group's own
-        mask, gathered) with exactly q+1 fixed 1-spaces (counted afresh).
+    (d) each image row is an element (so symplectic), tau.index is a
+        permutation and a homomorphism on the pairs of (a)'s generators
+        (_tau_products_agree, on the index itself); it sends every
+        transvection to a non-transvection (the group's own mask,
+        gathered) with exactly q+1 fixed 1-spaces (counted afresh).
     """
 
     field = space.field
@@ -453,26 +442,17 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
 
     tau = OuterAutomorphism(space, group, C, coords)
 
-    # step (d), on the generator pairs (gi, gj), in row_blocks of four rows
-    # per pair on every usable core: gi gj and tau(gi) tau(gj) by rows_matmul,
-    # tau(gi gj) recomputed densely
-    ops = space.ops
-    packed_gens, packed_tg = ops.pack(gens), ops.pack(tau.map_entries(gens))
-
-    def homomorphic(sl):
-        gi, gj = np.divmod(np.arange(sl.start, sl.stop), len(gens))
-        lhs = tau.map_entries(ops.unpack(_packed.rows_matmul(ops, packed_gens[gi], packed_gens[gj])))
-        return bool((lhs == ops.unpack(_packed.rows_matmul(ops, packed_tg[gi], packed_tg[gj]))).all())
-
-    ops.smul  # computed here, before the workers read it
-    if not all(_packed.parallel_map(homomorphic, _packed.row_blocks(len(gens) ** 2, 4))):
-        raise TauConstructionError("d", "not a homomorphism on generator pairs")
+    # step (d)
     if (tau.index < 0).any():
         raise TauConstructionError("d", "an image falls outside the group")
     seen = np.zeros(len(group), dtype=bool)  # N indices in range: a permutation iff they hit every element
     seen[tau.index] = True
     if not seen.all():
         raise TauConstructionError("d", "image table has duplicates")
+    ops = space.ops
+    t = group.indices_of_keys(ops.keys_of(gens))  # (a)'s generators, as int32 element indices
+    if (t < 0).any() or not _tau_products_agree(group, tau, np.repeat(t, len(t)), np.tile(t, len(t))):
+        raise TauConstructionError("d", "not a homomorphism on generator pairs")
     tmask = group.transvection_mask()
     if not (_packed.fixed_counts(ops, group.keys[tau.index[tmask]]) == space.q + 1).all():
         raise TauConstructionError("d", "a transvection image has wrong fixed count")
@@ -481,26 +461,35 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
     return tau
 
 
-def _check_tau_homomorphism(space, group, tau, rng, samples):
-    """tau(gh) = tau(g) tau(h): exhaustive over all pairs at q = 2, on
-    `samples` uniform pairs for larger groups.  gh is multiplied on the
-    packed rows and tau(gh) recomputed through the dense exterior square;
-    tau(g) tau(h) is multiplied from the keys that tau.index points at, the
-    table every tau-side scan gathers through.  The pairs run in row_blocks
-    of four rows per pair on every usable core, each block's keys unpacked
-    on their own.  Returns (ok, coverage)."""
-    ops = space.ops
+def _tau_products_agree(group, tau, a, b):
+    """True when every product g_a g_b is an element and tau.index sends it
+    to tau(g_a) tau(g_b), the product of the elements tau.index points at:
+    tau.index is then a homomorphism on these pairs.  In row_blocks of
+    four rows per pair on every usable core; each block forms both
+    products with rows_matmul on its unpacked keys and looks them up with
+    index_block.  tau.index must already be a permutation."""
+    ops = group.space.ops
     keys = group.keys
-    a, b, cov = sample_pairs(len(group), rng, samples)
 
     def agrees(sl):
-        prod = _packed.rows_matmul(ops, ops.unpack_keys(keys[a[sl]]), ops.unpack_keys(keys[b[sl]]))
-        lhs = tau.map_entries(ops.unpack(prod))
-        rhs = _packed.rows_matmul(ops, ops.unpack_keys(keys[tau.index[a[sl]]]), ops.unpack_keys(keys[tau.index[b[sl]]]))
-        return bool((lhs == ops.unpack(rhs)).all())
+        found = np.empty((2, sl.stop - sl.start), dtype=np.int32)
+        for out, x, y in zip(found, (a[sl], tau.index[a[sl]]), (b[sl], tau.index[b[sl]])):
+            rows = _packed.rows_matmul(ops, ops.unpack_keys(keys[x]), ops.unpack_keys(keys[y]))
+            group.index_block(ops.pack_keys(rows), out)
+        prod, image = found
+        return bool((prod >= 0).all() and (tau.index[prod] == image).all())
 
     ops.smul  # computed here, before the workers read it
-    return all(_packed.parallel_map(agrees, _packed.row_blocks(len(a), 4))), cov
+    return all(_packed.parallel_map(agrees, _packed.row_blocks(len(a), 4)))
+
+
+def _check_tau_homomorphism(space, group, tau, rng, samples):
+    """tau(gh) = tau(g) tau(h) on tau.index, the table every tau-side scan
+    gathers through (_tau_products_agree): exhaustive over all pairs at
+    q = 2, on `samples` uniform pairs for larger groups.  Returns (ok,
+    coverage)."""
+    a, b, cov = sample_pairs(len(group), rng, samples)
+    return _tau_products_agree(group, tau, a, b), cov
 
 
 def _check_inverses_sampled(space, group, rng, samples=100):

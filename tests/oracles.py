@@ -4,7 +4,8 @@ sets the core count the threaded kernels split their work by, and the
 row-based references of the key-based Sp(4, q) kernels: the same
 algorithms on packed (N, 4) row arrays, unthreaded.  These read the same
 PackedOps tables as the kernels, so they certify how the kernels read
-rows off keys, not the tables."""
+rows off keys, not the tables.  And dense_tau_apply, tau through the dense
+exterior square, the reference for _tau_keys' wedge table."""
 
 import itertools
 
@@ -13,7 +14,7 @@ import numpy as np
 from twistcode import _packed
 from twistcode.affine import matrix_B
 from twistcode.codes import FORMAT_MAGIC, hamming_distance, row_keys
-from twistcode.linalg import Matrix
+from twistcode.linalg import Matrix, WEDGE_PAIRS
 from twistcode.symplectic import GRAM
 
 
@@ -213,3 +214,16 @@ def row_preserves_form(ops, rows):
                 b ^= mul[g[:, i, k], g[:, j, l]]
             ok &= b == GRAM[i, j]
     return ok
+
+
+def dense_tau_apply(field, basis_lift, coords, mats):
+    """tau of a (N, 4, 4) batch through the dense exterior square: wedge
+    each matrix, push the lifted quotient basis through it and read
+    coordinates.  The complement coordinate must vanish, or the invariant
+    5-space is not invariant."""
+    mul = field.mul_table
+    lam = _packed.batch_exterior_square(mul, mats, WEDGE_PAIRS)
+    y = _packed.batch_matmul(mul, _packed.batch_matmul_left(mul, basis_lift, lam), coords)
+    if y[:, :, 5].any():
+        raise ValueError("exterior action leaves the invariant 5-space")
+    return y[:, :, :4]

@@ -21,6 +21,8 @@ from twistcode.fields import PrimeField
 from twistcode.symplectic import SymplecticSpace, build_symplectic_twisted, transvection_flags
 from twistcode import _packed, symplectic
 
+from oracles import dense_tau_apply
+
 AFFINE_CASES = {(3, 2): (24, 18), (5, 2): (120, 100), (7, 2): (336, 294), (5, 3): (620, 600)}
 
 
@@ -305,34 +307,16 @@ def test_tau_image_rows_pinned_q4(sp2):
 
 
 def test_sp2_build_memory(sp2_traced):
-    # tracemalloc figures of the Sp(4,4) check="fast" build (numpy 2.4.6):
-    # peak 96.9 MiB, 63.3 MiB still held, while the group also kept a dense
-    # (N, 4, 4) copy of its packed rows and tau its own (N, 4) image rows;
-    # peak 68.0 MiB, 31.6 MiB held with the packed rows and tau.index only;
-    # peak 54.0 MiB once the rank kernel runs over row blocks (ROW_CHUNK);
-    # peak 54.4 MiB, 32.0 MiB held, with the span-id rank tables (0.45 MiB,
-    # cached on the space's PackedOps): build_outer_automorphism, which
-    # passes tau the image keys instead of the (N, 4) image rows, now peaks
-    # at 50.8 MiB, and the peak sits in the support-bound checks after
-    # support_scan; peak 50.8 MiB, 32.0 MiB held, once support_scan sums in
-    # int32, the support bound reads one masked minimum instead of two
-    # copies of sums[neither], and transvection_flags XORs one ROW_CHUNK
-    # block at a time (its own traced peak 17.1 -> 3.3 MiB): the peak is
-    # build_outer_automorphism's again; peak 30.2 MiB, 17.1 MiB held, with
-    # the group held as its keys alone (no (N, 4) row table, 15 MiB) and
-    # uint16 flat indices in _matmul_each: the peak is _check_tau_homomorphism's;
-    # peak 18.9 MiB, 13.3 MiB held, once tau.index is int32 (7.5 -> 3.7 MiB)
-    # and proved a permutation by a seen mask instead of np.bincount (N int64
-    # counts, plus an intp copy of an int32 index), the fixed-point table is
-    # written in place (no per-column arrays or stacked copy), the dense tau
-    # checks run a quarter of ROW_CHUNK pairs per block and the closure
-    # merges its levels into one preallocated key buffer; peak 15.7 MiB,
-    # 11.5 MiB held, with the fixed-point table as uint8 (3.7 -> 1.9 MiB
-    # held), support_scan's sums as uint8 (3.7 -> 0.9 MiB), tau.index
-    # filled one block at a time with no N-key image array beside it
-    # (3.7 MiB) and the related mask built after support_scan
+    # tracemalloc figures of the Sp(4,4) check="fast" build, numpy 2.4.6:
+    # peak 14.5-14.6 MiB on 1 to 8 workers, reached in tau_homomorphism's pair
+    # blocks (step (d)'s, in outer_automorphism, reach 14.5 MiB); 11.45 MiB
+    # held: the keys and tau.index (3.7 MiB each), the (N, 2) uint8
+    # fixed-point table, the transvection mask and the span-id rank tables.
+    # The bounds leave about 2 MiB and 1 MiB for other numpy versions; a
+    # per-element array of rows or dense entries, or an N-key image array
+    # beside tau.index, exceeds them.  CHANGES.md keeps the history.
     build, _, peak, retained = sp2_traced
-    assert peak < 18 * 2**20
+    assert peak < 16.5 * 2**20
     assert retained < 12.5 * 2**20
     assert build.tau.index.dtype == np.int32
     # the group holds its keys, no per-element array of rows or entries
@@ -342,12 +326,16 @@ def test_sp2_build_memory(sp2_traced):
 
 def test_tau_tables_gathered_q4(sp2):
     # the tau-side tables of Sp(4,4), gathered through tau.index, against the
-    # packed kernels run on the recomputed image keys: every 97th row
+    # packed kernels run on the recomputed image keys: every 97th row; and
+    # those images, from tau's one evaluator (the wedge table), against tau
+    # through the dense exterior square
     build = sp2[0]
     group, tau = build.group, build.tau
     ops = group.space.ops
     sub = np.arange(0, len(group), 97)
     images = tau_image_keys(tau, group.keys[sub])
+    dense = dense_tau_apply(group.space.field, tau.basis_lift, tau.coords, ops.matrices_of(group.keys[sub]))
+    assert np.array_equal(ops.matrices_of(images), dense)
     assert np.array_equal(_packed.fixed_counts(ops, images), build.fix[sub, 1])
     assert np.array_equal(transvection_flags(group.space, images), group.transvection_mask()[tau.index[sub]])
     # the natural representation's rows tau.index[sub], as natural_representation computes them

@@ -26,7 +26,7 @@ from twistcode.symplectic import (
     transvection_flags,
 )
 
-from oracles import mulclose, usable_cores
+from oracles import dense_tau_apply, mulclose, usable_cores
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +210,7 @@ TAU_IMAGE_Q2_DIGEST = "9fd4322a2ceec697861cc9b7495adc11fd4a4c955727d82e2c38cceb4
 
 def test_tau_rows_equal_dense_tau_apply(sp2, tau2):
     space, group = sp2
-    dense = symplectic._tau_apply(space.field, tau2.basis_lift, tau2.coords, space.ops.matrices_of(group.keys))
+    dense = dense_tau_apply(space.field, tau2.basis_lift, tau2.coords, space.ops.matrices_of(group.keys))
     packed = space.ops.unpack_keys(symplectic._tau_keys(space, tau2.basis_lift, tau2.coords)(group.keys))
     assert np.array_equal(packed, space.ops.pack(dense))
     table = space.ops.unpack_keys(group.keys[tau2.index])
@@ -355,6 +355,34 @@ def test_tau_step_d_failure_is_reported(monkeypatch, capsys, corrupt, message):
     monkeypatch.setattr(symplectic, "_tau_keys", _corrupt_image_keys(symplectic._tau_keys, corrupt))
     with pytest.raises(TauConstructionError, match=message) as err:
         build_symplectic_twisted(SymplecticSpace.create(1))
+    assert err.value.step == "d"
+    status = cli_main(["symplectic", "--n", "1"])
+    out = capsys.readouterr().out
+    assert out.splitlines() == [f"check.tau_step_{s}=PASS" for s in "abc"] + ["check.tau_step_d=FAIL"]
+    assert status == 1
+
+
+def test_tau_step_d_pair_check_can_fail(monkeypatch, capsys, sp2, tau2):
+    # the images of two transvections swapped as tau.index is filled (one
+    # block of 720 on one core): the index is still a permutation and every
+    # transvection image still a non-transvection with q + 1 fixed points, so
+    # only the generator-pair check on the index sees it
+    space, group = sp2
+    tmask = group.transvection_mask()
+    i, j = np.flatnonzero(tmask)[:2]
+    swapped = tau2.index.copy()
+    swapped[[i, j]] = swapped[[j, i]]
+    assert np.array_equal(np.sort(swapped), np.arange(len(group)))
+    assert (_packed.fixed_counts(space.ops, group.keys[swapped[tmask]]) == 3).all()
+    assert not tmask[swapped[tmask]].any()
+
+    def swap(images):
+        images[[i, j]] = images[[j, i]]
+
+    usable_cores(monkeypatch, 1)
+    monkeypatch.setattr(symplectic, "_tau_keys", _corrupt_image_keys(symplectic._tau_keys, swap))
+    with pytest.raises(TauConstructionError, match="not a homomorphism on generator pairs") as err:
+        build_outer_automorphism(space, group)
     assert err.value.step == "d"
     status = cli_main(["symplectic", "--n", "1"])
     out = capsys.readouterr().out
