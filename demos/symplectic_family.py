@@ -8,8 +8,6 @@ transvections (which fix q^2+q+1 points) to elements fixing only q+1
 points; concatenating the natural action with its twist buys q^2 extra
 minimum distance over repetition."""
 
-import numpy as np
-
 from twistcode import (
     SymplecticSpace,
     build_outer_automorphism,

@@ -201,11 +201,18 @@ def build_twisted_code(rep: Representation, automorphisms=()) -> Code:
     """The code of rep twisted by automorphisms, each an index permutation t
     of the group (tau(g_j) = g_t[j]): block 0 of a codeword is rep's passive
     form, block b that of rep . tau_b, written from rep's rows gathered
-    through t_b.  Rows of a checked table are bijections; t is checked."""
+    through t_b.  Rows of a checked table are bijections; each t is checked
+    to permute 0..n-1, with t[0] acting as the identity."""
     n, q = rep.perms.shape
+    seen = np.empty(n, dtype=bool)  # N indices in range: a permutation iff they hit every element
     for t in automorphisms:
         if np.shape(t) != (n,):
             raise ValueError(f"an automorphism index of shape {np.shape(t)} does not permute {n} elements")
+        seen.fill(False)
+        if np.min(t) >= 0 and np.max(t) < n:
+            seen[t] = True
+        if not seen.all():
+            raise ValueError(f"an automorphism index is not a permutation of 0..{n - 1}")
         if not (rep.perms[t[0]] == np.arange(q)).all():
             raise ValueError("identity element must act as the identity permutation")
     words = np.empty((n, q * (1 + len(automorphisms))), dtype=np.min_scalar_type(q))
@@ -433,7 +440,12 @@ def support_scan(fix, m):
     in the narrowest type that holds r * m, the largest sum:
     np.min_scalar_type(r * m), which is unsigned (uint8 at Sp(4, 4), uint16
     at affine (11, 2)), so they are compared, never subtracted."""
-    sums = fix[1:].sum(axis=1, dtype=np.min_scalar_type(fix.shape[1] * m))
+    sums = np.zeros(len(fix) - 1, dtype=np.min_scalar_type(fix.shape[1] * m))
+    # column by column, ROW_CHUNK rows at a time: a row-wise sum reduces each short row on its own
+    for sl in chunks(len(sums), _packed.ROW_CHUNK):
+        block, out = fix[sl.start + 1 : sl.stop + 1], sums[sl]
+        for c in range(fix.shape[1]):
+            np.add(out, block[:, c], out=out, dtype=out.dtype, casting="unsafe")
     np.subtract(fix.shape[1] * m, sums, out=sums)  # in place, and no (N, r) copy of the supports
     return sums, (int(sums.min()), fix.shape[1] * (m - int(fix[1:].max())))
 
@@ -535,15 +547,38 @@ def _token_table(q):
 def read_code(path):
     """Parse a v1 codeword file; returns (Code, header dict).
 
-    A file in the plain form write_code writes is parsed in numpy, about
-    BLOCK_ENTRIES // 16 bytes of whole lines at a time (at least one
-    line).  Any other goes to the line parser, read again from the top:
-    malformed input raises CodewordFileError carrying the line number,
-    and whatever the line parser accepts reads the same.
-    """
+    One pass over blocks of whole lines, about BLOCK_ENTRIES // 16 bytes
+    (at least one line): numpy parses the plain form write_code writes,
+    the line parser any other block and one past size=.  Malformed input,
+    not UTF-8 included, raises CodewordFileError with its line number."""
     with open(path, "rb") as fh:
-        parsed = _read_plain(fh)
-    return parsed if parsed is not None else _read_code_lines(path)
+        head = fh.readline() + fh.readline()
+        lines, error = _decode_lines(head, 1)
+        if error and (error.line == 1 or error.line == 2 and lines[0].strip() == FORMAT_MAGIC):
+            raise error
+        meta, q, length, size = _parse_header(lines)
+        rest = head[len("".join(lines[:2]).encode()) :]  # str.splitlines lines past the second are body lines
+        del head, lines  # a file with no b"\n" past its header is all head
+        # the int32 symbol sums hold 9 digits; every symbol takes at least one byte of the file
+        plain = 1 <= q < 10**9 and length >= 1
+        fits = plain and size is not None and 1 <= size * length <= os.fstat(fh.fileno()).st_size
+        words = np.empty((size, length), dtype=np.min_scalar_type(q)) if fits else []
+        done, count = 0, 2
+        while chunk := b"".join([rest, *fh.readlines(max(1, BLOCK_ENTRIES // 16))]):  # whole lines, about 256 KiB
+            rows, n = _parse_rows(np.frombuffer(chunk, dtype=np.uint8), q, length) if plain else (None, 0)
+            if rows is None or size is not None and done + len(rows) > size:
+                rows, n = _parse_lines(chunk, count + 1, done, q, length, size)
+            rest = b""
+            if len(rows) and fits:
+                words[done : done + len(rows)] = rows
+            elif len(rows):
+                words.append(np.asarray(rows, dtype=np.min_scalar_type(q)))
+            done, count = done + len(rows), count + n
+    if not done:
+        raise CodewordFileError(count + 1, "no codewords")
+    if size is not None and done != size:
+        raise CodewordFileError(count + 1, f"{done} codewords, the header's size={size}")
+    return Code(words if fits else np.concatenate(words), q), meta
 
 
 def _parse_header(lines):
@@ -568,45 +603,14 @@ def _parse_header(lines):
     return meta, q, length, size
 
 
-def _read_plain(fh):
-    """read_code's result for the binary file fh, or None unless both header
-    lines are printable ASCII and parse, and every body chunk passes
-    _parse_rows, with as many rows as size= (when given) and at least one."""
-    head = [fh.readline(), fh.readline()]
-    if not all(line.endswith(b"\n") and line[:-1].isascii() and line[:-1].decode().isprintable() for line in head):
-        return None
-    try:
-        meta, q, length, size = _parse_header([line[:-1].decode() for line in head])
-    except CodewordFileError:
-        return None
-    # the int32 symbol sums hold 9 digits; every symbol takes at least one byte of the file
-    if not (1 <= q < 10**9 and length >= 1 and (size is None or 1 <= size * length <= os.fstat(fh.fileno()).st_size)):
-        return None
-    dtype = np.min_scalar_type(q)
-    words = [] if size is None else np.empty((size, length), dtype=dtype)
-    done = 0
-    while chunk := b"".join(fh.readlines(max(1, BLOCK_ENTRIES // 16))):  # whole lines, about 256 KiB
-        rows = _parse_rows(np.frombuffer(chunk, dtype=np.uint8), q, length)
-        if rows is None or (size is not None and done + len(rows) > size):
-            return None
-        if size is None:
-            words.append(rows.astype(dtype))
-        else:
-            words[done : done + len(rows)] = rows
-        done += len(rows)
-    if not done or (size is not None and done != size):
-        return None
-    return Code(np.concatenate(words) if size is None else words, q), meta
-
-
 def _parse_rows(buf, q, length):
-    """The int32 rows of whole body lines (bytes buf), or None unless every
-    byte is a digit, b" " or b"\\n", every line has 0 or `length` tokens,
-    and every token is at most len(str(q)) digits and lies in 1..q."""
+    """(int32 rows, lines) of whole body lines (non-empty bytes buf), or
+    (None, 0) unless every byte is a digit, b" " or b"\\n", every line has 0
+    or `length` tokens, and every token is at most len(str(q)) digits in 1..q."""
     digits = buf - np.uint8(ord("0"))  # bytes below "0" wrap above 9
     is_digit = digits < 10
     if not (is_digit | (buf == ord(" ")) | (buf == ord("\n"))).all():
-        return None
+        return None, 0
     # token starts and ends at the digit/non-digit edges, in int32 to halve the chunk's largest arrays
     bounds = np.flatnonzero(np.diff(is_digit, prepend=False, append=False)).astype(np.int32)
     starts, ends = bounds[::2], bounds[1::2]
@@ -616,7 +620,7 @@ def _parse_rows(buf, q, length):
     line_ends = np.append(np.flatnonzero(buf == ord("\n")), len(buf))
     per_line = np.diff(np.searchsorted(starts, line_ends), prepend=0)
     if not ((per_line == 0) | (per_line == length)).all() or width > len(str(q)):
-        return None
+        return None, 0
     # index with the int32 ends themselves: np.take would copy them to intp
     values = digits[ends - 1].astype(np.int32)  # units; every token has one
     for k in range(1, width):  # then the 10^k digit of the tokens that have one
@@ -624,20 +628,30 @@ def _parse_rows(buf, q, length):
         digit *= sizes > k
         values += digit * np.int32(10**k)
     if values.size and (values.min() < 1 or values.max() > q):
-        return None
-    return values.reshape(-1, length)
+        return None, 0
+    return values.reshape(-1, length), len(line_ends) - bool(buf[-1] == ord("\n"))
 
 
-def _read_code_lines(path):
-    """The line parser: read_code for any file, one line and symbol at a time."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    meta, q, length, size = _parse_header(lines)
+def _decode_lines(buf, first):
+    """(lines, None): buf's UTF-8 text split as str.splitlines splits it, ends kept;
+    or the lines before its first invalid byte, and a CodewordFileError naming line
+    first + len(lines), the one that holds it."""
+    try:
+        return buf.decode().splitlines(keepends=True), None
+    except UnicodeDecodeError as exc:
+        *lines, _ = (buf[: exc.start].decode() + "?").splitlines(keepends=True)
+        return lines, CodewordFileError(first + len(lines), f"not UTF-8 text ({exc.reason})")
+
+
+def _parse_lines(buf, first, done, q, length, size):
+    """The line parser: (rows, lines) of body lines buf, numbered from first
+    and read after `done` codewords, one int() per symbol."""
+    lines, error = _decode_lines(buf, first)
     rows = []
-    for ln, line in enumerate(lines[2:], start=3):
+    for ln, line in enumerate(lines, start=first):
         if not line.strip():
             continue
-        if len(rows) == size:
+        if done + len(rows) == size:
             raise CodewordFileError(ln, f"more codewords than the header's size={size}")
         try:
             row = [int(tok) for tok in line.split()]
@@ -647,10 +661,7 @@ def _read_code_lines(path):
             raise CodewordFileError(ln, f"expected {length} symbols, got {len(row)}")
         if min(row) < 1 or max(row) > q:
             raise CodewordFileError(ln, f"symbol out of range 1..{q}")
-        rows.append(row)
-    if not rows:
-        raise CodewordFileError(len(lines) + 1, "no codewords")
-    if size is not None and len(rows) != size:
-        raise CodewordFileError(len(lines) + 1, f"{len(rows)} codewords, the header's size={size}")
-    words = np.asarray(rows, dtype=np.min_scalar_type(q))
-    return Code(words, q), meta
+        rows.append(np.array(row, dtype=np.min_scalar_type(q)))  # held in the symbol type, not as Python ints
+    if error:
+        raise error
+    return rows, len(lines)

@@ -5,7 +5,9 @@ row-based references of the key-based Sp(4, q) kernels: the same
 algorithms on packed (N, 4) row arrays, unthreaded.  These read the same
 PackedOps tables as the kernels, so they certify how the kernels read
 rows off keys, not the tables.  And dense_tau_apply, tau through the dense
-exterior square, the reference for _tau_keys' wedge table."""
+exterior square, the reference for _tau_keys' wedge table; write_code_lines
+and read_code_lines, the line-by-line references of the codeword file
+writer and reader."""
 
 import itertools
 
@@ -13,7 +15,7 @@ import numpy as np
 
 from twistcode import _packed
 from twistcode.affine import matrix_B
-from twistcode.codes import FORMAT_MAGIC, hamming_distance, row_keys
+from twistcode.codes import FORMAT_MAGIC, Code, CodewordFileError, _parse_header, hamming_distance, row_keys
 from twistcode.linalg import Matrix, WEDGE_PAIRS
 from twistcode.symplectic import GRAM
 
@@ -144,6 +146,34 @@ def write_code_lines(path, code, family, params, r=1):
         strs = [str(i) for i in range(code.q + 1)]
         for row in code.words.tolist():
             fh.write(" ".join([strs[x] for x in row]) + "\n")
+
+
+def read_code_lines(path):
+    """The line parser: read_code for any file, one line and symbol at a time."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    meta, q, length, size = _parse_header(lines)
+    rows = []
+    for ln, line in enumerate(lines[2:], start=3):
+        if not line.strip():
+            continue
+        if len(rows) == size:
+            raise CodewordFileError(ln, f"more codewords than the header's size={size}")
+        try:
+            row = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise CodewordFileError(ln, "non-integer symbol") from None
+        if len(row) != length:
+            raise CodewordFileError(ln, f"expected {length} symbols, got {len(row)}")
+        if min(row) < 1 or max(row) > q:
+            raise CodewordFileError(ln, f"symbol out of range 1..{q}")
+        rows.append(row)
+    if not rows:
+        raise CodewordFileError(len(lines) + 1, "no codewords")
+    if size is not None and len(rows) != size:
+        raise CodewordFileError(len(lines) + 1, f"{len(rows)} codewords, the header's size={size}")
+    words = np.asarray(rows, dtype=np.min_scalar_type(q))
+    return Code(words, q), meta
 
 
 def row_ranks(ops, rows):

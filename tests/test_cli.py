@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from twistcode import affine
@@ -117,6 +116,14 @@ def test_dist_malformed(capsys, tmp_path):
     assert status == 2 and "line 4" in err
     status, _, err = run(capsys, "dist", str(tmp_path / "missing.tw"))
     assert status == 2
+
+
+def test_dist_not_utf8(capsys, tmp_path):
+    # a byte that is not UTF-8 is malformed input like any other: exit 2 naming its line, no traceback
+    path = tmp_path / "latin1.tw"
+    path.write_bytes(b"# twistcode v1\n# family=custom q=3 length=3 size=2\n1 2 3\n2 3 1 \xe9\n")
+    status, out, err = run(capsys, "dist", str(path))
+    assert (status, out) == (2, "") and err.startswith("error: line 4: not UTF-8 text")
 
 
 def test_table1(capsys):

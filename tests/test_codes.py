@@ -44,7 +44,14 @@ from twistcode.symplectic import (
     SymplecticGroup, SymplecticSpace, build_outer_automorphism, build_symplectic_twisted, generate_group, generators,
 )
 
-from oracles import min_distance_all_pairs, mulclose, sorted_key_invariance, usable_cores, write_code_lines
+from oracles import (
+    min_distance_all_pairs,
+    mulclose,
+    read_code_lines,
+    sorted_key_invariance,
+    usable_cores,
+    write_code_lines,
+)
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +253,17 @@ def test_twisted_code_rejects_bad_automorphisms(affine32):
     # t[0] != 0: the identity would act as element 1, which moves points (faithful)
     with pytest.raises(ValueError, match="identity element must act as the identity permutation"):
         build_twisted_code(natural, [automorphisms[0], np.roll(np.arange(len(group)), -1)])
+
+
+@pytest.mark.parametrize("entry", ["negative", "repeated", "past_end"])
+def test_twisted_code_rejects_non_permutation(affine32, entry):
+    # an entry of -1 would wrap to the last element and a repeated one would leave an
+    # element out; either way the code would still get 27 rows
+    group, natural, automorphisms = affine32
+    t = automorphisms[0].copy()
+    t[2] = {"negative": -1, "repeated": t[1], "past_end": len(group)}[entry]
+    with pytest.raises(ValueError, match=r"not a permutation of 0\.\.26"):
+        build_twisted_code(natural, [automorphisms[0], t])
 
 
 def test_affine_twisted_code_letter_counts(affine32):
@@ -749,7 +767,7 @@ def corrupt_symbol(draw, tokens, q):
 @settings(max_examples=60, deadline=None)
 @given(code_files(), st.data(), st.sampled_from([4, codes.BLOCK_ENTRIES]))
 def test_code_file_roundtrip_property(case, data, block):
-    # block 4 reads one line per chunk (the reader takes max(1, BLOCK_ENTRIES // 16) bytes of whole lines)
+    # block 4 reads one line per block (the reader takes max(1, BLOCK_ENTRIES // 16) bytes of whole lines)
     code, family, params, r = case
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(codes, "BLOCK_ENTRIES", block)
@@ -757,7 +775,7 @@ def test_code_file_roundtrip_property(case, data, block):
         write_code(path, code, family, params, r=r)
         loaded, meta = read_code(path)
         assert np.array_equal(loaded.words, code.words)
-        assert loaded.words.dtype == codes._read_code_lines(path)[0].words.dtype
+        assert loaded.words.dtype == read_code_lines(path)[0].words.dtype
         assert (loaded.q, loaded.length, loaded.size) == (code.q, code.length, code.size)
         want = {"family": family, **{k: str(v) for k, v in params.items()}, "r": str(r),
                 "q": str(code.q), "length": str(code.length), "size": str(code.size)}
@@ -808,21 +826,48 @@ HEADER = "# twistcode v1\n# family=custom q=12 length=3 size=2\n"
         (HEADER.replace("twistcode v1", "twistcode v2") + "1 2 3\n12 11 10\n", False),
         ("# twistcode v1\n", False),
         ("", False),
+        # separators and encodings, as str.splitlines and int() read them: in the body
+        (HEADER + "1 2 3\r12 11 10\r", False),  # bare CR
+        (HEADER + "1 2 3\x0b12 11 10\n", False),
+        (HEADER + "1 2 3\x0c\n12 11 10\n", False),  # a form feed, then a newline: an empty line between
+        (HEADER + "1 2 3\x1c12 11 10\x1d\x1e", False),
+        (HEADER + "1 2 3\u008512 11 10\u2028\u2029", False),  # NEL, line and paragraph separators
+        (HEADER + "1\x0c2 3\n12 11 10\n", False),  # a form feed splits a codeword
+        (HEADER + "1\xa02\u30003\n12\t11 10\n", False),  # no-break and ideographic spaces
+        (HEADER + "\u0661 2 3\n\uff11_2 11 10\n", False),  # Arabic-Indic and fullwidth digits, a "_"
+        (HEADER + "1 2 3\r\n12 11 10\r\n\r\n\r", False),
+        (HEADER + "1 2 3\r\n12 11 10\r\n2 3 1\r\n", False),  # one line too many
+        (HEADER + "1 2 3\r\n\x0c\r\n", False),  # one line too few, counted past two blank lines
+        (HEADER + "1 2 3\n12 11 \u0661\u0663\n", False),  # 13 in Arabic-Indic digits
+        # and in the header
+        (HEADER.replace("\n", "\r\n") + "1 2 3\n12 11 10\n", True),
+        (HEADER.replace("\n", "\r") + "1 2 3\r12 11 10\r", False),  # one line to b"\n"
+        (HEADER.replace("\n", "\x0c", 1) + "1 2 3\n12 11 10\n", True),
+        (HEADER.replace("\n", "\u2028", 1) + "1 2 3\n12 11 10\n", True),
+        (HEADER[:-1] + "\u00851 2 3\n12 11 10\n", True),  # the first codeword on the header's b"\n" line
+        (HEADER[:-1] + "\r1 2 3\n12 11 10\n", True),
+        (HEADER[:-1] + "\x0b1 2 x\n12 11 10\n", False),
+        (HEADER.replace(" q=", "\x1cq=") + "1 2 3\n12 11 10\n", False),  # a separator splits the metadata
+        (HEADER.replace("# family", "\x0c# family") + "1 2 3\n12 11 10\n", False),
+        (HEADER.replace("# twistcode v1\n", "# twistcode v1\x85\x85") + "1 2 3\n12 11 10\n", False),
+        (HEADER.replace("# twistcode", "\t# twistcode") + "1 2 3\n12 11 10\n", True),
+        (HEADER.replace("q=12", "q=\u0661\u0662") + "1 2 3\n12 11 10\n", True),
+        (HEADER.replace("\n", "\r"), False),  # no codewords
     ],
 )
 @pytest.mark.parametrize("block", [4, codes.BLOCK_ENTRIES])
 def test_read_code_hands_over_to_line_parser(monkeypatch, tmp_path, text, plain, block):
-    """read_code gives the line parser's words and meta, or its exact error;
-    only plain files are read without it."""
+    """read_code gives the reference line parser's words and meta, or its
+    exact error; plain files never reach the per-block line parser."""
     path = tmp_path / "f.tw"
     path.write_bytes(text.encode())
     try:
-        want = codes._read_code_lines(path)
+        want = read_code_lines(path)
     except CodewordFileError as exc:
         want = exc
     calls = []
-    line_parser = codes._read_code_lines
-    monkeypatch.setattr(codes, "_read_code_lines", lambda p: calls.append(p) or line_parser(p))
+    line_parser = codes._parse_lines
+    monkeypatch.setattr(codes, "_parse_lines", lambda *args: calls.append(args) or line_parser(*args))
     monkeypatch.setattr(codes, "BLOCK_ENTRIES", block)
     if isinstance(want, CodewordFileError):
         with pytest.raises(CodewordFileError) as err:
@@ -833,7 +878,7 @@ def test_read_code_hands_over_to_line_parser(monkeypatch, tmp_path, text, plain,
         assert got[1] == want[1]
         assert got[0].words.dtype == want[0].words.dtype
         assert np.array_equal(got[0].words, want[0].words)
-    assert calls == ([] if plain else [path])
+    assert not (plain and calls)
 
 
 def test_read_code_fast_path_runs(monkeypatch, tmp_path, affine32):
@@ -841,16 +886,108 @@ def test_read_code_fast_path_runs(monkeypatch, tmp_path, affine32):
     code = build_twisted_code(natural, automorphisms)
     path = tmp_path / "aff.tw"
     write_code(path, code, "affine", {"p": 3, "k": 2}, r=3)
+    want, meta = read_code_lines(path)
 
-    def refuse(path):
+    def refuse(*args):
         raise AssertionError("the line parser ran")
 
-    monkeypatch.setattr(codes, "_read_code_lines", refuse)
-    # one 54-byte line, about four lines (a 200-byte hint) and the whole body per chunk
+    monkeypatch.setattr(codes, "_parse_lines", refuse)
+    # one 54-byte line, about four lines (a 200-byte hint) and the whole body per block
     for block in (4, 200 * 16, codes.BLOCK_ENTRIES):
         monkeypatch.setattr(codes, "BLOCK_ENTRIES", block)
-        loaded, _ = read_code(path)
-        assert np.array_equal(loaded.words, code.words)
+        loaded, got_meta = read_code(path)
+        assert np.array_equal(loaded.words, code.words) and np.array_equal(loaded.words, want.words)
+        assert loaded.words.dtype == want.words.dtype and got_meta == meta
+
+
+SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@st.composite
+def mixed_code_texts(draw):
+    """Codeword file text that mixes str.splitlines separators into the
+    header and the body, tabs and Unicode spaces into lines, and symbols
+    spelled as int() reads them (or cannot), with codeword lines of the
+    right length or not, and a size= that may count them wrongly."""
+    q = draw(st.sampled_from([3, 12]))
+    length = draw(st.integers(1, 3))
+    symbol = st.one_of(st.integers(1, q).map(str), st.integers(1, q).map(str),
+                       st.sampled_from(["+1", "001", "\u0661", "1_0", "x", "0", str(q + 1)]))
+    space = st.sampled_from([" ", "\t", "\xa0"])
+    lines = [draw(st.lists(symbol, min_size=n, max_size=n))
+             for n in draw(st.lists(st.one_of(st.just(length), st.integers(0, length + 1)), max_size=8))]
+    size = draw(st.sampled_from([None, sum(map(bool, lines)), sum(map(bool, lines)) + 1, 0]))
+    meta = f"# family=custom q={q} length={length}" + ("" if size is None else f" size={size}")
+    text = codes.FORMAT_MAGIC + draw(st.sampled_from(SEPARATORS)) + meta
+    for tokens in lines:
+        text += draw(st.sampled_from(SEPARATORS)) + "".join(draw(space) + tok for tok in tokens)
+    return text + draw(st.sampled_from(["", *SEPARATORS]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_code_texts(), st.sampled_from([4, codes.BLOCK_ENTRIES]))
+def test_read_code_matches_line_parser_on_mixed_text(text, block):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "BLOCK_ENTRIES", block)
+        path = Path(tmp) / "mixed.tw"
+        path.write_bytes(text.encode())
+        try:
+            want = read_code_lines(path)
+        except CodewordFileError as exc:
+            with pytest.raises(CodewordFileError) as err:
+                read_code(path)
+            assert (err.value.line, str(err.value)) == (exc.line, str(exc))
+        else:
+            got = read_code(path)
+            assert got[1] == want[1] and got[0].words.dtype == want[0].words.dtype
+            assert np.array_equal(got[0].words, want[0].words)
+
+
+@pytest.mark.parametrize("block", [4, codes.BLOCK_ENTRIES])
+@pytest.mark.parametrize(
+    "raw, line, message",
+    [
+        (b"# twistcode v1\xff\n# family=custom q=3 length=3\n1 2 3\n", 1, "not UTF-8 text"),
+        (b"# twistcode v1\n# family=caf\xe9 q=3 length=3\n1 2 3\n", 2, "not UTF-8 text"),
+        (b"# twistcode v2\n# family=caf\xe9 q=3 length=3\n1 2 3\n", 1, "missing magic header"),
+        (b"# twistcode v1\n# family=custom q=3 length=3\x0c\xff\n1 2 3\n", 3, "not UTF-8 text"),
+        (b"# twistcode v1\n# family=custom q=3 length=3 size=2\n1 2 3\n2 \xc3 1\n", 4, "not UTF-8 text"),
+        (b"# twistcode v1\n# family=custom q=3 length=3\n1 2 3\r\n\r2 3 1\n\x80\n", 6, "not UTF-8 text"),
+        # the first bad line is named, in the block of the invalid byte or before it
+        (b"# twistcode v1\n# family=custom q=3 length=3\n1 x 3\n2 \xff 1\n", 3, "non-integer symbol"),
+        (b"# twistcode v1\n# family=custom q=3 length=3 size=1\n1 2 3\n2 3 1\n\xff\n", 4, "more codewords"),
+    ],
+)
+def test_read_code_names_non_utf8_line(monkeypatch, tmp_path, raw, line, message, block):
+    # the reference line parser, which decodes the whole file at once, raises UnicodeDecodeError on each
+    path = tmp_path / "bad.tw"
+    path.write_bytes(raw)
+    monkeypatch.setattr(codes, "BLOCK_ENTRIES", block)
+    with pytest.raises(CodewordFileError) as err:
+        read_code(path)
+    assert err.value.line == line and str(err.value).startswith(f"line {line}: {message}")
+
+
+def test_read_code_holds_one_block_of_text(monkeypatch, tmp_path, affine112):
+    # the (11,2) file (5.5 MB: 1,331 lines of 1,331 symbols) read one line per block, with its
+    # last symbol made "x": the numpy parse takes every block but the last, which the line
+    # parser reads, so read_code holds a block's text and rows beyond the codewords, not the
+    # file's (numpy 2.4.6: 0.11 MiB; 18.1 MiB while the whole file went to the line parser)
+    code = affine112.code
+    path = tmp_path / "a112.tw"
+    write_code(path, code, "affine", {"p": 11, "k": 2}, r=affine112.report.reps)
+    path.write_bytes(path.read_bytes()[:-2] + b"x\n")
+    monkeypatch.setattr(codes, "BLOCK_ENTRIES", 1 << 16)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(CodewordFileError, match="non-integer symbol") as err:
+            read_code(path)
+        held = tracemalloc.get_traced_memory()[1] - start - code.words.nbytes
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == code.size + 2
+    assert held <= 1 << 18, held
 
 
 @pytest.mark.parametrize("length", [255, 256, 65536])
