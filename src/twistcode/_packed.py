@@ -115,6 +115,17 @@ def first_of_runs(ranked):
     return first
 
 
+def is_permutation(index):
+    """True iff the 1-D integer array index permutes 0..len(index)-1: every
+    entry is in range, and a mask of the n entries seen has no gap."""
+    n = len(index)
+    if n and (np.min(index) < 0 or np.max(index) >= n):
+        return False
+    seen = np.zeros(n, dtype=bool)
+    seen[index] = True
+    return bool(seen.all())
+
+
 def lookup_sorted(ranked, values):
     """Position of each value in the ascending, nonempty array ranked, -1
     where it is absent; in place on its one index array."""

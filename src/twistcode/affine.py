@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._packed import ROW_CHUNK, chunks, first_of_runs
+from ._packed import ROW_CHUNK, chunks, first_of_runs, is_permutation
 from .codes import (
     Representation, check_delta_formulas, finish_build, reaches_all, row_keys, support_scan,
 )
@@ -155,21 +155,22 @@ class AffineGroup:
         """(slice, i) per exponent block: the m elements with lower block B^i."""
         return zip(chunks(self.params.group_order, self.params.num_points), self.block_exponents)
 
-    def _encode_points(self, vecs):
-        return vecs.astype(np.int64) @ self.weights
-
     def _image_ranks(self, mat, shift):
-        """The rank of (shift + u mat) mod p for every point u, one coordinate
-        at a time in uint16 columns: with entries of mat and shift below p,
-        each sum stays below p + k p^2 < 2^16 within GROUP_GUARD, so nothing
-        wraps before the reduction."""
+        """The ranks (r, m) of (shift[s] + u mat) mod p for every row s of
+        the (r, k) shift and every point u, one coordinate at a time: u mat's
+        column in uint16 (with entries of mat and shift below p, each sum
+        stays below p + k p^2 < 2^16 within GROUP_GUARD), reduced mod p, and
+        its term coordinate * weight added in the ranks' type
+        np.min_scalar_type(m - 1), as every term and partial sum is below m."""
         p, m = self.params.p, self.params.num_points
+        dtype = np.min_scalar_type(m - 1)
         mat = mat.astype(np.uint16)
-        ranks = np.zeros(m, dtype=np.int64)
-        for j, weight in enumerate(self.weights):
-            coord = np.full(m, shift[j], dtype=np.uint16)
+        ranks = np.zeros((len(shift), m), dtype=dtype)
+        for j, weight in enumerate(self.weights.astype(dtype)):
+            column = np.zeros(m, dtype=np.uint16)
             for l in np.flatnonzero(mat[:, j]):
-                coord += self.points[:, l] * mat[l, j]
+                column += self.points[:, l] * mat[l, j]
+            coord = shift[:, j, None] + column
             coord %= np.uint16(p)
             ranks += coord * weight
         return ranks
@@ -177,7 +178,7 @@ class AffineGroup:
     def element_index(self, u, i) -> int:
         """Index of (u, i): exponent block i mod p (block_exponents), then u's rank."""
         p = self.params.p
-        return i % p * self.params.num_points + int(self._encode_points(np.asarray(u, dtype=np.int64) % p))
+        return i % p * self.params.num_points + int(np.asarray(u, dtype=np.int64) % p @ self.weights)
 
     def product_index(self, a, b) -> int:
         """Index of the product element a * b."""
@@ -198,7 +199,7 @@ class AffineGroup:
         exponent blocks, O(m) to build."""
         p, m = self.params.p, self.params.num_points
         u_y, i_y = self.decompose(y)
-        ranks = self._image_ranks(self.b_pows[i_y], u_y)
+        ranks = self._image_ranks(self.b_pows[i_y], u_y[None])[0]
         starts = (self.block_exponents + i_y) % p * m  # element_index's block of exponent i + i_y
         return starts, ranks
 
@@ -237,12 +238,10 @@ class AffineGroup:
     def twisted_perm_table(self):
         """Permutation images (N, m) of every element: the natural table,
         which the builds gather through twist_index(r) for the r-twist."""
-        p, m = self.params.p, self.params.num_points
+        m = self.params.num_points
         out = np.empty((len(self), m), dtype=np.min_scalar_type(m - 1))
         for sl, i in self.exponent_blocks():
-            pb = self.points.astype(np.int64) @ self.b_pows[i] % p
-            imgs = (pb[None, :, :] + self.points[:, None, :]) % p
-            out[sl] = self._encode_points(imgs)
+            out[sl] = self._image_ranks(self.b_pows[i], self.points)  # row u, column x: u + x B^i
         return out
 
     def fixed_count_table(self):
@@ -253,9 +252,9 @@ class AffineGroup:
         column 0 gathered through twist_index(r)."""
         p, m = self.params.p, self.params.num_points
         natural = np.empty(len(self), dtype=np.int32)  # contiguous, so each gather reads one block's window
-        eye, zero = np.eye(self.params.k, dtype=np.int64), np.zeros(self.params.k, dtype=np.int64)
+        eye, zero = np.eye(self.params.k, dtype=np.int64), np.zeros((1, self.params.k), dtype=np.uint8)
         for sl, i in self.exponent_blocks():
-            diff = self._image_ranks((eye - self.b_pows[i]) % p, zero)  # the ranks of u - u B^i
+            diff = self._image_ranks((eye - self.b_pows[i]) % p, zero)[0]  # the ranks of u - u B^i
             natural[sl] = np.bincount(diff, minlength=m)
         counts = np.empty((len(self), p), dtype=np.int32)  # every count is at most m
         counts[:, 0] = column = natural
@@ -298,7 +297,7 @@ def _check_closed_forms(params, rec):
 def _check_twist_automorphism(group, rec):
     """Certificate that T = group.twist, the permutation every twisted
     table is gathered through (in powers), is an automorphism, exhaustively:
-    T permutes each exponent block (a scatter count per block, as tau_1
+    T permutes each exponent block (is_permutation per block, as tau_1
     keeps i), T(x s) = T(x) T(s) for every x and every s in S =
     group.generators(), and a search along x -> x s reaches every element
     from 1, so S generates G_k.  By induction on word length T(x y) =
@@ -312,10 +311,7 @@ def _check_twist_automorphism(group, rec):
     muls = [group.right_multiplier(s) for s in gens]
 
     def permutes_blocks():
-        return all(
-            ranks.min() >= 0 and ranks.max() < m and (np.bincount(ranks, minlength=m) == 1).all()
-            for ranks in (t[sl] - sl.start for sl in chunks(n, m))
-        )
+        return all(is_permutation(t[sl] - sl.start) for sl in chunks(n, m))
 
     def edges_agree():
         for s, (starts, ranks) in zip(gens, muls):

@@ -115,13 +115,10 @@ def main(argv=None) -> int:
 
     ps = sub.add_parser("symplectic", help="build and verify a symplectic twisted code")
     ps.add_argument("--n", type=int, required=True, help="field degree: q = 2^n")
-    ps.add_argument("--poly", type=int, help="reduction polynomial bitmask (bit i = coeff of x^i)")
     ps.add_argument("--out", help="write the codeword file here")
     ps.add_argument("--report", help="write the key=value report here")
     ps.add_argument("--check", choices=("fast", "all"), default="fast")
-    ps.set_defaults(
-        func=cmd_build, build=lambda a: build_symplectic_twisted(SymplecticSpace.create(a.n, a.poly), check=a.check)
-    )
+    ps.set_defaults(func=cmd_build, build=lambda a: build_symplectic_twisted(SymplecticSpace.create(a.n), check=a.check))
 
     pd = sub.add_parser("dist", help="pairwise minimum distance of a codeword file")
     pd.add_argument("in_file", help="codeword file (twistcode v1 format)")

@@ -21,8 +21,10 @@ are 1-based, matching the codeword file format.
 
 from __future__ import annotations
 
+import io
 import math
 import os
+import re
 import threading
 
 import numpy as np
@@ -37,6 +39,7 @@ CODE_BYTES_GUARD = 1 << 28  # max |C| * length for materialised codewords
 EXHAUSTIVE_PAIR_LIMIT = 1 << 20  # max n^2 for the exhaustive element-pair checks
 LANE_WORDS = 255  # uint64 words of a bool mask summed at once: 255 ones fill a byte lane
 LOW_BYTES = 0x00FF00FF00FF00FF
+LINE_END = re.compile(rb"\r\n?|\n")  # the line ends _line_blocks cuts a file at
 
 
 def sample_pairs(n, rng, samples):
@@ -204,14 +207,10 @@ def build_twisted_code(rep: Representation, automorphisms=()) -> Code:
     through t_b.  Rows of a checked table are bijections; each t is checked
     to permute 0..n-1, with t[0] acting as the identity."""
     n, q = rep.perms.shape
-    seen = np.empty(n, dtype=bool)  # N indices in range: a permutation iff they hit every element
     for t in automorphisms:
         if np.shape(t) != (n,):
             raise ValueError(f"an automorphism index of shape {np.shape(t)} does not permute {n} elements")
-        seen.fill(False)
-        if np.min(t) >= 0 and np.max(t) < n:
-            seen[t] = True
-        if not seen.all():
+        if not _packed.is_permutation(t):
             raise ValueError(f"an automorphism index is not a permutation of 0..{n - 1}")
         if not (rep.perms[t[0]] == np.arange(q)).all():
             raise ValueError("identity element must act as the identity permutation")
@@ -301,8 +300,8 @@ def check_distance_invariance(code: Code, *, generators) -> bool:
     relabelling each block's symbols through codeword s's block is a
     Hamming isometry f_s, and every row x, relabelled, must equal row
     step(x) (step maps an index array, as in reaches_all), a block of rows
-    at a time on every usable core.  A Code's rows are distinct and f_s is
-    one-to-one, so such a step permutes the rows.  True iff all pass, and
+    at a time on every usable core, and step must permute the rows
+    (_packed.is_permutation of its image of 0..n-1).  True iff all pass, and
     the steps reach every row from row 0: a group of isometries acts
     transitively, so the minimum distance is row 0's least nonzero one.
     Sufficient, not necessary: a pass proves invariance whatever the pairs.
@@ -317,7 +316,7 @@ def check_distance_invariance(code: Code, *, generators) -> bool:
     for s, step in generators:
         tables = np.insert(words[s].reshape(-1, q), 0, 0, axis=1)  # tables[b, v]: symbol v of block b, relabelled
         image = step(np.arange(n))
-        if not _rows_sort_to(tables[:, 1:], np.arange(1, q + 1)) or image.min() < 0 or image.max() >= n:
+        if not _rows_sort_to(tables[:, 1:], np.arange(1, q + 1)) or not _packed.is_permutation(image):
             return False
 
         def agrees(sl):
@@ -547,28 +546,24 @@ def _token_table(q):
 def read_code(path):
     """Parse a v1 codeword file; returns (Code, header dict).
 
-    One pass over blocks of whole lines, about BLOCK_ENTRIES // 16 bytes
-    (at least one line): numpy parses the plain form write_code writes,
+    One pass over _line_blocks, blocks of whole lines of about
+    BLOCK_ENTRIES // 16 bytes: the header is the first two lines of the
+    first block or two, then numpy parses the plain form write_code writes,
     the line parser any other block and one past size=.  Malformed input,
     not UTF-8 included, raises CodewordFileError with its line number."""
     with open(path, "rb") as fh:
-        head = fh.readline() + fh.readline()
-        lines, error = _decode_lines(head, 1)
-        if error and (error.line == 1 or error.line == 2 and lines[0].strip() == FORMAT_MAGIC):
-            raise error
-        meta, q, length, size = _parse_header(lines)
-        rest = head[len("".join(lines[:2]).encode()) :]  # str.splitlines lines past the second are body lines
-        del head, lines  # a file with no b"\n" past its header is all head
+        blocks = _line_blocks(fh, max(1, BLOCK_ENTRIES // 16))
+        meta, q, length, size, rest = _read_header(blocks)
         # the int32 symbol sums hold 9 digits; every symbol takes at least one byte of the file
         plain = 1 <= q < 10**9 and length >= 1
         fits = plain and size is not None and 1 <= size * length <= os.fstat(fh.fileno()).st_size
         words = np.empty((size, length), dtype=np.min_scalar_type(q)) if fits else []
         done, count = 0, 2
-        while chunk := b"".join([rest, *fh.readlines(max(1, BLOCK_ENTRIES // 16))]):  # whole lines, about 256 KiB
+        while chunk := rest or next(blocks, b""):
+            rest = b""
             rows, n = _parse_rows(np.frombuffer(chunk, dtype=np.uint8), q, length) if plain else (None, 0)
             if rows is None or size is not None and done + len(rows) > size:
                 rows, n = _parse_lines(chunk, count + 1, done, q, length, size)
-            rest = b""
             if len(rows) and fits:
                 words[done : done + len(rows)] = rows
             elif len(rows):
@@ -579,6 +574,55 @@ def read_code(path):
     if size is not None and done != size:
         raise CodewordFileError(count + 1, f"{done} codewords, the header's size={size}")
     return Code(words if fits else np.concatenate(words), q), meta
+
+
+def _line_blocks(fh, size):
+    """The bytes of the binary file fh in blocks of whole lines of at least
+    `size` bytes, the last at the end of the file: each ends at the first
+    LINE_END (b"\\n", b"\\r\\n" or a lone b"\\r") from its byte `size` on,
+    so a file of b"\\n" lines gets the blocks readlines(size) gives (glibc
+    reuses freed blocks by size, and other cuts moved the peak RSS of
+    `dist` by up to 2 MiB).  It is read in pieces of at most `size` and at
+    most io.DEFAULT_BUFFER_SIZE bytes, each block joined from them once,
+    however long its lines.  A b"\\r" that ends a piece waits for the next
+    one, so no CRLF pair is split.  The other str.splitlines separators
+    (VT, FF, FS to RS, NEL, U+2028 and U+2029) never end a block."""
+    pieces, held = [], 0
+    while piece := fh.read(min(size, io.DEFAULT_BUFFER_SIZE)):
+        if held >= size and pieces[-1].endswith(b"\r") and not piece.startswith(b"\n"):
+            yield b"".join(pieces)  # the b"\r" that waited was a lone one
+            pieces, held = [], 0
+        pieces.append(piece)
+        held += len(piece)
+        end = LINE_END.search(piece, max(0, size - 1 - held + len(piece))) if held >= size else None
+        if end and (end.end() < len(piece) or piece.endswith(b"\n")):
+            block = b"".join([*pieces[:-1], piece[: end.end()]])
+            pieces, held = [piece[end.end() :]], len(piece) - end.end()
+            yield block
+    if tail := b"".join(pieces):
+        yield tail
+
+
+def _read_header(blocks):
+    """(meta, q, length, size, rest) of a v1 file from its _line_blocks: the
+    header is the first two lines of the first block or two, and rest the
+    body lines that follow them in those blocks."""
+    head, cut = b"", None
+    while cut is None and (block := next(blocks, b"")):  # every block but the last ends a line
+        head += block
+        cut = _two_lines(head)
+    lines, error = _decode_lines(head[:cut], 1)
+    if error and (error.line == 1 or error.line == 2 and lines[0].strip() == FORMAT_MAGIC):
+        raise error
+    rest = head[len("".join(lines[:2]).encode()) :]  # str.splitlines lines past the second are body lines
+    return *_parse_header(lines), rest
+
+
+def _two_lines(buf):
+    """The length of buf's first two lines, each ended by b"\\n", b"\\r\\n" or
+    a lone b"\\r" (one at the end of a block ends a line), or None if it has fewer."""
+    ends = [match.end() for _, match in zip(range(2), LINE_END.finditer(buf))]
+    return ends[1] if len(ends) == 2 else None
 
 
 def _parse_header(lines):
@@ -598,6 +642,8 @@ def _parse_header(lines):
         q = int(meta["q"])
         length = int(meta["length"])
         size = int(meta["size"]) if "size" in meta else None
+        if q >= 1 << 64:  # past np.uint64, no symbol type holds it
+            raise ValueError(f"q={q} is 2^64 or more")
     except (KeyError, ValueError) as exc:
         raise CodewordFileError(2, f"bad metadata header: {exc}") from exc
     return meta, q, length, size

@@ -68,8 +68,8 @@ class SymplecticSpace:
         self._ops = None
 
     @classmethod
-    def create(cls, n, poly=None):
-        return cls(BinaryField(n, poly))
+    def create(cls, n):
+        return cls(BinaryField(n))
 
     @property
     def ops(self) -> PackedOps:
@@ -445,9 +445,7 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
     # step (d)
     if (tau.index < 0).any():
         raise TauConstructionError("d", "an image falls outside the group")
-    seen = np.zeros(len(group), dtype=bool)  # N indices in range: a permutation iff they hit every element
-    seen[tau.index] = True
-    if not seen.all():
+    if not _packed.is_permutation(tau.index):
         raise TauConstructionError("d", "image table has duplicates")
     ops = space.ops
     t = group.indices_of_keys(ops.keys_of(gens))  # (a)'s generators, as int32 element indices

@@ -323,6 +323,37 @@ def test_right_multiplier_is_the_group_product(g32):
         assert np.array_equal(g32.right_step(y)(x), want)
 
 
+def test_right_multiplier_past_uint16_ranks():
+    # (11,5): m = 161,051 point ranks need uint32, and a term coordinate * weight reaches
+    # 10 * 11^4 = 146,410, so a product formed in uint16 would wrap; a few hundred sampled
+    # pairs (x, y) against product_index
+    group = enumerate_group(AffineParams(11, 5))
+    m, rng = group.params.num_points, np.random.default_rng(5)
+    for y in rng.integers(0, len(group), size=12):
+        starts, ranks = group.right_multiplier(y)
+        assert ranks.dtype == np.uint32
+        x = np.concatenate([rng.integers(0, len(group), size=24), [0, len(group) - 1]])
+        want = [group.product_index(a, y) for a in x]
+        assert np.array_equal(starts[x // m] + ranks[x % m], want)
+        assert np.array_equal(group.right_step(y)(x), want)
+
+
+def test_twisted_perm_table_memory():
+    # (5,4): the table (3125 x 625 uint16, 3.7 MiB) is built one exponent block at a time
+    # through _image_ranks, with no int64 (m, m, k) broadcast (35.8 MiB above the table)
+    group = enumerate_group(AffineParams(5, 4))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = group.twisted_perm_table()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.uint16 and table.shape == (5**5, 5**4)
+    assert np.array_equal(table, affine_twisted_table(group, 0))
+    assert peak - table.nbytes <= 2 * table.nbytes, peak
+
+
 def test_twist_certificate_exhaustive_past_sampling_size():
     # n^2 = 1331^2 > 2^20: the certificate covers every Cayley edge, not 10^4 sampled pairs
     report = build_affine_twisted(AffineParams(11, 2)).report

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -819,6 +820,8 @@ HEADER = "# twistcode v1\n# family=custom q=12 length=3 size=2\n"
         (HEADER.replace(" size=2", " size=9999") + "1 2 3\n", False),
         (HEADER.replace("q=12", "q=0") + "1 2 3\n", False),
         (HEADER.replace("q=12", "q=1000000000") + "1 2 3\n", False),
+        (HEADER.replace("q=12", f"q={2**64 - 1}") + "1 2 3\n12 11 10\n", False),  # uint64 symbols
+        (HEADER.replace("q=12", f"q={2**64}") + "1 2 3\n12 11 10\n", False),  # no symbol type: line 2
         (HEADER.replace("length=3", "length=0") + "1 2 3\n", False),
         (HEADER.replace("family", "famille \u00e9") + "1 2 3\n12 11 10\n", False),
         (HEADER.replace(" size=2", "\tsize=2") + "1 2 3\n12 11 10\n", False),
@@ -841,7 +844,7 @@ HEADER = "# twistcode v1\n# family=custom q=12 length=3 size=2\n"
         (HEADER + "1 2 3\n12 11 \u0661\u0663\n", False),  # 13 in Arabic-Indic digits
         # and in the header
         (HEADER.replace("\n", "\r\n") + "1 2 3\n12 11 10\n", True),
-        (HEADER.replace("\n", "\r") + "1 2 3\r12 11 10\r", False),  # one line to b"\n"
+        (HEADER.replace("\n", "\r") + "1 2 3\r12 11 10\r", False),  # bare CR throughout
         (HEADER.replace("\n", "\x0c", 1) + "1 2 3\n12 11 10\n", True),
         (HEADER.replace("\n", "\u2028", 1) + "1 2 3\n12 11 10\n", True),
         (HEADER[:-1] + "\u00851 2 3\n12 11 10\n", True),  # the first codeword on the header's b"\n" line
@@ -924,6 +927,21 @@ def mixed_code_texts(draw):
     return text + draw(st.sampled_from(["", *SEPARATORS]))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([b"a", b"\r", b"\n"]), max_size=60).map(b"".join), st.integers(1, 12))
+def test_line_blocks_cut_at_first_line_end_past_size(data, size):
+    # the blocks rejoin to the file; each but the last ends at the first b"\n", b"\r\n" or
+    # lone b"\r" from its byte `size` on (so at least `size` bytes), and no CRLF pair is split
+    blocks = list(codes._line_blocks(io.BytesIO(data), size))
+    assert b"".join(blocks) == data and all(blocks)
+    for block, after in zip(blocks, blocks[1:]):
+        assert len(block) >= size and codes.LINE_END.search(block, size - 1).end() == len(block)
+        assert not (block.endswith(b"\r") and after.startswith(b"\n"))
+    if blocks and len(blocks[-1]) >= size:
+        end = codes.LINE_END.search(blocks[-1], size - 1)
+        assert end is None or end.end() == len(blocks[-1])
+
+
 @settings(max_examples=150, deadline=None)
 @given(mixed_code_texts(), st.sampled_from([4, codes.BLOCK_ENTRIES]))
 def test_read_code_matches_line_parser_on_mixed_text(text, block):
@@ -987,6 +1005,26 @@ def test_read_code_holds_one_block_of_text(monkeypatch, tmp_path, affine112):
     finally:
         tracemalloc.stop()
     assert err.value.line == code.size + 2
+    assert held <= 1 << 18, held
+
+
+def test_read_code_holds_one_block_of_bare_cr_text(monkeypatch, tmp_path, affine112):
+    # the (11,2) file with bare-CR line ends, read about 4 KiB (one line) at a time: blocks
+    # end at b"\r" as at b"\n", so the line parser holds one block's text and rows beyond
+    # the codewords (numpy 2.4.6: 0.1 MiB; 26.3 MiB while the whole file was one block)
+    code = affine112.code
+    path = tmp_path / "a112.tw"
+    write_code(path, code, "affine", {"p": 11, "k": 2}, r=affine112.report.reps)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    monkeypatch.setattr(codes, "BLOCK_ENTRIES", 1 << 16)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loaded, _ = read_code(path)
+        held = tracemalloc.get_traced_memory()[1] - start - code.words.nbytes
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.words, code.words)
     assert held <= 1 << 18, held
 
 

@@ -105,6 +105,18 @@ def test_lookup_sorted_against_dict(ranked, values):
     assert got.tolist() == [position.get(v, -1) for v in values]
 
 
+@pytest.mark.parametrize("index, want", [
+    (np.array([], dtype=np.intp), True),  # the empty permutation
+    ([2, 0, 1], True),
+    ([0, 1, 3], False),  # out of range
+    ([0, -1, 2], False),  # negative
+    ([0, 2, 2], False),  # repeated, so 1 is missed
+    (np.array([1, 0], dtype=np.uint8), True),
+])
+def test_is_permutation(index, want):
+    assert _packed.is_permutation(np.asarray(index)) is want
+
+
 @pytest.fixture(scope="module")
 def sp42():
     space = SymplecticSpace.create(1)
