@@ -21,8 +21,11 @@ points = [(1, *map(int, v)) for v in group.points]
 print(f"group order {len(group)}, acting on {len(points)} points: {points[:4]} ...")
 
 j = group.element_index((1, 0), 1)
+u, i = group.decompose(j)  # element j is [[1, u], [0, B^i]], read off its index
+mat = np.eye(3, dtype=np.uint8)
+mat[0, 1:], mat[1:, 1:] = u, group.b_pows[i]
 print("\nan element with exponent i=1 and top block u=(1,0):")
-print(group.matrix(j).A)
+print(mat)
 fix = group.fixed_count_table()  # column r: the points fixed by each element's r-twist
 print("fixed points:", fix[j, 0], " (u_k = 0, i nonzero: fixes p points)")
 

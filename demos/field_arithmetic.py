@@ -1,10 +1,7 @@
 #!/usr/bin/env python3
-"""Tour of the exact arithmetic layer: GF(p), GF(2^n), matrices, and the
-exterior square of a 4x4 matrix."""
+"""Tour of the exact arithmetic layer: GF(p), GF(2^n) and matrices."""
 
-import numpy as np
-
-from twistcode import BinaryField, Matrix, PrimeField, exterior_square
+from twistcode import BinaryField, Matrix, PrimeField
 
 # --- prime fields -----------------------------------------------------------
 F5 = PrimeField(5)
@@ -26,14 +23,3 @@ print("GF(16): all 15 nonzero elements invert cleanly")
 B = Matrix(F5, [[1, 0], [1, 1]])
 print("B =", B.A.tolist(), "  B^5 =", (B ** 5).A.tolist(), " (order 5, as expected mod 5)")
 print("B^-1 =", B.inverse().A.tolist())
-
-# --- exterior square --------------------------------------------------------
-rng = np.random.default_rng(0)
-g = Matrix(F4, rng.integers(0, 4, size=(4, 4)))
-while g.rank() < 4:
-    g = Matrix(F4, rng.integers(0, 4, size=(4, 4)))
-h = Matrix(F4, [[1, 0, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 3, 1]])
-lhs = exterior_square(g * h)
-rhs = exterior_square(g) * exterior_square(h)
-print("exterior square is multiplicative:", lhs == rhs)
-print("wedge of diag(1,2,3,1) =", np.diag(exterior_square(Matrix(F4, np.diag([1, 2, 3, 1]))).A).tolist())

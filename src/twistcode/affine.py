@@ -143,14 +143,6 @@ class AffineGroup:
         block, rank = np.divmod(idx, self.params.num_points)
         return self.points[rank], self.block_exponents[block]
 
-    def matrix(self, j) -> Matrix:
-        u, i = self.decompose(j)
-        k = self.params.k
-        mat = np.eye(k + 1, dtype=np.uint8)
-        mat[0, 1:] = u
-        mat[1:, 1:] = self.b_pows[i]
-        return Matrix(self.params.field, mat)
-
     def exponent_blocks(self):
         """(slice, i) per exponent block: the m elements with lower block B^i."""
         return zip(chunks(self.params.group_order, self.params.num_points), self.block_exponents)

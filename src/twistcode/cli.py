@@ -46,7 +46,7 @@ def cmd_build(args):
     except RuntimeError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # OSError: --out or --report could not be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -97,38 +97,6 @@ class CodewordFileError(ValueError):
         self.line = line
 
 
-class IndexedDomain:
-    """Ordered point labels; index lookup inverts position lookup."""
-
-    def __init__(self, points):
-        self.points = list(points)
-        self._index = {pt: i for i, pt in enumerate(self.points)}
-        if len(self._index) != len(self.points):
-            raise ValueError("domain points are not pairwise distinct")
-
-    @property
-    def size(self):
-        return len(self.points)
-
-    def index(self, label):
-        return self._index[label]
-
-    def __getitem__(self, i):
-        return self.points[i]
-
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-
-def support_size(perm) -> int:
-    """Number of moved points of a permutation (0-based image array)."""
-    perm = np.asarray(perm)
-    return int((perm != np.arange(len(perm))).sum())
-
-
 class Representation:
     """Permutation representation of an enumerated group: one image array
     per element index, over a fixed point domain."""
@@ -147,13 +115,6 @@ class Representation:
                 raise ValueError("some image array is not a bijection")
             self.sizes[sl] = np.count_nonzero(perms[sl] != ident, axis=1)
         self.perms = _frozen(perms)
-
-    @property
-    def q(self):
-        return self.perms.shape[1]
-
-    def perm(self, i):
-        return self.perms[i]
 
 
 class Code:
@@ -190,14 +151,6 @@ class Code:
 
     def __len__(self):
         return self.size
-
-
-def hamming_distance(a, b) -> int:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch {a.shape} vs {b.shape}")
-    return int((a != b).sum())
 
 
 def build_twisted_code(rep: Representation, automorphisms=()) -> Code:

@@ -17,9 +17,10 @@ import math
 
 import numpy as np
 
-# Default reduction polynomials for GF(2^n), keyed by n (bitmask, bit i
-# is the coefficient of x^i).  n=2..4 follow the standard primitive
-# trinomials; higher degrees are included for completeness.
+# The reduction polynomial of GF(2^n), keyed by n (bitmask, bit i is the
+# coefficient of x^i); each is monic of degree n and irreducible
+# (tests/test_fields.py checks both).  n=2..4 follow the standard primitive trinomials; higher
+# degrees are included for completeness.
 DEFAULT_POLYS = {
     1: 0b10,  # x  (GF(2) itself; reduction never triggers)
     2: 0b111,  # x^2 + x + 1
@@ -31,7 +32,6 @@ DEFAULT_POLYS = {
     8: 0b100011011,  # x^8 + x^4 + x^3 + x + 1
 }
 
-_MAX_BINARY_DEGREE = 8
 _MAX_PRIME = 251  # entries must fit uint8 matrix storage
 
 
@@ -67,18 +67,6 @@ def gf2_polymul(a: int, b: int) -> int:
     return out
 
 
-def is_irreducible(poly: int) -> bool:
-    """Trial division over GF(2) by every polynomial of degree <= deg/2."""
-    deg = poly.bit_length() - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for f in range(1 << d, 1 << (d + 1)):
-            if gf2_polymod(poly, f) == 0:
-                return False
-    return True
-
-
 class PrimeField:
     """GF(p) for an odd prime p; elements are residues in [0, p)."""
 
@@ -89,14 +77,6 @@ class PrimeField:
             raise ValueError(f"p={p} exceeds the supported bound {_MAX_PRIME}")
         self.p = p
         self.order = p
-
-    def validate(self, a: int) -> int:
-        if not 0 <= a < self.p:
-            raise ValueError(f"{a} is not a residue mod {self.p}")
-        return a
-
-    def elements(self):
-        return range(self.p)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -146,22 +126,17 @@ class PrimeField:
 
 
 class BinaryField:
-    """GF(2^n) with a fixed monic irreducible reduction polynomial.
+    """GF(2^n) with the reduction polynomial poly = DEFAULT_POLYS[n].
 
     Elements are integers in [0, 2^n); addition is XOR and products are
     reduced modulo ``poly``.  Full multiplication and inverse tables are
     built once at construction (n <= 8 keeps them small).
     """
 
-    def __init__(self, n: int, poly: int | None = None):
-        if not 1 <= n <= _MAX_BINARY_DEGREE:
-            raise ValueError(f"n={n} out of supported range 1..{_MAX_BINARY_DEGREE}")
-        if poly is None:
-            poly = DEFAULT_POLYS[n]
-        if poly.bit_length() != n + 1:
-            raise ValueError(f"reduction polynomial {poly:#b} is not monic of degree {n}")
-        if not is_irreducible(poly):
-            raise ValueError(f"reduction polynomial {poly:#b} is reducible over GF(2)")
+    def __init__(self, n: int):
+        if n not in DEFAULT_POLYS:
+            raise ValueError(f"n={n} out of supported range 1..{max(DEFAULT_POLYS)}")
+        poly = DEFAULT_POLYS[n]
         self.n = n
         self.poly = poly
         self.order = 1 << n
@@ -179,14 +154,6 @@ class BinaryField:
             inv[a] = int(np.nonzero(table[a] == 1)[0][0])
         inv.setflags(write=False)
         self.inv_table = inv
-
-    def validate(self, a: int) -> int:
-        if not 0 <= a < self.order:
-            raise ValueError(f"{a} is not an element of GF(2^{self.n})")
-        return a
-
-    def elements(self):
-        return range(self.order)
 
     def add(self, a, b):
         return a ^ b

@@ -1,5 +1,5 @@
-"""Dense matrices over a PrimeField or BinaryField, plus the exterior
-square of 4x4 matrices.
+"""Dense matrices over a PrimeField or BinaryField, null spaces, and the
+wedge-pair basis order of the exterior square of F^4.
 
 Matrices are immutable, numpy-backed (uint8 entries), and all arithmetic
 is exact.  Elimination-based routines (rank, inverse) use deterministic
@@ -53,9 +53,6 @@ class Matrix:
     @property
     def shape(self):
         return self.A.shape
-
-    def __getitem__(self, idx):
-        return int(self.A[idx])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -173,20 +170,3 @@ def null_space(field, A):
             basis[idx, pc] = field.neg(int(At[r, c]))
     return basis
 
-
-def exterior_square(g: Matrix) -> Matrix:
-    """Matrix of the induced map on wedge pairs: row vectors transform as
-    (u ^ v) . out = (u.g) ^ (v.g).
-
-    The ((i,j),(k,l)) entry is g[i,k]g[j,l] - g[i,l]g[j,k]; the minus sign
-    vanishes in characteristic 2.
-    """
-
-    if g.shape != (4, 4):
-        raise ValueError(f"exterior square needs a 4x4 matrix, got {g.shape}")
-    f = g.field
-    out = np.zeros((6, 6), dtype=np.uint8)
-    for a, (i, j) in enumerate(WEDGE_PAIRS):
-        for b, (k, l) in enumerate(WEDGE_PAIRS):
-            out[a, b] = f.sub(f.mul(g[i, k], g[j, l]), f.mul(g[i, l], g[j, k]))
-    return Matrix(f, out)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _packed
 from ._packed import PackedOps, batch_matmul, batch_matmul_left, batch_exterior_square
-from .codes import IndexedDomain, Representation, check_delta_formulas, finish_build, sample_pairs, support_scan
+from .codes import Representation, check_delta_formulas, finish_build, sample_pairs, support_scan
 from .fields import BinaryField
 from .linalg import Matrix, WEDGE_PAIRS, null_space
 from .report import BuildRecord, coverage_value
@@ -63,8 +63,6 @@ class SymplecticSpace:
         self.field = field
         self.q = field.order
         self.n = field.n
-        self.gram = Matrix(field, GRAM)
-        self.e1, self.f1, self.e2, self.f2 = (tuple(r) for r in np.eye(4, dtype=np.uint8))
         self._ops = None
 
     @classmethod
@@ -86,37 +84,11 @@ class SymplecticSpace:
         return f"SymplecticSpace(q={self.q}, poly={self.field.poly:#b})"
 
 
-def symplectic_form(space, u, v) -> int:
-    """B(u, v) = u . Gram . v^T; alternating and bilinear."""
-    u = np.asarray(u, dtype=np.uint8).reshape(1, 4)
-    v = np.asarray(v, dtype=np.uint8).reshape(1, 4)
-    return int(space.field.matmul(space.field.matmul(u, GRAM), v.T)[0, 0])
-
-
 def _transvection_entries(space, v, lam):
     mul = space.field.mul_table
     v = np.asarray(v, dtype=np.uint8)
     col = np.bitwise_xor.reduce(mul[GRAM, v[None, :]], axis=1)  # B(e_i, v)
     return np.eye(4, dtype=np.uint8) ^ mul[mul[lam, col][:, None], v[None, :]]
-
-
-def transvection(space, v, lam) -> Matrix:
-    """The symplectic transvection x -> x + lam * B(x, v) * v."""
-    q = space.q
-    v = np.asarray(v)
-    if v.shape != (4,) or not np.issubdtype(v.dtype, np.integer) or ((v < 0) | (v >= q)).any():
-        raise ValueError(f"transvection direction must be 4 entries in 0..{q - 1}")
-    if not v.any():
-        raise ValueError("transvection direction must be nonzero")
-    if not isinstance(lam, (int, np.integer)) or not 1 <= lam < q:
-        raise ValueError(f"transvection scalar must be in 1..{q - 1}")
-    return Matrix(space.field, _transvection_entries(space, v, lam))
-
-
-def projective_points(space) -> IndexedDomain:
-    """Canonical 1-space representatives: leftmost nonzero coordinate 1."""
-    pts = space.ops.unpack(space.ops.point_codes)
-    return IndexedDomain([tuple(int(x) for x in v) for v in pts])
 
 
 class SymplecticGroup:
@@ -274,23 +246,13 @@ def generate_group(space) -> SymplecticGroup:
     return SymplecticGroup(space, keys)
 
 
-def fixed_projective_count(space, g: Matrix) -> int:
-    """Number of projective 1-spaces fixed setwise by g."""
-    return int(_packed.fixed_counts(space.ops, space.ops.keys_of(g.A))[0])
-
-
-def is_transvection(space, g: Matrix) -> bool:
-    diff = g - Matrix.identity(space.field, 4)
-    return (not diff.is_zero()) and diff.rank() == 1 and (diff * diff).is_zero()
-
-
 class OuterAutomorphism:
     """tau as a permutation of the enumerated group, tau(g_i) = g_index[i],
     looked up from the keys of the image matrices, so a per-element
     table of tau(g) is the group's own one gathered through index; kept
     with the change-of-basis data (quotient basis lift and coordinate
     matrix) that built the image rows, from which _tau_keys, tau's one
-    evaluator, rebuilds its wedge table for map_matrix.  The index is
+    evaluator, builds its wedge table.  The index is
     filled one block at a time (row_blocks, two rows per element, on
     every usable core): each block's image keys come off the wedge table
     (_tau_keys) and are looked up at once (index_block), so no array of N
@@ -298,7 +260,6 @@ class OuterAutomorphism:
 
     def __init__(self, space, group, basis_lift, coords):
         self.space = space
-        self.group = group
         self.basis_lift = basis_lift  # (4, 6): lifted quotient basis rows
         self.coords = coords  # (6, 6): inverse of [basis_lift; w; complement]
         image_keys = _tau_keys(space, basis_lift, coords)
@@ -309,17 +270,6 @@ class OuterAutomorphism:
         _packed.parallel_map(
             lambda sl: group.index_block(image_keys(group.keys[sl]), self.index[sl]), _packed.row_blocks(len(group), 2)
         )
-
-    def matrix(self, i) -> Matrix:
-        return self.group.matrix(self.index[i])
-
-    def map_matrix(self, g: Matrix) -> Matrix:
-        """tau of any 4 x 4 matrix: _tau_keys on its one key, so a matrix
-        whose exterior square leaves the invariant 5-space raises step (b)."""
-        ops = self.space.ops
-        key = _tau_keys(self.space, self.basis_lift, self.coords)(ops.keys_of(g.A))
-        return Matrix(self.space.field, ops.matrices_of(key)[0])
-
 
 def _tau_keys(space, basis_lift, coords):
     """The function from a block of keys to the keys of their images under
@@ -344,14 +294,13 @@ def _tau_keys(space, basis_lift, coords):
 
 def _wedge_pairing_gram(space):
     """Gram matrix of <u^v, x^y> = B(u,x)B(v,y) + B(u,y)B(v,x) on the
-    wedge-pair basis."""
+    wedge-pair basis; B(e_a, e_b) is the Gram entry GRAM[a, b]."""
     f = space.field
-    basis = np.eye(4, dtype=np.uint8)
-    B = lambda a, b: symplectic_form(space, basis[a], basis[b])
+    B = GRAM
     G2 = np.zeros((6, 6), dtype=np.uint8)
     for a, (i, j) in enumerate(WEDGE_PAIRS):
         for b, (k, l) in enumerate(WEDGE_PAIRS):
-            G2[a, b] = f.add(f.mul(B(i, k), B(j, l)), f.mul(B(i, l), B(j, k)))
+            G2[a, b] = f.add(f.mul(B[i, k], B[j, l]), f.mul(B[i, l], B[j, k]))
     return G2
 
 

@@ -1,13 +1,24 @@
 """Independent oracles shared by the tests; they share no code with the
-packed kernels and gathered tables they certify.  Also usable_cores, which
-sets the core count the threaded kernels split their work by, and the
-row-based references of the key-based Sp(4, q) kernels: the same
-algorithms on packed (N, 4) row arrays, unthreaded.  These read the same
-PackedOps tables as the kernels, so they certify how the kernels read
-rows off keys, not the tables.  And dense_tau_apply, tau through the dense
-exterior square, the reference for _tau_keys' wedge table; write_code_lines
-and read_code_lines, the line-by-line references of the codeword file
-writer and reader."""
+packed kernels and gathered tables they certify.
+
+- Scalar references for the index API: hamming_distance (one pair of
+  codewords), transvection (one Sp(4, q) transvection as a Matrix),
+  affine_matrix (one affine element's matrix, from its decomposition),
+  mulclose (a dict-based closure) and min_distance_all_pairs.
+- The affine references affine_element_matrices, affine_twisted_elements,
+  affine_twisted_table and affine_twist_index, assembled one element at a
+  time.
+- usable_cores, which sets the core count the threaded kernels split
+  their work by.
+- The row-based references of the key-based Sp(4, q) kernels: the same
+  algorithms on packed (N, 4) row arrays, unthreaded.  These read the
+  same PackedOps tables as the kernels, so they certify how the kernels
+  read rows off keys, not the tables.
+- dense_tau_apply, tau through the dense exterior square, the reference
+  for _tau_keys' wedge table.
+- sorted_key_invariance, the reference of check_distance_invariance, and
+  write_code_lines and read_code_lines, the line-by-line references of the
+  codeword file writer and reader."""
 
 import itertools
 
@@ -15,9 +26,34 @@ import numpy as np
 
 from twistcode import _packed
 from twistcode.affine import matrix_B
-from twistcode.codes import FORMAT_MAGIC, Code, CodewordFileError, _parse_header, hamming_distance, row_keys
+from twistcode.codes import FORMAT_MAGIC, Code, CodewordFileError, _parse_header, row_keys
 from twistcode.linalg import Matrix, WEDGE_PAIRS
 from twistcode.symplectic import GRAM
+
+
+def hamming_distance(a, b) -> int:
+    """Number of positions where two equal-length codewords differ."""
+    return int((np.asarray(a) != np.asarray(b)).sum())
+
+
+def transvection(space, v, lam) -> Matrix:
+    """The symplectic transvection x -> x + lam B(x, v) v of Sp(4, q), one
+    entry at a time: row i is e_i + lam B(e_i, v) v, and B(e_i, v) is
+    v[i ^ 1], as the form pairs e1 with f1 and e2 with f2."""
+    f = space.field
+    rows = [[int(i == j) ^ f.mul(f.mul(lam, int(v[i ^ 1])), int(v[j])) for j in range(4)] for i in range(4)]
+    return Matrix(f, rows)
+
+
+def affine_matrix(group, j) -> Matrix:
+    """The matrix [[1, u], [0, B^i]] of affine element j, from its
+    decomposition (u, i) and the group's powers of B."""
+    u, i = group.decompose(j)
+    k = group.params.k
+    mat = np.eye(k + 1, dtype=np.uint8)
+    mat[0, 1:] = u
+    mat[1:, 1:] = group.b_pows[i]
+    return Matrix(group.params.field, mat)
 
 
 def mulclose(generators):
@@ -47,8 +83,8 @@ def mulclose(generators):
 
 
 def affine_element_matrices(group):
-    """(N, k+1, k+1) element matrices, assembled one group.matrix(j) at a time."""
-    return np.stack([group.matrix(j).A for j in range(len(group))])
+    """(N, k+1, k+1) element matrices, assembled one affine_matrix(group, j) at a time."""
+    return np.stack([affine_matrix(group, j).A for j in range(len(group))])
 
 
 def affine_twisted_elements(group, r):

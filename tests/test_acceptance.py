@@ -5,7 +5,10 @@ stated wall-clock budgets.  Heavy builds are shared through module-scoped
 fixtures; each criterion prints one PASS/FAIL line.
 """
 
+import ast
 import hashlib
+import inspect
+import pathlib
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -22,6 +25,8 @@ from twistcode.symplectic import SymplecticSpace, build_symplectic_twisted, tran
 from twistcode import _packed, symplectic
 
 from oracles import dense_tau_apply
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 AFFINE_CASES = {(3, 2): (24, 18), (5, 2): (120, 100), (7, 2): (336, 294), (5, 3): (620, 600)}
 
@@ -358,18 +363,68 @@ def test_symplectic_coverage_lines(sp1, sp2):
 
 
 def test_public_exports_resolve():
-    # every name in __all__ resolves, once; the deleted scalar affine model and passive-form helper stay gone
+    # every name in __all__ resolves, once; the deleted scalar models of both
+    # families, the passive-form helper and the test-only helpers stay gone
     import twistcode
-    from twistcode import affine, codes
+    from twistcode import affine, codes, fields, linalg
 
     assert len(set(twistcode.__all__)) == len(twistcode.__all__)
     assert all(hasattr(twistcode, name) for name in twistcode.__all__)
     deleted = {
         affine: ["AffineElement", "act_on_point", "enumerate_points", "fixed_point_count", "tau_twist"],
-        codes: ["codeword_from_element"],
-        affine.AffineGroup: ["element"],
+        codes: ["codeword_from_element", "IndexedDomain", "support_size", "hamming_distance"],
+        affine.AffineGroup: ["element", "matrix"],
+        codes.Representation: ["perm", "q"],
+        symplectic: [
+            "symplectic_form", "transvection", "projective_points", "fixed_projective_count", "is_transvection",
+        ],
+        symplectic.OuterAutomorphism: ["matrix", "map_matrix"],
+        SymplecticSpace.create(1): ["e1", "f1", "e2", "f2", "gram"],
+        linalg: ["exterior_square"],
+        linalg.Matrix: ["__getitem__"],
+        fields: ["is_irreducible"],
+        fields.PrimeField: ["validate", "elements"],
+        fields.BinaryField: ["validate", "elements"],
     }
     for owner, names in deleted.items():
         for name in names:
             assert not hasattr(owner, name) and not hasattr(twistcode, name), name
             assert name not in twistcode.__all__
+    assert list(inspect.signature(fields.BinaryField).parameters) == ["n"]  # the poly= keyword is gone
+
+
+def referenced_names(source):
+    """Every identifier a Python source uses: names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def readme_library_example():
+    """The code block under the README's "Library example" heading."""
+    section = (ROOT / "README.md").read_text().split("\n## Library example\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs():
+    exec(compile(readme_library_example(), "README.md", "exec"), {})
+
+
+def test_public_exports_are_used():
+    # every __all__ name is used by the command line, a demo, the benchmark
+    # harness or the README library example, so a helper only tests call
+    # cannot become public API; the exception types those raise are exported
+    # beside them
+    import twistcode
+
+    sources = [ROOT / "src" / "twistcode" / "cli.py", *ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]
+    used = referenced_names(readme_library_example()).union(*(referenced_names(path.read_text()) for path in sources))
+    exceptions = {name for name in twistcode.__all__ if isinstance(getattr(twistcode, name), type)
+                  and issubclass(getattr(twistcode, name), Exception)}
+    assert sorted(set(twistcode.__all__) - used - exceptions) == []

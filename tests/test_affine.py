@@ -18,7 +18,9 @@ from twistcode.fields import PrimeField
 from twistcode.linalg import Matrix
 from twistcode.report import BuildRecord
 
-from oracles import affine_element_matrices, affine_twist_index, affine_twisted_elements, affine_twisted_table
+from oracles import (
+    affine_element_matrices, affine_matrix, affine_twist_index, affine_twisted_elements, affine_twisted_table,
+)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +87,7 @@ def test_enumeration_counts(g32):
     assert len(np.unique(affine_element_matrices(g32).reshape(len(g32), -1), axis=0)) == 27  # distinct matrices
     u, i = g32.decompose(np.arange(len(g32)))
     assert len({(tuple(v), int(e)) for v, e in zip(u.tolist(), i)}) == 27  # distinct (u, i) pairs
-    assert g32.matrix(0).is_identity()
+    assert affine_matrix(g32, 0).is_identity()
 
 
 def test_exponent_addition_rule(g52):
@@ -94,7 +96,7 @@ def test_exponent_addition_rule(g52):
     for a in range(0, len(g52), 7):
         for b in range(0, len(g52), 11):
             idx = g52.product_index(a, b)
-            assert g52.matrix(idx) == g52.matrix(a) * g52.matrix(b)
+            assert affine_matrix(g52, idx) == affine_matrix(g52, a) * affine_matrix(g52, b)
 
 
 def test_points_order(g32):
@@ -130,7 +132,7 @@ def test_point_action_cases(g32):
     assert np.array_equal(table[0], ident)
     trans = g32.element_index((1, 2), 3)  # pure translation: i = p block with nonzero u
     assert (table[trans] != ident).all()
-    assert (np.array([1, 0, 0]) @ g32.matrix(trans).A % 3).tolist() == [1, 1, 2] and table[trans, 0] == 5
+    assert (np.array([1, 0, 0]) @ affine_matrix(g32, trans).A % 3).tolist() == [1, 1, 2] and table[trans, 0] == 5
     g = g32.element_index((0, 0), 1)  # v = 0, i = 1: fixed points are exactly (1, a, 0)
     assert np.flatnonzero(table[g] == ident).tolist() == [0, 3, 6]
 
@@ -149,7 +151,7 @@ def test_certificate_generators_order_by_schreier_sims(p, k):
     B[1:, 1:] = matrix_B(k, p).A
     shift = np.eye(k + 1, dtype=np.uint8)
     shift[0, 1:] = e_k
-    gens = [group.matrix(j) for j in group.generators()]
+    gens = [affine_matrix(group, j) for j in group.generators()]
     assert gens == [Matrix(PrimeField(p), B), Matrix(PrimeField(p), shift)]
     points = np.array([(1, *v) for v in np.ndindex(*(p,) * k)], dtype=np.int64)
     index = {tuple(x): j for j, x in enumerate(points.tolist())}

@@ -68,6 +68,18 @@ def test_failed_checks_write_no_file(monkeypatch, capsys, tmp_path, check):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, flag, where):
+    # a path that cannot be written is bad input: one error line and exit 2,
+    # not a traceback; the report is printed before anything is written
+    target = tmp_path / "missing" / "x.tw" if where == "missing-directory" else tmp_path
+    status, out, err = run(capsys, "affine", "--p", "3", "--k", "2", flag, str(target))
+    assert status == 2
+    assert report_dict(out)["delta_tw"] == "24"
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_affine_bad_parameters(capsys):
     status, _, err = run(capsys, "affine", "--p", "4", "--k", "2")
     assert status == 2 and "odd prime" in err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcode.fields import BinaryField, PrimeField, DEFAULT_POLYS, is_irreducible, is_prime
+from twistcode.fields import BinaryField, PrimeField, DEFAULT_POLYS, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +34,14 @@ def poly_mod(a, m):
             if c:
                 a[da - dm + i] ^= 1
     return a
+
+
+def is_irreducible(poly):
+    """Trial division of a bitmask polynomial over GF(2) by every
+    polynomial of degree 1 .. deg/2, through the long-division oracle."""
+    deg = poly.bit_length() - 1
+    divisors = (f for d in range(1, deg // 2 + 1) for f in range(1 << d, 1 << (d + 1)))
+    return deg >= 1 and all(any(poly_mod(from_int(poly, deg + 1), from_int(f, f.bit_length()))) for f in divisors)
 
 
 def to_int(coeffs):
@@ -76,14 +84,14 @@ def test_full_mul_table_against_oracle():
 def test_characteristic_two():
     for n in (1, 2, 3, 4):
         F = BinaryField(n)
-        for a in F.elements():
+        for a in range(F.order):
             assert F.add(a, a) == 0
 
 
 def test_frobenius_nontrivial_for_extension_fields():
     for n in (2, 3, 4):
         F = BinaryField(n)
-        assert any(F.mul(a, a) != a for a in F.elements())
+        assert any(F.mul(a, a) != a for a in range(F.order))
 
 
 def test_prime_field_examples():
@@ -105,7 +113,7 @@ def test_binom_large_arguments_exact():
 def test_field_axioms_exhaustive_prime():
     for p in (3, 5, 7, 11, 13):
         F = PrimeField(p)
-        elems = list(F.elements())
+        elems = list(range(F.order))
         for a in elems:
             assert F.add(a, F.neg(a)) == 0
             if a:
@@ -122,7 +130,7 @@ def test_field_axioms_exhaustive_prime():
 def test_field_axioms_exhaustive_binary():
     for n in (1, 2, 3, 4):
         F = BinaryField(n)
-        elems = list(F.elements())
+        elems = list(range(F.order))
         for a in elems:
             if a:
                 assert F.mul(a, F.inv(a)) == 1
@@ -149,19 +157,17 @@ def test_prime_validation():
 
 
 def test_reduction_polynomial_validation():
-    # x^2 + 1 = (x + 1)^2 is reducible
-    with pytest.raises(ValueError):
-        BinaryField(2, poly=0b101)
-    # wrong degree
-    with pytest.raises(ValueError):
-        BinaryField(2, poly=0b1011)
-    # the documented defaults really are irreducible
+    # each field's polynomial is monic of degree n and irreducible over GF(2)
     for n, poly in DEFAULT_POLYS.items():
-        if n >= 2:
-            assert is_irreducible(poly)
-    # an alternative valid polynomial for GF(8)
-    F = BinaryField(3, poly=0b1101)
-    assert sorted(F.mul(a, F.inv(a)) for a in range(1, 8)) == [1] * 7
+        assert poly.bit_length() == n + 1
+        assert is_irreducible(poly)
+        assert BinaryField(n).poly == poly
+    # the oracle itself: x^2 + 1 = (x + 1)^2 and x^4 + x^2 + 1 = (x^2 + x + 1)^2 are reducible
+    assert not is_irreducible(0b101) and not is_irreducible(0b10101)
+    assert is_irreducible(0b1101) and is_irreducible(0b111)
+    for n in (0, 9):
+        with pytest.raises(ValueError, match="out of supported range 1..8"):
+            BinaryField(n)
 
 
 def test_mul_table_is_numpy_and_consistent():
@@ -169,9 +175,6 @@ def test_mul_table_is_numpy_and_consistent():
     assert isinstance(F.mul_table, np.ndarray)
     a, b = 9, 13
     assert F.mul_table[a, b] == F.mul(a, b)
-    assert F.validate(9) == 9
-    with pytest.raises(ValueError):
-        F.validate(16)
 
 
 # ---------------------------------------------------------------------------

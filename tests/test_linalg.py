@@ -3,10 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from twistcode import _packed
 from twistcode.fields import BinaryField, PrimeField
-from twistcode.linalg import Matrix, WEDGE_PAIRS, exterior_square, null_space
+from twistcode.linalg import Matrix, WEDGE_PAIRS, null_space
 from twistcode.affine import matrix_A, matrix_B
-from twistcode.symplectic import SymplecticSpace, transvection
+from twistcode.symplectic import SymplecticSpace
+
+from oracles import transvection
 
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
@@ -75,7 +78,7 @@ def test_rank_examples():
     assert Matrix.zeros(GF4, 4).rank() == 0
     assert Matrix.identity(GF4, 4).rank() == 4
     space = SymplecticSpace.create(2)
-    t = transvection(space, space.e1, 3)
+    t = transvection(space, (1, 0, 0, 0), 3)
     assert (t - Matrix.identity(space.field, 4)).rank() == 1
 
 
@@ -94,18 +97,26 @@ def test_dimension_mismatch_raises():
         Matrix(GF3, [[1]]) * Matrix(GF5, [[1]])
 
 
+def exterior_squares(field, mats):
+    """Exterior squares of a (N, 4, 4) batch over GF(2^n), as Matrix objects,
+    through the batch kernel that tau's step (a) runs."""
+    return [Matrix(field, lam) for lam in _packed.batch_exterior_square(field.mul_table, mats, WEDGE_PAIRS)]
+
+
+def exterior_square(g):
+    return exterior_squares(g.field, g.A[None])[0]
+
+
 def test_exterior_square_identity():
-    assert exterior_square(Matrix.identity(GF4, 4)).is_identity()
-    with pytest.raises(ValueError):
-        exterior_square(Matrix.identity(GF4, 3))
+    for field in (GF2, GF4):
+        assert exterior_square(Matrix.identity(field, 4)).is_identity()
 
 
 def test_exterior_square_diagonal():
-    for field, diag in [(GF5, (2, 3, 1, 4)), (GF4, (1, 2, 3, 1))]:
-        m = Matrix(field, np.diag(np.array(diag, dtype=np.uint8)))
-        lam = exterior_square(m)
-        expected = [field.mul(diag[i], diag[j]) for i, j in WEDGE_PAIRS]
-        assert lam.A.tolist() == np.diag(np.array(expected)).tolist()
+    diag = (1, 2, 3, 1)
+    lam = exterior_square(Matrix(GF4, np.diag(np.array(diag, dtype=np.uint8))))
+    expected = [GF4.mul(diag[i], diag[j]) for i, j in WEDGE_PAIRS]
+    assert lam.A.tolist() == np.diag(np.array(expected)).tolist()
 
 
 def wedge_oracle(field, u, v):
@@ -147,8 +158,11 @@ def test_exterior_square_multiplicative():
     rng = np.random.default_rng(9)
     for field in (GF2, GF4):
         pairs = [(rand_invertible(rng, field, 4), rand_invertible(rng, field, 4)) for _ in range(100)]
-        for g, h in pairs:
-            assert exterior_square(g * h) == exterior_square(g) * exterior_square(h)
+        lam_g = exterior_squares(field, np.stack([g.A for g, _ in pairs]))
+        lam_h = exterior_squares(field, np.stack([h.A for _, h in pairs]))
+        lam_gh = exterior_squares(field, np.stack([(g * h).A for g, h in pairs]))
+        for g, h, gh in zip(lam_g, lam_h, lam_gh):
+            assert gh == g * h
 
 
 def test_pow_and_entry_validation():

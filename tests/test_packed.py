@@ -33,9 +33,7 @@ from twistcode.symplectic import (
     build_symplectic_twisted,
     generate_group,
     generators,
-    projective_points,
     sp4_order,
-    transvection,
     transvection_flags,
 )
 
@@ -46,6 +44,7 @@ from oracles import (
     row_rank_one_flags,
     row_ranks,
     row_span_ranks,
+    transvection,
     usable_cores,
 )
 
@@ -203,7 +202,7 @@ def test_span_tables_equal_across_core_counts(monkeypatch, cores):
 @functools.cache
 def space_of(n):
     space = SymplecticSpace.create(n)
-    return space, projective_points(space)
+    return space, [tuple(int(x) for x in v) for v in space.ops.unpack(space.ops.point_codes)]
 
 
 def scalar_image(space, points, pt, g):

@@ -15,18 +15,13 @@ from twistcode.symplectic import (
     all_transvections,
     build_outer_automorphism,
     build_symplectic_twisted,
-    fixed_projective_count,
     generate_group,
     generators,
-    is_transvection,
-    projective_points,
     sp4_order,
-    symplectic_form,
-    transvection,
     transvection_flags,
 )
 
-from oracles import dense_tau_apply, mulclose, usable_cores
+from oracles import dense_tau_apply, mulclose, transvection, usable_cores
 
 
 @pytest.fixture(scope="module")
@@ -42,70 +37,56 @@ def tau2(sp2):
 
 
 def test_form_basics():
+    # the Gram matrix pairs e1 with f1 and e2 with f2, and the form it gives
+    # is alternating, so symmetric in characteristic 2 (_preserves_form
+    # compares only i < j because of it)
+    assert GRAM[0, 1] == GRAM[2, 3] == 1 and GRAM[0, 2] == GRAM[0, 3] == 0
+    assert (GRAM == GRAM.T).all() and not np.diag(GRAM).any()
     for n in (1, 2):
-        space = SymplecticSpace.create(n)
-        assert symplectic_form(space, space.e1, space.f1) == 1
-        assert symplectic_form(space, space.e2, space.f2) == 1
-        assert symplectic_form(space, space.e1, space.e2) == 0
-        assert symplectic_form(space, space.e1, space.f2) == 0
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            u = rng.integers(0, space.q, size=4)
-            assert symplectic_form(space, u, u) == 0
-            v = rng.integers(0, space.q, size=4)
-            assert symplectic_form(space, u, v) == symplectic_form(space, v, u)  # char 2
+        field = SymplecticSpace.create(n).field
+        u, v = np.random.default_rng(2).integers(0, field.order, size=(2, 50, 4), dtype=np.uint8)
+        B = lambda x, y: field.matmul(field.matmul(x, GRAM), y.T).diagonal()  # B(x_r, y_r) per row r
+        assert not B(u, u).any()
+        assert np.array_equal(B(u, v), B(v, u))
+
+
+def points_of(space):
+    """The projective points as coordinate tuples, in index order."""
+    return [tuple(int(x) for x in v) for v in space.ops.unpack(space.ops.point_codes)]
+
+
+def _is_transvection(space, g):
+    """Scalar transvection test on one Matrix: g != I, rank(g - I) = 1 and (g - I)^2 = 0."""
+    diff = g - Matrix.identity(space.field, 4)
+    return not diff.is_zero() and diff.rank() == 1 and (diff * diff).is_zero()
 
 
 def test_transvection_matrix_shape():
     space = SymplecticSpace.create(1)
-    t = transvection(space, space.e1, 1)
+    t = transvection(space, (1, 0, 0, 0), 1)
     # fixes e1, e2, f2 and maps f1 to f1 + e1
     assert t.A.tolist() == [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    # all_transvections is the scalar oracle over every (direction, scalar) pair, in that order
     space4 = SymplecticSpace.create(2)
-    lam = 3
-    t4 = transvection(space4, space4.e1, lam)
-    expected = np.eye(4, dtype=np.uint8)
-    expected[1, 0] = lam
-    assert t4.A.tolist() == expected.tolist()
+    want = [transvection(space4, v, lam).A for v in points_of(space4) for lam in range(1, space4.q)]
+    assert np.array_equal(all_transvections(space4), np.stack(want))
+    assert transvection(space4, (1, 0, 0, 0), 3).A.tolist() == [[1, 0, 0, 0], [3, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
-def test_transvection_validation_and_algebra():
+def test_transvection_algebra():
+    # every transvection of Sp(4, 4): g - I has rank one and squares to zero, and g preserves the form
     space = SymplecticSpace.create(2)
-    with pytest.raises(ValueError):
-        transvection(space, (0, 0, 0, 0), 1)
-    with pytest.raises(ValueError):
-        transvection(space, space.e1, 0)
-    # values outside GF(4), which would index the tables
-    for lam in (-1, 4, 1.0):
-        with pytest.raises(ValueError, match="scalar must be in 1..3"):
-            transvection(space, space.e1, lam)
-    for v in ((4, 0, 0, 0), (-1, 0, 0, 0), (1, 0, 0), (1, 0, 0, 0, 0), ((1, 0), (0, 0)), (1.0, 0, 0, 0)):
-        with pytest.raises(ValueError, match="direction must be 4 entries in 0..3"):
-            transvection(space, v, 1)
-    assert transvection(space, np.array([0, 0, 0, 3], dtype=np.int64), 3) == transvection(space, (0, 0, 0, 3), 3)
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        v = rng.integers(0, 4, size=4)
-        if not v.any():
-            continue
-        lam = int(rng.integers(1, 4))
-        t = transvection(space, v, lam)
-        d = t - Matrix.identity(space.field, 4)
-        assert d.rank() == 1 and (d * d).is_zero()
-        # form preservation
-        for _ in range(5):
-            x = rng.integers(0, 4, size=4)
-            y = rng.integers(0, 4, size=4)
-            xt = space.field.matmul(x.reshape(1, 4).astype(np.uint8), t.A)[0]
-            yt = space.field.matmul(y.reshape(1, 4).astype(np.uint8), t.A)[0]
-            assert symplectic_form(space, xt, yt) == symplectic_form(space, x, y)
+    mats = all_transvections(space)
+    assert len(mats) == space.num_points * (space.q - 1)
+    assert all(_is_transvection(space, Matrix(space.field, t)) for t in mats)
+    assert _dense_preserves_form(space, mats).all()
 
 
 def test_projective_point_counts_and_canonical_form():
     for n, m in [(1, 15), (2, 85)]:
         space = SymplecticSpace.create(n)
-        dom = projective_points(space)
-        assert dom.size == m
+        dom = points_of(space)
+        assert len(dom) == m == space.num_points
         for pt in dom:
             lead = next(c for c in pt if c)
             assert lead == 1
@@ -171,33 +152,24 @@ def test_group_order_check_can_fail(monkeypatch, capsys):
 
 def test_fixed_counts(sp2):
     space, group = sp2
-    assert fixed_projective_count(space, group.matrix(0)) == 15
-    t = transvection(space, space.f2, 1)
-    assert fixed_projective_count(space, t) == 7
     counts = _packed.fixed_counts(space.ops, group.keys)
+    assert counts[0] == _python_fixed_count(space, group.matrix(0)) == 15
+    t = transvection(space, (0, 0, 0, 1), 1)  # along f2
+    assert _packed.fixed_counts(space.ops, space.ops.keys_of(t.A))[0] == _python_fixed_count(space, t) == 7
     mask = group.transvection_mask()
     assert (counts[1:][mask[1:]] == 7).all()
     assert (counts[1:][~mask[1:]] <= 6).all()
 
 
-def test_is_transvection(sp2):
-    space, group = sp2
-    assert not is_transvection(space, group.matrix(0))
-    assert is_transvection(space, transvection(space, space.e1, 1))
-    count = sum(is_transvection(space, group.matrix(i)) for i in range(len(group)))
-    assert count == 15
-    assert int(group.transvection_mask().sum()) == 15
-
-
 def test_outer_automorphism_q2(sp2, tau2):
     space, group = sp2
     tau = tau2
-    assert tau.matrix(0).is_identity()
+    assert group.matrix(tau.index[0]).is_identity()
     mask = group.transvection_mask()
     for idx in np.flatnonzero(mask):
-        img = tau.matrix(int(idx))
-        assert fixed_projective_count(space, img) == 3
-        assert not is_transvection(space, img)
+        img = group.matrix(tau.index[idx])
+        assert _python_fixed_count(space, img) == 3
+        assert not _is_transvection(space, img)
     keys = symplectic._tau_keys(space, tau.basis_lift, tau.coords)(group.keys)
     assert len(np.unique(keys)) == len(group)
     assert np.array_equal(np.sort(tau.index), np.arange(len(group)))
@@ -434,19 +406,22 @@ def test_tau_tables_gathered_equal_kernel_oracle(sp2, tau2):
 
 
 def test_outer_automorphism_is_homomorphism_sampled(sp2, tau2):
+    # tau's evaluator on 200 Matrix products against the product of the elements tau.index points at
     space, group = sp2
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        a, b = rng.integers(0, len(group), size=2)
-        ga, gb = group.matrix(int(a)), group.matrix(int(b))
-        assert tau2.map_matrix(ga * gb) == tau2.matrix(int(a)) * tau2.matrix(int(b))
+    ops = space.ops
+    a, b = np.random.default_rng(8).integers(0, len(group), size=(2, 200))
+    prods = np.stack([(group.matrix(int(x)) * group.matrix(int(y))).A for x, y in zip(a, b)])
+    images = ops.matrices_of(symplectic._tau_keys(space, tau2.basis_lift, tau2.coords)(ops.keys_of(prods)))
+    for image, x, y in zip(images, tau2.index[a], tau2.index[b]):
+        assert Matrix(space.field, image) == group.matrix(x) * group.matrix(y)
 
 
 def test_tau_rejects_nonsymplectic_input(sp2, tau2):
     space, _ = sp2
-    shear = Matrix(space.field, [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    with pytest.raises(TauConstructionError):
-        tau2.map_matrix(shear)
+    shear = np.array([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.uint8)
+    image_keys = symplectic._tau_keys(space, tau2.basis_lift, tau2.coords)
+    with pytest.raises(TauConstructionError, match=r"step \(b\)"):
+        image_keys(space.ops.keys_of(shear))
 
 
 def test_build_symplectic_twisted_n1():
@@ -459,11 +434,11 @@ def test_build_symplectic_twisted_n1():
 
 
 def test_transvection_flags_match_scalar(sp2):
+    # every element of Sp(4, 2): the 15 transvections and nothing else
     space, group = sp2
     flags = transvection_flags(space, group.keys)
-    rng = np.random.default_rng(10)
-    for i in rng.integers(0, len(group), size=40):
-        assert bool(flags[i]) == is_transvection(space, group.matrix(int(i)))
+    assert flags.tolist() == [_is_transvection(space, group.matrix(i)) for i in range(len(group))]
+    assert int(flags.sum()) == 15 and np.array_equal(group.transvection_mask(), flags)
 
 
 @pytest.mark.parametrize("cores", [1, 3])
@@ -485,7 +460,7 @@ def _python_fixed_count(space, g):
     packed kernels: canonicalise v.g by its leading coefficient."""
     field = space.field
     count = 0
-    for pt in projective_points(space):
+    for pt in points_of(space):
         img = field.matmul(np.array(pt, dtype=np.uint8).reshape(1, 4), g.A)[0]
         lead = next(int(c) for c in img if c)
         canon = tuple(field.mul(field.inv(lead), int(c)) for c in img)
@@ -510,7 +485,7 @@ def test_packed_kernels_against_python_at_q4():
     keys = space.ops.keys_of(np.stack([g.A for g in mats]))
     counts = _packed.fixed_counts(space.ops, keys)
     perms = _packed.perm_tables(space.ops, keys)
-    dom = projective_points(space)
+    dom = points_of(space)
     for idx, g in enumerate(mats):
         assert counts[idx] == _python_fixed_count(space, g)
         for j in (0, 17, 84):
