@@ -512,14 +512,14 @@ def _span_ranks(ops: PackedOps, keys):
 
 
 def _rank_kernel(ops: PackedOps):
-    """_span_ranks while its pair table is small (q <= 4 for 4-rows), else
-    the elimination _ranks; the tables it reads are computed here, before
-    any worker reads them."""
-    if ops.ncodes**2 <= PAIR_TABLE_LIMIT:
-        ops.span_tables
-        return _span_ranks
-    ops.smul, ops.canon, ops.lead_shift
-    return _ranks
+    """_span_ranks, refused before anything is allocated while its pair
+    table would exceed PAIR_TABLE_LIMIT entries (q > 4 for 4-rows); the
+    span tables it reads are computed here, before any worker reads them."""
+    size = ops.ncodes**2
+    if size > PAIR_TABLE_LIMIT:
+        raise ValueError(f"span table of {size} entries exceeds {PAIR_TABLE_LIMIT}")
+    ops.span_tables
+    return _span_ranks
 
 
 def fixed_counts(ops: PackedOps, rows, out=None):
@@ -532,14 +532,15 @@ def fixed_counts(ops: PackedOps, rows, out=None):
     vectors of a singular g (lam = 0) are not fixed points.  On every
     usable core, into an int16 array, or into out when one is given (an
     (N,) integer array, a table's column will do): the points_by_rank
-    terms are added in out's dtype, so one that cannot hold m, the
-    identity's count, is refused before any block runs."""
-    q = ops.field.order
-    m = (q**4 - 1) // (q - 1)
-    counts = np.empty(rows.shape[0], dtype=np.int16) if out is None else out
-    if counts.dtype.kind not in "iu" or np.iinfo(counts.dtype).max < m:
-        raise ValueError(f"fixed counts up to {m} do not fit an out array of dtype {counts.dtype}")
+    terms are added in out's dtype, and every integer dtype holds m, the
+    identity's count (85 at q = 4); an out that is not an integer array
+    is refused before any block runs.  Refused above q = 4 (_rank_kernel)
+    before the counts are allocated."""
     ranks = _rank_kernel(ops)
+    q = ops.field.order
+    counts = np.empty(rows.shape[0], dtype=np.int16) if out is None else out
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"fixed counts need an integer out array, not {counts.dtype}")
     points_by_rank = np.array([(q ** (4 - k) - 1) // (q - 1) for k in range(5)], dtype=counts.dtype)
     scalars = ops.keys_of(np.arange(1, q)[:, None, None] * np.eye(4, dtype=np.uint8))
 
@@ -585,7 +586,8 @@ def rank_one_flags(ops: PackedOps, rows, offset=0):
     """True where the matrices whose keys are `rows`, each plus the matrix
     with key `offset` (g + M, which is g - M in characteristic 2: one XOR
     of keys), have rank exactly one.  On every usable core, with no sum
-    array over all rows."""
+    array over all rows; refused above q = 4 (_rank_kernel) before the
+    flags are allocated."""
     ranks = _rank_kernel(ops)
     flags = np.empty(rows.shape[0], dtype=bool)
 

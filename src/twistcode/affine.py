@@ -172,12 +172,6 @@ class AffineGroup:
         p = self.params.p
         return i % p * self.params.num_points + int(np.asarray(u, dtype=np.int64) % p @ self.weights)
 
-    def product_index(self, a, b) -> int:
-        """Index of the product element a * b."""
-        (ua, ia), (ub, ib) = self.decompose(a), self.decompose(b)
-        u = (ub.astype(np.int64) + ua.astype(np.int64) @ self.b_pows[ib]) % self.params.p
-        return self.element_index(u, int(ia + ib))
-
     def generators(self):
         """Indices of B and of the translation by e_k, which generate G_k."""
         e_k = np.eye(self.params.k, dtype=np.int64)[-1]

@@ -1,5 +1,5 @@
-"""Dense matrices over a PrimeField or BinaryField, null spaces, and the
-wedge-pair basis order of the exterior square of F^4.
+"""Dense matrices over a PrimeField or BinaryField, and the wedge-pair
+basis order of the exterior square of F^4.
 
 Matrices are immutable, numpy-backed (uint8 entries), and all arithmetic
 is exact.  Elimination-based routines (rank, inverse) use deterministic
@@ -150,23 +150,3 @@ def _eliminate(field, A, reduce=False, limit_cols=None):
         if r == m:
             break
     return A, r
-
-
-def null_space(field, A):
-    """Rows form a basis of {x : x . A = 0}; deterministic echelon basis."""
-    At, rk = _eliminate(field, A.T.copy(), reduce=True)
-    m = A.shape[0]
-    pivots = []
-    row = 0
-    for c in range(m):
-        if row < At.shape[0] and At[row, c]:
-            pivots.append(c)
-            row += 1
-    free = [c for c in range(m) if c not in pivots]
-    basis = np.zeros((len(free), m), dtype=np.uint8)
-    for idx, c in enumerate(free):
-        basis[idx, c] = 1
-        for r, pc in enumerate(pivots):
-            basis[idx, pc] = field.neg(int(At[r, c]))
-    return basis
-

@@ -6,10 +6,11 @@ code (identity, outer) it yields.
 The outer automorphism follows the classical characteristic-2 construction:
 the exterior square of F^4 carries an invariant vector w (the form
 vector) and an invariant pairing; the action induced on the 4-dimensional
-quotient (w-perp)/<w>, written in a symplectic basis of the quotient, is
-again Sp(4, q) but sends transvections to elements with only q+1 fixed
-1-spaces.  Every step of that construction is machine-checked at build
-time and the builder raises naming the failed step otherwise.
+quotient (w-perp)/<w>, written in the symplectic basis QUOTIENT_BASIS of
+the quotient, is again Sp(4, q) but sends transvections to elements with
+only q+1 fixed 1-spaces.  Every step of that construction is
+machine-checked at build time and the builder raises naming the failed
+step otherwise.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import _packed
 from ._packed import PackedOps, batch_matmul, batch_matmul_left, batch_exterior_square
 from .codes import Representation, check_delta_formulas, finish_build, sample_pairs, support_scan
 from .fields import BinaryField
-from .linalg import Matrix, WEDGE_PAIRS, null_space
+from .linalg import Matrix, WEDGE_PAIRS
 from .report import BuildRecord, coverage_value
 
 GRAM = np.array(
@@ -37,6 +38,13 @@ GENERATOR_WORDS = {
     1: ((6, 1, 3, 10, 8, 14, 10), (7, 12, 6, 2, 8, 10, 9)),
     2: ((202, 128, 115, 56, 77, 196, 239), (246, 110, 41, 15, 33, 22, 163)),
 }
+# The quotient (w-perp)/<w> of the exterior square, w = e1^f1 + e2^f2, in
+# wedge pairs of WEDGE_PAIRS: a basis lift e1^e2, f1^f2, e1^f2, f1^e2 in
+# GRAM's hyperbolic order (the same rows for every q = 2^n), and e1^f1,
+# which completes it and w to a basis.  build_outer_automorphism verifies
+# both in steps (b) and (c).
+QUOTIENT_BASIS = ((0, 2), (1, 3), (0, 3), (1, 2))
+QUOTIENT_COMPLEMENT = (0, 1)
 HOM_SAMPLES = 100_000  # sampled pairs of the tau-homomorphism check above q = 2
 TAU_STEPS = ("a", "b", "c", "d")  # the verification steps of build_outer_automorphism
 
@@ -292,6 +300,11 @@ def _tau_keys(space, basis_lift, coords):
     return image_keys
 
 
+def _wedge_rows(pairs):
+    """(len(pairs), 6) uint8 rows: the unit vector of each wedge pair."""
+    return np.eye(6, dtype=np.uint8)[[WEDGE_PAIRS.index(p) for p in pairs]]
+
+
 def _wedge_pairing_gram(space):
     """Gram matrix of <u^v, x^y> = B(u,x)B(v,y) + B(u,y)B(v,x) on the
     wedge-pair basis; B(e_a, e_b) is the Gram entry GRAM[a, b]."""
@@ -304,43 +317,16 @@ def _wedge_pairing_gram(space):
     return G2
 
 
-def _symplectic_basis_of(field, F):
-    """Deterministic hyperbolic-pair extraction for a nondegenerate
-    alternating form F on F^4; returns Q with Q F Q^T the standard Gram."""
-    mul = field.mul_table
-
-    def pair_val(a, b):
-        return int(field.matmul(field.matmul(a.reshape(1, 4), F), b.reshape(4, 1))[0, 0])
-
-    vecs = [np.eye(4, dtype=np.uint8)[i] for i in range(4)]
-    basis = []
-    for _ in range(2):
-        u = vecs[0]
-        w_idx = None
-        for idx in range(1, len(vecs)):
-            val = pair_val(u, vecs[idx])
-            if val:
-                w_idx = idx
-                w = mul[field.inv(val), vecs[idx]]
-                break
-        if w_idx is None:
-            raise TauConstructionError("c", "quotient form is degenerate")
-        # project everything else into the perp of the hyperbolic plane <u, w>
-        rest = [x for i, x in enumerate(vecs) if i not in (0, w_idx)]
-        vecs = [x ^ mul[pair_val(x, w), u] ^ mul[pair_val(x, u), w] for x in rest]
-        basis += [u, w]
-    return np.stack(basis)
-
-
 def build_outer_automorphism(space, group) -> OuterAutomorphism:
     """Construct tau through the exterior square, verifying every step:
 
     (a) the form vector w = e1^f1 + e2^f2 is isotropic for the induced
         pairing and fixed by the exterior square of every generator;
-    (b) w-perp is 5-dimensional and the induced form on the 4-dimensional
-        quotient is alternating and nondegenerate;
-    (c) a deterministic hyperbolic-pair extraction maps the quotient form
-        onto the standard Gram matrix;
+    (b) w-perp is 5-dimensional (G2 . w != 0), the QUOTIENT_BASIS rows lie
+        in it, and with w and QUOTIENT_COMPLEMENT they are a basis of the
+        exterior square, so the rows are a basis of the quotient;
+    (c) the pairing on those rows is the standard Gram matrix, so they
+        are a symplectic basis of the quotient;
     (d) each image row is an element (so symplectic), tau.index is a
         permutation and a homomorphism on the pairs of (a)'s generators
         (_tau_products_agree, on the index itself); it sends every
@@ -368,25 +354,18 @@ def build_outer_automorphism(space, group) -> OuterAutomorphism:
         raise TauConstructionError("a", "a generator breaks the induced pairing")
 
     # step (b)
-    functional = field.matmul(G2, w.reshape(6, 1)).astype(np.uint8)
-    Wbasis = null_space(field, functional)  # rows x with x . functional = 0
-    if Wbasis.shape[0] != 5:
-        raise TauConstructionError("b", "w-perp does not have dimension 5")
-    lift = _complete_past(field, w, Wbasis)
-    F = field.matmul(field.matmul(lift, G2), lift.T).astype(np.uint8)
-    if np.diag(F).any() or (F != F.T).any() or Matrix(field, F).rank() != 4:
-        raise TauConstructionError("b", "quotient form is not alternating nondegenerate")
-    if field.matmul(w.reshape(1, 6), field.matmul(G2, lift.T)).any():
-        raise TauConstructionError("b", "quotient form is not well defined")
+    if not field.matmul(G2, w.reshape(6, 1)).any():
+        raise TauConstructionError("b", "w-perp is the whole exterior square")
+    C = _wedge_rows(QUOTIENT_BASIS)  # lifted symplectic quotient basis
+    if field.matmul(field.matmul(C, G2), w.reshape(6, 1)).any():
+        raise TauConstructionError("b", "a quotient basis row leaves w-perp")
+    M = Matrix(field, np.concatenate([C, w.reshape(1, 6), _wedge_rows([QUOTIENT_COMPLEMENT])]))
+    if M.rank() != 6:
+        raise TauConstructionError("b", "basis rows, w and complement do not span the exterior square")
 
     # step (c)
-    Q = _symplectic_basis_of(field, F)
-    check = field.matmul(field.matmul(Q, F), Q.T)
-    if (check != GRAM).any():
-        raise TauConstructionError("c", "extracted basis does not standardise the form")
-    C = field.matmul(Q, lift).astype(np.uint8)  # lifted symplectic quotient basis
-    u6 = _completing_vector(field, np.concatenate([C, w.reshape(1, 6)]))
-    M = Matrix(field, np.concatenate([C, w.reshape(1, 6), u6.reshape(1, 6)]))
+    if (field.matmul(field.matmul(C, G2), C.T) != GRAM).any():
+        raise TauConstructionError("c", "the quotient basis does not standardise the form")
     coords = M.inverse().A
 
     tau = OuterAutomorphism(space, group, C, coords)
@@ -524,29 +503,3 @@ def build_symplectic_twisted(space, check="fast", rng_seed=1):
     )
     build.tau = tau
     return build
-
-
-def _complete_past(field, w, basis):
-    """Four rows of basis completing w to a basis of the span; greedy
-    deterministic choice by ascending row index."""
-    picked = [w]
-    for row in basis:
-        trial = np.stack(picked + [row])
-        if Matrix(field, trial).rank() == len(picked) + 1:
-            picked.append(row)
-        if len(picked) == 5:
-            break
-    if len(picked) != 5:
-        raise TauConstructionError("b", "could not complete the form vector to a basis")
-    return np.stack(picked[1:])
-
-
-def _completing_vector(field, rows):
-    """First standard basis vector extending rows to a basis of F^6."""
-    r = Matrix(field, rows).rank()
-    for i in range(6):
-        e = np.zeros(6, dtype=np.uint8)
-        e[i] = 1
-        if Matrix(field, np.concatenate([rows, e.reshape(1, 6)])).rank() == r + 1:
-            return e
-    raise TauConstructionError("c", "rows already span the space")

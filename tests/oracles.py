@@ -4,6 +4,7 @@ packed kernels and gathered tables they certify.
 - Scalar references for the index API: hamming_distance (one pair of
   codewords), transvection (one Sp(4, q) transvection as a Matrix),
   affine_matrix (one affine element's matrix, from its decomposition),
+  affine_product_index (the index of a product, from the decompositions),
   mulclose (a dict-based closure) and min_distance_all_pairs.
 - The affine references affine_element_matrices, affine_twisted_elements,
   affine_twisted_table and affine_twist_index, assembled one element at a
@@ -54,6 +55,14 @@ def affine_matrix(group, j) -> Matrix:
     mat[0, 1:] = u
     mat[1:, 1:] = group.b_pows[i]
     return Matrix(group.params.field, mat)
+
+
+def affine_product_index(group, a, b) -> int:
+    """Index of the product g_a g_b by the product rule of the matrices
+    [[1, u], [0, B^i]]: (u_a, i_a)(u_b, i_b) = (u_b + u_a B^(i_b), i_a + i_b)."""
+    (ua, ia), (ub, ib) = group.decompose(a), group.decompose(b)
+    u = (ub.astype(np.int64) + ua.astype(np.int64) @ group.b_pows[ib]) % group.params.p
+    return group.element_index(u, int(ia + ib))
 
 
 def mulclose(generators):

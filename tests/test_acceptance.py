@@ -300,7 +300,8 @@ def test_key_set_pinned_q4(sp2):
 
 
 # SHA-256 of the Sp(4,4) tau table, its (N, 4) uint32 packed rows
-# ops.unpack_keys(group.keys[tau.index]).tobytes()
+# ops.unpack_keys(group.keys[tau.index]).tobytes(); the Sp(4,2) table is
+# pinned the same way by TAU_IMAGE_Q2_DIGEST in tests/test_symplectic.py
 TAU_IMAGE_Q4_DIGEST = "ea2c95c702f76895d9967d38cd5c105935a44b6c7425de5e1b49651d7bfb34d1"
 
 

@@ -19,7 +19,8 @@ from twistcode.linalg import Matrix
 from twistcode.report import BuildRecord
 
 from oracles import (
-    affine_element_matrices, affine_matrix, affine_twist_index, affine_twisted_elements, affine_twisted_table,
+    affine_element_matrices, affine_matrix, affine_product_index, affine_twist_index, affine_twisted_elements,
+    affine_twisted_table,
 )
 
 
@@ -95,7 +96,7 @@ def test_exponent_addition_rule(g52):
     p = 5
     for a in range(0, len(g52), 7):
         for b in range(0, len(g52), 11):
-            idx = g52.product_index(a, b)
+            idx = affine_product_index(g52, a, b)
             assert affine_matrix(g52, idx) == affine_matrix(g52, a) * affine_matrix(g52, b)
 
 
@@ -315,12 +316,12 @@ def test_iterated_twists_equal_closed_forms(p, k):
 
 
 def test_right_multiplier_is_the_group_product(g32):
-    # right multiplication, as (starts, ranks) and as right_step, against product_index for every pair
+    # right multiplication, as (starts, ranks) and as right_step, against affine_product_index for every pair
     m = g32.params.num_points
     for y in range(len(g32)):
         starts, ranks = g32.right_multiplier(y)
         x = np.arange(len(g32))
-        want = [g32.product_index(a, y) for a in x]
+        want = [affine_product_index(g32, a, y) for a in x]
         assert np.array_equal(starts[x // m] + ranks[x % m], want)
         assert np.array_equal(g32.right_step(y)(x), want)
 
@@ -328,14 +329,14 @@ def test_right_multiplier_is_the_group_product(g32):
 def test_right_multiplier_past_uint16_ranks():
     # (11,5): m = 161,051 point ranks need uint32, and a term coordinate * weight reaches
     # 10 * 11^4 = 146,410, so a product formed in uint16 would wrap; a few hundred sampled
-    # pairs (x, y) against product_index
+    # pairs (x, y) against affine_product_index
     group = enumerate_group(AffineParams(11, 5))
     m, rng = group.params.num_points, np.random.default_rng(5)
     for y in rng.integers(0, len(group), size=12):
         starts, ranks = group.right_multiplier(y)
         assert ranks.dtype == np.uint32
         x = np.concatenate([rng.integers(0, len(group), size=24), [0, len(group) - 1]])
-        want = [group.product_index(a, y) for a in x]
+        want = [affine_product_index(group, a, y) for a in x]
         assert np.array_equal(starts[x // m] + ranks[x % m], want)
         assert np.array_equal(group.right_step(y)(x), want)
 

@@ -43,6 +43,7 @@ from twistcode.symplectic import (
 )
 
 from oracles import (
+    affine_product_index,
     hamming_distance,
     min_distance_all_pairs,
     mulclose,
@@ -326,7 +327,7 @@ def test_representation_homomorphism(affine32, sp2):
     perms = natural.perms[automorphisms[0]]  # the natural action of the 1-twist
     for a in range(len(group)):
         for b in range(len(group)):
-            prod = group.product_index(a, b)
+            prod = affine_product_index(group, a, b)
             assert (perms[prod] == perms[b][perms[a]]).all()
     space, spgroup, sprep = sp2
     rng = np.random.default_rng(13)

@@ -5,7 +5,7 @@ import pytest
 
 from twistcode import _packed
 from twistcode.fields import BinaryField, PrimeField
-from twistcode.linalg import Matrix, WEDGE_PAIRS, null_space
+from twistcode.linalg import Matrix, WEDGE_PAIRS
 from twistcode.affine import matrix_A, matrix_B
 from twistcode.symplectic import SymplecticSpace
 
@@ -82,12 +82,21 @@ def test_rank_examples():
     assert (t - Matrix.identity(space.field, 4)).rank() == 1
 
 
-def test_rank_nullity():
+def test_rank_counts_the_row_space():
+    # a 4 x 4 matrix has rank r iff its row space holds q^r vectors: every
+    # combination of its rows, counted, on products of a 4 x k and a k x 4
+    # matrix (rank at most k)
     rng = np.random.default_rng(11)
     for field in (GF3, GF4):
-        for _ in range(25):
-            m = rand_matrix(rng, field, 4)
-            assert m.rank() + null_space(field, m.A).shape[0] == 4
+        q = field.order
+        combos = np.array(list(itertools.product(range(q), repeat=4)), dtype=np.uint8)
+        ranks = set()
+        for i in range(25):
+            k = 4 if i % 2 else int(rng.integers(1, 4))
+            m = Matrix(field, field.matmul(*(rng.integers(0, q, size=s, dtype=np.uint8) for s in ((4, k), (k, 4)))))
+            ranks.add(m.rank())
+            assert len(np.unique(field.matmul(combos, m.A), axis=0)) == q ** m.rank()
+        assert ranks == {1, 2, 3, 4}
 
 
 def test_dimension_mismatch_raises():

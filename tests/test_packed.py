@@ -236,22 +236,24 @@ def test_point_image_kernels_against_scalar_count(case):
     space, points = space_of(n)
     m = len(points)
     keys = space.ops.keys_of(np.stack([g.A for g in mats]))
-    counts = _packed.fixed_counts(space.ops, keys)
     perms = _packed.perm_tables(space.ops, keys)
     assert perms.shape == (len(mats), m) and perms.flags.c_contiguous
-    for g, count, perm in zip(mats, counts, perms):
-        want = [scalar_image(space, points, pt, g) for pt in points]
-        assert perm.tolist() == want
-        assert count == sum(j == img for j, img in enumerate(want))
-    assert np.array_equal((perms == np.arange(m)).sum(axis=1), counts)
+    for g, perm in zip(mats, perms):
+        assert perm.tolist() == [scalar_image(space, points, pt, g) for pt in points]
+    if n == 3:  # q = 8: fixed_counts is refused, no span table above q = 4
+        with pytest.raises(ValueError, match="span table"):
+            _packed.fixed_counts(space.ops, keys)
+    else:
+        assert np.array_equal(_packed.fixed_counts(space.ops, keys), (perms == np.arange(m)).sum(axis=1))
 
 
 @st.composite
 def arbitrary_matrices(draw):
-    """(n, matrices): 1-4 arbitrary 4 x 4 matrices over GF(2^n), each either
-    unconstrained, with some rows zeroed, of rank at most k (a 4 x k times a
-    k x 4 product), or a scalar matrix lam I (lam = 0 included)."""
-    n = draw(st.integers(1, 3))
+    """(n, matrices): 1-4 arbitrary 4 x 4 matrices over GF(2^n), q <= 4 (the
+    rank kernels' range), each either unconstrained, with some rows zeroed,
+    of rank at most k (a 4 x k times a k x 4 product), or a scalar matrix
+    lam I (lam = 0 included)."""
+    n = draw(st.integers(1, 2))
     field = space_of(n)[0].field
     entry = st.integers(0, field.order - 1)
 
@@ -387,20 +389,25 @@ def test_wedge_table_size_guard():
 
 def assert_key_kernels_equal_row_references(ops, keys):
     """Every key-based kernel on `keys` against its row-based reference in
-    tests/oracles.py on the unpacked rows; the form check only where its
-    pair table is admitted (q <= 4)."""
+    tests/oracles.py on the unpacked rows; the span-id ranks, the form
+    check, the fixed counts and the rank-one flags only where their pair
+    tables are admitted (q <= 4), and refused above."""
     rows = ops.unpack_keys(keys)
     ranks = row_ranks(ops, rows)
     assert np.array_equal(_packed._ranks(ops, keys), ranks)
-    if ops.ncodes**2 <= _packed.PAIR_TABLE_LIMIT:
+    if ops.ncodes**2 > _packed.PAIR_TABLE_LIMIT:
+        for kernel in (_packed.fixed_counts, _packed.rank_one_flags):
+            with pytest.raises(ValueError, match="span table"):
+                kernel(ops, keys)
+    else:
         assert np.array_equal(_packed._span_ranks(ops, keys), ranks)
         assert np.array_equal(row_span_ranks(ops, rows), ranks)
         space = SymplecticSpace(ops.field)
         assert np.array_equal(symplectic._preserves_form(space, keys), row_preserves_form(ops, rows))
-    assert np.array_equal(_packed.fixed_counts(ops, keys), row_fixed_counts(ops, rows))
-    for offset in (ops.identity_key, keys[len(keys) // 2]):
-        want = row_rank_one_flags(ops, rows, ops.unpack_keys(np.array([offset])))
-        assert np.array_equal(_packed.rank_one_flags(ops, keys, offset), want)
+        assert np.array_equal(_packed.fixed_counts(ops, keys), row_fixed_counts(ops, rows))
+        for offset in (ops.identity_key, keys[len(keys) // 2]):
+            want = row_rank_one_flags(ops, rows, ops.unpack_keys(np.array([offset])))
+            assert np.array_equal(_packed.rank_one_flags(ops, keys, offset), want)
     if 4 * ops.ncodes * len(ops.point_codes) <= _packed.POINT_TABLE_LIMIT:
         assert np.array_equal(_packed.perm_tables(ops, keys), row_perm_tables(ops, rows))
     else:  # q = 16: 4 x 2^16 x 4369 table entries
@@ -438,23 +445,23 @@ def test_fixed_counts_into_narrow_out(n):
     assert out.dtype == np.uint8 and np.array_equal(out, want)
 
 
-@pytest.mark.parametrize("n, dtype", [(3, np.uint8), (3, np.int8), (1, np.bool_), (1, np.float32)])
-def test_fixed_counts_refuses_a_narrow_out(n, dtype):
-    # an out that cannot hold m (585 at q = 8), or is not integer, is refused
-    # before any block writes to it
+@pytest.mark.parametrize("n, dtype", [(1, np.bool_), (1, np.float32), (2, np.bool_), (2, np.float64)])
+def test_fixed_counts_refuses_a_non_integer_out(n, dtype):
+    # an out that is not an integer array is refused before any block
+    # writes to it; every integer dtype holds m (85 at q = 4)
     ops = _packed.PackedOps(BinaryField(n), 4)
     keys = ops.keys_of(np.eye(4, dtype=np.uint8)[None])
     out = np.ones(len(keys), dtype=dtype)
-    with pytest.raises(ValueError, match="do not fit"):
+    with pytest.raises(ValueError, match="integer out array"):
         _packed.fixed_counts(ops, keys, out=out)
     assert (out == 1).all()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_key_kernels_on_random_batches(n):
-    # q = 4 (span-id ranks, uint32 keys), q = 8 and 16 (elimination ranks,
-    # uint64 keys): uniform matrices, products of rank <= k, I plus a
-    # rank-one product, and every lam I
+    # q = 4 (span-id ranks, uint32 keys), q = 8 and 16 (elimination ranks
+    # only, uint64 keys; the row kernels refuse them): uniform matrices,
+    # products of rank <= k, I plus a rank-one product, and every lam I
     field = BinaryField(n)
     ops = _packed.PackedOps(field, 4)
     q, mul = field.order, field.mul_table
@@ -504,19 +511,19 @@ def test_span_ranks_q4_against_elimination(low):
     assert ops.span_tables[1].shape == (443, 443)  # 1 + 85 + 357 subspaces of dimension <= 2 in GF(4)^4
 
 
-def test_rank_kernels_skip_span_tables_at_q8(monkeypatch):
-    # above PAIR_TABLE_LIMIT the row kernels keep the elimination _ranks
+@pytest.mark.parametrize("n", [3, 4])
+def test_rank_kernels_refuse_above_q4(monkeypatch, n):
+    # q = 8 and 16: the span table (2^24 and 2^32 entries) is over
+    # PAIR_TABLE_LIMIT, so fixed_counts and rank_one_flags are refused before
+    # they build it or allocate their counts (4 MiB) or flags (2 MiB)
     def refuse(self):
-        raise AssertionError("span_tables built at q = 8")
+        raise AssertionError(f"span_tables built at q = {2**n}")
 
     monkeypatch.setattr(_packed.PackedOps, "span_tables", property(refuse))
-    space, _ = space_of(3)
-    g = transvection(space, np.array([1, 0, 2, 5]), 3)
-    keys = space.ops.keys_of(g.A)
-    assert _packed.fixed_counts(space.ops, keys).tolist() == [space.q**2 + space.q + 1]
-    assert _packed.rank_one_flags(space.ops, keys, space.ops.identity_key).tolist() == [True]
-    with pytest.raises(AssertionError, match="span_tables"):
-        space.ops.span_tables
+    ops = _packed.PackedOps(BinaryField(n), 4)
+    keys = np.zeros(1 << 21, dtype=ops.key_dtype)
+    refused_with_small_peak(lambda: _packed.fixed_counts(ops, keys), "span table")
+    refused_with_small_peak(lambda: _packed.rank_one_flags(ops, keys, ops.identity_key), "span table")
 
 
 def test_form_and_minor_table_size_guards():

@@ -10,6 +10,7 @@ from twistcode.cli import main as cli_main
 from twistcode.linalg import Matrix
 from twistcode.symplectic import (
     GRAM,
+    TAU_STEPS,
     SymplecticSpace,
     TauConstructionError,
     all_transvections,
@@ -248,17 +249,43 @@ def test_form_check_failure_is_reported(monkeypatch, capsys):
     assert status == 1
 
 
-def test_tau_step_failure_is_reported(monkeypatch, capsys):
-    # a basis that cannot standardise the quotient form fails step (c)
-    monkeypatch.setattr(symplectic, "_symplectic_basis_of", lambda field, F: np.zeros((4, 4), np.uint8))
-    with pytest.raises(TauConstructionError) as err:
+# one mutation per raise branch of steps (b) and (c): (step, the name
+# patched in symplectic, its value, the error message)
+TAU_BASIS_MUTATIONS = {
+    "degenerate pairing": ("b", "_wedge_pairing_gram", lambda space: np.zeros((6, 6), np.uint8), "whole exterior square"),
+    "row outside w-perp": ("b", "QUOTIENT_BASIS", ((0, 1), (1, 3), (0, 3), (1, 2)), "leaves w-perp"),
+    "complement in the span": ("b", "QUOTIENT_COMPLEMENT", (0, 2), "do not span"),
+    "repeated row": ("b", "QUOTIENT_BASIS", ((0, 2), (0, 2), (0, 3), (1, 2)), "do not span"),
+    "not hyperbolic pairs": ("c", "QUOTIENT_BASIS", ((0, 2), (0, 3), (1, 3), (1, 2)), "does not standardise"),
+}
+
+
+@pytest.mark.parametrize("mutation", list(TAU_BASIS_MUTATIONS))
+def test_tau_step_failure_is_reported(monkeypatch, capsys, mutation):
+    step, attr, value, message = TAU_BASIS_MUTATIONS[mutation]
+    monkeypatch.setattr(symplectic, attr, value)
+    with pytest.raises(TauConstructionError, match=message) as err:
         build_symplectic_twisted(SymplecticSpace.create(1))
-    assert err.value.step == "c"
-    assert err.value.checks == {"tau_step_a": True, "tau_step_b": True, "tau_step_c": False}
+    assert err.value.step == step
     status = cli_main(["symplectic", "--n", "1"])
     out = capsys.readouterr().out
-    assert out.splitlines() == ["check.tau_step_a=PASS", "check.tau_step_b=PASS", "check.tau_step_c=FAIL"]
+    steps = TAU_STEPS[: TAU_STEPS.index(step) + 1]
+    assert out.splitlines() == [f"check.tau_step_{s}={'FAIL' if s == step else 'PASS'}" for s in steps]
     assert status == 1
+
+
+def test_tau_pin_tells_a_conjugate_basis_apart(monkeypatch, sp2, tau2):
+    # QUOTIENT_BASIS with its two hyperbolic pairs swapped is another
+    # symplectic basis of the quotient: it passes steps (b)-(d) and gives the
+    # same fixed-point column, but moves tau.index, so only the pin sees it
+    space, group = sp2
+    monkeypatch.setattr(symplectic, "QUOTIENT_BASIS", ((0, 3), (1, 2), (0, 2), (1, 3)))
+    tau = build_outer_automorphism(space, group)
+    fix = _packed.fixed_counts(space.ops, group.keys)
+    assert np.array_equal(fix[tau.index], fix[tau2.index])
+    assert not np.array_equal(tau.index, tau2.index)
+    rows = space.ops.unpack_keys(group.keys[tau.index])
+    assert hashlib.sha256(rows.tobytes()).hexdigest() != TAU_IMAGE_Q2_DIGEST
 
 
 def _fail_step(monkeypatch, step):
@@ -267,8 +294,8 @@ def _fail_step(monkeypatch, step):
 
     attr, fake = {
         "a": ("batch_matmul_left", lambda mul, rows, mats: np.zeros((len(mats), 1, 6), np.uint8)),  # moves w
-        "b": ("null_space", lambda field, functional: np.zeros((4, 6), np.uint8)),  # w-perp of dimension 4
-        "c": ("_symplectic_basis_of", lambda field, F: np.zeros((4, 4), np.uint8)),
+        "b": TAU_BASIS_MUTATIONS["row outside w-perp"][1:3],
+        "c": TAU_BASIS_MUTATIONS["not hyperbolic pairs"][1:3],
         "d": ("_tau_keys", duplicated),
     }[step]
     monkeypatch.setattr(symplectic, attr, fake)
