@@ -15,9 +15,9 @@ at most one block of keys into rows (unpack_keys) at a time.
 
 All functions are pure.  fixed_counts, rank_one_flags and perm_tables
 split their keys into row_blocks and run them on every usable core
-(parallel_map), as closure does with each level's frontier and
-span_tables with its sum_rank entries; the other kernels take the batch
-they get.  The builders run the row kernels (rows_matmul, wedge_rows)
+(parallel_map), as closure does with each level's frontier (no sort, no
+search) and span_tables with its sum_rank entries; the other kernels take
+the batch they get.  The builders run the row kernels (rows_matmul, wedge_rows)
 inside parallel_map bodies of their own, and the dense batch_* kernels
 on the calling thread, on the few generators only.
 """
@@ -124,15 +124,6 @@ def is_permutation(index):
     seen = np.zeros(n, dtype=bool)
     seen[index] = True
     return bool(seen.all())
-
-
-def lookup_sorted(ranked, values):
-    """Position of each value in the ascending, nonempty array ranked, -1
-    where it is absent; in place on its one index array."""
-    pos = np.searchsorted(ranked, values)
-    np.minimum(pos, len(ranked) - 1, out=pos)
-    pos[ranked[pos] != values] = -1
-    return pos
 
 
 class PackedOps:
@@ -413,73 +404,61 @@ def batch_exterior_square(mul, mats, pairs):
     return out
 
 
-def closure(ops: PackedOps, gen_mats, limit):
-    """Level-order closure of the generated matrix group, each level on
-    every usable core.
-
-    gen_mats is (G, 4, 4) uint8.  Each generator has four 1-D tables, one
-    per key field, mapping a packed row to the product row already shifted
-    into place, so the product of a key and a generator is four gathers
-    ORed.  A level splits its frontier into row_blocks and runs them
-    through parallel_map: a block takes its four fields once (in the
-    smallest dtype that holds a row code), writes its G products into one
-    (G, F) buffer, sorts and deduplicates them (first_of_runs) and keeps
-    those lookup_sorted misses in the sorted `seen` array.  The blocks' new
-    keys are then sorted and deduplicated again, since two blocks may find
-    the same key, and form the next frontier.  `seen` is the sorted prefix
-    of one buffer of `limit` keys, allocated once: the frontier is written
-    after it and the grown prefix sorted in place, and `seen` is only read
-    while the blocks run.  Returns (levels, keys): the frontier size of
-    each level, the identity's 1 first, and the keys in canonical order:
-    the identity first, then ascending key, whatever the generators and
-    the core count.  Raises once more than `limit` elements are found.
-    """
+def closure(ops: PackedOps, gen_mats, index_block, size):
+    """Level-order closure of the matrix group that gen_mats ((G, 4, 4)
+    uint8) generates in a group of `size` elements, each level on every
+    usable core; index_block(keys, out) writes each key's element index
+    (int32, negative for a non-element).  Each generator has four 1-D
+    tables, one per key field, mapping a packed row to the product row
+    already shifted into place, so a product is four gathers ORed.  A
+    block of the frontier (row_blocks, parallel_map) takes its four fields
+    once (in the smallest dtype that holds a row code), writes its G
+    products into one (G, F) buffer and stores each at its index, raising
+    when one is not an element.  A zero key (the zero matrix is no
+    element) marks an unreached slot; workers that meet one element write
+    the same bytes, and the next frontier is the slots the level filled.
+    Returns (levels, keys): the frontier size of each level, the
+    identity's 1 first, and the reached keys in index order, whatever the
+    generators and the core count."""
 
     kd = ops.key_dtype
     shifts = [kd(ops.row_bits * (3 - i)) for i in range(4)]
     tables = [[ops.rmul_table(B).astype(kd) << sh for sh in shifts] for B in np.asarray(gen_mats, dtype=np.uint8)]
     code_dtype = np.min_scalar_type(ops.ncodes - 1)
     field_mask = kd(ops.ncodes - 1)
-    id_key = ops.identity_key
-    buf = np.empty(max(limit, 1), dtype=kd)
-    buf[0] = id_key
-    seen = frontier = buf[:1]
-    levels = []
+    keys = np.zeros(size, dtype=kd)
 
-    def new_keys(sl):
-        keys = frontier[sl]
-        fields = [(keys >> shifts[0]).astype(code_dtype)]  # the top field needs no mask
-        fields += [((keys >> sh) & field_mask).astype(code_dtype) for sh in shifts[1:]]
-        cand = np.empty((len(tables), len(keys)), dtype=kd)
-        term = np.empty(len(keys), dtype=kd)
+    def store(new):
+        at = np.empty(len(new), dtype=np.int32)
+        index_block(new, at)
+        if (at < 0).any():
+            raise ValueError("a product of the generators is not an element")
+        keys[at] = new
+
+    def products(sl):
+        block = frontier[sl]
+        fields = [(block >> shifts[0]).astype(code_dtype)]  # the top field needs no mask
+        fields += [((block >> sh) & field_mask).astype(code_dtype) for sh in shifts[1:]]
+        cand = np.empty((len(tables), len(block)), dtype=kd)
+        term = np.empty(len(block), dtype=kd)
         # every field is below ncodes, the table length, so "clip" never
         # clips; it spares the bounds check and the buffered `out` of "raise"
         for out, gen_tables in zip(cand, tables):
             np.take(gen_tables[0], fields[0], out=out, mode="clip")
             for t, f in zip(gen_tables[1:], fields[1:]):
                 out |= np.take(t, f, out=term, mode="clip")
-        cand = cand.ravel()
-        cand.sort()
-        cand = cand[first_of_runs(cand)]
-        return cand[lookup_sorted(seen, cand) < 0]
+        store(cand.ravel())
 
+    frontier = np.full(1, ops.identity_key, dtype=kd)
+    store(frontier)  # on the calling thread, which builds what index_block reads
+    levels = []
     while frontier.size:
         levels.append(frontier.size)
-        found = parallel_map(new_keys, row_blocks(frontier.size))
-        frontier = found[0]
-        if len(found) > 1:
-            frontier = np.concatenate(found)
-            frontier.sort()
-            frontier = frontier[first_of_runs(frontier)]
-        if seen.size + frontier.size > limit:
-            raise RuntimeError(f"closure exceeded the limit {limit}")
-        buf[seen.size : seen.size + frontier.size] = frontier
-        seen = buf[: seen.size + frontier.size]
-        seen.sort(kind="stable")  # two ascending runs: the stable sort (timsort) merges them in one pass
-    at = int(np.searchsorted(seen, id_key))
-    seen[1 : at + 1] = seen[:at]  # one forward copy (memmove), no temporary
-    seen[0] = id_key
-    return levels, seen
+        fresh = keys == 0
+        parallel_map(products, row_blocks(frontier.size))
+        fresh &= keys != 0
+        frontier = keys[fresh]
+    return levels, keys if sum(levels) == size else keys[keys != 0]
 
 
 def _ranks(ops: PackedOps, keys):

@@ -81,14 +81,8 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -158,13 +152,8 @@ class BinaryField:
     def add(self, a, b):
         return a ^ b
 
-    sub = add
-
     def mul(self, a, b):
         return int(self.mul_table[a, b])
-
-    def neg(self, a):
-        return a
 
     def inv(self, a):
         if a == 0:

@@ -15,7 +15,7 @@ step otherwise.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -71,17 +71,68 @@ class SymplecticSpace:
         self.field = field
         self.q = field.order
         self.n = field.n
-        self._ops = None
 
     @classmethod
     def create(cls, n):
         return cls(BinaryField(n))
 
-    @property
+    @cached_property
     def ops(self) -> PackedOps:
-        if self._ops is None:
-            self._ops = PackedOps(self.field, 4)
-        return self._ops
+        return PackedOps(self.field, 4)
+
+    @cached_property
+    def index_tables(self):
+        """(pair, perp, last, identity) for index_block.  An element's rows
+        are an ordered symplectic basis (B(r0, r1) = B(r2, r3) = 1, r2 and r3
+        in P = <r0, r1>-perp), and counting those bases (Taylor, The Geometry
+        of the Classical Groups, 1992) ranks it in ascending key order as
+        pair[r0||r1] + perp[s, r2] + last[r2||r3], s the span id of r0||r1
+        (ops.span_tables).  The int32 tables, read flat, hold pair = ((r0 - 1)
+        q^3 + #{v < r1 : B(r0, v) = 1}) q (q^2 - 1), perp = q #{w in P : 0 <
+        w < r2} and last = #{c : r3 + c r2 < r3}, and -N where an entry breaks
+        its condition, so any sum with it is negative; identity is the
+        identity's rank.  B comes from a form table of its own, not
+        _preserves_form's.  Refused above q = 4 before anything is allocated."""
+        ops, q = self.ops, self.q
+        size = ops.ncodes**2
+        if size > _packed.PAIR_TABLE_LIMIT:
+            raise ValueError(f"index table of {size} entries exceeds {_packed.PAIR_TABLE_LIMIT}")
+        missing = -sp4_order(q)
+        codes = np.arange(ops.ncodes, dtype=np.uint32)
+        gram_rows = ops.unpack(ops.rmul_table(GRAM))  # the entries of u . GRAM
+        form = np.bitwise_xor.reduce(self.field.mul_table[gram_rows[:, None], ops.unpack(codes)], axis=2)  # B(u, v)
+        hyperbolic = form == 1
+        before = np.cumsum(hyperbolic, axis=1, dtype=np.int32) - hyperbolic  # #{v < r1 : B(r0, v) = 1}
+        pair = np.where(hyperbolic, ((codes[:, None].astype(np.int32) - 1) * q**3 + before) * q * (q * q - 1), missing)
+        pair_span = ops.span_tables[0]
+        spans = np.empty(int(pair_span.max()) + 1, dtype=np.uint32)
+        spans[pair_span] = np.arange(size, dtype=np.uint32)  # a pair spanning each span
+        inside = (form[spans >> ops.row_bits] == 0) & (form[spans & (ops.ncodes - 1)] == 0)
+        inside[:, 0] = False
+        perp = np.where(inside, (np.cumsum(inside, axis=1, dtype=np.int32) - inside) * q, missing)
+        behind = np.count_nonzero(ops.smul[1:, :, None] ^ codes < codes, axis=0).astype(np.int32)  # c r2 + r3 < r3
+        last = np.where(hyperbolic, behind, missing)
+        high, low = divmod(int(ops.identity_key), size)
+        return pair, perp, last, int(pair.flat[high] + perp[pair_span[high], low >> ops.row_bits] + last.flat[low])
+
+    def index_block(self, keys, out):
+        """Element index of each key of a block into out (int32), -1 where no
+        element has it: the rank of index_tables (perp read at r3 too, for
+        its sign), the identity moved to index 0 and the elements below it
+        up by one.  Workers may call it once index_tables is built."""
+        pair, perp, last, identity = self.index_tables
+        ops = self.ops
+        high, low = keys >> 2 * ops.row_bits, keys & (ops.ncodes**2 - 1)
+        np.take(pair, high, out=out)
+        span = np.take(ops.span_tables[0], high) << ops.row_bits
+        out += np.take(perp, span | (low >> ops.row_bits))
+        out += np.take(last, low)
+        outside = np.take(perp, span | (low & (ops.ncodes - 1)))
+        out += np.minimum(outside, 0, out=outside)
+        is_identity = out == identity
+        out += out.view(np.uint32) < identity  # the elements below the identity; a negative rank is above it
+        out[is_identity] = 0
+        np.maximum(out, -1, out=out)
 
     @property
     def num_points(self):
@@ -102,20 +153,19 @@ def _transvection_entries(space, v, lam):
 class SymplecticGroup:
     """Enumerated Sp(4, q), stored only as its elements' keys (each packs
     the element's four packed rows; PackedOps.unpack_keys and matrices_of
-    unpack them).  The keys are in canonical order: the identity's first,
-    then strictly ascending and without the identity's (so they are
-    distinct), which is what lets indices_of_keys look keys up without a
-    sort."""
+    unpack them), in the order SymplecticSpace.index_block ranks them: the
+    identity's first, then strictly ascending (so they are distinct)."""
 
     def __init__(self, space, keys):
         if keys[0] != space.ops.identity_key:
             raise ValueError("identity must sit at index 0")
-        rest = keys[1:]
-        if (rest[1:] <= rest[:-1]).any() or keys[0] in rest:
-            raise ValueError("keys must be the identity's, then strictly ascending")
+        rest, n = keys[1:], sp4_order(space.q)
+        if len(keys) != n or (rest[1:] <= rest[:-1]).any() or keys[0] in rest:
+            raise ValueError(f"keys must be the identity's, then the other {n - 1} elements strictly ascending")
         self.space = space
         self.keys = keys
         self._trans = None
+        space.index_tables  # index_block's tables, and the ops.smul they read, built before any worker reads them
 
     def __len__(self):
         return len(self.keys)
@@ -124,41 +174,28 @@ class SymplecticGroup:
         return Matrix(self.space.field, self.space.ops.matrices_of(self.keys[i : i + 1])[0])
 
     def indices_of_keys(self, keys):
-        """Element index of each key in an array, as int32 (it holds every
-        index of Sp(4, q) up to q = 8), -1 where no element has it:
-        index_block on each block of queries (row_blocks, on every usable
-        core)."""
+        """Element index of each key in an array, as int32, -1 where no
+        element has it: SymplecticSpace.index_block on each block of
+        queries (row_blocks, on every usable core)."""
         pos = np.empty(len(keys), dtype=np.int32)
-        _packed.parallel_map(lambda sl: self.index_block(keys[sl], pos[sl]), _packed.row_blocks(len(keys)))
+        _packed.parallel_map(lambda sl: self.space.index_block(keys[sl], pos[sl]), _packed.row_blocks(len(keys)))
         return pos
-
-    def index_block(self, block, out):
-        """indices_of_keys of one block of keys, written to out (int32, one
-        entry per key): lookup_sorted on the ascending keys[1:], shifted by
-        one, the identity's key answered as 0.  The block is looked up in
-        sorted order, so the binary searches walk keys[1:] front to back,
-        and the positions are scattered back."""
-        order = np.argsort(block)
-        out[order] = _packed.lookup_sorted(self.keys[1:], block[order])
-        out += 1
-        out[out == 0] = -1
-        out[block == self.keys[0]] = 0
 
     def product_index(self, a, b):
         """Element index of each product g_a g_b (index arrays, or one index
         broadcast against the other), -1 where the group lacks it:
-        rows_matmul on row_blocks, on every usable core, then indices_of_keys."""
+        index_products on row_blocks, on every usable core."""
         a, b = np.broadcast_arrays(a, b)
+        pos = np.empty(len(a), dtype=np.int32)
+        _packed.parallel_map(lambda sl: self.index_products(a[sl], b[sl], pos[sl]), _packed.row_blocks(len(pos)))
+        return pos
+
+    def index_products(self, a, b, out):
+        """product_index of one block of index pairs into out: rows_matmul on
+        the unpacked keys, then SymplecticSpace.index_block."""
         ops = self.space.ops
-        keys = np.empty(len(a), dtype=self.keys.dtype)
-
-        def multiply(sl):
-            rows = _packed.rows_matmul(ops, ops.unpack_keys(self.keys[a[sl]]), ops.unpack_keys(self.keys[b[sl]]))
-            keys[sl] = ops.pack_keys(rows)
-
-        ops.smul  # computed here, before the workers read it
-        _packed.parallel_map(multiply, _packed.row_blocks(len(keys)))
-        return self.indices_of_keys(keys)
+        rows = _packed.rows_matmul(ops, ops.unpack_keys(self.keys[a]), ops.unpack_keys(self.keys[b]))
+        self.space.index_block(ops.pack_keys(rows), out)
 
     def transvection_mask(self):
         """Per-element decision rule: g != I, rank(g - I) = 1, (g - I)^2 = 0."""
@@ -242,13 +279,14 @@ def generators(space):
 def generate_group(space) -> SymplecticGroup:
     """Closure of the recorded generator pair, in canonical key order
     (identity first, then ascending key); refuses an n without a recorded
-    pair before anything is enumerated and raises unless the closure has
-    sp4_order(q) elements.  Form preservation is checked by
-    build_symplectic_twisted (check.form_preserved); with the distinct keys
-    and the order it proves that the closure is Sp(4, q)."""
+    pair before anything is enumerated and raises unless every product is
+    an element (index_block) and the closure has sp4_order(q) elements.
+    Form preservation is checked by build_symplectic_twisted
+    (check.form_preserved); with the distinct keys and the order it proves
+    that the closure is Sp(4, q)."""
     gens = generators(space)
     expected = sp4_order(space.q)
-    _, keys = _packed.closure(space.ops, gens, limit=expected)
+    _, keys = _packed.closure(space.ops, gens, space.index_block, expected)
     if len(keys) != expected:
         raise RuntimeError(f"closure produced {len(keys)} elements, expected {expected}")
     return SymplecticGroup(space, keys)
@@ -256,15 +294,13 @@ def generate_group(space) -> SymplecticGroup:
 
 class OuterAutomorphism:
     """tau as a permutation of the enumerated group, tau(g_i) = g_index[i],
-    looked up from the keys of the image matrices, so a per-element
-    table of tau(g) is the group's own one gathered through index; kept
-    with the change-of-basis data (quotient basis lift and coordinate
-    matrix) that built the image rows, from which _tau_keys, tau's one
-    evaluator, builds its wedge table.  The index is
-    filled one block at a time (row_blocks, two rows per element, on
-    every usable core): each block's image keys come off the wedge table
-    (_tau_keys) and are looked up at once (index_block), so no array of N
-    image keys is built."""
+    so a per-element table of tau(g) is the group's own one gathered
+    through index; kept with the change-of-basis data (quotient basis lift
+    and coordinate matrix) from which _tau_keys, tau's one evaluator,
+    builds its wedge table.  index is filled in row_blocks of two rows per
+    element, on every usable core: each block's image keys come off the
+    wedge table and are indexed at once (SymplecticSpace.index_block), so
+    no array of N image keys is built."""
 
     def __init__(self, space, group, basis_lift, coords):
         self.space = space
@@ -276,8 +312,9 @@ class OuterAutomorphism:
         # one core was trimmed and faulted back in by the next: 17k page faults at
         # Sp(4, 4), against 1k at two
         _packed.parallel_map(
-            lambda sl: group.index_block(image_keys(group.keys[sl]), self.index[sl]), _packed.row_blocks(len(group), 2)
+            lambda sl: space.index_block(image_keys(group.keys[sl]), self.index[sl]), _packed.row_blocks(len(group), 2)
         )
+
 
 def _tau_keys(space, basis_lift, coords):
     """The function from a block of keys to the keys of their images under
@@ -391,21 +428,16 @@ def _tau_products_agree(group, tau, a, b):
     """True when every product g_a g_b is an element and tau.index sends it
     to tau(g_a) tau(g_b), the product of the elements tau.index points at:
     tau.index is then a homomorphism on these pairs.  In row_blocks of
-    four rows per pair on every usable core; each block forms both
-    products with rows_matmul on its unpacked keys and looks them up with
-    index_block.  tau.index must already be a permutation."""
-    ops = group.space.ops
-    keys = group.keys
+    four rows per pair on every usable core; each block indexes both
+    products (index_products).  tau.index must already be a permutation."""
 
     def agrees(sl):
         found = np.empty((2, sl.stop - sl.start), dtype=np.int32)
         for out, x, y in zip(found, (a[sl], tau.index[a[sl]]), (b[sl], tau.index[b[sl]])):
-            rows = _packed.rows_matmul(ops, ops.unpack_keys(keys[x]), ops.unpack_keys(keys[y]))
-            group.index_block(ops.pack_keys(rows), out)
+            group.index_products(x, y, out)
         prod, image = found
         return bool((prod >= 0).all() and (tau.index[prod] == image).all())
 
-    ops.smul  # computed here, before the workers read it
     return all(_packed.parallel_map(agrees, _packed.row_blocks(len(a), 4)))
 
 

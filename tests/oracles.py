@@ -17,6 +17,8 @@ packed kernels and gathered tables they certify.
   read rows off keys, not the tables.
 - dense_tau_apply, tau through the dense exterior square, the reference
   for _tau_keys' wedge table.
+- lookup_sorted and sorted_key_index, binary search in the group's sorted
+  keys, the reference of SymplecticSpace.index_block's arithmetic rank.
 - sorted_key_invariance, the reference of check_distance_invariance, and
   write_code_lines and read_code_lines, the line-by-line references of the
   codeword file writer and reader."""
@@ -63,6 +65,25 @@ def affine_product_index(group, a, b) -> int:
     (ua, ia), (ub, ib) = group.decompose(a), group.decompose(b)
     u = (ub.astype(np.int64) + ua.astype(np.int64) @ group.b_pows[ib]) % group.params.p
     return group.element_index(u, int(ia + ib))
+
+
+def lookup_sorted(ranked, values):
+    """Position of each value in the ascending, nonempty array ranked, -1
+    where it is absent."""
+    pos = np.searchsorted(ranked, values)
+    np.minimum(pos, len(ranked) - 1, out=pos)
+    pos[ranked[pos] != values] = -1
+    return pos
+
+
+def sorted_key_index(keys, queries):
+    """Element index of each query in a group's keys (the identity's first,
+    then ascending), -1 where no element has it: a binary search in
+    keys[1:], shifted by one, with the identity's key answered as 0."""
+    pos = lookup_sorted(keys[1:], queries)
+    pos[pos >= 0] += 1
+    pos[queries == keys[0]] = 0
+    return pos
 
 
 def mulclose(generators):

@@ -48,6 +48,7 @@ from oracles import (
     min_distance_all_pairs,
     mulclose,
     read_code_lines,
+    sorted_key_index,
     sorted_key_invariance,
     usable_cores,
     write_code_lines,
@@ -103,35 +104,36 @@ def test_enumerated_group_key_order(sp2):
     # every key of Sp(4, 2) answers its own index, the identity's (not the least) 0
     assert group.keys[0] > group.keys[1]
     assert group.indices_of_keys(group.keys).tolist() == list(range(len(group)))
-    ident = int(group.keys[0])  # the identity's key; the others below are made up
-    keyed = SymplecticGroup(space, np.array([ident, 1, 9]))
-    # the identity's key answers 0; keys below, between and above the rest miss
-    got = keyed.indices_of_keys(np.array([ident, 1, 9, 0, 4, 7, 10, ident]))
-    assert got.tolist() == [0, 1, 2, -1, -1, -1, -1, 0]
-    for keys in ([ident, 9, 1], [ident, 1, 1], [ident, ident, 9]):  # a descent, a repeat, the identity's repeated
-        with pytest.raises(ValueError, match="strictly ascending"):
-            SymplecticGroup(space, np.array(keys))
+    keys = group.keys
+    # the zero key and one-bit flips of the identity and of the least and greatest keys miss
+    queries = np.array([keys[0], 0, keys[0] ^ 1, keys[1] ^ 2, keys[-1] ^ 4, keys[-1]], dtype=keys.dtype)
+    assert group.indices_of_keys(queries).tolist() == [0, -1, -1, -1, -1, len(keys) - 1]
+    # every element but the last, a descent, a repeat, the identity's repeated
+    for order in (np.arange(len(keys) - 1), [0, 2, 1], [0, 1, 1], [0, 1, 0]):
+        with pytest.raises(ValueError, match="other 719 elements strictly ascending"):
+            SymplecticGroup(space, keys[order])
+    swapped = keys.copy()
+    swapped[[1, 2]] = keys[[2, 1]]
+    with pytest.raises(ValueError, match="strictly ascending"):
+        SymplecticGroup(space, swapped)
     with pytest.raises(ValueError, match="identity must sit at index 0"):
-        SymplecticGroup(space, np.array([5, 1, 9]))
+        SymplecticGroup(space, keys[1:])
 
 
 @pytest.mark.parametrize("chunk", [1, 3, None])
 def test_indices_of_keys_independent_of_chunk(monkeypatch, sp2, chunk):
-    # unsorted queries with repeats, absent keys below, between and above
-    # the others, and the identity's key, looked up block by block
+    # unsorted queries with repeats: elements, the identity's key, and
+    # one-bit flips of elements, looked up block by block
     space, group, _ = sp2
     if chunk is not None:
         monkeypatch.setattr(_packed, "ROW_CHUNK", chunk)
-    ident = int(group.keys[0])
-    keyed = SymplecticGroup(space, np.array([ident, 10, 20, 60], dtype=np.uint32))
-    queries = np.array([20, ident, 5, 60, 15, 10, 20, 70, ident, 61, 10, 0], dtype=np.uint32)
-    position = {ident: 0, 10: 1, 20: 2, 60: 3}
-    assert keyed.indices_of_keys(queries).tolist() == [position.get(int(k), -1) for k in queries]
     rng = np.random.default_rng(5)
     picks = rng.integers(0, len(group), size=200)
-    queries = np.concatenate([group.keys[picks], group.keys[picks[:20]] + 1])
-    position = {int(k): i for i, k in enumerate(group.keys)}
-    assert group.indices_of_keys(queries).tolist() == [position.get(int(k), -1) for k in queries]
+    flips = group.keys[picks[:40]] ^ (np.uint32(1) << rng.integers(0, 16, size=40).astype(np.uint32))
+    queries = np.concatenate([group.keys[picks], group.keys[:1], flips, group.keys[picks[:20]]])
+    want = sorted_key_index(group.keys, queries)
+    assert (want[200:201] == 0).all() and (want[201:241] == -1).any()
+    assert np.array_equal(group.indices_of_keys(queries), want)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, None])
@@ -141,10 +143,9 @@ def test_tau_index_equals_unchunked_lookup(monkeypatch, sp2, chunk):
         monkeypatch.setattr(_packed, "ROW_CHUNK", chunk)
     tau = build_outer_automorphism(space, group)
     image_keys = symplectic._tau_keys(space, tau.basis_lift, tau.coords)(group.keys)  # one block
-    rest = _packed.lookup_sorted(group.keys[1:], image_keys)
-    is_identity = image_keys == group.keys[0]
-    assert (rest[~is_identity] >= 0).all() and is_identity.sum() == 1
-    assert np.array_equal(tau.index, np.where(is_identity, 0, rest + 1))
+    want = sorted_key_index(group.keys, image_keys)
+    assert (want >= 0).all() and (want == 0).sum() == 1
+    assert np.array_equal(tau.index, want)
 
 
 def test_support_scan_narrow_sums(affine32, affine112):
@@ -570,15 +571,23 @@ def test_invariance_certificate_fails_on_bad_steps(monkeypatch, affine32, sp2, c
     assert mutant.size == code.size
     assert check_distance_invariance(mutant, generators=pairs) is False
     assert check_distance_invariance(mutant, generators=[*pairs, (7, group.right_step(7))]) is False
-    # at Sp(4, 2), one key moved off the group: indices_of_keys misses its products, and the steps return -1
+    # at Sp(4, 2), a step that multiplies the real keys by a matrix outside the
+    # group (I + E_02, not symplectic): index_block misses every product, and the step returns -1
     space, spgroup, natural = sp2
     spcode = build_twisted_code(natural, [build_outer_automorphism(space, spgroup).index])
-    keys = spgroup.keys.copy()
-    i = next(i for i in range(1, len(keys) - 1) if keys[i] + 1 < keys[i + 1] and keys[i] + 1 != keys[0])
-    keys[i] += 1
-    broken, rows = SymplecticGroup(space, keys), sp2_generator_rows(space, spgroup)
-    assert (broken.product_index(np.arange(len(keys)), rows[0]) == -1).any()
-    assert check_distance_invariance(spcode, generators=sp2_steps(broken, rows)) is False
+    ops, rows = space.ops, sp2_generator_rows(space, spgroup)
+    outside = np.eye(4, dtype=np.uint8)
+    outside[0, 2] = 1
+    outside_rows = ops.unpack_keys(ops.keys_of(outside))
+
+    def off_group(x):
+        prods = _packed.rows_matmul(ops, ops.unpack_keys(spgroup.keys[x]), np.repeat(outside_rows, len(x), axis=0))
+        pos = np.empty(len(x), dtype=np.int32)
+        space.index_block(ops.pack_keys(prods), pos)
+        return pos
+
+    assert (off_group(np.arange(len(spgroup))) == -1).all()
+    assert check_distance_invariance(spcode, generators=[(rows[0], off_group), *sp2_steps(spgroup, rows[1:])]) is False
 
 
 def test_invariance_certificate_allocates_no_code_copy(monkeypatch):

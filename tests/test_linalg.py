@@ -129,9 +129,9 @@ def test_exterior_square_diagonal():
 
 
 def wedge_oracle(field, u, v):
-    # brute-force wedge coordinates: w[(i,j)] = u_i v_j - u_j v_i
+    # brute-force wedge coordinates: w[(i,j)] = u_i v_j - u_j v_i, a sum in characteristic 2
     return [
-        field.sub(field.mul(int(u[i]), int(v[j])), field.mul(int(u[j]), int(v[i])))
+        field.add(field.mul(int(u[i]), int(v[j])), field.mul(int(u[j]), int(v[i])))
         for i, j in WEDGE_PAIRS
     ]
 

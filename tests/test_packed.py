@@ -1,6 +1,7 @@
 """The packed kernels: the sorted dedup (np.sort plus first_of_runs) against
-np.unique, lookup_sorted against a dict, the closure's pinned
-canonical order and its independence of the generators, the fixed-point
+np.unique, the lookup_sorted reference against a dict, the closure's pinned
+canonical order, its independence of the generators and its refusal of a
+generator outside the group, the fixed-point
 counts, permutation tables and rank-one flags against a scalar count and
 Matrix.rank, the key-based kernels against their row-based references
 (every key at q = 2, random batches up to q = 16), the dense batch_matmul and batch_matmul_left against a loop of
@@ -33,11 +34,11 @@ from twistcode.symplectic import (
     build_symplectic_twisted,
     generate_group,
     generators,
-    sp4_order,
     transvection_flags,
 )
 
 from oracles import (
+    lookup_sorted,
     row_fixed_counts,
     row_perm_tables,
     row_preserves_form,
@@ -100,7 +101,7 @@ def test_unique_sorted_equals_np_unique(keys):
 def test_lookup_sorted_against_dict(ranked, values):
     ranked = np.array(sorted(ranked), dtype=np.uint32)
     position = {int(v): i for i, v in enumerate(ranked)}
-    got = _packed.lookup_sorted(ranked, np.array(values, dtype=np.int64))
+    got = lookup_sorted(ranked, np.array(values, dtype=np.int64))
     assert got.tolist() == [position.get(v, -1) for v in values]
 
 
@@ -128,7 +129,7 @@ def sp42():
 def test_closure_discovery_order_pinned(sp42, seed):
     space, gens = sp42
     shuffled = gens[np.random.default_rng(seed).permutation(len(gens))]
-    levels, keys = _packed.closure(space.ops, shuffled, limit=720)
+    levels, keys = _packed.closure(space.ops, shuffled, space.index_block, 720)
     assert len(keys) == 720
     assert hashlib.sha256(keys.tobytes()).hexdigest() == CLOSURE_Q2_DIGEST
     assert levels[0] == 1 and min(levels) > 0 and sum(levels) == 720  # the identity's level, then every new frontier
@@ -136,19 +137,34 @@ def test_closure_discovery_order_pinned(sp42, seed):
 
 def test_closure_independent_of_generators(sp42):
     space, gens = sp42
-    _, keys = _packed.closure(space.ops, gens, limit=720)
-    _, reversed_gens = _packed.closure(space.ops, gens[::-1], limit=720)
-    _, pair = _packed.closure(space.ops, generators(space), limit=720)
+    _, keys = _packed.closure(space.ops, gens, space.index_block, 720)
+    _, reversed_gens = _packed.closure(space.ops, gens[::-1], space.index_block, 720)
+    _, pair = _packed.closure(space.ops, generators(space), space.index_block, 720)
     assert np.array_equal(reversed_gens, keys)  # a different level order
     assert np.array_equal(pair, keys)
     assert keys[0] == space.ops.identity_key
     assert (keys[2:] > keys[1:-1]).all()
 
 
-def test_closure_limit_guard(sp42):
+def test_closure_refuses_a_generator_outside_the_group(sp42):
+    # I + E_02 sends e1 to e1 + e2, and B(e1 + e2, f2) = 1: not symplectic
     space, gens = sp42
-    with pytest.raises(RuntimeError, match="limit 719"):
-        _packed.closure(space.ops, gens, limit=sp4_order(2) - 1)
+    outside = np.eye(4, dtype=np.uint8)
+    outside[0, 2] = 1
+    with pytest.raises(ValueError, match="not an element"):
+        _packed.closure(space.ops, np.concatenate([gens, outside[None]]), space.index_block, 720)
+
+
+def test_closure_of_a_subgroup(sp42):
+    # the products of two transvections (two transpositions of S6 = Sp(4, 2))
+    # generate the index-2 subgroup A6: 360 of the 720 slots are reached
+    space, gens = sp42
+    pairs = np.stack([space.field.matmul(s, t) for s in gens for t in gens])
+    levels, keys = _packed.closure(space.ops, pairs, space.index_block, 720)
+    assert len(keys) == sum(levels) == 360
+    assert keys[0] == space.ops.identity_key and (keys[2:] > keys[1:-1]).all()
+    _, group_keys = _packed.closure(space.ops, gens, space.index_block, 720)
+    assert np.isin(keys, group_keys).all()
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
@@ -161,21 +177,27 @@ def test_closure_equal_across_core_counts(monkeypatch, sp42, cores):
         "shuffled": gens[np.random.default_rng(7).permutation(len(gens))],
         "generators": generators(space),
     }
-    want = {name: _packed.closure(space.ops, g, limit=720) for name, g in gen_sets.items()}
+    want = {name: _packed.closure(space.ops, g, space.index_block, 720) for name, g in gen_sets.items()}
     monkeypatch.setattr(_packed, "ROW_CHUNK", 7)
     usable_cores(monkeypatch, cores)
     started = recording_threads(monkeypatch)
     before = threading.active_count()
     for name, g in gen_sets.items():
-        levels, keys = _packed.closure(space.ops, g, limit=720)
+        levels, keys = _packed.closure(space.ops, g, space.index_block, 720)
         assert levels == want[name][0], name
         assert np.array_equal(keys, want[name][1]), name
         assert hashlib.sha256(keys.tobytes()).hexdigest() == CLOSURE_Q2_DIGEST
     assert bool(started) == (cores > 1)
-    # the guard trips on the new keys of the 274-key level, here 40 to 137 blocks
+    # an index that reports the last key as no element fails a level of
+    # several blocks, in whichever worker meets it first
     assert want["all_transvections"][0][-2] == 274
-    with pytest.raises(RuntimeError, match="limit 719"):
-        _packed.closure(space.ops, gens, limit=sp4_order(2) - 1)
+
+    def index_block(keys, out):
+        space.index_block(keys, out)
+        out[keys == want["all_transvections"][1][-1]] = -1
+
+    with pytest.raises(ValueError, match="not an element"):
+        _packed.closure(space.ops, gens, index_block, 720)
     assert threading.active_count() == before
 
 
@@ -184,7 +206,7 @@ def test_closure_single_block_levels_start_no_thread(monkeypatch, sp42):
     space, gens = sp42
     usable_cores(monkeypatch, 3)
     started = recording_threads(monkeypatch)
-    _, keys = _packed.closure(space.ops, gens, limit=720)
+    _, keys = _packed.closure(space.ops, gens, space.index_block, 720)
     assert started == []
     assert hashlib.sha256(keys.tobytes()).hexdigest() == CLOSURE_Q2_DIGEST
 
@@ -527,11 +549,12 @@ def test_rank_kernels_refuse_above_q4(monkeypatch, n):
 
 
 def test_form_and_minor_table_size_guards():
-    # the form table over packed row pairs at q = 8 (2^24 entries) and the
-    # q^4-entry minor table at q = 32 are refused before they are built
+    # the form and index tables over packed row pairs at q = 8 (2^24 entries)
+    # and the q^4-entry minor table at q = 32 are refused before they are built
     space = SymplecticSpace.create(3)
     keys = np.zeros(4, dtype=space.ops.key_dtype)
     refused_with_small_peak(lambda: symplectic._preserves_form(space, keys), "form table")
+    refused_with_small_peak(lambda: space.index_block(keys, np.empty(4, dtype=np.int32)), "index table")
     mul = BinaryField(5).mul_table
     mats = np.zeros((4, 4, 4), dtype=np.uint8)
     refused_with_small_peak(lambda: _packed.batch_exterior_square(mul, mats, WEDGE_PAIRS), "minor table")

@@ -22,12 +22,18 @@ from twistcode.symplectic import (
     transvection_flags,
 )
 
-from oracles import dense_tau_apply, mulclose, transvection, usable_cores
+from oracles import dense_tau_apply, mulclose, sorted_key_index, transvection, usable_cores
 
 
 @pytest.fixture(scope="module")
 def sp2():
     space = SymplecticSpace.create(1)
+    return space, generate_group(space)
+
+
+@pytest.fixture(scope="module")
+def sp4():
+    space = SymplecticSpace.create(2)
     return space, generate_group(space)
 
 
@@ -139,6 +145,74 @@ def test_generate_group_guard():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # refused before anything is enumerated
+
+
+def index_queries(space, group, samples, seed):
+    """Keys to index: random keys, products of random pairs of elements and
+    one-bit flips of random elements, `samples` of each; at q = 2 every
+    key, every product of two elements and every flip of every element."""
+    ops = space.ops
+    bits = 4 * ops.row_bits
+    rng = np.random.default_rng(seed)
+    if space.q == 2:
+        every = np.arange(len(group))
+        keys = np.arange(1 << bits, dtype=ops.key_dtype)
+        a, b = np.repeat(every, len(group)), np.tile(every, len(group))
+        members, flips = np.repeat(every, bits), np.tile(np.arange(bits), len(group))
+    else:
+        keys = rng.integers(0, 1 << bits, size=samples, dtype=np.uint64).astype(ops.key_dtype)
+        a, b, members = rng.integers(0, len(group), size=(3, samples))
+        flips = rng.integers(0, bits, size=samples)
+    rows = _packed.rows_matmul(ops, ops.unpack_keys(group.keys[a]), ops.unpack_keys(group.keys[b]))
+    flipped = group.keys[members] ^ (ops.key_dtype(1) << flips.astype(ops.key_dtype))
+    return {"keys": keys, "products": ops.pack_keys(rows), "flips": flipped}
+
+
+def index_mismatches(space, group, queries):
+    """The queries whose SymplecticSpace.index_block answer differs from the
+    binary search in the group's keys (sorted_key_index)."""
+    got = np.empty(len(queries), dtype=np.int32)
+    space.index_block(queries, got)
+    return queries[got != sorted_key_index(group.keys, queries)]
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["q2", "q4"])
+def indexed(request, sp2, sp4):
+    space, group = sp2 if request.param == 1 else sp4
+    return space, group, index_queries(space, group, 300_000, 38)
+
+
+def test_index_of_every_element(indexed):
+    space, group, _ = indexed
+    assert np.array_equal(group.indices_of_keys(group.keys), np.arange(len(group)))
+    # the tables are built by the first index, not with the space
+    assert "index_tables" not in SymplecticSpace.create(space.n).__dict__
+
+
+@pytest.mark.parametrize("kind", ["keys", "products", "flips"])
+def test_index_equals_sorted_lookup(indexed, kind):
+    # the same index, -1 included, as a binary search in the sorted keys
+    space, group, queries = indexed
+    assert index_mismatches(space, group, queries[kind]).size == 0
+    member = sorted_key_index(group.keys, queries[kind]) >= 0
+    assert member.all() if kind == "products" else not member.all()
+
+
+def test_index_misses_a_dropped_sentinel(monkeypatch, indexed):
+    # no build indexes a non-element, so only the comparison with the sorted
+    # lookup sees a sentinel of the last table (B(r2, r3) != 1) replaced by 0;
+    # it is dropped at a flip that no other table read refuses
+    space, group, queries = indexed
+    pair, perp, last, identity = space.index_tables
+    flips, zeroed = queries["flips"], np.empty(len(queries["flips"]), dtype=np.int32)
+    monkeypatch.setitem(space.__dict__, "index_tables", (pair, perp, np.zeros_like(last), identity))
+    space.index_block(flips, zeroed)
+    key = flips[(zeroed >= 0) & (sorted_key_index(group.keys, flips) < 0)][0]
+    dropped, low = last.copy(), int(key) & (space.ops.ncodes**2 - 1)
+    assert dropped.flat[low] < 0
+    dropped.flat[low] = 0
+    monkeypatch.setitem(space.__dict__, "index_tables", (pair, perp, dropped, identity))
+    assert key in index_mismatches(space, group, flips)
 
 
 def test_group_order_check_can_fail(monkeypatch, capsys):
@@ -478,7 +552,7 @@ def test_product_index_is_the_matrix_product(monkeypatch, sp2, cores):
     a, b = np.random.default_rng(14).integers(0, len(group), size=(2, 200))
     for got, pairs in [(group.product_index(x, 5), [(i, 5) for i in x]), (group.product_index(a, b), zip(a, b))]:
         prods = np.stack([(group.matrix(int(i)) * group.matrix(int(j))).A for i, j in pairs])
-        assert np.array_equal(got, group.indices_of_keys(space.ops.keys_of(prods)))
+        assert np.array_equal(got, sorted_key_index(group.keys, space.ops.keys_of(prods)))
         assert (got >= 0).all()
 
 
