@@ -7,19 +7,19 @@ codes; row-times-matrix products and scalar multiples become single
 table lookups, which is what makes the million-element group scans cheap.
 
 A 4 x 4 matrix is held as its key: its four packed rows in one uint32
-(q <= 4) or uint64 integer, row 0 in the highest bits.  The group-wide
-kernels (fixed_counts, rank_one_flags, perm_tables) take keys and read
-row fields straight off them; the span-id rank reads its two pair ids as
-key >> 2 row_bits and key & (ncodes^2 - 1), and the other kernels unpack
-at most one block of keys into rows (unpack_keys) at a time.
+(q <= 4) or uint64 integer, row 0 in the highest bits.  The per-element
+kernels read row fields straight off keys as contiguous 1-D arrays:
+keys_matmul its entries and rows, PackedOps.row_pair a pair g_i || g_j,
+the span-id rank key >> 2 row_bits and key & (ncodes^2 - 1); only _ranks
+and perm_tables unpack one block of keys into (N, 4) rows (unpack_keys).
 
 All functions are pure.  fixed_counts, rank_one_flags and perm_tables
 split their keys into row_blocks and run them on every usable core
-(parallel_map), as closure does with each level's frontier (no sort, no
-search) and span_tables with its sum_rank entries; the other kernels take
-the batch they get.  The builders run the row kernels (rows_matmul, wedge_rows)
-inside parallel_map bodies of their own, and the dense batch_* kernels
-on the calling thread, on the few generators only.
+(parallel_map), as closure does with each level's frontier and
+span_tables with its sum_rank entries; the other kernels take the batch
+they get.  The builders run keys_matmul inside parallel_map bodies of
+their own, and the dense batch_* kernels on the calling thread, on the
+few generators only.
 """
 
 from __future__ import annotations
@@ -263,13 +263,6 @@ class PackedOps:
             acc ^= contrib[j][(codes >> sh) & self.mask]
         return acc
 
-    def pack_keys(self, rows):
-        rows = np.asarray(rows)
-        keys = np.zeros(rows.shape[0], dtype=self.key_dtype)
-        for i in range(rows.shape[1]):
-            keys |= rows[:, i].astype(self.key_dtype) << (self.row_bits * (rows.shape[1] - 1 - i))
-        return keys
-
     def unpack_keys(self, keys):
         """(N, 4) uint32 packed rows of these keys."""
         rows = np.zeros((len(keys), 4), dtype=np.uint32)
@@ -278,10 +271,23 @@ class PackedOps:
             rows[:, i] = (keys >> (self.row_bits * (3 - i))) & mask
         return rows
 
+    def row_pair(self, keys, i, j):
+        """Packed g_i || g_j (g_i in the high bits), rows i < j, of each key:
+        a table index over two packed rows, read off the key's fields."""
+        mask = self.ncodes - 1
+        pair = (keys >> self.row_bits * (2 - i)) & (mask << self.row_bits)
+        pair |= (keys >> self.row_bits * (3 - j)) & mask
+        return pair
+
     def keys_of(self, mats):
         """Keys of a (N, 4, 4) batch of entries, or of one 4 x 4 matrix as a
         (1,) array."""
-        return self.pack_keys(self.pack(mats).reshape(-1, 4))
+        rows = self.pack(mats).reshape(-1, 4)
+        keys = np.zeros(len(rows), dtype=self.key_dtype)
+        for row in rows.T:
+            keys <<= self.row_bits
+            keys |= row
+        return keys
 
     def matrices_of(self, keys):
         """(N, 4, 4) uint8 entries of the matrices with these keys."""
@@ -292,16 +298,22 @@ class PackedOps:
         return self.keys_of(np.eye(4, dtype=np.uint8))[0]
 
 
-def rows_matmul(ops: PackedOps, A, B):
-    """Row-wise product of two packed (N, L) batches: row i of A @ B is the
-    XOR over k of entry (i, k) of A times row k of B, one smul lookup each."""
-    smul = ops.smul.ravel()
-    out = np.empty(A.shape, dtype=np.uint32)
-    for i in range(ops.length):
-        acc = np.zeros(A.shape[0], dtype=np.uint32)
-        for k, sh in enumerate(ops.shifts):
-            acc ^= smul[(((A[:, i] >> sh) & ops.mask) << ops.row_bits) | B[:, k]]
-        out[:, i] = acc
+def keys_matmul(ops: PackedOps, a_keys, b_keys):
+    """Keys of the products a . b of two equal-length batches of keys.  Row
+    i of a product is the XOR over k of entry (i, k) of a times row k of b:
+    16 gathers from smul shifted into row i's field, at (entry << row_bits)
+    | row k, both read off the keys, so no rows are unpacked or packed."""
+    rb, n = ops.row_bits, ops.field.n
+    smul = ops.smul.ravel().astype(ops.key_dtype)
+    b_rows = [(b_keys >> rb * (3 - k)) & (ops.ncodes - 1) for k in range(4)]
+    out = np.zeros(len(a_keys), dtype=ops.key_dtype)
+    for i in range(4):
+        table = smul << rb * (3 - i)
+        for k, row in enumerate(b_rows):
+            at = (a_keys >> rb * (3 - i) + n * (3 - k)) & ops.mask
+            at <<= rb
+            at |= row
+            out ^= np.take(table, at)
     return out
 
 
@@ -320,21 +332,6 @@ def wedge_table(ops: PackedOps, ops6: PackedOps, coords, pairs):
     out = np.zeros(size, dtype=np.uint32)
     for b, (k, l) in enumerate(pairs):
         out ^= ops6.smul[mul[u[:, k], v[:, l]] ^ mul[u[:, l], v[:, k]], coord_rows[b]]
-    return out
-
-
-def wedge_rows(ops: PackedOps, ops6: PackedOps, table, rows, lift, pairs):
-    """Packed 6-rows of lift . L(g) . coords for a packed (N, 4) batch g, where
-    L(g) is the exterior square and table = wedge_table(ops, ops6, coords,
-    pairs).  Row a = (i, j) of L(g) is g_i ^ g_j, so row r of the result is
-    the XOR over a of lift[r, a] times table[g_i || g_j]."""
-    smul = ops6.smul
-    wedges = [table[(rows[:, i] << ops.row_bits) | rows[:, j]] for i, j in pairs]
-    out = np.zeros((rows.shape[0], len(lift)), dtype=np.uint32)
-    for r, lift_row in enumerate(lift):
-        for c, w in zip(lift_row, wedges):
-            if c:
-                out[:, r] ^= smul[c][w]
     return out
 
 

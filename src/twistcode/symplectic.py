@@ -143,18 +143,11 @@ class SymplecticSpace:
         return f"SymplecticSpace(q={self.q}, poly={self.field.poly:#b})"
 
 
-def _transvection_entries(space, v, lam):
-    mul = space.field.mul_table
-    v = np.asarray(v, dtype=np.uint8)
-    col = np.bitwise_xor.reduce(mul[GRAM, v[None, :]], axis=1)  # B(e_i, v)
-    return np.eye(4, dtype=np.uint8) ^ mul[mul[lam, col][:, None], v[None, :]]
-
-
 class SymplecticGroup:
     """Enumerated Sp(4, q), stored only as its elements' keys (each packs
-    the element's four packed rows; PackedOps.unpack_keys and matrices_of
-    unpack them), in the order SymplecticSpace.index_block ranks them: the
-    identity's first, then strictly ascending (so they are distinct)."""
+    the element's four packed rows, which the kernels read off it as
+    fields; matrices_of unpacks them), in the order SymplecticSpace.index_block
+    ranks them: the identity's first, then strictly ascending (so distinct)."""
 
     def __init__(self, space, keys):
         if keys[0] != space.ops.identity_key:
@@ -191,11 +184,9 @@ class SymplecticGroup:
         return pos
 
     def index_products(self, a, b, out):
-        """product_index of one block of index pairs into out: rows_matmul on
-        the unpacked keys, then SymplecticSpace.index_block."""
-        ops = self.space.ops
-        rows = _packed.rows_matmul(ops, ops.unpack_keys(self.keys[a]), ops.unpack_keys(self.keys[b]))
-        self.space.index_block(ops.pack_keys(rows), out)
+        """product_index of one block of index pairs into out: keys_matmul on
+        the keys, then SymplecticSpace.index_block."""
+        self.space.index_block(_packed.keys_matmul(self.space.ops, self.keys[a], self.keys[b]), out)
 
     def transvection_mask(self):
         """Per-element decision rule: g != I, rank(g - I) = 1, (g - I)^2 = 0."""
@@ -214,19 +205,20 @@ def transvection_flags(space, rows):
     ops = space.ops
     ident = ops.identity_key
     flags = _packed.rank_one_flags(ops, rows, ident)
-    diff = ops.unpack_keys(rows[flags] ^ ident)  # the rank-one differences only
-    flags[flags] = ~_packed.rows_matmul(ops, diff, diff).any(axis=1)
+    diff = rows[flags] ^ ident  # the rank-one differences only
+    flags[flags] = _packed.keys_matmul(ops, diff, diff) == 0
     return flags
 
 
 def all_transvections(space):
     """(T, 4, 4) matrices of every transvection: canonical directions times
-    nonzero scalars, in (direction, scalar) lexicographic order."""
-    dirs = space.ops.unpack(space.ops.point_codes)
-    mats = [
-        _transvection_entries(space, v, lam) for v in dirs for lam in range(1, space.q)
-    ]
-    return np.stack(mats)
+    nonzero scalars, in (direction, scalar) lexicographic order.  The one
+    for direction v and scalar lam is I + lam B(e_i, v) v_j, entry (i, j)."""
+    mul = space.field.mul_table
+    v = space.ops.unpack(space.ops.point_codes)[:, None, :]
+    col = np.bitwise_xor.reduce(mul[GRAM, v], axis=2)  # B(e_i, v)
+    scaled = mul[np.arange(1, space.q)[:, None], col[:, None, :]]  # (directions, scalars, 4)
+    return (np.eye(4, dtype=np.uint8) ^ mul[scaled[..., None], v[:, None]]).reshape(-1, 4, 4)
 
 
 def _preserves_form(space, keys):
@@ -236,8 +228,8 @@ def _preserves_form(space, keys):
     (ncodes^2 entries), refused before it is allocated above
     PAIR_TABLE_LIMIT entries (q > 4).  Only i < j is compared: g . Gram .
     g^T is alternating (characteristic 2), so its diagonal is zero and it
-    is symmetric.  On every usable core, one block of keys unpacked at a
-    time."""
+    is symmetric.  On every usable core, the six row pairs of each block
+    of keys read off their fields (PackedOps.row_pair)."""
     ops = space.ops
     size = ops.ncodes**2
     if size > _packed.PAIR_TABLE_LIMIT:
@@ -252,12 +244,8 @@ def _preserves_form(space, keys):
     ok = np.ones(len(keys), dtype=bool)
 
     def check(sl):
-        rows = ops.unpack_keys(keys[sl])
-        for i in range(4):
-            for j in range(i + 1, 4):
-                pair = rows[:, i] << ops.row_bits
-                pair |= rows[:, j]
-                ok[sl] &= np.take(form, pair) == GRAM[i, j]
+        for i, j in WEDGE_PAIRS:
+            ok[sl] &= np.take(form, ops.row_pair(keys[sl], i, j)) == GRAM[i, j]
 
     _packed.parallel_map(check, _packed.row_blocks(len(keys)))
     return ok
@@ -299,8 +287,8 @@ class OuterAutomorphism:
     and coordinate matrix) from which _tau_keys, tau's one evaluator,
     builds its wedge table.  index is filled in row_blocks of two rows per
     element, on every usable core: each block's image keys come off the
-    wedge table and are indexed at once (SymplecticSpace.index_block), so
-    no array of N image keys is built."""
+    narrowed wedge table and are indexed at once (SymplecticSpace.index_block),
+    so no array of N image keys is built."""
 
     def __init__(self, space, group, basis_lift, coords):
         self.space = space
@@ -318,21 +306,35 @@ class OuterAutomorphism:
 
 def _tau_keys(space, basis_lift, coords):
     """The function from a block of keys to the keys of their images under
-    tau, through the q^8-entry wedge table built here from coords: row r of
-    an image is basis_lift[r] . L(g) . coords (wedge_rows), whose
-    complement coordinate (entry 5) must vanish or the invariant 5-space is
-    not invariant (step (b)); its top four entries are the image row.  The
-    block's keys are unpacked into rows and its image rows packed into
-    keys, so no (N, 4) row array is built; parallel_map bodies may call it."""
+    tau.  Each basis_lift row must be the unit wedge row of a pair (i, j)
+    (refused before any table is built), so row r of an image is row (i, j)
+    of the exterior square in coords, the wedge_table entry at g_i || g_j:
+    its top four entries are the image row, and its complement coordinate
+    (entry 5) must vanish or the invariant 5-space is not invariant (step
+    (b)).  The q^8-entry table is narrowed to the image rows, with a bit set
+    above a row whose complement coordinate is not zero, so a block's image
+    keys are four gathers of it at row pairs read off the keys
+    (PackedOps.row_pair); parallel_map bodies may call it."""
     ops = space.ops
+    lift = np.asarray(basis_lift)
+    pairs = [WEDGE_PAIRS[a] for a in lift.argmax(axis=1)]
+    if not np.array_equal(lift, _wedge_rows(pairs)):
+        raise ValueError("a quotient basis lift row is not a unit wedge row")
     ops6 = PackedOps(space.field, 6)
-    table = _packed.wedge_table(ops, ops6, coords, WEDGE_PAIRS)  # and ops6.smul, before the workers read it
+    table = _packed.wedge_table(ops, ops6, coords, WEDGE_PAIRS)
+    images = table >> 2 * space.n
+    images[(table & ops6.mask) != 0] |= ops.ncodes  # the step (b) bit
+    images = images.astype(np.min_scalar_type(2 * ops.ncodes - 1))
 
     def image_keys(keys):
-        y = _packed.wedge_rows(ops, ops6, table, ops.unpack_keys(keys), basis_lift, WEDGE_PAIRS)
-        if (y & ops6.mask).any():
-            raise TauConstructionError("b", "exterior action leaves the invariant 5-space")
-        return ops.pack_keys(y >> (2 * space.n))
+        out = np.zeros(len(keys), dtype=ops.key_dtype)
+        for i, j in pairs:
+            rows = np.take(images, ops.row_pair(keys, i, j))
+            if rows.max(initial=0) >= ops.ncodes:
+                raise TauConstructionError("b", "exterior action leaves the invariant 5-space")
+            out <<= ops.row_bits
+            out |= rows
+        return out
 
     return image_keys
 
@@ -487,8 +489,9 @@ def build_symplectic_twisted(space, check="fast", rng_seed=1):
     n = len(group)
     rec.check("group_order", n == sp4_order(q))
     rec.check("form_preserved", form_ok, coverage_value(n, n))
-    rec.check("inverses_sampled", *_check_inverses_sampled(space, group, rng))
-    rec.check("products_sampled", *_check_products_sampled(group, rng))
+    with rec.stage("closure_samples"):
+        rec.check("inverses_sampled", *_check_inverses_sampled(space, group, rng))
+        rec.check("products_sampled", *_check_products_sampled(group, rng))
 
     with rec.stage("classify"):
         flags = group.transvection_mask()

@@ -332,16 +332,18 @@ def test_sp2_build_memory(sp2_traced):
 
 def test_tau_tables_gathered_q4(sp2):
     # the tau-side tables of Sp(4,4), gathered through tau.index, against the
-    # packed kernels run on the recomputed image keys: every 97th row; and
-    # those images, from tau's one evaluator (the wedge table), against tau
-    # through the dense exterior square
+    # packed kernels run on the recomputed image keys: every 97th row and
+    # 20,000 seeded ones; and those images, from tau's one evaluator (four
+    # gathers of the narrowed wedge table), against tau through the dense
+    # exterior square and against the keys tau.index points at
     build = sp2[0]
     group, tau = build.group, build.tau
     ops = group.space.ops
-    sub = np.arange(0, len(group), 97)
+    sub = np.union1d(np.arange(0, len(group), 97), np.random.default_rng(2015).choice(len(group), 20_000, replace=False))
     images = tau_image_keys(tau, group.keys[sub])
     dense = dense_tau_apply(group.space.field, tau.basis_lift, tau.coords, ops.matrices_of(group.keys[sub]))
     assert np.array_equal(ops.matrices_of(images), dense)
+    assert np.array_equal(images, group.keys[tau.index[sub]])
     assert np.array_equal(_packed.fixed_counts(ops, images), build.fix[sub, 1])
     assert np.array_equal(transvection_flags(group.space, images), group.transvection_mask()[tau.index[sub]])
     # the natural representation's rows tau.index[sub], as natural_representation computes them

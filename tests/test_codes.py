@@ -578,12 +578,12 @@ def test_invariance_certificate_fails_on_bad_steps(monkeypatch, affine32, sp2, c
     ops, rows = space.ops, sp2_generator_rows(space, spgroup)
     outside = np.eye(4, dtype=np.uint8)
     outside[0, 2] = 1
-    outside_rows = ops.unpack_keys(ops.keys_of(outside))
+    outside_key = ops.keys_of(outside)
 
     def off_group(x):
-        prods = _packed.rows_matmul(ops, ops.unpack_keys(spgroup.keys[x]), np.repeat(outside_rows, len(x), axis=0))
+        prods = _packed.keys_matmul(ops, spgroup.keys[x], np.repeat(outside_key, len(x)))
         pos = np.empty(len(x), dtype=np.int32)
-        space.index_block(ops.pack_keys(prods), pos)
+        space.index_block(prods, pos)
         return pos
 
     assert (off_group(np.arange(len(spgroup))) == -1).all()

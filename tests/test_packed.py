@@ -5,7 +5,7 @@ generator outside the group, the fixed-point
 counts, permutation tables and rank-one flags against a scalar count and
 Matrix.rank, the key-based kernels against their row-based references
 (every key at q = 2, random batches up to q = 16), the dense batch_matmul and batch_matmul_left against a loop of
-BinaryField.matmul, rows_matmul against batch_matmul, the size guards
+BinaryField.matmul, keys_matmul against batch_matmul, the size guards
 of the wedge, form and minor tables, and parallel_map, through which the
 row kernels and the closure levels run on every usable core."""
 
@@ -315,15 +315,15 @@ def test_rank_kernels_on_arbitrary_matrices(case):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 40), st.integers(0, 2**32 - 1))
-def test_rows_matmul_equals_batch_matmul(n, size, seed):
+def test_keys_matmul_equals_batch_matmul(n, size, seed):
     field = BinaryField(n)
     ops = _packed.PackedOps(field, 4)
     rng = np.random.default_rng(seed)
     A = rng.integers(0, field.order, size=(size, 4, 4), dtype=np.uint8)
     B = rng.integers(0, field.order, size=(size, 4, 4), dtype=np.uint8)
-    got = _packed.rows_matmul(ops, ops.pack(A), ops.pack(B))
-    assert got.shape == (size, 4)
-    assert np.array_equal(got, ops.pack(_packed.batch_matmul(field.mul_table, A, B)))
+    got = _packed.keys_matmul(ops, ops.keys_of(A), ops.keys_of(B))
+    assert got.shape == (size,) and got.dtype == ops.key_dtype
+    assert np.array_equal(got, ops.keys_of(_packed.batch_matmul(field.mul_table, A, B)))
 
 
 @st.composite

@@ -163,9 +163,9 @@ def index_queries(space, group, samples, seed):
         keys = rng.integers(0, 1 << bits, size=samples, dtype=np.uint64).astype(ops.key_dtype)
         a, b, members = rng.integers(0, len(group), size=(3, samples))
         flips = rng.integers(0, bits, size=samples)
-    rows = _packed.rows_matmul(ops, ops.unpack_keys(group.keys[a]), ops.unpack_keys(group.keys[b]))
+    products = _packed.keys_matmul(ops, group.keys[a], group.keys[b])
     flipped = group.keys[members] ^ (ops.key_dtype(1) << flips.astype(ops.key_dtype))
-    return {"keys": keys, "products": ops.pack_keys(rows), "flips": flipped}
+    return {"keys": keys, "products": products, "flips": flipped}
 
 
 def index_mismatches(space, group, queries):
@@ -523,6 +523,23 @@ def test_tau_rejects_nonsymplectic_input(sp2, tau2):
     image_keys = symplectic._tau_keys(space, tau2.basis_lift, tau2.coords)
     with pytest.raises(TauConstructionError, match=r"step \(b\)"):
         image_keys(space.ops.keys_of(shear))
+
+
+@pytest.mark.parametrize("row", [[1, 0, 0, 0, 1, 0], [0] * 6, [0, 0, 0, 0, 2, 0]], ids=["two_pairs", "zero", "scaled"])
+def test_tau_keys_refuses_a_lift_row_off_the_wedge_pairs(monkeypatch, tau2, row):
+    # a lift row that is not a unit wedge row is not one row pair's wedge, so
+    # it is refused before the wedge table or any packing table is built
+    space = SymplecticSpace.create(2)
+    lift = tau2.basis_lift.copy()
+    lift[1] = row
+
+    def built(*args):
+        raise AssertionError("wedge table built")
+
+    monkeypatch.setattr(_packed, "wedge_table", built)
+    with pytest.raises(ValueError, match="not a unit wedge row"):
+        symplectic._tau_keys(space, lift, tau2.coords)
+    assert not {"smul", "span_tables"} & set(vars(space.ops))
 
 
 def test_build_symplectic_twisted_n1():
