@@ -21,5 +21,5 @@ print("GF(16): all 15 nonzero elements invert cleanly")
 
 # --- matrices ---------------------------------------------------------------
 B = Matrix(F5, [[1, 0], [1, 1]])
-print("B =", B.A.tolist(), "  B^5 =", (B ** 5).A.tolist(), " (order 5, as expected mod 5)")
+print("B =", B.A.tolist(), "  B^5 =", (B * B * B * B * B).A.tolist(), " (order 5, as expected mod 5)")
 print("B^-1 =", B.inverse().A.tolist())

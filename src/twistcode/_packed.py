@@ -1,17 +1,19 @@
 """Vectorized GF(2^n) kernels on bit-packed row vectors.
 
-A length-L row vector over GF(2^n) is packed into one integer code with
-entry 0 in the highest bits, so numeric order on codes equals
+A row vector of four entries over GF(2^n) is packed into one integer code
+with entry 0 in the highest bits, so numeric order on codes equals
 lexicographic order on coordinate tuples.  Addition of vectors is XOR of
 codes; row-times-matrix products and scalar multiples become single
 table lookups, which is what makes the million-element group scans cheap.
 
-A 4 x 4 matrix is held as its key: its four packed rows in one uint32
-(q <= 4) or uint64 integer, row 0 in the highest bits.  The per-element
-kernels read row fields straight off keys as contiguous 1-D arrays:
-keys_matmul its entries and rows, PackedOps.row_pair a pair g_i || g_j,
-the span-id rank key >> 2 row_bits and key & (ncodes^2 - 1); only _ranks
-and perm_tables unpack one block of keys into (N, 4) rows (unpack_keys).
+A 4 x 4 matrix is held as its key: its four packed rows in one uint32,
+row 0 in the highest bits, which bounds the field at GF(4) (PackedOps).
+Every table over two packed rows then has at most 2^16 entries.  The
+per-element kernels read row fields straight off keys as contiguous 1-D
+arrays: keys_matmul its entries and rows, PackedOps.row_pair a pair
+g_i || g_j, the span-id rank key >> 2 row_bits and key & (ncodes^2 - 1);
+only _ranks and perm_tables unpack one block of keys into (N, 4) rows
+(unpack_keys).
 
 All functions are pure.  fixed_counts, rank_one_flags and perm_tables
 split their keys into row_blocks and run them on every usable core
@@ -31,9 +33,6 @@ from functools import cached_property
 import numpy as np
 
 
-WEDGE_TABLE_LIMIT = 1 << 24  # entries of wedge_table: q^8 for 4-rows over GF(q)
-POINT_TABLE_LIMIT = 1 << 24  # entries of perm_tables' four point-image tables: 4 q^4 (q^3 + q^2 + q + 1)
-PAIR_TABLE_LIMIT = 1 << 16  # entries of a table over two packed 4-rows (q <= 4) or four field entries (q <= 16)
 ROW_CHUNK = 1 << 16  # rows per block of the per-element row kernels (rank, tau rows; a pair of the tau checks is four)
 
 
@@ -127,19 +126,21 @@ def is_permutation(index):
 
 
 class PackedOps:
-    """Packing tables for length-L rows over one BinaryField."""
+    """Packing tables for 4-rows over one BinaryField, GF(2) or GF(4):
+    larger fields are refused before anything is built, since their four
+    packed rows would not fit one uint32 key."""
 
-    def __init__(self, field, length):
+    key_dtype = np.uint32
+
+    def __init__(self, field):
         n = field.n
-        if n * length > 16:
-            raise ValueError("packed row would exceed 16 bits")
+        if n > 2:
+            raise ValueError(f"four packed rows over GF(2^{n}) exceed a 32-bit key")
         self.field = field
-        self.length = length
-        self.row_bits = n * length
+        self.row_bits = 4 * n
         self.ncodes = 1 << self.row_bits
         self.mask = (1 << n) - 1
-        self.shifts = [n * (length - 1 - j) for j in range(length)]
-        self.key_dtype = np.uint32 if 4 * self.row_bits <= 32 else np.uint64
+        self.shifts = [n * (3 - j) for j in range(4)]
 
     def pack(self, vecs):
         vecs = np.asarray(vecs, dtype=np.uint32)
@@ -150,7 +151,7 @@ class PackedOps:
 
     def unpack(self, codes):
         codes = np.asarray(codes, dtype=np.uint32)
-        out = np.zeros(codes.shape + (self.length,), dtype=np.uint8)
+        out = np.zeros(codes.shape + (4,), dtype=np.uint8)
         for j, sh in enumerate(self.shifts):
             out[..., j] = (codes >> sh) & self.mask
         return out
@@ -178,7 +179,7 @@ class PackedOps:
         codes = np.arange(self.ncodes, dtype=np.uint32)
         entries = self.unpack(codes)
         first = np.zeros(self.ncodes, dtype=np.uint8)
-        for j in range(self.length):
+        for j in range(4):
             sel = (first == 0) & (entries[:, j] != 0)
             first[sel] = entries[sel, j]
         inv = np.zeros(self.field.order, dtype=np.uint8)
@@ -254,8 +255,8 @@ class PackedOps:
         B = np.asarray(B, dtype=np.uint8)
         mul = self.field.mul_table
         q = self.field.order
-        contrib = np.zeros((self.length, q), dtype=np.uint32)
-        for j in range(self.length):
+        contrib = np.zeros((4, q), dtype=np.uint32)
+        for j in range(4):
             contrib[j] = self.pack(mul[np.arange(q)[:, None], B[j][None, :]])
         codes = np.arange(self.ncodes, dtype=np.uint32)
         acc = np.zeros(self.ncodes, dtype=np.uint32)
@@ -317,24 +318,6 @@ def keys_matmul(ops: PackedOps, a_keys, b_keys):
     return out
 
 
-def wedge_table(ops: PackedOps, ops6: PackedOps, coords, pairs):
-    """(ncodes**2,) table from packed u||v (u in the high bits) to the packed
-    6-row (u^v) . coords, u^v on the wedge-pair basis.  Refused before
-    anything is allocated when it would exceed WEDGE_TABLE_LIMIT entries."""
-    size = ops.ncodes**2
-    if size > WEDGE_TABLE_LIMIT:
-        raise ValueError(f"wedge table of {size} entries exceeds {WEDGE_TABLE_LIMIT}")
-    mul = ops.field.mul_table
-    uv = np.arange(size, dtype=np.uint32)
-    u = ops.unpack(uv >> ops.row_bits)
-    v = ops.unpack(uv & (ops.ncodes - 1))
-    coord_rows = ops6.pack(coords)
-    out = np.zeros(size, dtype=np.uint32)
-    for b, (k, l) in enumerate(pairs):
-        out ^= ops6.smul[mul[u[:, k], v[:, l]] ^ mul[u[:, l], v[:, k]], coord_rows[b]]
-    return out
-
-
 def _matmul_fixed(mul, A, B):
     """(N, r, s) batch times a fixed (s, t) matrix: term k gathers rows of
     the (q, t) table mul[:, B[k]] at the entries of column k of A."""
@@ -381,16 +364,13 @@ def batch_exterior_square(mul, mats, pairs):
     """Exterior-square matrices of a (N, 4, 4) batch on the wedge-pair
     basis; characteristic 2, so the sign terms are XORs.  Entry ((i, j),
     (k, l)) is the 2 x 2 minor g_ik g_jl ^ g_il g_jk: one gather from the
-    q^4-entry table of a b ^ c d, at the uint16 index abcd in base q.
-    Refused before anything is allocated when q^4 would exceed
-    PAIR_TABLE_LIMIT (q > 16)."""
+    q^4-entry table of a b ^ c d, at the index abcd in base q, formed in
+    the narrowest unsigned type that holds it."""
     q = mul.shape[0]
-    if q**4 > PAIR_TABLE_LIMIT:
-        raise ValueError(f"minor table of {q**4} entries exceeds {PAIR_TABLE_LIMIT}")
     n = q.bit_length() - 1
     minors = (mul[:, :, None, None] ^ mul[None, None, :, :]).ravel()
     k, l = np.array(pairs).T
-    m = mats.astype(np.uint16)
+    m = mats.astype(np.min_scalar_type(len(minors) - 1))
     out = np.empty((mats.shape[0], len(pairs), len(pairs)), dtype=np.uint8)
     for a, (i, j) in enumerate(pairs):  # one output row at a time keeps the index arrays small
         idx = m[:, i, k] << 3 * n
@@ -487,17 +467,6 @@ def _span_ranks(ops: PackedOps, keys):
     return np.take(sum_rank, ids)
 
 
-def _rank_kernel(ops: PackedOps):
-    """_span_ranks, refused before anything is allocated while its pair
-    table would exceed PAIR_TABLE_LIMIT entries (q > 4 for 4-rows); the
-    span tables it reads are computed here, before any worker reads them."""
-    size = ops.ncodes**2
-    if size > PAIR_TABLE_LIMIT:
-        raise ValueError(f"span table of {size} entries exceeds {PAIR_TABLE_LIMIT}")
-    ops.span_tables
-    return _span_ranks
-
-
 def fixed_counts(ops: PackedOps, rows, out=None):
     """Per-element count of projective points fixed setwise by the matrices
     whose keys are `rows` (one key per element), from
@@ -510,9 +479,8 @@ def fixed_counts(ops: PackedOps, rows, out=None):
     (N,) integer array, a table's column will do): the points_by_rank
     terms are added in out's dtype, and every integer dtype holds m, the
     identity's count (85 at q = 4); an out that is not an integer array
-    is refused before any block runs.  Refused above q = 4 (_rank_kernel)
-    before the counts are allocated."""
-    ranks = _rank_kernel(ops)
+    is refused before any block runs."""
+    ops.span_tables  # built here, before any worker reads it
     q = ops.field.order
     counts = np.empty(rows.shape[0], dtype=np.int16) if out is None else out
     if counts.dtype.kind not in "iu":
@@ -523,7 +491,7 @@ def fixed_counts(ops: PackedOps, rows, out=None):
     def count(sl):
         counts[sl] = 0
         for lam in scalars:
-            counts[sl] += points_by_rank[ranks(ops, rows[sl] ^ lam)]
+            counts[sl] += points_by_rank[_span_ranks(ops, rows[sl] ^ lam)]
 
     parallel_map(count, row_blocks(rows.shape[0]))
     return counts
@@ -535,12 +503,8 @@ def perm_tables(ops: PackedOps, keys):
     Entry (g, j) is the point index (ops.point_index) of v . g for the j-th
     point <v>, the XOR over k of v_k times row k of g.  Table k maps a
     packed row r to the m images v_k r, so a block's images are four row
-    gathers.  The tables (4 ncodes m entries) are refused before they are
-    built above POINT_TABLE_LIMIT (q > 8)."""
+    gathers."""
     m = len(ops.point_codes)
-    size = 4 * ops.ncodes * m
-    if size > POINT_TABLE_LIMIT:
-        raise ValueError(f"point-image tables of {size} entries exceed {POINT_TABLE_LIMIT}")
     index = ops.point_index
     points = ops.unpack(ops.point_codes)
     code_dtype = np.min_scalar_type(ops.ncodes - 1)
@@ -562,13 +526,12 @@ def rank_one_flags(ops: PackedOps, rows, offset=0):
     """True where the matrices whose keys are `rows`, each plus the matrix
     with key `offset` (g + M, which is g - M in characteristic 2: one XOR
     of keys), have rank exactly one.  On every usable core, with no sum
-    array over all rows; refused above q = 4 (_rank_kernel) before the
-    flags are allocated."""
-    ranks = _rank_kernel(ops)
+    array over all rows."""
+    ops.span_tables  # built here, before any worker reads it
     flags = np.empty(rows.shape[0], dtype=bool)
 
     def flag(sl):
-        flags[sl] = ranks(ops, rows[sl] ^ offset) == 1
+        flags[sl] = _span_ranks(ops, rows[sl] ^ offset) == 1
 
     parallel_map(flag, row_blocks(rows.shape[0]))
     return flags

@@ -73,18 +73,6 @@ class Matrix:
             raise ValueError("shape or field mismatch")
         return Matrix(self.field, self.field.sub_arrays(self.A, other.A))
 
-    def __pow__(self, e):
-        if self.rows != self.cols or e < 0:
-            raise ValueError("power needs a square matrix and e >= 0")
-        out = Matrix.identity(self.field, self.rows)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def is_zero(self):
         return not self.A.any()
 

@@ -78,7 +78,7 @@ class SymplecticSpace:
 
     @cached_property
     def ops(self) -> PackedOps:
-        return PackedOps(self.field, 4)
+        return PackedOps(self.field)
 
     @cached_property
     def index_tables(self):
@@ -92,11 +92,9 @@ class SymplecticSpace:
         w < r2} and last = #{c : r3 + c r2 < r3}, and -N where an entry breaks
         its condition, so any sum with it is negative; identity is the
         identity's rank.  B comes from a form table of its own, not
-        _preserves_form's.  Refused above q = 4 before anything is allocated."""
+        _preserves_form's."""
         ops, q = self.ops, self.q
         size = ops.ncodes**2
-        if size > _packed.PAIR_TABLE_LIMIT:
-            raise ValueError(f"index table of {size} entries exceeds {_packed.PAIR_TABLE_LIMIT}")
         missing = -sp4_order(q)
         codes = np.arange(ops.ncodes, dtype=np.uint32)
         gram_rows = ops.unpack(ops.rmul_table(GRAM))  # the entries of u . GRAM
@@ -225,15 +223,12 @@ def _preserves_form(space, keys):
     """Per-element g . Gram . g^T == Gram for the matrices with these keys.
 
     B(g_i, g_j) is one gather from the table of B(u, v) over packed u || v
-    (ncodes^2 entries), refused before it is allocated above
-    PAIR_TABLE_LIMIT entries (q > 4).  Only i < j is compared: g . Gram .
-    g^T is alternating (characteristic 2), so its diagonal is zero and it
-    is symmetric.  On every usable core, the six row pairs of each block
-    of keys read off their fields (PackedOps.row_pair)."""
+    (ncodes^2 entries).  Only i < j is compared: g . Gram . g^T is
+    alternating (characteristic 2), so its diagonal is zero and it is
+    symmetric.  On every usable core, the six row pairs of each block of
+    keys read off their fields (PackedOps.row_pair)."""
     ops = space.ops
     size = ops.ncodes**2
-    if size > _packed.PAIR_TABLE_LIMIT:
-        raise ValueError(f"form table of {size} entries exceeds {_packed.PAIR_TABLE_LIMIT}")
     uv = np.arange(size, dtype=np.uint32)
     u = ops.unpack(uv >> ops.row_bits)
     v = ops.unpack(uv & (ops.ncodes - 1))
@@ -285,9 +280,9 @@ class OuterAutomorphism:
     so a per-element table of tau(g) is the group's own one gathered
     through index; kept with the change-of-basis data (quotient basis lift
     and coordinate matrix) from which _tau_keys, tau's one evaluator,
-    builds its wedge table.  index is filled in row_blocks of two rows per
-    element, on every usable core: each block's image keys come off the
-    narrowed wedge table and are indexed at once (SymplecticSpace.index_block),
+    builds its image table.  index is filled in row_blocks of two rows per
+    element, on every usable core: each block's image keys come off that
+    table and are indexed at once (SymplecticSpace.index_block),
     so no array of N image keys is built."""
 
     def __init__(self, space, group, basis_lift, coords):
@@ -308,23 +303,29 @@ def _tau_keys(space, basis_lift, coords):
     """The function from a block of keys to the keys of their images under
     tau.  Each basis_lift row must be the unit wedge row of a pair (i, j)
     (refused before any table is built), so row r of an image is row (i, j)
-    of the exterior square in coords, the wedge_table entry at g_i || g_j:
-    its top four entries are the image row, and its complement coordinate
-    (entry 5) must vanish or the invariant 5-space is not invariant (step
-    (b)).  The q^8-entry table is narrowed to the image rows, with a bit set
-    above a row whose complement coordinate is not zero, so a block's image
-    keys are four gathers of it at row pairs read off the keys
-    (PackedOps.row_pair); parallel_map bodies may call it."""
+    of the exterior square in coords, (g_i ^ g_j) . coords: its first four
+    entries are the image row, and its complement coordinate (entry 5)
+    must vanish or the invariant 5-space is not invariant (step (b)).  A
+    q^8-entry table over packed u || v holds the packed row (u ^ v) .
+    coords[:, :4] with (u ^ v) . coords[:, 5] in the bits above it, so a
+    block's image keys are four gathers of it at row pairs read off the
+    keys (PackedOps.row_pair), and an entry of ncodes or more fails step
+    (b); parallel_map bodies may call it."""
     ops = space.ops
     lift = np.asarray(basis_lift)
     pairs = [WEDGE_PAIRS[a] for a in lift.argmax(axis=1)]
     if not np.array_equal(lift, _wedge_rows(pairs)):
         raise ValueError("a quotient basis lift row is not a unit wedge row")
-    ops6 = PackedOps(space.field, 6)
-    table = _packed.wedge_table(ops, ops6, coords, WEDGE_PAIRS)
-    images = table >> 2 * space.n
-    images[(table & ops6.mask) != 0] |= ops.ncodes  # the step (b) bit
-    images = images.astype(np.min_scalar_type(2 * ops.ncodes - 1))
+    mul = space.field.mul_table
+    uv = np.arange(ops.ncodes**2, dtype=np.uint32)
+    u = ops.unpack(uv >> ops.row_bits)
+    v = ops.unpack(uv & (ops.ncodes - 1))
+    # terms[s, b]: s times row b of coords, entries 0-3 packed and entry 5 in the bits above them
+    terms = ops.smul[:, ops.pack(coords[:, :4])] | mul[:, coords[:, 5]].astype(np.uint32) << ops.row_bits
+    images = np.zeros(len(uv), dtype=np.uint32)
+    for b, (k, l) in enumerate(WEDGE_PAIRS):  # coordinate b of u ^ v is the minor u_k v_l + u_l v_k
+        images ^= np.take(terms[:, b], mul[u[:, k], v[:, l]] ^ mul[u[:, l], v[:, k]])
+    images = images.astype(np.min_scalar_type(ops.field.order * ops.ncodes - 1))
 
     def image_keys(keys):
         out = np.zeros(len(keys), dtype=ops.key_dtype)

