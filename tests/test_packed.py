@@ -6,9 +6,10 @@ counts, permutation tables and rank-one flags against a scalar count and
 Matrix.rank, the key-based kernels against their row-based references
 (every key at q = 2, random batches at q = 4), the dense batch_matmul and
 batch_matmul_left against a loop of BinaryField.matmul, keys_matmul
-against batch_matmul, PackedOps' refusal of fields above GF(4), and
-parallel_map, through which the row kernels and the closure levels run
-on every usable core."""
+against batch_matmul, PackedOps' refusal of fields above GF(4) and the
+Sp(4, q) kernels refused through it, the 2^16-entry tables over key
+halves at GF(2) and GF(4), and parallel_map, through which the row
+kernels and the closure levels run on every usable core."""
 
 import functools
 import hashlib
@@ -404,6 +405,37 @@ def test_packed_ops_refuse_above_q4(n):
     # entries) exceeds 2^16 entries
     field = BinaryField(n)
     refused_with_small_peak(lambda: _packed.PackedOps(field), "32-bit key")
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_space_kernels_refuse_above_q4(n):
+    # the form, index and tau image tables over two packed rows (q^8 entries
+    # at q = 8 and 16) hold no guard of their own: each kernel reads
+    # space.ops first, so PackedOps refuses it before any table is built
+    space = SymplecticSpace.create(n)
+    keys = np.zeros(4, dtype=np.uint32)
+    lift = symplectic._wedge_rows(WEDGE_PAIRS[:4])
+    coords = np.eye(6, dtype=np.uint8)
+    refused_with_small_peak(lambda: symplectic._preserves_form(space, keys), "32-bit key")
+    refused_with_small_peak(lambda: space.index_block(keys, np.empty(4, dtype=np.int32)), "32-bit key")
+    refused_with_small_peak(lambda: symplectic._tau_keys(space, lift, coords), "32-bit key")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_key_halves_index_tables_within_2_16(n):
+    # GF(2) and GF(4): the all-(q - 1) matrix's key fills exactly 16 n <= 32
+    # bits of a uint32 and round-trips, and each key half r0||r1 or r2||r3
+    # indexes a table of ncodes^2 <= 2^16 entries
+    space = SymplecticSpace.create(n)
+    ops, q = space.ops, space.q
+    full = np.full((1, 4, 4), q - 1, dtype=np.uint8)
+    key = ops.keys_of(full)
+    assert key.dtype == np.uint32 and int(key[0]) == (1 << 16 * n) - 1
+    assert np.array_equal(ops.matrices_of(key), full)
+    pair, _, last, _ = space.index_tables
+    for table in (ops.span_tables[0], pair, last):
+        assert table.size == ops.ncodes**2 <= 1 << 16
+    assert int(key[0]) >> 2 * ops.row_bits == int(key[0]) & (ops.ncodes**2 - 1) == ops.ncodes**2 - 1
 
 
 def assert_key_kernels_equal_row_references(ops, keys):
